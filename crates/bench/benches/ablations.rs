@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices called out in `DESIGN.md`:
+//! Ablation benchmarks for the design choices the README's "Counting
+//! strategies" section and the paper's Chapters 3–4 make:
 //!
 //! - bitset counting engine vs the naive per-observation recount;
 //! - Algorithm 6 with and without Enhancements 1/2;

@@ -1,9 +1,10 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! Every bench target regenerates the computation behind one of the
-//! paper's tables or figures (see `DESIGN.md` for the experiment index) on
-//! a bench-sized market, so `cargo bench` finishes in minutes while still
-//! exercising the same code paths as the full report binary.
+//! paper's tables or figures (the README's "Running things" section lists
+//! the report's per-table and per-figure sections) on a bench-sized
+//! market, so `cargo bench` finishes in minutes while still exercising the
+//! same code paths as the full report binary.
 
 use hypermine_core::{AssociationModel, ModelConfig};
 use hypermine_market::{discretize_market, DiscretizedMarket, Market, SimConfig, Universe};

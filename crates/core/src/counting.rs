@@ -82,8 +82,10 @@
 //! (the construction sweep touches tens of millions of `(pair, head)`
 //! combinations); the `*_table` methods materialize full
 //! [`AssociationTable`]s and are used on demand — by the classifier for
-//! its relevant edges and by reporting code ([`PairRows`] lives on for
-//! exactly those per-head table paths). A naive recount path
+//! its relevant edges and by reporting code. [`PairRows`] lives on for
+//! exactly those per-head table paths and for rule ranking
+//! (`crate::mining`), which counts single rows' best heads over the same
+//! cached bitsets without materializing tables. A naive recount path
 //! cross-validates both fast paths in tests.
 //!
 //! **Work-stealing block sizing.** The parallel pass-2 sweeps (batch
@@ -207,13 +209,13 @@ pub struct PairRows {
 
 impl PairRows {
     /// The bitset for the row `(v_a, v_b)` (1-based values).
-    fn row_bits(&self, va: Value, vb: Value) -> &[u64] {
+    pub(crate) fn row_bits(&self, va: Value, vb: Value) -> &[u64] {
         let idx = (va as usize - 1) * self.k + (vb as usize - 1);
         &self.bits[idx * self.words..(idx + 1) * self.words]
     }
 
     /// The popcount for the row `(v_a, v_b)`.
-    fn row_count(&self, va: Value, vb: Value) -> usize {
+    pub(crate) fn row_count(&self, va: Value, vb: Value) -> usize {
         self.counts[(va as usize - 1) * self.k + (vb as usize - 1)]
     }
 
@@ -1033,7 +1035,7 @@ impl<'a> CountingEngine<'a> {
     /// Counts head values within a tail bitset, returning
     /// `(best_head, best_count)`; ties break toward the smaller value.
     /// The last head value's count is derived (counts partition the tail).
-    fn best_head(&self, tail_bits: &[u64], tail_count: usize, h: AttrId) -> (u8, u32) {
+    pub(crate) fn best_head(&self, tail_bits: &[u64], tail_count: usize, h: AttrId) -> (u8, u32) {
         if tail_count == 0 {
             return (0, 0);
         }
@@ -1062,6 +1064,12 @@ impl<'a> CountingEngine<'a> {
             }
         }
         (best_v, best_c as u32)
+    }
+
+    /// The single-attribute tail row `a = va`: its observation bitset and
+    /// popcount, the `|T| = 1` counterpart of a [`PairRows`] row.
+    pub(crate) fn value_row(&self, a: AttrId, va: Value) -> (&[u64], usize) {
+        (self.idx.bitset(a, va), self.idx.count1(a, va))
     }
 
     /// Checks that `out` matches this engine's database dimensions.
@@ -1250,8 +1258,7 @@ impl<'a> CountingEngine<'a> {
         }
         let mut total = 0u64;
         for va in 1..=self.db.k() {
-            let bits = self.idx.bitset(a, va);
-            let count = self.idx.count1(a, va);
+            let (bits, count) = self.value_row(a, va);
             total += self.best_head(bits, count, h).1 as u64;
         }
         total as f64 / m as f64
@@ -1263,8 +1270,7 @@ impl<'a> CountingEngine<'a> {
         let k = self.db.k();
         let mut rows = Vec::with_capacity(k as usize);
         for va in 1..=k {
-            let bits = self.idx.bitset(a, va);
-            let count = self.idx.count1(a, va);
+            let (bits, count) = self.value_row(a, va);
             let (best_head, best_count) = self.best_head(bits, count, h);
             rows.push(RowCounts {
                 tail_count: count as u32,

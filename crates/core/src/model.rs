@@ -121,11 +121,13 @@ pub struct AssociationModel {
 /// — and [`ModelTables::tables_for_edges`] groups an arbitrary edge batch
 /// by pair explicitly.
 ///
-/// These per-head table paths are the remaining home of [`PairRows`]: the
-/// construction sweep's observation-major pass derives pair rows from
-/// `PairBuckets` instead and never builds bitset intersections, but a
-/// *single* edge's table wants exactly one head counted over cached row
-/// bitsets, which is what `PairRows` is shaped for.
+/// These per-head table paths and rule ranking ([`crate::top_rules`],
+/// which walks edges the same way but counts only the rows that can
+/// still rank) are the remaining homes of [`PairRows`]: the construction
+/// sweep's observation-major pass derives pair rows from `PairBuckets`
+/// instead and never builds bitset intersections, but a *single* edge's
+/// rows want exactly one head counted over cached row bitsets, which is
+/// what `PairRows` is shaped for.
 #[derive(Debug)]
 pub struct ModelTables<'m> {
     model: &'m AssociationModel,

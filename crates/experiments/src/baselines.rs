@@ -6,7 +6,8 @@
 //! prediction-time features, so we use the standard day-level protocol —
 //! features are the dominator attributes' discretized values on a day,
 //! label is the target's value the same day — trained in-sample and
-//! evaluated out-of-sample. Recorded as a substitution in `DESIGN.md`.
+//! evaluated out-of-sample. This is a substitution for the paper's
+//! protocol, so baseline accuracies compare in trend, not in value.
 
 use hypermine_data::{AttrId, Database};
 use hypermine_ml::{

@@ -5,8 +5,11 @@
 //! That data set is not redistributable, so this crate provides the closest
 //! synthetic equivalent: a seeded **three-level factor model** over a
 //! universe with the paper's exact sector/sub-sector schema, including the
-//! ~60 ticker symbols the paper names (see `DESIGN.md` for why the
-//! substitution preserves the evaluated behaviour).
+//! ~60 ticker symbols the paper names. The substitution preserves the
+//! evaluated behaviour because the paper's findings rest on co-movement
+//! structure (sub-sector and sector clusters, the producer/consumer
+//! asymmetry), which the factor model reproduces by construction (see the
+//! module docs of `model.rs`).
 //!
 //! ```
 //! use hypermine_market::{Market, SimConfig, Universe};

@@ -6,10 +6,12 @@
 //! dominator membership, ranked edges, best edges, rule reads, and
 //! classification into a pre-sized scratch — and the allocation counter
 //! must not move. This is its own integration binary because a global
-//! allocator is process-wide.
+//! allocator is process-wide. The counter is per thread: the test
+//! harness runs the tests on parallel threads, and one test's setup must
+//! not count against another's measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hypermine_core::{AssociationModel, ModelConfig};
 use hypermine_data::{AttrId, Database, Value};
@@ -17,11 +19,25 @@ use hypermine_serve::{ModelServer, SnapshotSpec};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: a thread's last frees and reallocations can run after
+    // its thread-locals are gone.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -30,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,7 +94,7 @@ fn query_path_does_not_allocate_after_snapshot_acquisition() {
         }
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for round in 0..10_000u32 {
         // Pin the current snapshot: two atomic loads + one store.
         let snap = reader.load();
@@ -103,7 +119,7 @@ fn query_path_does_not_allocate_after_snapshot_acquisition() {
             sink ^= snap.predict_or_majority(&mut scratch, &row, a) as u64;
         }
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -121,13 +137,13 @@ fn load_owned_does_not_allocate() {
     let warm = reader.load_owned();
     drop(warm);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut sink = 0u64;
     for _ in 0..1_000 {
         // An owned pin is one strong-count increment, not a clone.
         let snap = reader.load_owned();
         sink ^= snap.epoch();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0, "load_owned allocated (sink {sink})");
 }

@@ -5,9 +5,9 @@
 
 use hypermine::approx::{greedy_set_cover, t_clustering, DistanceMatrix};
 use hypermine::core::{
-    dominating_adaptation, in_similarity_graph, is_dominator, node_of, out_similarity_graph,
-    set_cover_adaptation, AssociationClassifier, AssociationModel, CountingEngine, ModelConfig,
-    SetCoverOptions, StopRule,
+    attr_of, dominating_adaptation, in_similarity_graph, is_dominator, node_of,
+    out_similarity_graph, set_cover_adaptation, top_rules, AssociationClassifier, AssociationModel,
+    CountingEngine, MinedRule, ModelConfig, SetCoverOptions, StopRule,
 };
 use hypermine::data::discretize::{Discretizer, EquiDepth};
 use hypermine::data::{AttrId, Database, Value};
@@ -32,6 +32,119 @@ fn small_db() -> impl Strategy<Value = Database> {
     })
 }
 
+/// Strategy for the rule-ranking oracle: a random database with
+/// k ∈ {2, 3, 5} whose last column duplicates the first, so edges from
+/// one tail into the two copies tie exactly on strength, tail and tail
+/// values. The first `window` observations are mined; the rest are slid
+/// in one `advance` at a time.
+fn rule_db() -> impl Strategy<Value = (Database, usize)> {
+    (3usize..=5, 10usize..=40, 0usize..3, 1usize..=3).prop_flat_map(
+        |(n_attrs, window, ki, slides)| {
+            let k = [2u8, 3, 5][ki];
+            proptest::collection::vec(proptest::collection::vec(1..=k, window + slides), n_attrs)
+                .prop_map(move |mut cols| {
+                    cols.push(cols[0].clone());
+                    let names = (0..cols.len()).map(|i| format!("A{i}")).collect();
+                    let db = Database::from_columns(names, k, cols)
+                        .expect("generated values are in range");
+                    (db, window)
+                })
+        },
+    )
+}
+
+/// Every mined row of every kept edge, in edge-id then row order, from
+/// naively recounted tables: the enumeration half of the original
+/// `top_rules`.
+fn reference_rows(model: &AssociationModel) -> Vec<MinedRule> {
+    let engine = CountingEngine::new(model.database());
+    let mut rules = Vec::new();
+    for (_, edge) in model.hypergraph().edges() {
+        let tail: Vec<AttrId> = edge.tail().iter().map(|&n| attr_of(n)).collect();
+        let table = engine.naive_table(&tail, attr_of(edge.head()[0]));
+        for row in table.rows() {
+            let Some(head_value) = row.best_head else {
+                continue;
+            };
+            rules.push(MinedRule {
+                tail: table.tail().to_vec(),
+                tail_values: row.tail_values,
+                head: table.head(),
+                head_value,
+                support: row.support,
+                confidence: row.confidence,
+            });
+        }
+    }
+    rules
+}
+
+/// The ranking half of the original `top_rules`: filter by the floors,
+/// stable-sort by strength descending then tail and tail values, truncate.
+fn reference_top_rules(
+    rows: &[MinedRule],
+    min_support: f64,
+    min_confidence: f64,
+    limit: usize,
+) -> Vec<MinedRule> {
+    let mut rules: Vec<MinedRule> = rows
+        .iter()
+        .filter(|r| r.support >= min_support && r.confidence >= min_confidence)
+        .cloned()
+        .collect();
+    rules.sort_by(|a, b| {
+        b.strength()
+            .partial_cmp(&a.strength())
+            .expect("finite measures")
+            .then_with(|| a.tail.cmp(&b.tail))
+            .then_with(|| a.tail_values.cmp(&b.tail_values))
+    });
+    rules.truncate(limit);
+    rules
+}
+
+/// A rule with its measures as bits, for exact comparison.
+type RuleBits = (Vec<AttrId>, Vec<Value>, AttrId, Value, u64, u64);
+
+fn rule_bits(rules: &[MinedRule]) -> Vec<RuleBits> {
+    rules
+        .iter()
+        .map(|r| {
+            (
+                r.tail.clone(),
+                r.tail_values.clone(),
+                r.head,
+                r.head_value,
+                r.support.to_bits(),
+                r.confidence.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// `top_rules` against the reference at every floor pair and limit.
+fn check_top_rules(model: &AssociationModel) -> Result<(), TestCaseError> {
+    const FLOORS: [f64; 5] = [0.0, 0.3, 0.9, 2.0, f64::NAN];
+    const LIMITS: [usize; 5] = [0, 1, 7, 32, usize::MAX];
+    let rows = reference_rows(model);
+    for min_support in FLOORS {
+        for min_confidence in FLOORS {
+            for limit in LIMITS {
+                let got = top_rules(model, min_support, min_confidence, limit);
+                let want = reference_top_rules(&rows, min_support, min_confidence, limit);
+                prop_assert!(
+                    rule_bits(&got) == rule_bits(&want),
+                    "floors ({min_support}, {min_confidence}), limit {limit}, epoch {}: \
+                     got {got:?}, want {want:?}",
+                    model.epoch()
+                );
+                prop_assert_eq!(got.capacity(), got.len());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -52,6 +165,38 @@ proptest! {
             for &h in &attrs[2..] {
                 prop_assert_eq!(engine.hyper_table(&pair, h), engine.naive_table(&[attrs[0], attrs[1]], h));
             }
+        }
+    }
+
+    /// The support-bounded `top_rules` returns exactly the rules, order,
+    /// and measure bits of enumerating every row and stable-sorting them,
+    /// at every floor (NaN admits nothing) and limit, on fresh models and
+    /// after slides. Under γ = 1 every edge is kept, so the duplicated
+    /// column's heads produce exact ties that only edge order breaks.
+    #[test]
+    fn top_rules_match_the_full_sort((db, window) in rule_db(), gamma_one in 0u8..=1) {
+        let mut cfg = ModelConfig { threads: 1, ..ModelConfig::default() };
+        if gamma_one == 1 {
+            (cfg.gamma_edge, cfg.gamma_hyper) = (1.0, 1.0);
+        }
+        let mut model = AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
+        if gamma_one == 1 {
+            let all = reference_top_rules(&reference_rows(&model), 0.0, 0.0, usize::MAX);
+            prop_assert!(
+                all.windows(2).any(|w| w[0].strength() == w[1].strength()
+                    && w[0].tail == w[1].tail
+                    && w[0].tail_values == w[1].tail_values),
+                "the duplicated column yields exact ties"
+            );
+        }
+        check_top_rules(&model)?;
+        let mut row = vec![0 as Value; db.num_attrs()];
+        for obs in window..db.num_obs() {
+            for a in db.attrs() {
+                row[a.index()] = db.value(a, obs);
+            }
+            model.advance(&row).unwrap();
+            check_top_rules(&model)?;
         }
     }
 
