@@ -8,7 +8,9 @@
 //! build on the same window; the slide entry also carries the measured
 //! speedup and the live `incremental_stats` tensor bytes; `publish` =
 //! the median default-spec `ModelSnapshot::build` of the slid model, with
-//! its `ratio` to the slide), the
+//! its `ratio` to the slide, its per-stage split from
+//! `ModelSnapshot::publish_phases` (`phases_ms`), and the share of the
+//! wall time those stages cover (`phases_cover`)), the
 //! **batched advance** latency (`batch-slide` = one
 //! `advance_batch(5)` call at k = 3, gated at ≥ 1.3× over five single
 //! advances), the **wide fixture** (240 tickers × 504 days,
@@ -41,9 +43,10 @@
 //! incremental path has no dense sweeps to vectorize), if the k = 3
 //! batch speedup
 //! drops below 1.3× (the single slides it is compared against sped up
-//! post-SIMD), if a k = 3 default-spec publish costs more than 10× a
-//! slide (the k = 5 and k = 8 ratios are reported, not gated), if
-//! reader throughput fails to scale from 1 → 8
+//! post-SIMD), if a default-spec publish costs more than 4× a slide at
+//! k = 3 or more than 9.75× at k = 5 (k = 8 is reported, not
+//! gated), if the stages of a reported publish sum to less than 95% of
+//! its wall time, if reader throughput fails to scale from 1 → 8
 //! readers (hardware-aware: ≥ 3× on 8+ cores, ≥ 2× on 4–7; skipped
 //! below 4 cores, where reader threads time-slice one core instead of
 //! scaling), if the wide k = 8 build fails to speed up ≥ 2.5× from 1
@@ -73,9 +76,16 @@
 //! this summary all move together.
 //!
 //! Usage: `perf_summary [OUTPUT_PATH] [--baseline PATH] [--tolerance FRAC]
-//! [--raw]`
+//! [--raw] [--only SECTION[,SECTION...]]`
 //!
 //! - `OUTPUT_PATH`: also write the JSON there (stdout always gets it).
+//! - `--only SECTION[,...]`: run only the named sections (`construction`,
+//!   `incremental`, `wide`, `wide500`, `serve`, `durability`); the JSON
+//!   holds only those, a gate whose section did not run prints
+//!   "skipped", and the calibrated gate compares only the baseline
+//!   entries of the sections that ran. `--only incremental` times slides
+//!   and publishes in seconds without paying for wide500 (~60 s and
+//!   ~3.8 GB peak RSS). Without the flag every section runs, as in CI.
 //! - `--baseline PATH`: compare against a previous summary (e.g. the
 //!   committed `bench-baseline.json`) and fail on regressions.
 //! - `--tolerance FRAC`: allowed fractional slowdown before failing
@@ -92,12 +102,14 @@
 //!   per-strategy shape (which is what the counting-engine work optimizes)
 //!   is what's gated.
 
-use hypermine_core::{AssociationModel, CountStrategy, GammaPreset, ModelConfig, SimdLevel, SimdPolicy};
+use hypermine_core::{
+    AssociationModel, CountStrategy, GammaPreset, ModelConfig, Phase, SimdLevel, SimdPolicy,
+};
 use hypermine_experiments::registry::{find, RunScale, ScenarioSpec};
 use hypermine_market::discretize_market;
 use hypermine_serve::{
     measure_qps, DurabilityOptions, FeedConfig, HostOptions, MarketFeed, ModelServer,
-    ModelSnapshot, QpsRun, ServeHost, SnapshotSpec,
+    ModelSnapshot, PublishLaps, QpsRun, ServeHost, SnapshotSpec,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -117,11 +129,20 @@ const BATCH_DAYS: usize = 5;
 /// their median).
 const PUBLISH_RUNS: usize = 7;
 
-/// Publish-cost ceiling: at k = 3 a default-spec `ModelSnapshot::build`
-/// on the slid model must cost at most this multiple of one slide.
-/// Measured 3.8–4.8× on a 2-vCPU AVX2 host, where ranking rules by
-/// sorting every mined row made it ~60×.
-const PUBLISH_RATIO_LIMIT: f64 = 10.0;
+/// Publish-cost ceilings `(k, multiple)`: a default-spec
+/// `ModelSnapshot::build` of the slid model must cost at most this
+/// multiple of one slide. Over ten runs on a 2-vCPU AVX2 host k = 3
+/// measured 1.9–2.3× and k = 5 4.4–6.5× (k = 8: 6.2–10.6×, reported
+/// only). The k = 5 ceiling is 1.5× the largest ratio measured, so that
+/// host noise leaves headroom. With per-head comparator sorts and a
+/// hash-keyed set cover the ratios were ~4× and ~8.5×; ranking rules by
+/// sorting every mined row made k = 3 ~60×.
+const PUBLISH_RATIO_LIMITS: [(u8, f64); 2] = [(3, 4.0), (5, 9.75)];
+
+/// Phase-coverage floor: the publish phases
+/// (`ModelSnapshot::publish_phases`) of each k's reported publish must
+/// sum to at least this share of its measured wall time.
+const PHASE_COVER_FLOOR: f64 = 0.95;
 
 /// Fewer timed runs on the wide fixture: the three builds already take
 /// tens of seconds of CI time.
@@ -167,11 +188,67 @@ fn spec(name: &str) -> &'static ScenarioSpec {
     find(name).unwrap_or_else(|| panic!("{name} is not in the scenario registry"))
 }
 
+/// The summary's sections, in run order; `--only` selects among them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Section {
+    Construction,
+    Incremental,
+    Wide,
+    Wide500,
+    Serve,
+    Durability,
+}
+
+impl Section {
+    const ALL: [Section; 6] = [
+        Section::Construction,
+        Section::Incremental,
+        Section::Wide,
+        Section::Wide500,
+        Section::Serve,
+        Section::Durability,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Section::Construction => "construction",
+            Section::Incremental => "incremental",
+            Section::Wide => "wide",
+            Section::Wide500 => "wide500",
+            Section::Serve => "serve",
+            Section::Durability => "durability",
+        }
+    }
+
+    /// The section that measures a calibrated-gate entry, by its label.
+    fn of_strategy(label: &str) -> Section {
+        if label.starts_with("inc-") || label == "batch-slide" {
+            Section::Incremental
+        } else if label.starts_with("wide500-") {
+            Section::Wide500
+        } else if label.starts_with("wide-") {
+            Section::Wide
+        } else {
+            Section::Construction
+        }
+    }
+}
+
 struct Args {
     output: Option<String>,
     baseline: Option<String>,
     tolerance: f64,
     raw: bool,
+    /// `None` runs every section.
+    only: Option<Vec<Section>>,
+}
+
+impl Args {
+    fn runs(&self, section: Section) -> bool {
+        self.only
+            .as_ref()
+            .is_none_or(|only| only.contains(&section))
+    }
 }
 
 fn parse_args() -> Args {
@@ -180,6 +257,7 @@ fn parse_args() -> Args {
         baseline: None,
         tolerance: 0.25,
         raw: false,
+        only: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -194,6 +272,26 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| usage("--tolerance must be a number"));
             }
             "--raw" => args.raw = true,
+            "--only" => {
+                let list = it.next().unwrap_or_else(|| usage("--only needs a section"));
+                let sections = list
+                    .split(',')
+                    .map(|name| {
+                        Section::ALL
+                            .into_iter()
+                            .find(|s| s.name() == name)
+                            .unwrap_or_else(|| {
+                                let names: Vec<&str> =
+                                    Section::ALL.iter().map(|s| s.name()).collect();
+                                usage(&format!(
+                                    "unknown section {name}; sections: {}",
+                                    names.join(", ")
+                                ))
+                            })
+                    })
+                    .collect();
+                args.only = Some(sections);
+            }
             _ if arg.starts_with("--") => usage(&format!("unknown flag {arg}")),
             _ if args.output.is_none() => args.output = Some(arg),
             _ => usage("at most one output path"),
@@ -219,9 +317,17 @@ fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
+/// A section-local peak RSS as JSON (`null` when unavailable).
+fn fmt_peak(peak: Option<u64>) -> String {
+    peak.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
 fn usage(msg: &str) -> ! {
     eprintln!("perf_summary: {msg}");
-    eprintln!("usage: perf_summary [OUTPUT_PATH] [--baseline PATH] [--tolerance FRAC] [--raw]");
+    eprintln!(
+        "usage: perf_summary [OUTPUT_PATH] [--baseline PATH] [--tolerance FRAC] [--raw] \
+         [--only SECTION[,SECTION...]]"
+    );
     std::process::exit(2);
 }
 
@@ -269,53 +375,338 @@ fn main() {
     // documented reporting scale; the tiny variants of the same entries
     // are what `replication --scale tiny` gates bit-exactly.
     let scale = RunScale::Default;
-    let con_spec = spec("perf_construction");
-    let con_dims = con_spec.dims(scale).expect("market-backed");
-    let market = con_spec.simulate(scale).expect("market-backed");
-    let mut entries = String::new();
     let mut measured: Vec<Entry> = Vec::new();
-    for run in con_spec.runs {
-        let k = run.k;
-        let disc = discretize_market(&market, k, None);
-        for (name, strategy) in [
-            ("bitset", CountStrategy::Bitset),
-            ("obsmajor", CountStrategy::ObsMajor),
-            ("auto", CountStrategy::Auto),
-        ] {
-            // The explicit thread counts (rather than `threads: 0` =
-            // all cores) keep snapshots comparable across CI runners
-            // with different core counts: every machine measures the
-            // same three worker configurations, and the per-entry label
-            // says which one it was.
-            for &threads in &THREADS {
+    // The JSON summary's top-level members, in output order.
+    let mut sections: Vec<String> = Vec::new();
+    if args.runs(Section::Construction) {
+        let con_spec = spec("perf_construction");
+        let con_dims = con_spec.dims(scale).expect("market-backed");
+        let market = con_spec.simulate(scale).expect("market-backed");
+        let mut entries = String::new();
+        for run in con_spec.runs {
+            let k = run.k;
+            let disc = discretize_market(&market, k, None);
+            for (name, strategy) in [
+                ("bitset", CountStrategy::Bitset),
+                ("obsmajor", CountStrategy::ObsMajor),
+                ("auto", CountStrategy::Auto),
+            ] {
+                // The explicit thread counts (rather than `threads: 0` =
+                // all cores) keep snapshots comparable across CI runners
+                // with different core counts: every machine measures the
+                // same three worker configurations, and the per-entry label
+                // says which one it was.
+                for &threads in &THREADS {
+                    let label = if threads == 1 {
+                        name.to_string()
+                    } else {
+                        format!("{name}-t{threads}")
+                    };
+                    let cfg = ModelConfig {
+                        strategy,
+                        threads,
+                        ..run.model_config(con_dims.tickers)
+                    };
+                    // Warm-up, then best-of-RUNS wall time (min is the most
+                    // stable point estimate on shared CI runners).
+                    let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
+                    let mut best = f64::INFINITY;
+                    for _ in 0..RUNS {
+                        let start = Instant::now();
+                        model = AssociationModel::build(&disc.database, &cfg).unwrap();
+                        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+                    }
+                    if !entries.is_empty() {
+                        entries.push_str(",\n");
+                    }
+                    write!(
+                        entries,
+                        "    {{\"k\": {k}, \"strategy\": \"{label}\", \"threads\": {threads}, \
+                         \"simd\": \"{}\", \"millis\": {best:.3}, \"edges\": {}}}",
+                        model.simd_level(),
+                        model.hypergraph().num_edges()
+                    )
+                    .expect("writing to a String cannot fail");
+                    measured.push(Entry {
+                        k,
+                        strategy: label,
+                        millis: best,
+                    });
+                }
+            }
+        }
+        sections.push(format!(
+            "  \"fixture\": {{\"tickers\": {}, \"days\": {}, \"seed\": {}, \
+             \"gammas\": \"c1\", \"threads\": [1, 4, 8], \"runs\": {RUNS}}},\n  \
+             \"construction\": [\n{entries}\n  ]",
+            con_dims.tickers, con_dims.days, con_spec.seed,
+        ));
+    }
+
+    // Incremental sliding-window section: one batch model per k, then
+    // SLIDES steady-state advances (the first advance, which lazily
+    // builds the incremental counting state, is excluded) against a full
+    // rebuild of the same window.
+    let mut k5_speedup = 0.0f64;
+    let mut batch_speedup = 0.0f64;
+    // Per k: the median publish's ratio to a slide, and the share of its
+    // wall time its phase laps account for.
+    let mut publish_ratios: Vec<(u8, f64)> = Vec::new();
+    let mut phase_covers: Vec<(u8, f64)> = Vec::new();
+    if args.runs(Section::Incremental) {
+        let inc_spec = spec("perf_incremental");
+        let inc_dims = inc_spec.dims(scale).expect("market-backed");
+        let window = inc_dims.window;
+        let market_inc = inc_spec.simulate(scale).expect("market-backed");
+        let mut inc_entries = String::new();
+        for run in inc_spec.runs {
+            let k = run.k;
+            let disc = discretize_market(&market_inc, k, None);
+            let db = &disc.database;
+            let n = db.num_attrs();
+            let cfg = ModelConfig {
+                threads: 1,
+                ..run.model_config(inc_dims.tickers)
+            };
+            let mut model = AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
+            let mut row = vec![0u8; n];
+            let read_row = |row: &mut Vec<u8>, day: usize| {
+                for (a, v) in row.iter_mut().enumerate() {
+                    *v = db.value(hypermine_data::AttrId::new(a as u32), day);
+                }
+            };
+            // Untimed first advance: builds the incremental state.
+            read_row(&mut row, window);
+            model.advance(&row).unwrap();
+            let inc_stats = model.incremental_stats().expect("state built");
+            let start = Instant::now();
+            for s in 0..SLIDES {
+                read_row(&mut row, window + 1 + s);
+                model.advance(&row).unwrap();
+            }
+            let slide_ms = start.elapsed().as_secs_f64() * 1e3 / SLIDES as f64;
+            // Full rebuild of exactly the window the model now covers.
+            let window_db = model.database().clone();
+            let mut rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
+            let mut rebuild_ms = f64::INFINITY;
+            for _ in 0..RUNS {
+                let start = Instant::now();
+                rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
+                rebuild_ms = rebuild_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            }
+            assert_eq!(
+                rebuilt.hypergraph().num_edges(),
+                model.hypergraph().num_edges(),
+                "advanced model diverged from the batch rebuild"
+            );
+            let speedup = rebuild_ms / slide_ms;
+            if k == 5 {
+                k5_speedup = speedup;
+            }
+            eprintln!(
+                "incremental k={k}: slide {slide_ms:.3} ms vs rebuild {rebuild_ms:.3} ms \
+                 ({speedup:.1}x, {} edges, tensor {} bytes)",
+                model.hypergraph().num_edges(),
+                inc_stats.triple_tensor_bytes
+            );
+            if !inc_entries.is_empty() {
+                inc_entries.push_str(",\n");
+            }
+            write!(
+                inc_entries,
+                "    {{\"k\": {k}, \"strategy\": \"inc-slide\", \"millis\": {slide_ms:.3}, \
+                 \"speedup\": {speedup:.2}, \"edges\": {}, \"tensor\": {}, \
+                 \"tensor_bytes\": {}, \"simd\": \"{simd}\"}},\n    \
+                 {{\"k\": {k}, \"strategy\": \"inc-rebuild\", \"millis\": {rebuild_ms:.3}, \
+                 \"simd\": \"{simd}\"}}",
+                model.hypergraph().num_edges(),
+                inc_stats.uses_triple_tensor,
+                inc_stats.triple_tensor_bytes,
+                simd = inc_stats.simd
+            )
+            .expect("writing to a String cannot fail");
+            measured.push(Entry {
+                k,
+                strategy: "inc-slide".to_string(),
+                millis: slide_ms,
+            });
+            measured.push(Entry {
+                k,
+                strategy: "inc-rebuild".to_string(),
+                millis: rebuild_ms,
+            });
+            // Default-spec publish of the slid model against the slide it
+            // follows: the write path's two halves, same machine, same
+            // model. The entry carries no `"millis"`, so it stays out of
+            // the calibrated baseline gate; the ratios are gated below.
+            // Each snapshot is dropped after its clock stops, and the
+            // median publish reports its own phase split.
+            let mut publishes: Vec<(f64, PublishLaps)> = (0..PUBLISH_RUNS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let snapshot = ModelSnapshot::build(&model, &SnapshotSpec::default());
+                    (
+                        start.elapsed().as_secs_f64() * 1e3,
+                        *snapshot.publish_phases(),
+                    )
+                })
+                .collect();
+            publishes.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("timings are finite"));
+            let (publish_ms, laps) = publishes[PUBLISH_RUNS / 2];
+            let publish_ratio = publish_ms / slide_ms;
+            let cover = laps.total_nanos() as f64 / 1e6 / publish_ms;
+            publish_ratios.push((k, publish_ratio));
+            phase_covers.push((k, cover));
+            let phases_ms = laps
+                .iter()
+                .map(|(phase, ns)| format!("\"{}\": {:.3}", phase.name(), ns as f64 / 1e6))
+                .collect::<Vec<_>>()
+                .join(", ");
+            eprintln!(
+                "publish k={k}: {publish_ms:.3} ms median of {PUBLISH_RUNS} default-spec \
+                 snapshots ({publish_ratio:.1}x a slide; phases {phases_ms}, \
+                 {:.1}% of the wall time)",
+                cover * 100.0
+            );
+            write!(
+                inc_entries,
+                ",\n    {{\"k\": {k}, \"strategy\": \"publish\", \"publish_ms\": {publish_ms:.3}, \
+                 \"slide_ms\": {slide_ms:.3}, \"ratio\": {publish_ratio:.2}, \
+                 \"phases_ms\": {{{phases_ms}}}, \"phases_cover\": {cover:.4}, \
+                 \"runs\": {PUBLISH_RUNS}, \"simd\": \"{}\"}}",
+                inc_stats.simd
+            )
+            .expect("writing to a String cannot fail");
+            // Batched advance (k = 3 only — the regime where a single
+            // slide's fixed γ re-test cost dominates): the same SLIDES days
+            // applied as one-trading-week `advance_batch` calls on a fresh
+            // model, compared against the single-slide latency measured
+            // above. Same machine, same fixture — the ratio needs no
+            // hardware calibration and the final models must agree exactly.
+            if k == 3 {
+                let mut batched = AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
+                read_row(&mut row, window);
+                batched.advance(&row).unwrap();
+                let days: Vec<Vec<u8>> = (0..SLIDES)
+                    .map(|s| {
+                        read_row(&mut row, window + 1 + s);
+                        row.clone()
+                    })
+                    .collect();
+                let start = Instant::now();
+                for chunk in days.chunks(BATCH_DAYS) {
+                    batched.advance_batch(chunk).unwrap();
+                }
+                let batch_ms = start.elapsed().as_secs_f64() * 1e3 / (SLIDES / BATCH_DAYS) as f64;
+                assert_eq!(
+                    batched.hypergraph().num_edges(),
+                    model.hypergraph().num_edges(),
+                    "batched advance diverged from single advances"
+                );
+                batch_speedup = slide_ms * BATCH_DAYS as f64 / batch_ms;
+                eprintln!(
+                    "batched advance k={k}: advance_batch({BATCH_DAYS}) {batch_ms:.3} ms vs \
+                     {BATCH_DAYS} single slides {:.3} ms ({batch_speedup:.2}x)",
+                    slide_ms * BATCH_DAYS as f64
+                );
+                write!(
+                    inc_entries,
+                    ",\n    {{\"k\": {k}, \"strategy\": \"batch-slide\", \"millis\": {batch_ms:.3}, \
+                     \"days\": {BATCH_DAYS}, \"speedup\": {batch_speedup:.2}, \
+                     \"simd\": \"{}\"}}",
+                    inc_stats.simd
+                )
+                .expect("writing to a String cannot fail");
+                measured.push(Entry {
+                    k,
+                    strategy: "batch-slide".to_string(),
+                    millis: batch_ms,
+                });
+            }
+        }
+        sections.push(format!(
+            "  \"incremental\": {{\"window\": {window}, \"days\": {}, \"slides\": {SLIDES}, \
+             \"entries\": [\n{inc_entries}\n  ]}}",
+            inc_dims.days
+        ));
+    }
+
+    // Wide-attribute fixture: large-n construction through the blocked
+    // flat kernels. Observation-major only — the per-strategy shape at
+    // n = 240 is what the large-n work optimizes and what must never
+    // silently regress. The registry runs carry `Gammas::Preset`, which
+    // at 240 attributes resolves to the Exact (C1) gammas.
+    let wide_spec = spec("perf_wide240");
+    let n240 = wide_spec.dims(scale).expect("market-backed").tickers;
+    // The per-edge memory references the n = 240 fixture's largest model
+    // (most edges → the per-edge figure least diluted by fixed costs).
+    let mut wide_max_edges = 0usize;
+    let mut wide_bpe = 0.0f64;
+    let mut wide_peak = None;
+    // Wide k = 8 best times per THREADS slot (the parallel-efficiency
+    // ratio) and the same-run SIMD speedup inputs.
+    let mut wide_k8_by_threads = [f64::NAN; THREADS.len()];
+    let mut simd_speedup = 1.0f64;
+    let mut simd_level = SimdLevel::Scalar;
+    if args.runs(Section::Wide) {
+        let wide_dims = wide_spec.dims(scale).expect("market-backed");
+        let market_wide = wide_spec.simulate(scale).expect("market-backed");
+        let rss_section = reset_peak_rss();
+        let mut wide_entries = String::new();
+        let mut wide_k8_auto = f64::NAN;
+        for run in wide_spec.runs {
+            let k = run.k;
+            let disc = discretize_market(&market_wide, k, None);
+            for (ti, &threads) in THREADS.iter().enumerate() {
                 let label = if threads == 1 {
-                    name.to_string()
+                    "wide-obsmajor".to_string()
                 } else {
-                    format!("{name}-t{threads}")
+                    format!("wide-obsmajor-t{threads}")
                 };
                 let cfg = ModelConfig {
-                    strategy,
+                    strategy: CountStrategy::ObsMajor,
                     threads,
-                    ..run.model_config(con_dims.tickers)
+                    ..run.model_config(n240)
                 };
-                // Warm-up, then best-of-RUNS wall time (min is the most
-                // stable point estimate on shared CI runners).
                 let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
                 let mut best = f64::INFINITY;
-                for _ in 0..RUNS {
+                for _ in 0..WIDE_RUNS {
                     let start = Instant::now();
                     model = AssociationModel::build(&disc.database, &cfg).unwrap();
                     best = best.min(start.elapsed().as_secs_f64() * 1e3);
                 }
-                if !entries.is_empty() {
-                    entries.push_str(",\n");
+                if k == 8 {
+                    wide_k8_by_threads[ti] = best;
+                    if threads == 1 {
+                        wide_k8_auto = best;
+                    }
+                }
+                let edges = model.hypergraph().num_edges();
+                let graph_bytes = model.hypergraph().memory().total_bytes();
+                let bpe = graph_bytes as f64 / edges.max(1) as f64;
+                if threads == 1 && edges > wide_max_edges {
+                    wide_max_edges = edges;
+                    wide_bpe = bpe;
+                }
+                eprintln!(
+                    "wide n={} k={k} obsmajor t{threads}: {best:.1} ms ({edges} edges, \
+                     kernel {}, simd {}, graph {:.1} MiB = {bpe:.1} B/edge)",
+                    disc.database.num_attrs(),
+                    model.kernel_path(),
+                    model.simd_level(),
+                    graph_bytes as f64 / (1024.0 * 1024.0),
+                );
+                if !wide_entries.is_empty() {
+                    wide_entries.push_str(",\n");
                 }
                 write!(
-                    entries,
+                    wide_entries,
                     "    {{\"k\": {k}, \"strategy\": \"{label}\", \"threads\": {threads}, \
-                     \"simd\": \"{}\", \"millis\": {best:.3}, \"edges\": {}}}",
-                    model.simd_level(),
-                    model.hypergraph().num_edges()
+                     \"millis\": {best:.3}, \"edges\": {edges}, \"kernel\": \"{}\", \
+                     \"simd\": \"{}\", \"graph_bytes\": {graph_bytes}, \
+                     \"bytes_per_edge\": {bpe:.2}}}",
+                    model.kernel_path(),
+                    model.simd_level()
                 )
                 .expect("writing to a String cannot fail");
                 measured.push(Entry {
@@ -325,300 +716,56 @@ fn main() {
                 });
             }
         }
-    }
-    // Incremental sliding-window section: one batch model per k, then
-    // SLIDES steady-state advances (the first advance, which lazily
-    // builds the incremental counting state, is excluded) against a full
-    // rebuild of the same window.
-    let inc_spec = spec("perf_incremental");
-    let inc_dims = inc_spec.dims(scale).expect("market-backed");
-    let window = inc_dims.window;
-    let market_inc = inc_spec.simulate(scale).expect("market-backed");
-    let mut inc_entries = String::new();
-    let mut k5_speedup = 0.0f64;
-    let mut batch_speedup = 0.0f64;
-    let mut k3_publish_ratio = f64::NAN;
-    for run in inc_spec.runs {
-        let k = run.k;
-        let disc = discretize_market(&market_inc, k, None);
-        let db = &disc.database;
-        let n = db.num_attrs();
-        let cfg = ModelConfig {
-            threads: 1,
-            ..run.model_config(inc_dims.tickers)
-        };
-        let mut model = AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
-        let mut row = vec![0u8; n];
-        let read_row = |row: &mut Vec<u8>, day: usize| {
-            for (a, v) in row.iter_mut().enumerate() {
-                *v = db.value(hypermine_data::AttrId::new(a as u32), day);
-            }
-        };
-        // Untimed first advance: builds the incremental state.
-        read_row(&mut row, window);
-        model.advance(&row).unwrap();
-        let inc_stats = model.incremental_stats().expect("state built");
-        let start = Instant::now();
-        for s in 0..SLIDES {
-            read_row(&mut row, window + 1 + s);
-            model.advance(&row).unwrap();
-        }
-        let slide_ms = start.elapsed().as_secs_f64() * 1e3 / SLIDES as f64;
-        // Full rebuild of exactly the window the model now covers.
-        let window_db = model.database().clone();
-        let mut rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
-        let mut rebuild_ms = f64::INFINITY;
-        for _ in 0..RUNS {
-            let start = Instant::now();
-            rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
-            rebuild_ms = rebuild_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        assert_eq!(
-            rebuilt.hypergraph().num_edges(),
-            model.hypergraph().num_edges(),
-            "advanced model diverged from the batch rebuild"
-        );
-        let speedup = rebuild_ms / slide_ms;
-        if k == 5 {
-            k5_speedup = speedup;
-        }
-        eprintln!(
-            "incremental k={k}: slide {slide_ms:.3} ms vs rebuild {rebuild_ms:.3} ms \
-             ({speedup:.1}x, {} edges, tensor {} bytes)",
-            model.hypergraph().num_edges(),
-            inc_stats.triple_tensor_bytes
-        );
-        if !inc_entries.is_empty() {
-            inc_entries.push_str(",\n");
-        }
-        write!(
-            inc_entries,
-            "    {{\"k\": {k}, \"strategy\": \"inc-slide\", \"millis\": {slide_ms:.3}, \
-             \"speedup\": {speedup:.2}, \"edges\": {}, \"tensor\": {}, \
-             \"tensor_bytes\": {}, \"simd\": \"{simd}\"}},\n    \
-             {{\"k\": {k}, \"strategy\": \"inc-rebuild\", \"millis\": {rebuild_ms:.3}, \
-             \"simd\": \"{simd}\"}}",
-            model.hypergraph().num_edges(),
-            inc_stats.uses_triple_tensor,
-            inc_stats.triple_tensor_bytes,
-            simd = inc_stats.simd
-        )
-        .expect("writing to a String cannot fail");
-        measured.push(Entry {
-            k,
-            strategy: "inc-slide".to_string(),
-            millis: slide_ms,
-        });
-        measured.push(Entry {
-            k,
-            strategy: "inc-rebuild".to_string(),
-            millis: rebuild_ms,
-        });
-        // Default-spec publish of the slid model against the slide it
-        // follows: the write path's two halves, same machine, same model.
-        // The entry carries no `"millis"`, so it stays out of the
-        // calibrated baseline gate; the k = 3 ratio is gated below.
-        let mut publishes: Vec<f64> = (0..PUBLISH_RUNS)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(ModelSnapshot::build(&model, &SnapshotSpec::default()));
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        publishes.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        let publish_ms = publishes[PUBLISH_RUNS / 2];
-        let publish_ratio = publish_ms / slide_ms;
-        if k == 3 {
-            k3_publish_ratio = publish_ratio;
-        }
-        eprintln!(
-            "publish k={k}: {publish_ms:.3} ms median of {PUBLISH_RUNS} default-spec \
-             snapshots ({publish_ratio:.1}x a slide)"
-        );
-        write!(
-            inc_entries,
-            ",\n    {{\"k\": {k}, \"strategy\": \"publish\", \"publish_ms\": {publish_ms:.3}, \
-             \"slide_ms\": {slide_ms:.3}, \"ratio\": {publish_ratio:.2}, \
-             \"runs\": {PUBLISH_RUNS}, \"simd\": \"{}\"}}",
-            inc_stats.simd
-        )
-        .expect("writing to a String cannot fail");
-        // Batched advance (k = 3 only — the regime where a single
-        // slide's fixed γ re-test cost dominates): the same SLIDES days
-        // applied as one-trading-week `advance_batch` calls on a fresh
-        // model, compared against the single-slide latency measured
-        // above. Same machine, same fixture — the ratio needs no
-        // hardware calibration and the final models must agree exactly.
-        if k == 3 {
-            let mut batched =
-                AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
-            read_row(&mut row, window);
-            batched.advance(&row).unwrap();
-            let days: Vec<Vec<u8>> = (0..SLIDES)
-                .map(|s| {
-                    read_row(&mut row, window + 1 + s);
-                    row.clone()
-                })
-                .collect();
-            let start = Instant::now();
-            for chunk in days.chunks(BATCH_DAYS) {
-                batched.advance_batch(chunk).unwrap();
-            }
-            let batch_ms =
-                start.elapsed().as_secs_f64() * 1e3 / (SLIDES / BATCH_DAYS) as f64;
-            assert_eq!(
-                batched.hypergraph().num_edges(),
-                model.hypergraph().num_edges(),
-                "batched advance diverged from single advances"
-            );
-            batch_speedup = slide_ms * BATCH_DAYS as f64 / batch_ms;
-            eprintln!(
-                "batched advance k={k}: advance_batch({BATCH_DAYS}) {batch_ms:.3} ms vs \
-                 {BATCH_DAYS} single slides {:.3} ms ({batch_speedup:.2}x)",
-                slide_ms * BATCH_DAYS as f64
-            );
-            if !inc_entries.is_empty() {
-                inc_entries.push_str(",\n");
-            }
-            write!(
-                inc_entries,
-                "    {{\"k\": {k}, \"strategy\": \"batch-slide\", \"millis\": {batch_ms:.3}, \
-                 \"days\": {BATCH_DAYS}, \"speedup\": {batch_speedup:.2}, \
-                 \"simd\": \"{}\"}}",
-                inc_stats.simd
-            )
-            .expect("writing to a String cannot fail");
-            measured.push(Entry {
-                k,
-                strategy: "batch-slide".to_string(),
-                millis: batch_ms,
-            });
-        }
-    }
-
-    // Wide-attribute fixture: large-n construction through the blocked
-    // flat kernels. Observation-major only — the per-strategy shape at
-    // n = 240 is what the large-n work optimizes and what must never
-    // silently regress. The registry runs carry `Gammas::Preset`, which
-    // at 240 attributes resolves to the Exact (C1) gammas.
-    let wide_spec = spec("perf_wide240");
-    let wide_dims = wide_spec.dims(scale).expect("market-backed");
-    let n240 = wide_dims.tickers;
-    let market_wide = wide_spec.simulate(scale).expect("market-backed");
-    let rss_sections = reset_peak_rss();
-    let mut wide_entries = String::new();
-    // The per-edge memory references the n = 240 fixture's largest model
-    // (most edges → the per-edge figure least diluted by fixed costs).
-    let mut wide_max_edges = 0usize;
-    let mut wide_bpe = 0.0f64;
-    // Wide k = 8 best times per THREADS slot (the parallel-efficiency
-    // ratio) and the same-run SIMD speedup inputs.
-    let mut wide_k8_by_threads = [f64::NAN; THREADS.len()];
-    let mut wide_k8_auto = f64::NAN;
-    for run in wide_spec.runs {
-        let k = run.k;
-        let disc = discretize_market(&market_wide, k, None);
-        for (ti, &threads) in THREADS.iter().enumerate() {
-            let label = if threads == 1 {
-                "wide-obsmajor".to_string()
-            } else {
-                format!("wide-obsmajor-t{threads}")
-            };
+        // Same-run SIMD speedup: the k = 8 single-thread build again under
+        // `ForceScalar`. The ratio against the auto entry above is a
+        // same-machine comparison (no hardware calibration needed) and is
+        // what the SIMD gate checks; the scalar time itself also enters the
+        // calibrated timing gate like any other entry.
+        if let Some(run) = wide_spec.runs.iter().find(|r| r.k == 8) {
+            let disc = discretize_market(&market_wide, run.k, None);
             let cfg = ModelConfig {
                 strategy: CountStrategy::ObsMajor,
-                threads,
+                threads: 1,
+                simd: SimdPolicy::ForceScalar,
                 ..run.model_config(n240)
             };
             let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-            let mut best = f64::INFINITY;
+            let mut scalar_best = f64::INFINITY;
             for _ in 0..WIDE_RUNS {
                 let start = Instant::now();
                 model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                best = best.min(start.elapsed().as_secs_f64() * 1e3);
+                scalar_best = scalar_best.min(start.elapsed().as_secs_f64() * 1e3);
             }
-            if k == 8 {
-                wide_k8_by_threads[ti] = best;
-                if threads == 1 {
-                    wide_k8_auto = best;
-                }
-            }
-            let edges = model.hypergraph().num_edges();
-            let graph_bytes = model.hypergraph().memory().total_bytes();
-            let bpe = graph_bytes as f64 / edges.max(1) as f64;
-            if threads == 1 && edges > wide_max_edges {
-                wide_max_edges = edges;
-                wide_bpe = bpe;
-            }
+            simd_level = SimdPolicy::Auto.resolve();
+            simd_speedup = scalar_best / wide_k8_auto;
             eprintln!(
-                "wide n={} k={k} obsmajor t{threads}: {best:.1} ms ({edges} edges, \
-                 kernel {}, simd {}, graph {:.1} MiB = {bpe:.1} B/edge)",
-                disc.database.num_attrs(),
-                model.kernel_path(),
-                model.simd_level(),
-                graph_bytes as f64 / (1024.0 * 1024.0),
+                "wide n={n240} k=8 force-scalar: {scalar_best:.1} ms \
+                 (simd speedup {simd_speedup:.2}x at level {simd_level})"
             );
-            if !wide_entries.is_empty() {
-                wide_entries.push_str(",\n");
-            }
             write!(
                 wide_entries,
-                "    {{\"k\": {k}, \"strategy\": \"{label}\", \"threads\": {threads}, \
-                 \"millis\": {best:.3}, \"edges\": {edges}, \"kernel\": \"{}\", \
-                 \"simd\": \"{}\", \"graph_bytes\": {graph_bytes}, \
-                 \"bytes_per_edge\": {bpe:.2}}}",
-                model.kernel_path(),
-                model.simd_level()
+                ",\n    {{\"k\": 8, \"strategy\": \"wide-scalar\", \"threads\": 1, \
+                 \"millis\": {scalar_best:.3}, \"kernel\": \"{}\", \"simd\": \"scalar\"}}",
+                model.kernel_path()
             )
             .expect("writing to a String cannot fail");
             measured.push(Entry {
-                k,
-                strategy: label,
-                millis: best,
+                k: 8,
+                strategy: "wide-scalar".to_string(),
+                millis: scalar_best,
             });
         }
+        wide_peak = rss_section.then(peak_rss_bytes).flatten();
+        sections.push(format!(
+            "  \"wide\": {{\"tickers\": {n240}, \"days\": {}, \"seed\": {}, \
+             \"threads\": [1, 4, 8], \"runs\": {WIDE_RUNS}, \"simd\": \"{simd_level}\", \
+             \"simd_speedup\": {simd_speedup:.3}, \"peak_rss_bytes\": {}, \
+             \"entries\": [\n{wide_entries}\n  ]}}",
+            wide_dims.days,
+            wide_spec.seed,
+            fmt_peak(wide_peak),
+        ));
     }
-    // Same-run SIMD speedup: the k = 8 single-thread build again under
-    // `ForceScalar`. The ratio against the auto entry above is a
-    // same-machine comparison (no hardware calibration needed) and is
-    // what the SIMD gate checks; the scalar time itself also enters the
-    // calibrated timing gate like any other entry.
-    let mut simd_speedup = 1.0f64;
-    let mut simd_level = SimdLevel::Scalar;
-    if let Some(run) = wide_spec.runs.iter().find(|r| r.k == 8) {
-        let disc = discretize_market(&market_wide, run.k, None);
-        let cfg = ModelConfig {
-            strategy: CountStrategy::ObsMajor,
-            threads: 1,
-            simd: SimdPolicy::ForceScalar,
-            ..run.model_config(n240)
-        };
-        let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-        let mut scalar_best = f64::INFINITY;
-        for _ in 0..WIDE_RUNS {
-            let start = Instant::now();
-            model = AssociationModel::build(&disc.database, &cfg).unwrap();
-            scalar_best = scalar_best.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        simd_level = SimdPolicy::Auto.resolve();
-        simd_speedup = scalar_best / wide_k8_auto;
-        eprintln!(
-            "wide n={n240} k=8 force-scalar: {scalar_best:.1} ms \
-             (simd speedup {simd_speedup:.2}x at level {simd_level})"
-        );
-        write!(
-            wide_entries,
-            ",\n    {{\"k\": 8, \"strategy\": \"wide-scalar\", \"threads\": 1, \
-             \"millis\": {scalar_best:.3}, \"kernel\": \"{}\", \"simd\": \"scalar\"}}",
-            model.kernel_path()
-        )
-        .expect("writing to a String cannot fail");
-        measured.push(Entry {
-            k: 8,
-            strategy: "wide-scalar".to_string(),
-            millis: scalar_best,
-        });
-    }
-    let wide_peak = rss_sections.then(peak_rss_bytes).flatten();
 
     // Wide-universe fixture: n = 500 at the gammas
     // `GammaPreset::for_num_attrs` recommends. One run per k (each build
@@ -627,105 +774,110 @@ fn main() {
     // state at this width always takes the row-recount fallback — the
     // triple tensor would need gigabytes).
     let w500_spec = spec("perf_wide500");
-    let w500_dims = w500_spec.dims(scale).expect("market-backed");
-    let n500 = w500_dims.tickers;
-    let market_500 = w500_spec.simulate(scale).expect("market-backed");
-    // The registry runs say `Gammas::Preset`; name the resolved preset
-    // so the log shows which tier the attribute count selected.
-    let preset = GammaPreset::for_num_attrs(n500);
-    if rss_sections {
-        reset_peak_rss();
-    }
-    let mut wide500_entries = String::new();
+    let n500 = w500_spec.dims(scale).expect("market-backed").tickers;
     let mut wide500_max_edges = 0usize;
     let mut wide500_bpe = 0.0f64;
-    for run in w500_spec.runs {
-        let k = run.k;
-        let disc = discretize_market(&market_500, k, None);
-        let cfg = ModelConfig {
-            strategy: CountStrategy::ObsMajor,
-            threads: 1,
-            ..run.model_config(n500)
-        };
-        let start = Instant::now();
-        let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-        let best = start.elapsed().as_secs_f64() * 1e3;
-        let edges = model.hypergraph().num_edges();
-        let graph_bytes = model.hypergraph().memory().total_bytes();
-        let bpe = graph_bytes as f64 / edges.max(1) as f64;
-        if edges > wide500_max_edges {
-            wide500_max_edges = edges;
-            wide500_bpe = bpe;
-        }
-        eprintln!(
-            "wide n={n500} k={k} obsmajor ({preset:?}): {best:.1} ms \
-             ({edges} edges, kernel {}, simd {}, graph {:.1} MiB = {bpe:.1} B/edge)",
-            model.kernel_path(),
-            model.simd_level(),
-            graph_bytes as f64 / (1024.0 * 1024.0),
-        );
-        if !wide500_entries.is_empty() {
-            wide500_entries.push_str(",\n");
-        }
-        write!(
-            wide500_entries,
-            "    {{\"k\": {k}, \"strategy\": \"wide500-obsmajor\", \"millis\": {best:.3}, \
-             \"edges\": {edges}, \"kernel\": \"{}\", \"simd\": \"{}\", \
-             \"graph_bytes\": {graph_bytes}, \"bytes_per_edge\": {bpe:.2}}}",
-            model.kernel_path(),
-            model.simd_level()
-        )
-        .expect("writing to a String cannot fail");
-        measured.push(Entry {
-            k,
-            strategy: "wide500-obsmajor".to_string(),
-            millis: best,
-        });
-        if k == 3 {
-            // One slide: the first advance builds the incremental state
-            // (untimed), the second is the steady-state slide.
-            let db = &disc.database;
-            let n = db.num_attrs();
-            let mut row = vec![0u8; n];
-            for day in [0usize, 1] {
-                for (a, v) in row.iter_mut().enumerate() {
-                    *v = db.value(hypermine_data::AttrId::new(a as u32), day);
-                }
-                if day == 0 {
-                    model.advance(&row).unwrap();
-                }
-            }
-            let inc_stats = model.incremental_stats().expect("state built");
+    let mut wide500_peak = None;
+    if args.runs(Section::Wide500) {
+        let w500_dims = w500_spec.dims(scale).expect("market-backed");
+        let market_500 = w500_spec.simulate(scale).expect("market-backed");
+        // The registry runs say `Gammas::Preset`; name the resolved preset
+        // so the log shows which tier the attribute count selected.
+        let preset = GammaPreset::for_num_attrs(n500);
+        let rss_section = reset_peak_rss();
+        let mut wide500_entries = String::new();
+        for run in w500_spec.runs {
+            let k = run.k;
+            let disc = discretize_market(&market_500, k, None);
+            let cfg = ModelConfig {
+                strategy: CountStrategy::ObsMajor,
+                threads: 1,
+                ..run.model_config(n500)
+            };
             let start = Instant::now();
-            model.advance(&row).unwrap();
-            let slide_ms = start.elapsed().as_secs_f64() * 1e3;
+            let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
+            let best = start.elapsed().as_secs_f64() * 1e3;
+            let edges = model.hypergraph().num_edges();
+            let graph_bytes = model.hypergraph().memory().total_bytes();
+            let bpe = graph_bytes as f64 / edges.max(1) as f64;
+            if edges > wide500_max_edges {
+                wide500_max_edges = edges;
+                wide500_bpe = bpe;
+            }
             eprintln!(
-                "wide n={n500} k={k} slide: {slide_ms:.1} ms \
-                 (kernel {}, simd {}, tensor {})",
-                inc_stats.kernel_path, inc_stats.simd, inc_stats.uses_triple_tensor
+                "wide n={n500} k={k} obsmajor ({preset:?}): {best:.1} ms \
+                 ({edges} edges, kernel {}, simd {}, graph {:.1} MiB = {bpe:.1} B/edge)",
+                model.kernel_path(),
+                model.simd_level(),
+                graph_bytes as f64 / (1024.0 * 1024.0),
             );
+            if !wide500_entries.is_empty() {
+                wide500_entries.push_str(",\n");
+            }
             write!(
                 wide500_entries,
-                ",\n    {{\"k\": {k}, \"strategy\": \"wide500-slide\", \
-                 \"millis\": {slide_ms:.3}, \"kernel\": \"{}\", \"simd\": \"{}\", \
-                 \"tensor\": {}}}",
-                inc_stats.kernel_path, inc_stats.simd, inc_stats.uses_triple_tensor
+                "    {{\"k\": {k}, \"strategy\": \"wide500-obsmajor\", \"millis\": {best:.3}, \
+                 \"edges\": {edges}, \"kernel\": \"{}\", \"simd\": \"{}\", \
+                 \"graph_bytes\": {graph_bytes}, \"bytes_per_edge\": {bpe:.2}}}",
+                model.kernel_path(),
+                model.simd_level()
             )
             .expect("writing to a String cannot fail");
             measured.push(Entry {
                 k,
-                strategy: "wide500-slide".to_string(),
-                millis: slide_ms,
+                strategy: "wide500-obsmajor".to_string(),
+                millis: best,
             });
+            if k == 3 {
+                // One slide: the first advance builds the incremental state
+                // (untimed), the second is the steady-state slide.
+                let db = &disc.database;
+                let n = db.num_attrs();
+                let mut row = vec![0u8; n];
+                for day in [0usize, 1] {
+                    for (a, v) in row.iter_mut().enumerate() {
+                        *v = db.value(hypermine_data::AttrId::new(a as u32), day);
+                    }
+                    if day == 0 {
+                        model.advance(&row).unwrap();
+                    }
+                }
+                let inc_stats = model.incremental_stats().expect("state built");
+                let start = Instant::now();
+                model.advance(&row).unwrap();
+                let slide_ms = start.elapsed().as_secs_f64() * 1e3;
+                eprintln!(
+                    "wide n={n500} k={k} slide: {slide_ms:.1} ms \
+                     (kernel {}, simd {}, tensor {})",
+                    inc_stats.kernel_path, inc_stats.simd, inc_stats.uses_triple_tensor
+                );
+                write!(
+                    wide500_entries,
+                    ",\n    {{\"k\": {k}, \"strategy\": \"wide500-slide\", \
+                     \"millis\": {slide_ms:.3}, \"kernel\": \"{}\", \"simd\": \"{}\", \
+                     \"tensor\": {}}}",
+                    inc_stats.kernel_path, inc_stats.simd, inc_stats.uses_triple_tensor
+                )
+                .expect("writing to a String cannot fail");
+                measured.push(Entry {
+                    k,
+                    strategy: "wide500-slide".to_string(),
+                    millis: slide_ms,
+                });
+            }
         }
+        wide500_peak = rss_section.then(peak_rss_bytes).flatten();
+        sections.push(format!(
+            "  \"wide500\": {{\"tickers\": {n500}, \"days\": {}, \"seed\": {}, \"threads\": 1, \
+             \"runs\": 1, \"gammas\": \"wide-default\", \"peak_rss_bytes\": {}, \
+             \"entries\": [\n{wide500_entries}\n  ]}}",
+            w500_dims.days,
+            w500_spec.seed,
+            fmt_peak(wide500_peak),
+        ));
     }
-    let wide500_peak = rss_sections.then(peak_rss_bytes).flatten();
 
-    // Serve section: aggregate reader throughput against live
-    // epoch-tagged snapshots at each reader count, writer sliding
-    // continuously. `"qps"` instead of `"millis"` keeps these entries
-    // out of the calibrated timing gate (see the module docs); the
-    // gated quantity is the same-machine 1 → 8 scaling ratio below.
+    // The serve and durability sections share one registry stream.
     let serve_scn = spec("perf_serve");
     let serve_dims = serve_scn.dims(scale).expect("market-backed");
     let serve_run = &serve_scn.runs[0];
@@ -738,48 +890,67 @@ fn main() {
     };
     let serve_model_cfg = serve_run.model_config(serve_dims.tickers);
     let serve_spec = SnapshotSpec::default();
-    let serve_feed = MarketFeed::new(&serve_feed_cfg);
-    let mut serve_entries = String::new();
+    let serve_feed = (args.runs(Section::Serve) || args.runs(Section::Durability))
+        .then(|| MarketFeed::new(&serve_feed_cfg));
+
+    // Serve section: aggregate reader throughput against live
+    // epoch-tagged snapshots at each reader count, writer sliding
+    // continuously. `"qps"` instead of `"millis"` keeps these entries
+    // out of the calibrated timing gate (see the module docs); the
+    // gated quantity is the same-machine 1 → 8 scaling ratio below.
     let mut serve_runs: Vec<QpsRun> = Vec::new();
-    for &readers in &SERVE_READERS {
-        let mut run = measure_qps(
-            &serve_feed,
-            &serve_model_cfg,
-            &serve_spec,
-            readers,
-            Duration::from_millis(SERVE_MS),
-        );
-        // On a starved runner the writer may never get a slice inside a
-        // short run; the qps number only means "throughput during live
-        // slides" if at least one slide landed, so retry longer.
-        for _ in 0..2 {
-            if run.max_epoch_seen >= 1 {
-                break;
-            }
-            run = measure_qps(
-                &serve_feed,
+    if let (true, Some(serve_feed)) = (args.runs(Section::Serve), &serve_feed) {
+        let mut serve_entries = String::new();
+        for &readers in &SERVE_READERS {
+            let mut run = measure_qps(
+                serve_feed,
                 &serve_model_cfg,
                 &serve_spec,
                 readers,
-                Duration::from_millis(SERVE_MS * 2),
+                Duration::from_millis(SERVE_MS),
             );
+            // On a starved runner the writer may never get a slice inside a
+            // short run; the qps number only means "throughput during live
+            // slides" if at least one slide landed, so retry longer.
+            for _ in 0..2 {
+                if run.max_epoch_seen >= 1 {
+                    break;
+                }
+                run = measure_qps(
+                    serve_feed,
+                    &serve_model_cfg,
+                    &serve_spec,
+                    readers,
+                    Duration::from_millis(SERVE_MS * 2),
+                );
+            }
+            eprintln!(
+                "serve {readers} reader(s): {:.0} queries/s ({} queries, {} publishes, \
+                 epoch reached {})",
+                run.qps, run.queries, run.published, run.max_epoch_seen
+            );
+            if !serve_entries.is_empty() {
+                serve_entries.push_str(",\n");
+            }
+            write!(
+                serve_entries,
+                "    {{\"readers\": {readers}, \"strategy\": \"serve-qps\", \"qps\": {:.0}, \
+                 \"queries\": {}, \"published\": {}, \"max_epoch\": {}}}",
+                run.qps, run.queries, run.published, run.max_epoch_seen
+            )
+            .expect("writing to a String cannot fail");
+            serve_runs.push(run);
         }
-        eprintln!(
-            "serve {readers} reader(s): {:.0} queries/s ({} queries, {} publishes, \
-             epoch reached {})",
-            run.qps, run.queries, run.published, run.max_epoch_seen
-        );
-        if !serve_entries.is_empty() {
-            serve_entries.push_str(",\n");
-        }
-        write!(
-            serve_entries,
-            "    {{\"readers\": {readers}, \"strategy\": \"serve-qps\", \"qps\": {:.0}, \
-             \"queries\": {}, \"published\": {}, \"max_epoch\": {}}}",
-            run.qps, run.queries, run.published, run.max_epoch_seen
-        )
-        .expect("writing to a String cannot fail");
-        serve_runs.push(run);
+        sections.push(format!(
+            "  \"serve\": {{\"tickers\": {}, \"window\": {}, \"days\": {}, \"k\": {}, \
+             \"seed\": {}, \"gammas\": \"c2\", \"duration_ms\": {SERVE_MS}, \
+             \"entries\": [\n{serve_entries}\n  ]}}",
+            serve_feed_cfg.tickers,
+            serve_feed_cfg.window,
+            serve_feed_cfg.n_days,
+            serve_feed_cfg.k,
+            serve_feed_cfg.seed,
+        ));
     }
 
     // Durability section: mean publish latency through the serve host
@@ -787,79 +958,61 @@ fn main() {
     // safety. A queue of 1 makes `advance` effectively synchronous, so
     // the wall clock over the run is the writer's per-publish work
     // (apply + snapshot build, plus append on the durable run).
-    let mut durability_entries = String::new();
-    for wal_on in [false, true] {
-        let model = AssociationModel::build(serve_feed.initial(), &serve_model_cfg)
-            .expect("valid gammas");
-        let wal_dir = wal_on.then(|| {
-            std::env::temp_dir().join(format!("hypermine-perf-wal-{}", std::process::id()))
-        });
-        if let Some(dir) = &wal_dir {
-            let _ = std::fs::remove_dir_all(dir);
+    if let (true, Some(serve_feed)) = (args.runs(Section::Durability), &serve_feed) {
+        let mut durability_entries = String::new();
+        for wal_on in [false, true] {
+            let model = AssociationModel::build(serve_feed.initial(), &serve_model_cfg)
+                .expect("valid gammas");
+            let wal_dir = wal_on.then(|| {
+                std::env::temp_dir().join(format!("hypermine-perf-wal-{}", std::process::id()))
+            });
+            if let Some(dir) = &wal_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            let host = ServeHost::spawn_with(
+                ModelServer::new(model, serve_spec.clone()),
+                HostOptions {
+                    queue: 1,
+                    durability: wal_dir.as_ref().map(DurabilityOptions::new),
+                    ..HostOptions::default()
+                },
+            )
+            .expect("temp-dir WAL store");
+            let mut feed = MarketFeed::new(&serve_feed_cfg);
+            let start = Instant::now();
+            for _ in 0..DURABILITY_SLIDES {
+                let row = feed.cycle_row().to_vec();
+                assert!(host.advance(row), "writer exited mid-measurement");
+            }
+            let stats = host.shutdown();
+            let micros = start.elapsed().as_secs_f64() * 1e6 / DURABILITY_SLIDES as f64;
+            if let Some(dir) = &wal_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            eprintln!(
+                "durability wal={}: {micros:.1} us/publish over {DURABILITY_SLIDES} slides \
+                 ({} wal records)",
+                if wal_on { "on" } else { "off" },
+                stats.wal_records
+            );
+            if !durability_entries.is_empty() {
+                durability_entries.push_str(",\n");
+            }
+            write!(
+                durability_entries,
+                "    {{\"wal\": {wal_on}, \"micros_per_publish\": {micros:.1}, \
+                 \"slides\": {DURABILITY_SLIDES}, \"wal_records\": {}}}",
+                stats.wal_records
+            )
+            .expect("writing to a String cannot fail");
         }
-        let host = ServeHost::spawn_with(
-            ModelServer::new(model, serve_spec.clone()),
-            HostOptions {
-                queue: 1,
-                durability: wal_dir.as_ref().map(DurabilityOptions::new),
-                ..HostOptions::default()
-            },
-        )
-        .expect("temp-dir WAL store");
-        let mut feed = MarketFeed::new(&serve_feed_cfg);
-        let start = Instant::now();
-        for _ in 0..DURABILITY_SLIDES {
-            let row = feed.cycle_row().to_vec();
-            assert!(host.advance(row), "writer exited mid-measurement");
-        }
-        let stats = host.shutdown();
-        let micros = start.elapsed().as_secs_f64() * 1e6 / DURABILITY_SLIDES as f64;
-        if let Some(dir) = &wal_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        eprintln!(
-            "durability wal={}: {micros:.1} us/publish over {DURABILITY_SLIDES} slides \
-             ({} wal records)",
-            if wal_on { "on" } else { "off" },
-            stats.wal_records
-        );
-        if !durability_entries.is_empty() {
-            durability_entries.push_str(",\n");
-        }
-        write!(
-            durability_entries,
-            "    {{\"wal\": {wal_on}, \"micros_per_publish\": {micros:.1}, \
-             \"slides\": {DURABILITY_SLIDES}, \"wal_records\": {}}}",
-            stats.wal_records
-        )
-        .expect("writing to a String cannot fail");
+        sections.push(format!(
+            "  \"durability\": {{\"slides\": {DURABILITY_SLIDES}, \
+             \"entries\": [\n{durability_entries}\n  ]}}"
+        ));
     }
 
-    let fmt_peak = |p: Option<u64>| p.map_or_else(|| "null".to_string(), |v| v.to_string());
-    let json = format!(
-        "{{\n  \"fixture\": {{\"tickers\": {con_t}, \"days\": {con_d}, \"seed\": {con_s}, \
-         \"gammas\": \"c1\", \"threads\": [1, 4, 8], \"runs\": {RUNS}}},\n  \"construction\": [\n{entries}\n  ],\n  \
-         \"incremental\": {{\"window\": {window}, \"days\": {inc_d}, \"slides\": {SLIDES}, \"entries\": [\n{inc_entries}\n  ]}},\n  \
-         \"wide\": {{\"tickers\": {n240}, \"days\": {wide_d}, \"seed\": {wide_s}, \"threads\": [1, 4, 8], \"runs\": {WIDE_RUNS}, \"simd\": \"{simd_level}\", \"simd_speedup\": {simd_speedup:.3}, \"peak_rss_bytes\": {}, \"entries\": [\n{wide_entries}\n  ]}},\n  \
-         \"wide500\": {{\"tickers\": {n500}, \"days\": {w500_d}, \"seed\": {w500_s}, \"threads\": 1, \"runs\": 1, \"gammas\": \"wide-default\", \"peak_rss_bytes\": {}, \"entries\": [\n{wide500_entries}\n  ]}},\n  \
-         \"serve\": {{\"tickers\": {}, \"window\": {}, \"days\": {}, \"k\": {}, \"seed\": {}, \"gammas\": \"c2\", \"duration_ms\": {SERVE_MS}, \"entries\": [\n{serve_entries}\n  ]}},\n  \
-         \"durability\": {{\"slides\": {DURABILITY_SLIDES}, \"entries\": [\n{durability_entries}\n  ]}}\n}}\n",
-        fmt_peak(wide_peak),
-        fmt_peak(wide500_peak),
-        serve_feed_cfg.tickers,
-        serve_feed_cfg.window,
-        serve_feed_cfg.n_days,
-        serve_feed_cfg.k,
-        serve_feed_cfg.seed,
-        con_t = con_dims.tickers,
-        con_d = con_dims.days,
-        con_s = con_spec.seed,
-        inc_d = inc_dims.days,
-        wide_d = wide_dims.days,
-        wide_s = wide_spec.seed,
-        w500_d = w500_dims.days,
-        w500_s = w500_spec.seed,
-    );
+    let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
     print!("{json}");
     if let Some(path) = &args.output {
         if let Some(dir) = std::path::Path::new(path).parent() {
@@ -871,46 +1024,62 @@ fn main() {
         });
         eprintln!("wrote {path}");
     }
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("failed to read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let baseline = parse_entries(&text);
-        if baseline.is_empty() {
-            eprintln!("baseline {path} holds no (k, strategy, millis) entries");
-            std::process::exit(1);
-        }
-        let matched: Vec<(&Entry, &Entry)> = baseline
-            .iter()
-            .filter_map(|old| {
-                measured
-                    .iter()
-                    .find(|e| e.k == old.k && e.strategy == old.strategy)
-                    .map(|new| (old, new))
-            })
-            .collect();
-        if matched.len() < baseline.len() {
-            // A baseline row with no counterpart means the sweep shrank —
-            // the gate would silently stop checking that path. Hard error.
-            for old in &baseline {
-                if !matched.iter().any(|(o, _)| std::ptr::eq(*o, old)) {
-                    eprintln!(
-                        "baseline entry k={} strategy={} was not measured this run",
-                        old.k, old.strategy
-                    );
-                }
+    let Some(path) = &args.baseline else {
+        return;
+    };
+    let skipped = |gate: &str, section: Section| {
+        eprintln!(
+            "{gate} gate skipped: section {} not selected",
+            section.name()
+        );
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("failed to read baseline {path}: {e}");
+        std::process::exit(1);
+    });
+    let baseline = parse_entries(&text);
+    if baseline.is_empty() {
+        eprintln!("baseline {path} holds no (k, strategy, millis) entries");
+        std::process::exit(1);
+    }
+    // Only the sections that ran are compared; every baseline row of
+    // those must have been measured.
+    let baseline: Vec<Entry> = baseline
+        .into_iter()
+        .filter(|e| args.runs(Section::of_strategy(&e.strategy)))
+        .collect();
+    let matched: Vec<(&Entry, &Entry)> = baseline
+        .iter()
+        .filter_map(|old| {
+            measured
+                .iter()
+                .find(|e| e.k == old.k && e.strategy == old.strategy)
+                .map(|new| (old, new))
+        })
+        .collect();
+    if matched.len() < baseline.len() {
+        // A baseline row with no counterpart means the sweep shrank —
+        // the gate would silently stop checking that path. Hard error.
+        for old in &baseline {
+            if !matched.iter().any(|(o, _)| std::ptr::eq(*o, old)) {
+                eprintln!(
+                    "baseline entry k={} strategy={} was not measured this run",
+                    old.k, old.strategy
+                );
             }
-            std::process::exit(1);
         }
+        std::process::exit(1);
+    }
+    if matched.is_empty() {
+        eprintln!("calibrated timing gate skipped: no timed section selected");
+    } else {
         // Machine-speed calibration: the median new/old ratio is what a
         // hardware difference between the baseline's machine and this one
         // looks like; gate each entry against it (see the module docs).
         let factor = if args.raw {
             1.0
         } else {
-            let mut ratios: Vec<f64> =
-                matched.iter().map(|(o, n)| n.millis / o.millis).collect();
+            let mut ratios: Vec<f64> = matched.iter().map(|(o, n)| n.millis / o.millis).collect();
             ratios.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
             ratios[ratios.len() / 2]
         };
@@ -948,6 +1117,8 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+    if args.runs(Section::Incremental) {
         // The incremental-slide and batched-advance speedups are
         // same-machine ratios, so they need no hardware calibration:
         // gate the headline claims directly. The slide ratio's
@@ -964,9 +1135,7 @@ fn main() {
         // 1.49-1.65×; 1.3× is the floor (a broken batcher — one that
         // degenerates to looping single advances — still shows ~1×).
         if k5_speedup < 3.0 {
-            eprintln!(
-                "incremental slide speedup at k=5 is {k5_speedup:.1}x, below the 3x floor"
-            );
+            eprintln!("incremental slide speedup at k=5 is {k5_speedup:.1}x, below the 3x floor");
             std::process::exit(1);
         }
         if batch_speedup < 1.3 {
@@ -976,66 +1145,97 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // Publish gate: a default-spec publish may cost at most a small
+        // Publish gates: a default-spec publish may cost at most a small
         // multiple of the slide it follows (same-run ratio, no
-        // calibration). Gated at the paper's k = 3 only: at k = 5 and
-        // k = 8 the slide stays ~2 ms while the window keeps ~2.5x the
-        // edges, and set cover, rankings and tables grow with them
-        // (7-10x and 11-14x, in the summary). A regression to ranking by
-        // sorting every mined row shows ~60x.
-        if k3_publish_ratio.is_nan() || k3_publish_ratio > PUBLISH_RATIO_LIMIT {
-            eprintln!(
-                "default-spec publish at k=3 costs {k3_publish_ratio:.1}x a slide, \
-                 above the {PUBLISH_RATIO_LIMIT:.0}x ceiling"
-            );
-            std::process::exit(1);
+        // calibration), at k = 3 and k = 5 (k = 8 is reported only). A
+        // regression to ranking by sorting every mined row shows ~60x at
+        // k = 3.
+        for &(k, limit) in &PUBLISH_RATIO_LIMITS {
+            let ratio = publish_ratios
+                .iter()
+                .find(|&&(pk, _)| pk == k)
+                .map_or(f64::NAN, |&(_, r)| r);
+            if ratio.is_nan() || ratio > limit {
+                eprintln!(
+                    "default-spec publish at k={k} costs {ratio:.1}x a slide, above the \
+                     {limit}x ceiling"
+                );
+                std::process::exit(1);
+            }
+            eprintln!("publish gate: k={k} publish {ratio:.1}x a slide <= {limit}x");
         }
-        // Serve scaling gate: aggregate reader throughput must grow
-        // with reader threads during live slides. A same-machine ratio
-        // like the speedup floors above (no hardware calibration), but
-        // it does need cores to scale onto, so the floor is
-        // hardware-aware: lock-free reads should deliver near-linear
-        // reader scaling when cores are plentiful (≥ 3× from 1 → 8
-        // readers on 8+ cores), a softer ≥ 2× when the writer + feeder
-        // threads eat a meaningful share of 4–7 cores, and nothing at
-        // all below 4 cores — there the readers time-slice one or two
-        // cores and the ratio measures the scheduler, not the serving
-        // layer.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let base_run = serve_runs.iter().find(|r| r.readers == 1);
-        let top_run = serve_runs.iter().max_by_key(|r| r.readers);
-        if let (Some(base), Some(top)) = (base_run, top_run) {
-            let scaling = top.qps / base.qps;
-            let floor = if cores >= 8 {
-                Some(3.0)
-            } else if cores >= 4 {
-                Some(2.0)
-            } else {
-                None
-            };
-            match floor {
-                Some(floor) if scaling < floor => {
-                    eprintln!(
-                        "serve qps scaling 1 -> {} readers is {scaling:.2}x, below the \
-                         {floor:.1}x floor for {cores} cores",
-                        top.readers
-                    );
-                    std::process::exit(1);
-                }
-                Some(floor) => eprintln!(
-                    "serve qps scaling 1 -> {} readers: {scaling:.2}x >= {floor:.1}x \
-                     ({cores} cores)",
-                    top.readers
-                ),
-                None => eprintln!(
-                    "serve qps scaling gate skipped: {cores} core(s) < 4 \
-                     (measured {scaling:.2}x from 1 -> {} readers)",
-                    top.readers
-                ),
+        // Phase-coverage gate: the publish phases must account for the
+        // publish, so untimed work cannot hide between them.
+        for &(k, cover) in &phase_covers {
+            if cover < PHASE_COVER_FLOOR {
+                eprintln!(
+                    "publish phases at k={k} sum to {:.1}% of the publish wall time, below \
+                     {:.0}%",
+                    cover * 100.0,
+                    PHASE_COVER_FLOOR * 100.0
+                );
+                std::process::exit(1);
             }
         }
+        eprintln!(
+            "publish phase gate: phases cover >= {:.0}% of every k's publish",
+            PHASE_COVER_FLOOR * 100.0
+        );
+    } else {
+        skipped(
+            "slide, batch, publish and publish-phase",
+            Section::Incremental,
+        );
+    }
+    // Serve scaling gate: aggregate reader throughput must grow
+    // with reader threads during live slides. A same-machine ratio
+    // like the speedup floors above (no hardware calibration), but
+    // it does need cores to scale onto, so the floor is
+    // hardware-aware: lock-free reads should deliver near-linear
+    // reader scaling when cores are plentiful (≥ 3× from 1 → 8
+    // readers on 8+ cores), a softer ≥ 2× when the writer + feeder
+    // threads eat a meaningful share of 4–7 cores, and nothing at
+    // all below 4 cores — there the readers time-slice one or two
+    // cores and the ratio measures the scheduler, not the serving
+    // layer.
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let base_run = serve_runs.iter().find(|r| r.readers == 1);
+    let top_run = serve_runs.iter().max_by_key(|r| r.readers);
+    if let (Some(base), Some(top)) = (base_run, top_run) {
+        let scaling = top.qps / base.qps;
+        let floor = if cores >= 8 {
+            Some(3.0)
+        } else if cores >= 4 {
+            Some(2.0)
+        } else {
+            None
+        };
+        match floor {
+            Some(floor) if scaling < floor => {
+                eprintln!(
+                    "serve qps scaling 1 -> {} readers is {scaling:.2}x, below the \
+                     {floor:.1}x floor for {cores} cores",
+                    top.readers
+                );
+                std::process::exit(1);
+            }
+            Some(floor) => eprintln!(
+                "serve qps scaling 1 -> {} readers: {scaling:.2}x >= {floor:.1}x \
+                 ({cores} cores)",
+                top.readers
+            ),
+            None => eprintln!(
+                "serve qps scaling gate skipped: {cores} core(s) < 4 \
+                 (measured {scaling:.2}x from 1 -> {} readers)",
+                top.readers
+            ),
+        }
+    } else {
+        skipped("serve qps scaling", Section::Serve);
+    }
+    if args.runs(Section::Wide) {
         // Parallel-efficiency gate: the wide k=8 build must speed up by
         // EFFICIENCY_FLOOR from 1 to 4 worker threads. A same-machine
         // ratio like the serve gate above, and hardware-aware the same
@@ -1043,29 +1243,27 @@ fn main() {
         // core(s) and the ratio measures scheduling overhead, so the
         // gate is skipped (the measured ratio is still logged and lands
         // in the summary for the record).
-        {
-            let t1 = wide_k8_by_threads[0];
-            let t4 = wide_k8_by_threads[1];
-            if t1.is_finite() && t4.is_finite() && t4 > 0.0 {
-                let efficiency = t1 / t4;
-                if cores >= 4 {
-                    if efficiency < EFFICIENCY_FLOOR {
-                        eprintln!(
-                            "wide k=8 thread scaling 1 -> 4 is {efficiency:.2}x, below \
-                             the {EFFICIENCY_FLOOR:.1}x floor for {cores} cores"
-                        );
-                        std::process::exit(1);
-                    }
+        let t1 = wide_k8_by_threads[0];
+        let t4 = wide_k8_by_threads[1];
+        if t1.is_finite() && t4.is_finite() && t4 > 0.0 {
+            let efficiency = t1 / t4;
+            if cores >= 4 {
+                if efficiency < EFFICIENCY_FLOOR {
                     eprintln!(
-                        "wide k=8 thread scaling 1 -> 4: {efficiency:.2}x >= \
-                         {EFFICIENCY_FLOOR:.1}x ({cores} cores)"
+                        "wide k=8 thread scaling 1 -> 4 is {efficiency:.2}x, below \
+                         the {EFFICIENCY_FLOOR:.1}x floor for {cores} cores"
                     );
-                } else {
-                    eprintln!(
-                        "thread-scaling gate skipped: {cores} core(s) < 4 \
-                         (measured {efficiency:.2}x from 1 -> 4 threads)"
-                    );
+                    std::process::exit(1);
                 }
+                eprintln!(
+                    "wide k=8 thread scaling 1 -> 4: {efficiency:.2}x >= \
+                     {EFFICIENCY_FLOOR:.1}x ({cores} cores)"
+                );
+            } else {
+                eprintln!(
+                    "thread-scaling gate skipped: {cores} core(s) < 4 \
+                     (measured {efficiency:.2}x from 1 -> 4 threads)"
+                );
             }
         }
         // SIMD gate: the vectorized dense-row kernel must beat the
@@ -1091,6 +1289,17 @@ fn main() {
                  (level {simd_level})"
             );
         }
+    } else {
+        skipped("thread-scaling and simd speedup", Section::Wide);
+    }
+    if !args.runs(Section::Wide) || !args.runs(Section::Wide500) {
+        let missing = if args.runs(Section::Wide) {
+            Section::Wide500
+        } else {
+            Section::Wide
+        };
+        skipped("wide memory", missing);
+    } else {
         // Wide-universe memory gate: growing the attribute set from 240
         // to 500 must not super-linearly inflate per-edge storage. Two
         // same-run ratios (no hardware calibration, no baseline entry):
@@ -1139,12 +1348,6 @@ fn main() {
                  (exact graph-byte accounting gated above)"
             ),
         }
-        eprintln!(
-            "all construction timings within {:.0}% of {path}; \
-             k=5 slide speedup {k5_speedup:.1}x >= 3x; \
-             k=3 batch speedup {batch_speedup:.2}x >= 1.3x; \
-             k=3 publish {k3_publish_ratio:.1}x a slide <= {PUBLISH_RATIO_LIMIT:.0}x",
-            args.tolerance * 100.0
-        );
     }
+    eprintln!("every selected gate passed against {path}");
 }

@@ -43,6 +43,7 @@ mod leading;
 mod mining;
 mod model;
 mod parallel;
+mod phase;
 mod rule;
 mod simd;
 mod simgraph;
@@ -64,6 +65,7 @@ pub use mining::{top_rules, MinedRule};
 pub use model::{
     attr_of, node_of, AssociationModel, BuildError, ModelExport, ModelStats, ModelTables,
 };
+pub use phase::{Phase, PhaseLaps, PhaseTimer};
 pub use rule::{MvaRule, RuleError};
 pub use simd::{SimdLevel, SimdPolicy};
 pub use simgraph::{cluster_attributes, similarity_distance_matrix, AttributeClustering};

@@ -77,7 +77,9 @@ pub use host::{
     DurabilityOptions, HostHealth, HostOptions, OverflowPolicy, ServeHost, StreamCmd, WriterStats,
 };
 pub use sim::{FeedConfig, MarketFeed};
-pub use snapshot::{ModelSnapshot, QueryScratch, SnapshotMemory, SnapshotSpec};
+pub use snapshot::{
+    ModelSnapshot, PublishLaps, PublishPhase, QueryScratch, SnapshotMemory, SnapshotSpec,
+};
 pub use store::{RecoverError, RecoveryInfo, WalRecord, WalStore};
 pub use throughput::{measure_qps, scaling_runs, QpsRun};
 pub use writer::ModelServer;

@@ -15,8 +15,11 @@
 //!   the order [`AssociationClassifier::predict`] uses (bit-identical
 //!   scores);
 //! - the strongest mined rules ([`top_rules`]) above the spec's floors;
-//! - an FNV-1a digest over the logical content, so stress tests can
-//!   prove no torn snapshot is ever observable.
+//! - an FNV-1a digest over the graph, dominator and rules (see
+//!   [`ModelSnapshot::digest`] for exactly what it covers), so stress
+//!   tests can prove no torn snapshot is ever observable;
+//! - the wall time of each build stage ([`ModelSnapshot::publish_phases`]),
+//!   kept out of the digest.
 //!
 //! The read path allocates nothing: callers keep a [`QueryScratch`]
 //! (sized once per schema, valid across epochs) and tail values ride in
@@ -26,7 +29,7 @@
 
 use hypermine_core::{
     attr_of, node_of, set_cover_adaptation, top_rules, AssociationModel, MinedRule, ModelConfig,
-    ModelExport, SetCoverOptions,
+    ModelExport, Phase, PhaseLaps, PhaseTimer, SetCoverOptions,
 };
 use hypermine_data::{AttrId, Database, Value};
 use hypermine_hypergraph::stats::DegreeStats;
@@ -47,7 +50,7 @@ pub struct SnapshotSpec {
     /// `0` skips rule mining entirely, for streams that only serve
     /// dominators and predictions. Ranking is support-bounded
     /// ([`top_rules`]): on a 40-ticker, 756-day window at k = 3 (~12k
-    /// edges) the default 32 cost ~1 ms of a ~7 ms publish, where
+    /// edges) the default 32 cost ~1 ms of a ~3.5 ms publish, where
     /// sorting every row cost 80 ms of ~100 ms.
     pub rule_limit: usize,
     /// Support floor for the pre-ranked rules.
@@ -67,6 +70,59 @@ impl Default for SnapshotSpec {
         }
     }
 }
+
+/// The stages of [`ModelSnapshot::build`], in the order they run. Every
+/// publish times each one ([`ModelSnapshot::publish_phases`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PublishPhase {
+    /// [`AssociationModel::export`]: cloning the graph, the window's
+    /// database and the per-attribute metadata.
+    Export,
+    /// The ACV threshold and filter, set cover, and the dominator's
+    /// membership flags.
+    Dominator,
+    /// The per-head in-edge rankings and best edges.
+    Rankings,
+    /// Materializing the classifier's hot tables.
+    Tables,
+    /// Ranking the mined rules ([`top_rules`]).
+    Rules,
+    /// The weighted degree vectors.
+    DegreeStats,
+    /// The content digest.
+    Digest,
+}
+
+impl Phase for PublishPhase {
+    const ALL: &'static [Self] = &[
+        PublishPhase::Export,
+        PublishPhase::Dominator,
+        PublishPhase::Rankings,
+        PublishPhase::Tables,
+        PublishPhase::Rules,
+        PublishPhase::DegreeStats,
+        PublishPhase::Digest,
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            PublishPhase::Export => "export",
+            PublishPhase::Dominator => "dominator",
+            PublishPhase::Rankings => "rankings",
+            PublishPhase::Tables => "tables",
+            PublishPhase::Rules => "rules",
+            PublishPhase::DegreeStats => "degree_stats",
+            PublishPhase::Digest => "digest",
+        }
+    }
+}
+
+/// Per-stage wall time of one [`ModelSnapshot::build`].
+pub type PublishLaps = PhaseLaps<PublishPhase, 7>;
 
 /// Reusable per-reader scratch for [`ModelSnapshot::predict_into`]. One
 /// allocation per reader thread, valid for every snapshot sharing the
@@ -138,15 +194,29 @@ pub struct ModelSnapshot {
     rules: Vec<MinedRule>,
     /// FNV-1a digest of the logical content, for torn-snapshot checks.
     digest: u64,
+    /// How long each stage of the build took (not part of the digest).
+    phases: PublishLaps,
 }
 
 impl ModelSnapshot {
     /// Builds a snapshot of `model`'s current state. This is the
     /// publish-time cost the writer pays so that readers pay nothing:
-    /// one [`AssociationModel::export`], one dominator computation, one
-    /// table materialization pass over the hot edge set, one rule
-    /// ranking, and one digest pass.
+    /// one [`AssociationModel::export`], one ACV threshold, filter and
+    /// set-cover dominator, one per-head ranking pass, one table
+    /// materialization pass over the hot edge set, one rule ranking, and
+    /// one digest pass. Every stage is a full pass — a slide moves two
+    /// rows of every edge's table, so every ACV changes — kept cheap
+    /// instead: the rankings sort one flat integer key per in-edge, the
+    /// best edges are read off the ranked segments, the threshold is a
+    /// selection rather than a sort, and set cover works on integer tail
+    /// ids ([`set_cover_adaptation`]). On an 80-attribute, 252-day window
+    /// at k = 5 (~248k kept edges, no rules) a publish takes 30–50 ms on a
+    /// 2-vCPU AVX2 host — about 10 ms each for the rankings, the
+    /// dominator and the digest — where comparator sorts and a hash-keyed
+    /// set cover took 70–110 ms. Each stage's time is kept in
+    /// [`ModelSnapshot::publish_phases`].
     pub fn build(model: &AssociationModel, spec: &SnapshotSpec) -> ModelSnapshot {
+        let mut timer = PhaseTimer::start();
         let ModelExport {
             graph,
             db,
@@ -158,22 +228,20 @@ impl ModelSnapshot {
             config,
         } = model.export();
         let n = db.num_attrs();
+        timer.lap(PublishPhase::Export);
 
         // Dominator over the (optionally ACV-filtered) graph, exactly as
         // the streaming example derives its leading indicators.
         let nodes: Vec<NodeId> = db.attrs().map(node_of).collect();
-        let filtered;
-        let dom_graph = match spec
+        let dom_result = match spec
             .acv_keep_fraction
-            .and_then(|f| model.acv_percentile_threshold(f))
+            .and_then(|f| graph.weight_percentile_threshold(f))
         {
             Some(thr) => {
-                filtered = model.filter_by_acv(thr);
-                filtered.hypergraph()
+                set_cover_adaptation(&graph.filter_by_weight(thr), &nodes, &spec.set_cover)
             }
-            None => model.hypergraph(),
+            None => set_cover_adaptation(&graph, &nodes, &spec.set_cover),
         };
-        let dom_result = set_cover_adaptation(dom_graph, &nodes, &spec.set_cover);
         let coverage = dom_result.percent_covered();
         let mut dominator = dom_result.dominator;
         dominator.sort_unstable();
@@ -182,28 +250,40 @@ impl ModelSnapshot {
             in_dominator[v.index()] = true;
         }
         let known: Vec<AttrId> = dominator.iter().map(|&v| attr_of(v)).collect();
+        timer.lap(PublishPhase::Dominator);
 
-        // Per-head best edges and the full ACV ranking, CSR.
+        // Per-head in-edge rankings, CSR, and the best edges read off
+        // them: a head's strongest simple edge (hyperedge) is the first
+        // 1-node (2-node) tail in its ranked segment.
         let mut best_in = Vec::with_capacity(n);
         let mut best_in_hyper = Vec::with_capacity(n);
         let mut ranked_offsets = Vec::with_capacity(n + 1);
         let mut ranked_edges = Vec::new();
+        let mut keys: Vec<u128> = Vec::new();
         ranked_offsets.push(0u32);
         for a in db.attrs() {
-            best_in.push(model.best_in_edge(a));
-            best_in_hyper.push(model.best_in_hyperedge(a));
-            let start = ranked_edges.len();
-            ranked_edges.extend_from_slice(graph.in_edges(node_of(a)));
-            ranked_edges[start..].sort_unstable_by(|&x, &y| {
+            keys.clear();
+            keys.extend(
                 graph
-                    .edge(y)
-                    .weight()
-                    .partial_cmp(&graph.edge(x).weight())
-                    .expect("ACVs are finite")
-                    .then(x.cmp(&y))
-            });
+                    .in_edges(node_of(a))
+                    .iter()
+                    .map(|&id| rank_key(graph.edge(id).weight(), id)),
+            );
+            keys.sort_unstable();
+            let start = ranked_edges.len();
+            ranked_edges.extend(keys.iter().map(|&key| EdgeId::new(key as u32)));
+            let segment = &ranked_edges[start..];
+            let first_with_tail = |len: usize| {
+                segment
+                    .iter()
+                    .copied()
+                    .find(|&id| graph.edge(id).tail_len() == len)
+            };
+            best_in.push(first_with_tail(1));
+            best_in_hyper.push(first_with_tail(2));
             ranked_offsets.push(ranked_edges.len() as u32);
         }
+        timer.lap(PublishPhase::Rankings);
 
         // The classifier's hot set: tables of kept edges with tail ⊆
         // dominator, grouped per target. Collection order is edge-id
@@ -232,6 +312,7 @@ impl ModelSnapshot {
             relevant_tables.extend(tables);
             relevant_offsets.push(relevant_tables.len() as u32);
         }
+        timer.lap(PublishPhase::Tables);
 
         let rules = top_rules(
             model,
@@ -239,7 +320,9 @@ impl ModelSnapshot {
             spec.rule_min_confidence,
             spec.rule_limit,
         );
+        timer.lap(PublishPhase::Rules);
         let degree_stats = DegreeStats::compute(&graph);
+        timer.lap(PublishPhase::DegreeStats);
 
         let mut snapshot = ModelSnapshot {
             epoch,
@@ -262,8 +345,11 @@ impl ModelSnapshot {
             relevant_tables,
             rules,
             digest: 0,
+            phases: PublishLaps::default(),
         };
         snapshot.digest = snapshot.compute_digest();
+        timer.lap(PublishPhase::Digest);
+        snapshot.phases = timer.finish();
         snapshot
     }
 
@@ -489,21 +575,42 @@ impl ModelSnapshot {
         }
     }
 
-    /// The content digest stamped at build time.
+    /// How long each stage of this snapshot's build took. Timing is
+    /// machine-dependent, so it stays out of the digest.
+    pub fn publish_phases(&self) -> &PublishLaps {
+        &self.phases
+    }
+
+    /// The content digest stamped at build time: FNV-1a over the epoch,
+    /// the attribute count and `k`, every edge's nodes and ACV bits, the
+    /// dominator, the baselines, the hot-table CSR offsets, the rules'
+    /// heads, values and measure bits, and the coverage.
+    ///
+    /// It does not hash the per-head rankings and best edges, the
+    /// majorities, the degree stats, or the tables' contents. Each is a
+    /// deterministic function of the window and the hashed graph and
+    /// dominator, and hashing them too would add a pass over every ranked
+    /// edge and table row to each publish. That they equal their
+    /// straightforward derivations is pinned by tests instead: rankings
+    /// and best edges by the `publish_indexes_match_the_originals`
+    /// property test, tables by the bit-identity of predictions with the
+    /// batch classifier.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    /// Recomputes the digest from the snapshot's logical content and
-    /// compares it to the stamp. A mismatch would mean a reader observed
-    /// a torn snapshot — the concurrency tests assert this never fails.
+    /// Recomputes the digest from the content it covers (see
+    /// [`ModelSnapshot::digest`]) and compares it to the stamp. A mismatch
+    /// would mean a reader observed a torn snapshot — the concurrency
+    /// tests assert this never fails.
     /// O(edges); intended for tests and debugging, not the hot path.
     pub fn verify_digest(&self) -> bool {
         self.compute_digest() == self.digest
     }
 
     fn compute_digest(&self) -> u64 {
-        // FNV-1a over everything queries can observe.
+        // FNV-1a over the fields listed on `digest()`; the derived
+        // per-head indexes are deliberately left out (see there).
         let mut h = Fnv::new();
         h.u64(self.epoch);
         h.u64(self.num_attrs() as u64);
@@ -536,6 +643,22 @@ impl ModelSnapshot {
         h.u64(self.coverage.to_bits());
         h.finish()
     }
+}
+
+/// The ranking key of an in-edge: the high 64 bits map the weight onto
+/// `u64` so that ascending keys mean descending weight, and the low 32
+/// bits are the edge id. Sorting keys ascending therefore orders by ACV
+/// descending, ties by ascending id — the float comparator's order, with
+/// `+ 0.0` folding −0.0 into +0.0 as `partial_cmp` does.
+fn rank_key(weight: f64, id: EdgeId) -> u128 {
+    assert!(weight.is_finite(), "ACVs are finite");
+    let bits = (weight + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(!ascending) << 64) | id.index() as u128
 }
 
 /// Minimal FNV-1a, enough to make torn content detectable.

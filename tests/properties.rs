@@ -1,17 +1,21 @@
 //! Property-based tests (proptest) for the core invariants:
 //! counting correctness, Theorem 3.8 monotonicity, γ-filter soundness,
 //! similarity symmetry, classifier normalization, discretizer behaviour,
-//! and approximation-quality bounds versus brute force on small instances.
+//! approximation-quality bounds versus brute force on small instances,
+//! and the publish-time indexes (rule ranking, set cover, in-edge
+//! rankings, ACV threshold) against their straightforward originals.
 
 use hypermine::approx::{greedy_set_cover, t_clustering, DistanceMatrix};
 use hypermine::core::{
     attr_of, dominating_adaptation, in_similarity_graph, is_dominator, node_of,
     out_similarity_graph, set_cover_adaptation, top_rules, AssociationClassifier, AssociationModel,
-    CountingEngine, MinedRule, ModelConfig, SetCoverOptions, StopRule,
+    CountingEngine, DominatorResult, MinedRule, ModelConfig, SetCoverOptions, StopRule,
 };
 use hypermine::data::discretize::{Discretizer, EquiDepth};
 use hypermine::data::{AttrId, Database, Value};
-use hypermine::hypergraph::NodeId;
+use hypermine::hypergraph::fx::{FxHashMap, FxHashSet};
+use hypermine::hypergraph::{DirectedHypergraph, EdgeId, NodeId};
+use hypermine::serve::{ModelSnapshot, SnapshotSpec};
 use proptest::prelude::*;
 
 /// Strategy: a small random database (2..=5 attrs, 5..=60 obs, k in 2..=4).
@@ -145,6 +149,265 @@ fn check_top_rules(model: &AssociationModel) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Strategy for the set-cover oracle: a general hypergraph over 4..=10
+/// nodes built with `add_edge`, and a random membership mask for `S`.
+/// Tails of 1–3 nodes are drawn from a pool of at most six, so tail sets
+/// repeat across heads; heads have 1–2 nodes; weights come from four
+/// levels, so they tie. Candidates `add_edge` rejects (a tail/head
+/// overlap, a repeated `(T, H)`) are skipped, and nodes no kept edge
+/// touches stay isolated.
+fn cover_graph() -> impl Strategy<Value = (DirectedHypergraph, Vec<bool>)> {
+    (4usize..=10).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(proptest::collection::vec(0..n, 1..=3), 1..=6),
+            proptest::collection::vec(
+                (0usize..6, proptest::collection::vec(0..n, 1..=2), 1u8..=4),
+                0..=24,
+            ),
+            proptest::collection::vec(0u8..=1, n),
+        )
+            .prop_map(move |(pool, edges, mask)| {
+                let set = |ids: &[usize]| -> Vec<NodeId> {
+                    let mut v: Vec<NodeId> = ids.iter().map(|&i| NodeId::new(i as u32)).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                let mut g = DirectedHypergraph::new(n);
+                for (ti, head, w) in edges {
+                    let tail = set(&pool[ti % pool.len()]);
+                    let _ = g.add_edge(&tail, &set(&head), f64::from(w) / 4.0);
+                }
+                (g, mask.into_iter().map(|b| b == 1).collect())
+            })
+    })
+}
+
+/// Every `SetCoverOptions`: both stop rules × Enhancement 1 × Enhancement 2.
+fn all_cover_options() -> Vec<SetCoverOptions> {
+    let mut opts = Vec::new();
+    for stop in [StopRule::NoCrossGain, StopRule::FullCover] {
+        for enhancement1 in [false, true] {
+            for enhancement2 in [false, true] {
+                opts.push(SetCoverOptions {
+                    stop,
+                    enhancement1,
+                    enhancement2,
+                });
+            }
+        }
+    }
+    opts
+}
+
+/// The original Algorithm 6: distinct tail sets held as boxed slices in
+/// a hash set, and every candidate's subsets materialized and looked up
+/// by hashing in every iteration.
+fn reference_set_cover(
+    g: &DirectedHypergraph,
+    s: &[NodeId],
+    opts: &SetCoverOptions,
+) -> DominatorResult {
+    let n = g.num_nodes();
+    let mut in_s = vec![false; n];
+    for &v in s {
+        in_s[v.index()] = true;
+    }
+    let s_size = in_s.iter().filter(|&&b| b).count();
+    let mut seen: FxHashSet<Box<[NodeId]>> = FxHashSet::default();
+    let mut tailsets: Vec<Vec<NodeId>> = Vec::new();
+    for (_, e) in g.edges() {
+        if seen.insert(e.tail().to_vec().into_boxed_slice()) {
+            tailsets.push(e.tail().to_vec());
+        }
+    }
+    let mut alive = vec![true; tailsets.len()];
+    let mut edges_by_tail: FxHashMap<Box<[NodeId]>, Vec<EdgeId>> = FxHashMap::default();
+    for (id, e) in g.edges() {
+        edges_by_tail
+            .entry(e.tail().to_vec().into_boxed_slice())
+            .or_default()
+            .push(id);
+    }
+    let subsets_of = |t: &[NodeId]| -> Vec<Box<[NodeId]>> {
+        assert!(t.len() <= 16, "tail sets of up to 16 nodes supported");
+        (1u32..(1 << t.len()))
+            .map(|mask| {
+                t.iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, &v)| v)
+                    .collect()
+            })
+            .collect()
+    };
+    let absorb = |in_dom: &[bool], covered: &mut [bool]| -> usize {
+        let mut gained = 0;
+        for (_, e) in g.edges() {
+            if e.tail().iter().all(|t| in_dom[t.index()]) {
+                for &h in e.head() {
+                    if in_s[h.index()] && !covered[h.index()] {
+                        covered[h.index()] = true;
+                        gained += 1;
+                    }
+                }
+            }
+        }
+        gained
+    };
+    let mut in_dom = vec![false; n];
+    let mut covered = vec![false; n];
+    let mut covered_in_s = 0usize;
+    let mut dominator = Vec::new();
+    let mut iterations = 0usize;
+    while covered_in_s < s_size {
+        iterations += 1;
+        let mut best: Option<(usize, usize, usize)> = None;
+        let mut any_cross = false;
+        for (i, t) in tailsets.iter().enumerate() {
+            if !alive[i] {
+                continue;
+            }
+            let self_gain = t
+                .iter()
+                .filter(|u| in_s[u.index()] && !covered[u.index()])
+                .count();
+            let mut edge_gain = 0usize;
+            for sub in subsets_of(t) {
+                if let Some(edges) = edges_by_tail.get(&sub) {
+                    for &eid in edges {
+                        for &h in g.edge(eid).head() {
+                            if in_s[h.index()] && !covered[h.index()] {
+                                edge_gain += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let alpha = self_gain + edge_gain;
+            if alpha == 0 {
+                alive[i] = false;
+                continue;
+            }
+            if edge_gain > 0 {
+                any_cross = true;
+            }
+            let new_members = t.iter().filter(|u| !in_dom[u.index()]).count();
+            let better = match best {
+                None => true,
+                Some((_, ba, bm)) => {
+                    alpha > ba || (alpha == ba && opts.enhancement1 && new_members < bm)
+                }
+            };
+            if better {
+                best = Some((i, alpha, new_members));
+            }
+        }
+        let Some((bi, _, _)) = best else {
+            break;
+        };
+        if opts.stop == StopRule::NoCrossGain && !any_cross {
+            break;
+        }
+        for &u in &tailsets[bi] {
+            if !in_dom[u.index()] {
+                in_dom[u.index()] = true;
+                dominator.push(u);
+            }
+            if !covered[u.index()] {
+                covered[u.index()] = true;
+                if in_s[u.index()] {
+                    covered_in_s += 1;
+                }
+            }
+        }
+        covered_in_s += absorb(&in_dom, &mut covered);
+        if opts.enhancement2 {
+            for (i, t) in tailsets.iter().enumerate() {
+                if alive[i] && t.iter().all(|u| in_dom[u.index()]) {
+                    alive[i] = false;
+                }
+            }
+        }
+    }
+    DominatorResult {
+        dominator,
+        covered,
+        covered_in_s,
+        s_size,
+        iterations,
+    }
+}
+
+/// `set_cover_adaptation` against the reference under every option set.
+fn check_set_cover(g: &DirectedHypergraph, s: &[NodeId]) -> Result<(), TestCaseError> {
+    for opts in all_cover_options() {
+        let got = set_cover_adaptation(g, s, &opts);
+        let want = reference_set_cover(g, s, &opts);
+        prop_assert!(
+            got == want,
+            "{opts:?}, S = {s:?}: got {got:?}, want {want:?}"
+        );
+    }
+    Ok(())
+}
+
+/// The original threshold: a full descending sort of a weight copy.
+fn reference_threshold(g: &DirectedHypergraph, fraction: f64) -> Option<f64> {
+    if g.num_edges() == 0 || fraction <= 0.0 {
+        return None;
+    }
+    let mut ws: Vec<f64> = g.edges().map(|(_, e)| e.weight()).collect();
+    ws.sort_unstable_by(|a, b| b.partial_cmp(a).expect("weights are finite"));
+    let keep = ((ws.len() as f64 * fraction).ceil() as usize).clamp(1, ws.len());
+    Some(ws[keep - 1])
+}
+
+/// `weight_percentile_threshold` against the full sort, by bits.
+fn check_threshold(g: &DirectedHypergraph) -> Result<(), TestCaseError> {
+    for fraction in [1e-9, 0.4, 1.0, 3.0, f64::NAN, 0.0, -1.0] {
+        let got = g.weight_percentile_threshold(fraction).map(f64::to_bits);
+        let want = reference_threshold(g, fraction).map(f64::to_bits);
+        prop_assert_eq!(got, want);
+    }
+    Ok(())
+}
+
+/// The snapshot's per-head rankings and best edges against the original
+/// comparator sort and the model's own best-edge scans.
+fn check_rankings(model: &AssociationModel) -> Result<(), TestCaseError> {
+    let snap = ModelSnapshot::build(model, &SnapshotSpec::default());
+    let g = model.hypergraph();
+    for a in model.attrs() {
+        let mut want = g.in_edges(node_of(a)).to_vec();
+        want.sort_unstable_by(|&x, &y| {
+            g.edge(y)
+                .weight()
+                .partial_cmp(&g.edge(x).weight())
+                .expect("ACVs are finite")
+                .then(x.cmp(&y))
+        });
+        prop_assert_eq!(snap.ranked_in_edges(a), &want[..]);
+        prop_assert_eq!(snap.best_in_edge(a), model.best_in_edge(a));
+        prop_assert_eq!(snap.best_in_hyperedge(a), model.best_in_hyperedge(a));
+    }
+    Ok(())
+}
+
+/// Set cover on the ACV-filtered graph (as a snapshot derives its
+/// dominator) and the threshold itself, for the strongest 40% and all
+/// edges.
+fn check_filtered_cover(model: &AssociationModel) -> Result<(), TestCaseError> {
+    let nodes: Vec<NodeId> = model.attrs().map(node_of).collect();
+    check_threshold(model.hypergraph())?;
+    for fraction in [0.4, 1.0] {
+        if let Some(thr) = model.acv_percentile_threshold(fraction) {
+            check_set_cover(model.filter_by_acv(thr).hypergraph(), &nodes)?;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -197,6 +460,60 @@ proptest! {
             }
             model.advance(&row).unwrap();
             check_top_rules(&model)?;
+        }
+    }
+
+    /// The integer-id set cover returns the same `DominatorResult` as
+    /// the hash-keyed original on general hypergraphs (repeated tail
+    /// sets, 2-node heads, isolated nodes), for `S` = every node, a
+    /// random subset, and nothing, under all eight option sets; the
+    /// selection-based threshold matches the full sort bit for bit on
+    /// their tied weights.
+    #[test]
+    fn set_cover_matches_the_hash_keyed_reference((g, mask) in cover_graph()) {
+        let all: Vec<NodeId> = g.nodes().collect();
+        let some: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+        check_set_cover(&g, &all)?;
+        check_set_cover(&g, &some)?;
+        check_set_cover(&g, &[])?;
+        check_threshold(&g)?;
+        check_threshold(&DirectedHypergraph::new(g.num_nodes()))?;
+    }
+
+    /// On mined models — fresh and after 1–3 slides — set cover over the
+    /// ACV-filtered graph matches the original, the threshold matches the
+    /// full sort, and a snapshot's in-edge rankings and best edges match
+    /// the comparator sort and the model's scans. The duplicated column
+    /// gives exact ACV ties (present under γ = 1), which only edge ids
+    /// break.
+    #[test]
+    fn publish_indexes_match_the_originals((db, window) in rule_db(), gamma_one in 0u8..=1) {
+        let mut cfg = ModelConfig { threads: 1, ..ModelConfig::default() };
+        if gamma_one == 1 {
+            (cfg.gamma_edge, cfg.gamma_hyper) = (1.0, 1.0);
+        }
+        let mut model = AssociationModel::build(&db.slice_obs(0..window), &cfg).unwrap();
+        if gamma_one == 1 {
+            let g = model.hypergraph();
+            prop_assert!(
+                model.attrs().any(|a| {
+                    let ws: Vec<u64> =
+                        g.in_edges(node_of(a)).iter().map(|&e| g.edge(e).weight().to_bits()).collect();
+                    ws.iter().enumerate().any(|(i, w)| ws[..i].contains(w))
+                }),
+                "the duplicated column yields exact ACV ties"
+            );
+        }
+        check_filtered_cover(&model)?;
+        check_rankings(&model)?;
+        let mut row = vec![0 as Value; db.num_attrs()];
+        for obs in window..db.num_obs() {
+            for a in db.attrs() {
+                row[a.index()] = db.value(a, obs);
+            }
+            model.advance(&row).unwrap();
+            check_filtered_cover(&model)?;
+            check_rankings(&model)?;
         }
     }
 
