@@ -117,10 +117,14 @@
 //! retired/appended observation can change — `O(n²)`–`O(n³)` per slide
 //! versus the batch passes' `O(n²·m)`-and-up, a 4.4–8.9× per-slide win
 //! on the bench fixture (≥ 13× before the SIMD vertical kernel halved
-//! the batch side; the incremental path has no dense sweeps to
-//! vectorize). Batch wins for one-shot builds and for bulk window
-//! jumps; incremental wins as soon as the same model is slid more than a
-//! couple of observations at a time.
+//! the batch side). Its triple-tensor path has no dense sweeps to
+//! vectorize; its row-recount fallback, past the tensor budget, counts
+//! the one or two pair rows a slide touches through the same per-row
+//! folds as a pair sweep — the vertical kernel, or the scalar histogram
+//! and dense fold where the kernel declines
+//! (`HeadCounter::add_row`). Batch wins for one-shot builds and for
+//! bulk window jumps; incremental wins as soon as the same model is slid
+//! more than a couple of observations at a time.
 //!
 //! [`edge_acv_all_heads`]: CountingEngine::edge_acv_all_heads
 //! [`hyper_acv_all_heads`]: CountingEngine::hyper_acv_all_heads
@@ -491,6 +495,18 @@ impl HeadCounter {
         }
     }
 
+    /// Bumps the rows of the observations `ids` of `obs`, two at a time
+    /// ([`HeadCounter::bump_obs2`]), for the dense fold.
+    fn bump_ids(&mut self, obs: &ObsMatrix, ids: &[u32]) {
+        let mut it = ids.chunks_exact(2);
+        for two in &mut it {
+            self.bump_obs2(obs.row(two[0] as usize), obs.row(two[1] as usize));
+        }
+        if let [o] = *it.remainder() {
+            self.bump_obs(obs.row(o as usize));
+        }
+    }
+
     /// Bumps `counts[head][value]` for every non-tail attribute of one
     /// observation row, recording first-touched slots in the dirty list
     /// (sparse path).
@@ -845,6 +861,38 @@ impl HeadCounter {
         if t1 != usize::MAX {
             self.totals[t1] = 0;
         }
+    }
+
+    /// Starts a recount of explicitly listed rows of the pair `tail`
+    /// at vector tier `simd`: clears the totals, which
+    /// [`HeadCounter::add_row`] then accumulates row by row. The
+    /// incremental row-recount fallback (`crate::incremental`) counts
+    /// the few pair rows a slide touches this way instead of sweeping a
+    /// whole pair.
+    pub(crate) fn begin_rows(&mut self, tail: [usize; 2], simd: SimdLevel) {
+        self.simd = simd;
+        self.begin(0, tail);
+    }
+
+    /// Adds every head's best value count over one row — the
+    /// observations `ids` of `obs`, in any order — to the totals: the
+    /// vertical kernel when it accepts the row, else the scalar per-head
+    /// histogram and dense fold. Both count exact integers.
+    pub(crate) fn add_row(&mut self, obs: &ObsMatrix, ids: &[u32]) {
+        if ids.is_empty() {
+            return;
+        }
+        if !self.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
+            self.bump_ids(obs, ids);
+            self.fold_row_dense();
+        }
+    }
+
+    /// Ends a [`HeadCounter::begin_rows`] recount: the per-head totals,
+    /// the tail heads' pinned to 0.
+    pub(crate) fn finish_rows(&mut self) -> &[u64] {
+        self.finish();
+        &self.totals
     }
 
     /// The accumulated ACV numerator of head `h` from the last sweep.
@@ -1233,13 +1281,7 @@ impl<'a> CountingEngine<'a> {
                         }
                     }
                     (None, None) => {
-                        let mut it = ids.chunks_exact(2);
-                        for two in &mut it {
-                            out.bump_obs2(obs.row(two[0] as usize), obs.row(two[1] as usize));
-                        }
-                        if let [o] = *it.remainder() {
-                            out.bump_obs(obs.row(o as usize));
-                        }
+                        out.bump_ids(obs, ids);
                         out.fold_row_dense();
                     }
                 },

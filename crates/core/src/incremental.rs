@@ -25,10 +25,17 @@
 //!   ([`TRIPLE_TENSOR_MAX_BYTES`]) each `(pair, head)` update is one
 //!   histogram-cell decrement/increment checked against a cached
 //!   row-max — `O(n³)` per slide with **no observation enumeration at
-//!   all**; otherwise the two affected rows are re-counted off one
-//!   bitset intersection and the row-major code matrix (`O(m/k² · n)`
-//!   per pair). Both paths produce identical integers, and every
-//!   nonzero change sets a **dirty bit**;
+//!   all**. Otherwise the **row-recount fallback** applies one rule per
+//!   pair: `ΔS₂[p][h] = Σ best(post-slide rows) − Σ best(pre-slide
+//!   rows)` over the touched rows, where `best` is a head's largest
+//!   value count in a row, counted for all heads at once by the batch
+//!   build's SIMD vertical kernel (the scalar per-head histogram where
+//!   the kernel declines). A row's post-slide observations come off one
+//!   bitset intersection; its pre-slide list drops the appended slot
+//!   and reads the retired observation back from a spare code-matrix
+//!   row. That is at most four rows of `~m/k²` observations per pair.
+//!   Both paths produce identical integers, and every nonzero net
+//!   change sets a **dirty bit**;
 //! - the **kept-candidate mask** from the previous slide, word-aligned
 //!   (one `⌈n/64⌉`-word block of head bits per tail and per pair, the
 //!   same layout as the dirty masks). The γ tests are re-derived each
@@ -53,6 +60,7 @@ use crate::config::ModelConfig;
 use crate::counting::{for_each_bit, CountingEngine, HeadCounter, KernelPath};
 use crate::model::AssociationModel;
 use crate::parallel::{parallel_blocks, steal_block_size};
+use crate::phase::{Phase, PhaseLaps, PhaseTimer};
 use crate::simd::SimdLevel;
 use hypermine_data::{
     AttrId, Database, ObsMatrix, PairBuckets, Value, ValueIndex, WindowedDatabase,
@@ -94,10 +102,67 @@ impl std::error::Error for AdvanceError {}
 /// (`n·(n−1)/2 · k³ · n` u16 counters), overridable per model via
 /// `ModelConfig::triple_tensor_max_bytes`. 32 MB covers the paper's
 /// C1/C2 settings and the 40-ticker bench fixture up to k = 8; larger
-/// `k·n` products (measured crossover: n = 128 at k = 3 wants 56 MB)
-/// fall back to the row-recount path, which is cheapest exactly when
-/// `k` is large (rows hold `~m/k²` observations).
+/// `k·n` products (n = 128 at k = 3 wants 56 MB, n = 80 at k = 5
+/// 63 MB) fall back to the row-recount path. Both cost `O(n³)` per
+/// slide; the fallback's rows hold `~m/k²` observations, so it is the
+/// slower path at small `k` and long windows (n = 40, k = 3, m = 756)
+/// and on par with the tensor at n = 80, k = 5, m = 252.
 const TRIPLE_TENSOR_MAX_BYTES: usize = 32 << 20;
+
+/// The stages of one [`AssociationModel::advance`] /
+/// [`AssociationModel::advance_batch`] call, in the order they run.
+/// Every call times each one ([`AssociationModel::advance_phases`]);
+/// the first call's lazy state build is not part of any stage.
+///
+/// [`AssociationModel::advance`]: crate::AssociationModel::advance
+/// [`AssociationModel::advance_batch`]: crate::AssociationModel::advance_batch
+/// [`AssociationModel::advance_phases`]: crate::AssociationModel::advance_phases
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdvancePhase {
+    /// Input validation and per-observation window maintenance: the
+    /// ring, the slot-indexed index and code-matrix mirrors, the value
+    /// counts and the model's training database.
+    Window,
+    /// The pass-1 joint counts and the pass-2 numerators `S₂`: the
+    /// triple-tensor cell updates, or the fallback's pair row recounts.
+    Pairs,
+    /// Baselines, majorities and the raw pass-1 ACV matrix, recomputed
+    /// from the maintained counts.
+    Pass1,
+    /// The γ re-test of dirty candidates: the kept-mask diff and the
+    /// in-place weight patches.
+    Retest,
+    /// The structural flips applied as one `splice_edges` batch (on the
+    /// first slide, the full graph assembly).
+    Splice,
+}
+
+impl Phase for AdvancePhase {
+    const ALL: &'static [Self] = &[
+        AdvancePhase::Window,
+        AdvancePhase::Pairs,
+        AdvancePhase::Pass1,
+        AdvancePhase::Retest,
+        AdvancePhase::Splice,
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            AdvancePhase::Window => "window",
+            AdvancePhase::Pairs => "pairs",
+            AdvancePhase::Pass1 => "pass1",
+            AdvancePhase::Retest => "retest",
+            AdvancePhase::Splice => "splice",
+        }
+    }
+}
+
+/// Per-stage wall time of one advance call.
+pub type AdvanceLaps = PhaseLaps<AdvancePhase, 5>;
 
 /// Size and layout of a model's live incremental counting state — see
 /// `AssociationModel::incremental_stats`.
@@ -116,17 +181,21 @@ pub struct IncrementalStats {
     /// Bytes held by the pass-2 numerators `S₂`.
     pub s2_bytes: usize,
     /// The counting-kernel tier ([`KernelPath`]) the window's database
-    /// engages for batch-grade recounts (the initial state build and the
-    /// row-recount fallback) under the model's `kernel_cap`. Surfaced so
-    /// a stream outgrowing the u16 flat caps degrades *visibly* — the
-    /// wide u32 tier is bit-identical but slower, and "slower" without a
-    /// reported cause is exactly the silent degradation this field
-    /// exists to prevent.
+    /// engages under the model's `kernel_cap` for the batch-grade count
+    /// of the initial state build (the fallback's `S₂` sweep). Per-slide
+    /// recounts use no flat tier: they count a few listed rows with the
+    /// vertical kernel or the scalar histogram. Surfaced so a stream
+    /// outgrowing the u16 flat caps degrades *visibly* — the wide u32
+    /// tier is bit-identical but slower, and "slower" without a reported
+    /// cause is exactly the silent degradation this field exists to
+    /// prevent.
     pub kernel_path: KernelPath,
-    /// The SIMD tier ([`SimdLevel`]) those same batch-grade recounts
-    /// engage under the model's `simd` policy — surfaced next to
-    /// `kernel_path` for the same visibility reason (a stream running on
-    /// the scalar fallback should say so, not just run slower).
+    /// The SIMD tier ([`SimdLevel`]) the model's `simd` policy resolves
+    /// to: the initial state build's sweep and the row-recount
+    /// fallback's per-slide recounts run the vertical kernel at this
+    /// tier on every row it accepts, and the scalar histogram on the
+    /// rest and throughout under `scalar` (a stream running on the
+    /// scalar fallback should say so, not just run slower).
     pub simd: SimdLevel,
 }
 
@@ -136,7 +205,9 @@ pub(crate) struct IncrementalState {
     window: WindowedDatabase,
     /// Slot-indexed observation bitsets, maintained incrementally.
     idx: ValueIndex,
-    /// Slot-indexed row-major code matrix, maintained incrementally.
+    /// Slot-indexed row-major code matrix, maintained incrementally,
+    /// plus one spare row past the ring's slots (`spare_row`) that holds
+    /// the retired observation during a fallback recount.
     obs: ObsMatrix,
     /// `value_counts[a·k + (v−1)]` — baseline/majority numerators.
     value_counts: Vec<u32>,
@@ -186,13 +257,18 @@ pub(crate) struct IncrementalState {
     baseline_dirty: Vec<u64>,
     /// Scratch: this slide's kept-candidate bitset.
     kept_scratch: Vec<u64>,
-    /// Scratch: `n·k` per-head value counts of the pair row being swept
-    /// (kept zeroed between rows by the folds).
-    row_counts: Vec<u32>,
-    /// Scratch: bitset intersection of the swept pair row.
+    /// Scratch: bitset intersection of a recounted pair row.
     row_bits: Vec<u64>,
+    /// Scratch: the observation slots of a recounted pair row.
+    row_ids: Vec<u32>,
+    /// Fallback recount counters: per-head best counts summed over a
+    /// pair's post-slide rows and over its pre-slide rows.
+    post: HeadCounter,
+    pre: HeadCounter,
     /// Scratch: the retired observation's values.
     old_row: Vec<Value>,
+    /// Per-stage wall time of the last successful advance call.
+    laps: AdvanceLaps,
     /// The model's kernel cap, kept so `stats()` can report the tier the
     /// window's dimensions select without re-threading the config.
     kernel_cap: KernelPath,
@@ -217,7 +293,7 @@ impl IncrementalState {
         // Initially logical order == slot order, so the batch-built
         // indexes are exactly the slot-indexed ones.
         let idx = ValueIndex::build(db);
-        let obs = ObsMatrix::build(db);
+        let obs = ObsMatrix::build_with_capacity(db, m + 1);
 
         let mut value_counts = vec![0u32; n * k];
         for a in db.attrs() {
@@ -350,12 +426,20 @@ impl IncrementalState {
             raw_dirty: Vec::new(),
             baseline_dirty: Vec::new(),
             kept_scratch: Vec::new(),
-            row_counts: vec![0u32; n * k],
             row_bits: Vec::new(),
+            row_ids: Vec::new(),
+            post: HeadCounter::new(n, db.k()),
+            pre: HeadCounter::new(n, db.k()),
             old_row: vec![0; n],
+            laps: AdvanceLaps::default(),
             kernel_cap: cfg.kernel_cap,
             simd: cfg.simd.resolve(),
         })
+    }
+
+    /// Per-stage wall time of the last successful advance call.
+    pub(crate) fn laps(&self) -> AdvanceLaps {
+        self.laps
     }
 
     /// Size and layout of this state (see
@@ -386,12 +470,14 @@ impl IncrementalState {
     /// diff — runs **once for the whole batch**, which is what makes a
     /// `d`-day advance markedly cheaper than `d` single slides while
     /// staying bit-identical to them. All rows are validated up front —
-    /// a returned error means nothing changed.
+    /// a returned error means nothing changed. A successful call keeps
+    /// its per-stage wall time ([`IncrementalState::laps`]).
     pub(crate) fn advance_many(
         &mut self,
         model: &mut AssociationModel,
         rows: &[&[Value]],
     ) -> Result<(), AdvanceError> {
+        let mut timer = PhaseTimer::start();
         let n = self.window.num_attrs();
         let k = self.window.k() as usize;
         for new_obs in rows {
@@ -410,7 +496,6 @@ impl IncrementalState {
         if rows.is_empty() {
             return Ok(());
         }
-        let m_before = self.window.num_obs();
         // The S₂ dirty bits accumulate across the whole batch; one clear.
         if !self.s2.is_empty() {
             self.s2_dirty.clear();
@@ -421,8 +506,10 @@ impl IncrementalState {
             // evolving post-slide index state, so pair updates must run
             // slide by slide.
             for &new_obs in rows {
-                let retiring = self.slide_window_state(model, new_obs);
-                self.update_pairs(retiring, new_obs);
+                let slot = self.slide_window_state(model, new_obs);
+                timer.lap(AdvancePhase::Window);
+                self.update_pairs(new_obs, slot);
+                timer.lap(AdvancePhase::Pairs);
             }
         } else {
             // Tensor path: a pair's update depends only on the
@@ -430,12 +517,14 @@ impl IncrementalState {
             // **pair-outer** — every slide's cell pokes for one pair land
             // while its tensor region is cache-hot, instead of walking
             // the whole multi-megabyte tensor once per slide.
-            let mut steps: Vec<(Option<Vec<Value>>, &[Value])> = Vec::with_capacity(rows.len());
+            let mut steps: Vec<(Vec<Value>, &[Value])> = Vec::with_capacity(rows.len());
             for &new_obs in rows {
-                let retiring = self.slide_window_state(model, new_obs);
-                steps.push((retiring.then(|| self.old_row.clone()), new_obs));
+                self.slide_window_state(model, new_obs);
+                steps.push((self.old_row.clone(), new_obs));
             }
+            timer.lap(AdvancePhase::Window);
             self.update_pairs_batch(&steps);
+            timer.lap(AdvancePhase::Pairs);
         }
         let m = self.window.num_obs();
 
@@ -445,90 +534,151 @@ impl IncrementalState {
         // model's pre-batch values, so candidates whose inputs net out
         // unchanged across the batch stay clean.
         self.recompute_pass1(model, m);
+        timer.lap(AdvancePhase::Pass1);
 
         // γ tests → kept mask diff → graph (weight patches plus one
-        // splice for the whole batch's flipped candidates). `m` is stable
-        // exactly when every slide retired an observation.
-        self.refresh_graph(model, m, m == m_before);
+        // splice for the whole batch's flipped candidates).
+        self.refresh_graph(model, m, &mut timer);
+        self.laps = timer.finish();
         Ok(())
     }
 
     /// One observation's window maintenance — slides the ring, the
     /// slot-indexed index/matrix mirrors, the per-attribute value counts,
-    /// and the model's training database — and leaves the retired row (if
-    /// any) in `self.old_row`. Returns whether an observation retired.
-    /// Pair-tensor maintenance is separate (`update_pairs` /
+    /// and the model's training database — and leaves the retired row in
+    /// `self.old_row`. Returns the ring slot the appended observation
+    /// took over. Pair-tensor maintenance is separate (`update_pairs` /
     /// `update_pairs_batch`).
-    fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) -> bool {
+    fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) -> usize {
+        // The window is full from the state build on (its capacity is the
+        // model's observation count), so every slide retires the oldest
+        // observation from the slot the new one takes.
+        debug_assert!(self.window.is_full());
         let k = self.window.k() as usize;
-        let retiring = self.window.is_full();
-        if retiring {
-            self.window.read_obs(0, &mut self.old_row);
-        }
+        self.window.read_obs(0, &mut self.old_row);
         let slot = self
             .window
             .advance(new_obs)
             .expect("row was validated by the caller");
-        if retiring {
-            self.idx.clear_obs(slot, &self.old_row);
-        }
+        self.idx.clear_obs(slot, &self.old_row);
         self.idx.set_obs(slot, new_obs);
         self.obs.set_row(slot, new_obs);
 
         // Per-attribute value counts (baseline/majority numerators).
-        if retiring {
-            for (a, &v) in self.old_row.iter().enumerate() {
-                self.value_counts[a * k + (v as usize - 1)] -= 1;
-            }
+        for (a, &v) in self.old_row.iter().enumerate() {
+            self.value_counts[a * k + (v as usize - 1)] -= 1;
         }
         for (a, &v) in new_obs.iter().enumerate() {
             self.value_counts[a * k + (v as usize - 1)] += 1;
         }
 
         // The training database, slid in place (chronological order).
-        if retiring {
-            model.db.retire_oldest_obs();
-        }
+        model.db.retire_oldest_obs();
         model
             .db
             .append_obs(new_obs)
             .expect("row was validated by the caller");
-        retiring
+        slot
+    }
+
+    /// The code-matrix row past the ring's slots that holds the retired
+    /// observation while the fallback recounts the rows it left.
+    fn spare_row(&self) -> usize {
+        self.window.capacity()
     }
 
     /// Updates `pair_counts` and `s2` for one slide on the **row-recount
     /// fallback** path (no tensor; see module docs), accumulating into
-    /// the batch's `s2_dirty` bits. Reads the retired row from
-    /// `self.old_row` and the post-slide index state.
-    fn update_pairs(&mut self, retiring: bool, new_obs: &[Value]) {
+    /// the batch's `s2_dirty` bits. `slot` is the appended observation's
+    /// ring slot; the retired row is in `self.old_row`.
+    fn update_pairs(&mut self, new_obs: &[Value], slot: usize) {
         let n = self.window.num_attrs();
         let k = self.window.k() as usize;
         let hyper = !self.s2.is_empty();
+        if hyper {
+            let spare = self.spare_row();
+            self.obs.set_row(spare, &self.old_row);
+        }
         let mut p = 0usize;
         for i in 0..n {
             for j in (i + 1)..n {
                 let base = p * k * k;
+                let r_old = (self.old_row[i] as usize - 1) * k + (self.old_row[j] as usize - 1);
                 let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
-                if retiring {
-                    let r_old =
-                        (self.old_row[i] as usize - 1) * k + (self.old_row[j] as usize - 1);
-                    self.pair_counts[base + r_old] -= 1;
-                    self.pair_counts[base + r_new] += 1;
-                    if hyper {
-                        if r_old == r_new {
-                            self.fold_combined_row(p, i, j, new_obs);
-                        } else {
-                            self.fold_retired_row(p, i, j);
-                            self.fold_appended_row(p, i, j, new_obs);
-                        }
-                    }
-                } else {
-                    self.pair_counts[base + r_new] += 1;
-                    if hyper {
-                        self.fold_appended_row(p, i, j, new_obs);
-                    }
+                self.pair_counts[base + r_old] -= 1;
+                self.pair_counts[base + r_new] += 1;
+                if hyper {
+                    self.recount_pair(p, i, j, new_obs, slot);
                 }
                 p += 1;
+            }
+        }
+    }
+
+    /// Applies one slide's exact `S₂` change to the pair `p = {i, j}`:
+    /// `ΔS₂[p][h] = Σ best(post-slide rows) − Σ best(pre-slide rows)`
+    /// over the (one or two) pair rows the slide touched, `best` being
+    /// head `h`'s largest value count in a row. Post-slide rows come off
+    /// the index. The appended row's pre-slide list is its post-slide
+    /// list without `slot`; the retired row's adds the retired
+    /// observation back as the spare code row, because the slide
+    /// overwrote its slot. When both observations share a row, the spare
+    /// row takes `slot`'s place in that one list.
+    fn recount_pair(&mut self, p: usize, i: usize, j: usize, new_obs: &[Value], slot: usize) {
+        let n = self.window.num_attrs();
+        let wpb = n.div_ceil(64);
+        let spare = self.spare_row() as u32;
+        let (a, b) = (AttrId::new(i as u32), AttrId::new(j as u32));
+        let Self {
+            idx,
+            obs,
+            row_bits,
+            row_ids,
+            post,
+            pre,
+            old_row,
+            s2,
+            s2_dirty,
+            simd,
+            ..
+        } = self;
+        let mut list_row = |va: Value, vb: Value, ids: &mut Vec<u32>| {
+            row_bits.resize(idx.words(), 0);
+            idx.intersect_into(a, va, b, vb, row_bits);
+            ids.clear();
+            for_each_bit(row_bits, |o| ids.push(o as u32));
+        };
+        post.begin_rows([i, j], *simd);
+        pre.begin_rows([i, j], *simd);
+        list_row(new_obs[i], new_obs[j], row_ids);
+        post.add_row(obs, row_ids);
+        let at = row_ids
+            .binary_search(&(slot as u32))
+            .expect("the appended observation is in its own row");
+        let same_row = old_row[i] == new_obs[i] && old_row[j] == new_obs[j];
+        if same_row {
+            row_ids[at] = spare;
+        } else {
+            row_ids.remove(at);
+        }
+        pre.add_row(obs, row_ids);
+        if !same_row {
+            list_row(old_row[i], old_row[j], row_ids);
+            post.add_row(obs, row_ids);
+            row_ids.push(spare);
+            pre.add_row(obs, row_ids);
+        }
+        let s2_row = &mut s2[p * n..(p + 1) * n];
+        let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
+        let heads = s2_row
+            .iter_mut()
+            .zip(post.finish_rows())
+            .zip(pre.finish_rows())
+            .enumerate();
+        for (h, ((s, &after), &before)) in heads {
+            if after != before {
+                *s = (*s as i64 + after as i64 - before as i64) as u32;
+                dirty_row[h / 64] |= 1u64 << (h % 64);
             }
         }
     }
@@ -543,7 +693,7 @@ impl IncrementalState {
     /// multi-megabyte structure a slide walks). Cell updates are exact
     /// integer increments/decrements, so reordering across pairs cannot
     /// change any count.
-    fn update_pairs_batch(&mut self, steps: &[(Option<Vec<Value>>, &[Value])]) {
+    fn update_pairs_batch(&mut self, steps: &[(Vec<Value>, &[Value])]) {
         let n = self.window.num_attrs();
         let k = self.window.k() as usize;
         let mut p = 0usize;
@@ -551,36 +701,14 @@ impl IncrementalState {
             for j in (i + 1)..n {
                 let base = p * k * k;
                 for (old, new_obs) in steps {
+                    let r_old = (old[i] as usize - 1) * k + (old[j] as usize - 1);
                     let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
-                    match old {
-                        Some(old) => {
-                            let r_old =
-                                (old[i] as usize - 1) * k + (old[j] as usize - 1);
-                            self.pair_counts[base + r_old] -= 1;
-                            self.pair_counts[base + r_new] += 1;
-                            self.fold_tensor(p, i, j, r_old, r_new, old, new_obs);
-                        }
-                        None => {
-                            self.pair_counts[base + r_new] += 1;
-                            self.fold_tensor_append(p, i, j, r_new, new_obs);
-                        }
-                    }
+                    self.pair_counts[base + r_old] -= 1;
+                    self.pair_counts[base + r_new] += 1;
+                    self.fold_tensor(p, i, j, r_old, r_new, old, new_obs);
                 }
                 p += 1;
             }
-        }
-    }
-
-    /// Adds one count to `cells[c]`, returning the exact change of the
-    /// row max (0 or +1) and keeping `*row_max` current. Never scans.
-    #[inline]
-    fn cell_inc(cells: &mut [u16], row_max: &mut u16, c: usize) -> i64 {
-        cells[c] += 1;
-        if cells[c] > *row_max {
-            *row_max = cells[c];
-            1
-        } else {
-            0
         }
     }
 
@@ -726,146 +854,6 @@ impl IncrementalState {
         }
     }
 
-    /// Tensor-path update for one pair on a growing (not yet full)
-    /// window: the appended observation joins row `r_new`.
-    fn fold_tensor_append(&mut self, p: usize, i: usize, j: usize, r_new: usize, new_obs: &[Value]) {
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
-        let row_base = (p * k * k + r_new) * n * k;
-        for (h, &v_new) in new_obs.iter().enumerate() {
-            let cell_new = v_new as usize - 1;
-            if h == i || h == j {
-                self.triple[row_base + h * k + cell_new] += 1;
-                continue;
-            }
-            let cells = &mut self.triple[row_base + h * k..row_base + (h + 1) * k];
-            let max = &mut self.row_max[(p * k * k + r_new) * n + h];
-            let delta = Self::cell_inc(cells, max, cell_new);
-            self.apply_delta(p, h, delta);
-        }
-    }
-
-    /// Counts the head values of the pair row `(v_i, v_j)` of `{i, j}`
-    /// into `row_counts` (post-slide window state). All heads at once:
-    /// one bitset intersection, then one code-matrix row read per
-    /// observation in the row.
-    fn sweep_row(&mut self, i: usize, j: usize, vi: Value, vj: Value) {
-        let words = self.idx.words();
-        self.row_bits.resize(words, 0);
-        self.idx.intersect_into(
-            AttrId::new(i as u32),
-            vi,
-            AttrId::new(j as u32),
-            vj,
-            &mut self.row_bits,
-        );
-        let k = self.window.k() as usize;
-        let (obs, row_counts) = (&self.obs, &mut self.row_counts);
-        for_each_bit(&self.row_bits, |o| {
-            for (h, &v) in obs.row(o).iter().enumerate() {
-                row_counts[h * k + (v as usize - 1)] += 1;
-            }
-        });
-    }
-
-    /// Applies `delta` (from one affected row) to `S₂[p·n + h]`, marking
-    /// the entry dirty for the graph refresh.
-    #[inline]
-    fn apply_delta(&mut self, p: usize, h: usize, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        let n = self.window.num_attrs();
-        self.s2[p * n + h] = (self.s2[p * n + h] as i64 + delta) as u32;
-        let wpb = n.div_ceil(64);
-        self.s2_dirty[p * wpb + h / 64] |= 1u64 << (h % 64);
-    }
-
-    /// Folds the **retired** observation's pair row: before this slide
-    /// the row also contained the retired observation, so each head's
-    /// counts had one more at the retired head value. Zeroes the scratch
-    /// as it scans.
-    fn fold_retired_row(&mut self, p: usize, i: usize, j: usize) {
-        self.sweep_row(i, j, self.old_row[i], self.old_row[j]);
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
-        for h in 0..n {
-            let base = h * k;
-            let cell = self.old_row[h] as usize - 1;
-            let c_cell = self.row_counts[base + cell];
-            let mut max_f = 0u32;
-            for c in &mut self.row_counts[base..base + k] {
-                max_f = max_f.max(*c);
-                *c = 0;
-            }
-            if h == i || h == j {
-                continue;
-            }
-            let max_before = max_f.max(c_cell + 1);
-            self.apply_delta(p, h, max_f as i64 - max_before as i64);
-        }
-    }
-
-    /// Folds the **appended** observation's pair row: the post-slide
-    /// counts include the new observation, so each head's pre-slide
-    /// counts had one fewer at the new head value. Zeroes the scratch as
-    /// it scans.
-    fn fold_appended_row(&mut self, p: usize, i: usize, j: usize, new_obs: &[Value]) {
-        self.sweep_row(i, j, new_obs[i], new_obs[j]);
-        let k = self.window.k() as usize;
-        for (h, &v_new) in new_obs.iter().enumerate() {
-            let base = h * k;
-            let cell = v_new as usize - 1;
-            let c_cell = self.row_counts[base + cell];
-            let mut max_excl = 0u32;
-            for (v, c) in self.row_counts[base..base + k].iter_mut().enumerate() {
-                if v != cell {
-                    max_excl = max_excl.max(*c);
-                }
-                *c = 0;
-            }
-            if h == i || h == j {
-                continue;
-            }
-            // The new observation is in this row, so c_cell ≥ 1.
-            let max_f = max_excl.max(c_cell);
-            let max_before = max_excl.max(c_cell - 1);
-            self.apply_delta(p, h, max_f as i64 - max_before as i64);
-        }
-    }
-
-    /// Folds a pair row that both the retired and the appended
-    /// observation occupy (`r_old == r_new`): per head, the pre-slide
-    /// counts had one more at the retired head value and one fewer at
-    /// the appended one. Zeroes the scratch as it scans.
-    fn fold_combined_row(&mut self, p: usize, i: usize, j: usize, new_obs: &[Value]) {
-        self.sweep_row(i, j, new_obs[i], new_obs[j]);
-        let k = self.window.k() as usize;
-        for (h, &v_new) in new_obs.iter().enumerate() {
-            let base = h * k;
-            let cell_old = self.old_row[h] as usize - 1;
-            let cell_new = v_new as usize - 1;
-            let c_old = self.row_counts[base + cell_old];
-            let c_new = self.row_counts[base + cell_new];
-            let mut max_excl = 0u32;
-            for (v, c) in self.row_counts[base..base + k].iter_mut().enumerate() {
-                if v != cell_old && v != cell_new {
-                    max_excl = max_excl.max(*c);
-                }
-                *c = 0;
-            }
-            if h == i || h == j || cell_old == cell_new {
-                // Tail head, or the head value did not change — the row's
-                // counts for this head are unchanged.
-                continue;
-            }
-            let max_f = max_excl.max(c_old).max(c_new);
-            // The new observation is in this row, so c_new ≥ 1.
-            let max_before = max_excl.max(c_old + 1).max(c_new - 1);
-            self.apply_delta(p, h, max_f as i64 - max_before as i64);
-        }
-    }
-
     /// Recomputes baselines, majority values, and the raw pass-1 ACV
     /// matrix into `model` from the maintained integer counts — the same
     /// integers the batch counting paths produce, so the divisions yield
@@ -954,7 +942,12 @@ impl IncrementalState {
     ///
     /// [`DirectedHypergraph::splice_edges`]:
     /// hypermine_hypergraph::DirectedHypergraph::splice_edges
-    fn refresh_graph(&mut self, model: &mut AssociationModel, m: usize, m_stable: bool) {
+    fn refresh_graph(
+        &mut self,
+        model: &mut AssociationModel,
+        m: usize,
+        timer: &mut PhaseTimer<AdvancePhase, 5>,
+    ) {
         let n = self.window.num_attrs();
         let hyper = !self.s2.is_empty();
         let npairs = n * (n - 1) / 2;
@@ -963,7 +956,9 @@ impl IncrementalState {
         if self.kept.len() != words {
             // First slide, or a model whose graph was filtered/replaced:
             // no trusted previous mask — rebuild from edge 0.
-            return self.rebuild_graph_full(model, m, words);
+            self.rebuild_graph_full(model, m, words);
+            timer.lap(AdvancePhase::Splice);
+            return;
         }
         self.kept_scratch.clear();
         self.kept_scratch.resize(words, 0);
@@ -1044,11 +1039,7 @@ impl IncrementalState {
         for t in 0..n {
             for w in 0..wpb {
                 let valid = head_word_mask(n, w, [t, usize::MAX]);
-                let dirt = if m_stable {
-                    (self.raw_dirty[t * wpb + w] | self.baseline_dirty[w]) & valid
-                } else {
-                    valid
-                };
+                let dirt = (self.raw_dirty[t * wpb + w] | self.baseline_dirty[w]) & valid;
                 walk_word!(
                     t * wpb + w,
                     dirt,
@@ -1056,8 +1047,7 @@ impl IncrementalState {
                     |h: usize| {
                         let acv = raw[t * n + h];
                         (
-                            !m_stable
-                                || (self.raw_dirty[t * wpb + h / 64] >> (h % 64)) & 1 == 1,
+                            (self.raw_dirty[t * wpb + h / 64] >> (h % 64)) & 1 == 1,
                             acv > 0.0 && acv >= gamma_edge * baseline[h],
                             acv,
                         )
@@ -1073,14 +1063,10 @@ impl IncrementalState {
                 for j in (i + 1)..n {
                     for w in 0..wpb {
                         let valid = head_word_mask(n, w, [i, j]);
-                        let dirt = if m_stable {
-                            (self.s2_dirty[p * wpb + w]
-                                | self.raw_dirty[i * wpb + w]
-                                | self.raw_dirty[j * wpb + w])
-                                & valid
-                        } else {
-                            valid
-                        };
+                        let dirt = (self.s2_dirty[p * wpb + w]
+                            | self.raw_dirty[i * wpb + w]
+                            | self.raw_dirty[j * wpb + w])
+                            & valid;
                         walk_word!(
                             (n + p) * wpb + w,
                             dirt,
@@ -1089,9 +1075,7 @@ impl IncrementalState {
                                 let acv = self.s2[p * n + h] as f64 / m as f64;
                                 let floor = raw[i * n + h].max(raw[j * n + h]);
                                 (
-                                    !m_stable
-                                        || (self.s2_dirty[p * wpb + h / 64] >> (h % 64)) & 1
-                                            == 1,
+                                    (self.s2_dirty[p * wpb + h / 64] >> (h % 64)) & 1 == 1,
                                     acv > 0.0 && acv >= gamma_hyper * floor,
                                     acv,
                                 )
@@ -1107,11 +1091,13 @@ impl IncrementalState {
                 }
             }
         }
+        std::mem::swap(&mut self.kept, &mut self.kept_scratch);
+        timer.lap(AdvancePhase::Retest);
         if !removes.is_empty() || !inserts.is_empty() {
             graph.splice_edges(&removes, &inserts);
         }
         debug_assert_eq!(eid_new, graph.num_edges());
-        std::mem::swap(&mut self.kept, &mut self.kept_scratch);
+        timer.lap(AdvancePhase::Splice);
     }
 
     /// Rebuilds the graph from scratch in kept order (first slide, or a

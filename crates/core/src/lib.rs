@@ -56,7 +56,7 @@ pub use classifier::{
 pub use config::{CountStrategy, GammaPreset, ModelConfig, WIDE_PRESET_ATTRS};
 pub use counting::{CountingEngine, HeadCounter, KernelPath, PairRows};
 pub use euclid::euclidean_similarity;
-pub use incremental::{AdvanceError, IncrementalStats};
+pub use incremental::{AdvanceError, AdvanceLaps, AdvancePhase, IncrementalStats};
 pub use leading::{
     dominating_adaptation, is_dominator, set_cover_adaptation, DominatorResult, SetCoverOptions,
     StopRule,

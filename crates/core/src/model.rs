@@ -367,6 +367,15 @@ impl AssociationModel {
         self.incremental.as_ref().map(|s| s.stats())
     }
 
+    /// How long each stage of the last successful
+    /// [`AssociationModel::advance`] / [`AssociationModel::advance_batch`]
+    /// call took ([`crate::AdvancePhase`]): `None` until the first
+    /// advance built the incremental state. Timing is machine-dependent,
+    /// so it takes no part in any model comparison or digest.
+    pub fn advance_phases(&self) -> Option<crate::incremental::AdvanceLaps> {
+        self.incremental.as_ref().map(|s| s.laps())
+    }
+
     /// The configuration the model was built under.
     pub fn config(&self) -> &ModelConfig {
         &self.cfg

@@ -57,6 +57,16 @@ impl<P: Phase, const N: usize> PhaseLaps<P, N> {
     }
 }
 
+impl<P, const N: usize> std::ops::AddAssign for PhaseLaps<P, N> {
+    /// Adds another operation's laps phase by phase — the split of a
+    /// run of timed operations.
+    fn add_assign(&mut self, other: Self) {
+        for (mine, theirs) in self.nanos.iter_mut().zip(other.nanos) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// A running phase timer: each [`PhaseTimer::lap`] charges the time since
 /// the previous lap to one phase.
 #[derive(Debug)]
@@ -137,6 +147,10 @@ mod tests {
         assert!(laps.total_nanos() <= wall);
         let names: Vec<&str> = laps.iter().map(|(p, _)| p.name()).collect();
         assert_eq!(names, ["load", "work"]);
+        let mut run = laps;
+        run += laps;
+        assert_eq!(run.nanos(Step::Work), 2 * laps.nanos(Step::Work));
+        assert_eq!(run.total_nanos(), 2 * laps.total_nanos());
     }
 
     #[test]

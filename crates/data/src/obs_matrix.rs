@@ -41,8 +41,16 @@ pub struct ObsMatrix {
 impl ObsMatrix {
     /// Transposes the database in one pass over its columns.
     pub fn build(db: &Database) -> Self {
+        Self::build_with_capacity(db, db.num_obs())
+    }
+
+    /// [`ObsMatrix::build`] into a matrix of `num_obs ≥ db.num_obs()`
+    /// rows; the rows past the database hold the invalid value 0 until
+    /// [`ObsMatrix::set_row`] fills them — scratch rows a sliding window
+    /// can count alongside its live observations.
+    pub fn build_with_capacity(db: &Database, num_obs: usize) -> Self {
+        assert!(num_obs >= db.num_obs(), "capacity below the database size");
         let num_attrs = db.num_attrs();
-        let num_obs = db.num_obs();
         let mut codes = vec![0 as Value; num_attrs * num_obs];
         for a in db.attrs() {
             let col = db.column(a);
@@ -431,6 +439,18 @@ mod tests {
         let m = ObsMatrix::build(&db);
         assert_eq!(m.num_obs(), 0);
         assert_eq!(m.num_attrs(), 1);
+    }
+
+    #[test]
+    fn spare_rows_follow_the_transpose() {
+        let db = Database::from_rows(vec!["x".into(), "y".into()], 3, &[[1, 2], [3, 1]]).unwrap();
+        let mut m = ObsMatrix::build_with_capacity(&db, 3);
+        assert_eq!(m.num_obs(), 3);
+        assert_eq!(m.row(0), &[1, 2]);
+        assert_eq!(m.row(1), &[3, 1]);
+        assert_eq!(m.row(2), &[0, 0], "spare rows hold the invalid 0");
+        m.set_row(2, &[2, 2]);
+        assert_eq!(&m.codes()[4..], &[2, 2]);
     }
 
     #[test]

@@ -23,12 +23,16 @@
 //!
 //! [`recover`] loads the newest checkpoint, rebuilds the model via
 //! [`AssociationModel::restore`], and replays the paired segment tail.
-//! A **truncated final record** — the torn write of a crash mid-append —
-//! is tolerated and discarded; recovery then reflects the last fully
-//! durable record. Any other malformed byte (a checksum mismatch, a
-//! corrupt header, garbage mid-log) is a hard [`RecoverError`]: silently
-//! skipping it would serve a model that disagrees with what was
-//! acknowledged before the crash.
+//! Each run of consecutive `Advance` / `AdvanceBatch` records replays
+//! as one `advance_batch` call (a `Retire` ends the run): the engine
+//! proves a batch bit-identical to its single advances, and a batch
+//! pays the γ re-test and the graph splice once instead of once per
+//! record. A **truncated final record** — the torn write of a crash
+//! mid-append — is tolerated and discarded; recovery then reflects the
+//! last fully durable record. Any other malformed byte (a checksum
+//! mismatch, a corrupt header, garbage mid-log) is a hard
+//! [`RecoverError`]: silently skipping it would serve a model that
+//! disagrees with what was acknowledged before the crash.
 //!
 //! Durability granularity: each append is `write_all`'d to the segment
 //! file immediately (no userspace buffering), so state survives *process*
@@ -308,8 +312,9 @@ impl Drop for WalStore {
 }
 
 /// Rebuilds the model a crashed writer would have held: newest
-/// checkpoint, then the paired WAL segment's records in order. See the
-/// module docs for the exact tolerance/corruption contract.
+/// checkpoint, then the paired WAL segment's records in order, each run
+/// of consecutive advances as one batch. See the module docs for the
+/// exact tolerance/corruption contract.
 pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverError> {
     let seq = max_checkpoint_seq(dir)?.ok_or_else(|| RecoverError::NoCheckpoint(dir.to_path_buf()))?;
     let ckpt_path = checkpoint_path(dir, seq);
@@ -333,10 +338,23 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
                 format!("segment header seq {} does not match filename seq {seq}", tail.seq),
             ));
         }
+        // Observations of consecutive advance records, replayed as one
+        // batch when a `Retire` or the end of the log closes the run.
+        let mut run: Vec<Vec<Value>> = Vec::new();
         while let Some(record) = tail.next_record()? {
-            apply(&mut model, &record)?;
+            match record {
+                WalRecord::Advance(row) => run.push(row),
+                WalRecord::AdvanceBatch(rows) => run.extend(rows),
+                WalRecord::Retire => {
+                    replay_run(&mut model, &mut run)?;
+                    model
+                        .retire_oldest()
+                        .map_err(|e| RecoverError::Replay(e.to_string()))?;
+                }
+            }
             replayed += 1;
         }
+        replay_run(&mut model, &mut run)?;
         torn_tail = tail.torn_tail;
     }
 
@@ -353,15 +371,11 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
     ))
 }
 
-fn apply(model: &mut AssociationModel, record: &WalRecord) -> Result<(), RecoverError> {
-    let outcome = match record {
-        WalRecord::Advance(row) => model.advance(row),
-        WalRecord::AdvanceBatch(rows) => model.advance_batch(rows),
-        WalRecord::Retire => model.retire_oldest(),
-    };
-    outcome
-        .map(|_| ())
-        .map_err(|e| RecoverError::Replay(e.to_string()))
+/// Applies a run of replayed observations as one batch and empties it.
+fn replay_run(model: &mut AssociationModel, run: &mut Vec<Vec<Value>>) -> Result<(), RecoverError> {
+    let outcome = model.advance_batch(run);
+    run.clear();
+    outcome.map_err(|e| RecoverError::Replay(e.to_string()))
 }
 
 /// Sequential record reader over one segment's bytes, with the torn-tail
@@ -853,17 +867,48 @@ mod tests {
             .unwrap();
         model.retire_oldest().unwrap();
         store.append(&WalRecord::Retire).unwrap();
+        // A second run after the retire: singles, then a batch.
+        for o in 112..116 {
+            model.advance(&row_at(&d, o)).unwrap();
+            store.append(&WalRecord::Advance(row_at(&d, o))).unwrap();
+        }
+        model
+            .advance_batch(&[row_at(&d, 116), row_at(&d, 117)])
+            .unwrap();
+        store
+            .append(&WalRecord::AdvanceBatch(vec![row_at(&d, 116), row_at(&d, 117)]))
+            .unwrap();
         drop(store);
 
         let (recovered, info) = recover(&dir).expect("recover");
         assert_eq!(info.seq, 0);
         assert_eq!(info.checkpoint_epoch, 0);
-        assert_eq!(info.replayed, 12);
+        assert_eq!(info.replayed, 17, "one per record, not per batch");
         assert!(!info.torn_tail);
         assert_eq!(recovered.epoch(), model.epoch());
+        assert_eq!(info.epoch, model.epoch());
+        let (live, back) = (model.hypergraph(), recovered.hypergraph());
+        assert_eq!(back.num_edges(), live.num_edges());
+        for (id, e) in live.edges() {
+            let r = back.edge(id);
+            assert_eq!((r.tail(), r.head()), (e.tail(), e.head()), "edge {id}");
+            assert_eq!(r.weight().to_bits(), e.weight().to_bits(), "ACV of {id}");
+        }
         let a = crate::ModelSnapshot::build(&recovered, &crate::SnapshotSpec::default());
         let b = crate::ModelSnapshot::build(&model, &crate::SnapshotSpec::default());
         assert_eq!(a.digest(), b.digest());
+        let _ = fs::remove_dir_all(&dir);
+
+        // A wrong-arity row in the middle of a run fails the whole run.
+        let (_, fresh) = fixture(100);
+        let dir = tmp_dir("replay-bad-run");
+        let mut store = WalStore::create(&dir, 0, &fresh).unwrap();
+        store.append(&WalRecord::Advance(row_at(&d, 100))).unwrap();
+        store.append(&WalRecord::Advance(vec![1, 2])).unwrap();
+        store.append(&WalRecord::Advance(row_at(&d, 101))).unwrap();
+        drop(store);
+        let err = recover(&dir).unwrap_err();
+        assert!(matches!(err, RecoverError::Replay(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@ use hypermine::core::{
     AssociationModel, CountStrategy, CountingEngine, HeadCounter, KernelPath, ModelConfig,
     SimdPolicy,
 };
-use hypermine::data::{AttrId, Database, PairBuckets};
+use hypermine::data::{AttrId, Database, PairBuckets, Value};
 use proptest::prelude::*;
 
 /// Random database over `k ∈ {2, 3, 5, 8}` — the paper's C1/C2 settings
@@ -637,4 +637,222 @@ fn pass_1_edge_ids_are_deterministic_across_thread_counts() {
             );
         }
     }
+}
+
+/// A deterministic observation stream over `n` attributes with values in
+/// `1..=k`: pseudo-random columns, every third one a noisy copy of its
+/// left neighbour, so the γ tests keep some edges and hyperedges. Three
+/// in four values fall in the domain's first three, so pair rows stay
+/// populated at large `k` (a 40-observation window spread evenly over
+/// all 81 rows of k = 9 would score nearly every hyperedge ACV 1).
+fn fallback_stream(n: usize, k: u8, len: usize, seed: u64) -> Vec<Vec<Value>> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    (0..len)
+        .map(|_| {
+            let mut row: Vec<Value> = Vec::with_capacity(n);
+            for a in 0..n {
+                let v = if a % 3 == 1 && next() % 4 != 0 {
+                    row[a - 1]
+                } else if next() % 4 == 0 {
+                    (next() % k as usize + 1) as Value
+                } else {
+                    (next() % 3.min(k as usize) + 1) as Value
+                };
+                row.push(v);
+            }
+            row
+        })
+        .collect()
+}
+
+/// Strict gammas for the n = 70 streams: they keep ~22k of the ~170k
+/// candidates, where the defaults keep ~135k, whose maintenance would
+/// dominate these debug-build slides.
+fn strict_gammas() -> ModelConfig {
+    ModelConfig {
+        gamma_edge: 1.5,
+        gamma_hyper: 1.5,
+        ..ModelConfig::default()
+    }
+}
+
+/// One step of a fallback stream: slide by one, slide by a batch, or
+/// contract the window.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Advance,
+    Batch(usize),
+    Retire,
+}
+
+/// Streams `rows[window..]` into models built over `rows[..window]` on
+/// the row-recount fallback (`triple_tensor_max_bytes: Some(0)`) under
+/// both SIMD policies, and — where its tensor stays under 64 MB — into a
+/// tensor-path twin (`Some(usize::MAX)`), all mining under `base`'s
+/// gammas. After every step each model must equal a fresh build of the
+/// slid window, and the fallback models must equal the tensor twin.
+fn check_fallback_stream(
+    rows: &[Vec<Value>],
+    k: u8,
+    window: usize,
+    base: &ModelConfig,
+    what: &str,
+) {
+    let n = rows[0].len();
+    let cols: Vec<Vec<Value>> = (0..n)
+        .map(|a| rows.iter().map(|r| r[a]).collect())
+        .collect();
+    let full = Database::from_columns((0..n).map(|i| format!("A{i}")).collect(), k, cols)
+        .expect("generated values are in range");
+    let base = ModelConfig {
+        threads: 1,
+        ..base.clone()
+    };
+    let cfg = |budget, simd| ModelConfig {
+        triple_tensor_max_bytes: Some(budget),
+        simd,
+        ..base.clone()
+    };
+    let ku = k as usize;
+    let tensor_bytes = n * (n - 1) / 2 * ku * ku * n * ku * 2;
+    let initial = full.slice_obs(0..window);
+    let mut fallback: Vec<(SimdPolicy, AssociationModel)> =
+        [SimdPolicy::Auto, SimdPolicy::ForceScalar]
+            .into_iter()
+            .map(|simd| {
+                (
+                    simd,
+                    AssociationModel::build(&initial, &cfg(0, simd)).unwrap(),
+                )
+            })
+            .collect();
+    let mut tensor = (tensor_bytes <= 64 << 20)
+        .then(|| AssociationModel::build(&initial, &cfg(usize::MAX, SimdPolicy::Auto)).unwrap());
+    let steps = [Step::Advance, Step::Batch(2), Step::Retire, Step::Batch(2)];
+    let mut next = window;
+    for (s, &step) in steps.iter().enumerate() {
+        let apply = |m: &mut AssociationModel| match step {
+            Step::Advance => m.advance(&rows[next]).unwrap(),
+            Step::Batch(d) => m.advance_batch(&rows[next..next + d]).unwrap(),
+            Step::Retire => m.retire_oldest().unwrap(),
+        };
+        for (_, m) in fallback.iter_mut() {
+            apply(m);
+        }
+        if let Some(t) = tensor.as_mut() {
+            apply(t);
+        }
+        next += match step {
+            Step::Advance => 1,
+            Step::Batch(d) => d,
+            Step::Retire => 0,
+        };
+        let fresh = AssociationModel::build(fallback[0].1.database(), &base).unwrap();
+        for (simd, m) in &fallback {
+            let at = format!("{what} step {s} {step:?} fallback {simd:?}");
+            assert_eq!(m.database(), fresh.database(), "{at}: window");
+            assert_identical(m, &fresh, &format!("{at} vs fresh build"));
+            if let Some(t) = &tensor {
+                assert_identical(m, t, &format!("{at} vs tensor path"));
+            }
+            if let Some(stats) = m.incremental_stats() {
+                assert!(!stats.uses_triple_tensor, "{at}: forced fallback");
+            }
+        }
+        if let Some(stats) = tensor
+            .as_ref()
+            .and_then(AssociationModel::incremental_stats)
+        {
+            assert!(stats.uses_triple_tensor, "{what} step {s}: tensor twin");
+        }
+    }
+    assert!(
+        fallback[0].1.hypergraph().num_edges() > 0,
+        "{what}: the stream keeps some edges"
+    );
+}
+
+/// Row-recount fallback bit-identity at the vertical kernel's
+/// boundaries, around one AVX2 block of 32 heads (n = 31 declines, 33
+/// ends on an overlapped tail block) and across k ∈ {2, 5, 8, 9}, the
+/// kernel's value range and one past it (k = 9 declines to the scalar
+/// histogram).
+#[test]
+fn fallback_recounts_are_bit_identical_around_one_block() {
+    for n in [31usize, 32, 33] {
+        for k in [2u8, 5, 8, 9] {
+            let rows = fallback_stream(n, k, 48, (n as u64) << 8 | k as u64);
+            let base = ModelConfig::default();
+            check_fallback_stream(&rows, k, 40, &base, &format!("n={n} k={k}"));
+        }
+    }
+}
+
+/// The same matrix at n = 70: two full blocks and an overlapped tail,
+/// with the tensor twin.
+#[test]
+fn fallback_recounts_are_bit_identical_past_two_blocks() {
+    for k in [2u8, 5] {
+        let rows = fallback_stream(70, k, 48, 70 << 8 | k as u64);
+        check_fallback_stream(&rows, k, 40, &strict_gammas(), &format!("n=70 k={k}"));
+    }
+}
+
+/// n = 70 at the top of the kernel's value range and one past it. The
+/// tensor twin would need 173–246 MB here, so these compare with fresh
+/// builds only.
+#[test]
+fn fallback_recounts_are_bit_identical_past_two_blocks_at_large_k() {
+    for k in [8u8, 9] {
+        let rows = fallback_stream(70, k, 48, 70 << 8 | k as u64);
+        check_fallback_stream(&rows, k, 40, &strict_gammas(), &format!("n=70 k={k}"));
+    }
+}
+
+/// A window whose pair rows hold more than 255 observations, which the
+/// vertical kernel declines row by row.
+#[test]
+fn fallback_recounts_are_bit_identical_on_rows_past_255() {
+    // Attribute triples (a, b, c): a and b are 1 in ~90% of the
+    // observations, c is 1 where they agree (with 2% noise), so most
+    // pairs' (1, 1) row holds ~275 of the m = 340 observations and the
+    // hyperedges ({a, b}, c) are kept.
+    let (n, k, window) = (33usize, 2u8, 340usize);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = move |percent: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % 100 < percent
+    };
+    let rows: Vec<Vec<Value>> = (0..window + 8)
+        .map(|_| {
+            let mut row: Vec<Value> = Vec::with_capacity(n);
+            for a in 0..n {
+                let v = if a % 3 == 2 {
+                    let agree = row[a - 2] == row[a - 1];
+                    if agree != draw(2) { 1 } else { 2 }
+                } else if draw(90) {
+                    1
+                } else {
+                    2
+                };
+                row.push(v);
+            }
+            row
+        })
+        .collect();
+    let big_row = rows[..window]
+        .iter()
+        .filter(|r| r[0] == 1 && r[1] == 1)
+        .count();
+    assert!(big_row > 255, "pair (0, 1) row (1, 1) holds {big_row} observations");
+    let base = ModelConfig::default();
+    check_fallback_stream(&rows, k, window, &base, "n=33 k=2 rows past 255");
 }
