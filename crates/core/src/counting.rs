@@ -136,6 +136,33 @@ use hypermine_data::{
     AttrId, Database, ObsMatrix, PairBuckets, SlotMatrix, Value, ValueIndex, WideSlotMatrix,
 };
 
+/// The ACV with exact numerator `count` over a window of `m`
+/// observations. Every ACV a model stores — edge weights, the raw pair
+/// matrix, baselines — is a count of observations (for an edge, the sum
+/// over its tail rows of each row's largest head-value count) divided
+/// here, batch and incremental paths alike.
+#[inline]
+pub(crate) fn acv_of(count: u64, m: usize) -> f64 {
+    count as f64 / m as f64
+}
+
+/// The exact numerator ("level", in `0..=m`) of an ACV [`acv_of`]
+/// produced over `m` observations: `round(acv · m)`, computed as
+/// `acv · m + 0.5` truncated, since the product lies within rounding
+/// error of the count. Levels order edges exactly as their ACVs do, so
+/// integer keys can rank them. Debug builds assert that the level divides
+/// back to the ACV's bits.
+#[inline]
+pub(crate) fn acv_level(acv: f64, m: usize) -> u32 {
+    let level = (acv * m as f64 + 0.5) as u32;
+    debug_assert_eq!(
+        acv_of(u64::from(level), m).to_bits(),
+        acv.to_bits(),
+        "ACV {acv} is not a count over {m} observations"
+    );
+    level
+}
+
 /// Which dense-row kernel a [`CountingEngine`] engages, in degradation
 /// order: the u16 flat blocked kernel where its caps admit it
 /// (`n·stride ≤ 65536` and `m ≤ 65535`), the u32 flat kernel beyond
@@ -921,7 +948,7 @@ impl HeadCounter {
         if self.num_obs == 0 {
             return 0.0;
         }
-        self.totals[h.index()] as f64 / self.num_obs as f64
+        acv_of(self.totals[h.index()], self.num_obs)
     }
 }
 
@@ -1075,7 +1102,7 @@ impl<'a> CountingEngine<'a> {
     /// an empty database.
     pub fn baseline_acv(&self, h: AttrId) -> f64 {
         match self.db.majority_value(h) {
-            Some((_, count)) => count as f64 / self.db.num_obs() as f64,
+            Some((_, count)) => acv_of(count as u64, self.db.num_obs()),
             None => 0.0,
         }
     }
@@ -1303,7 +1330,7 @@ impl<'a> CountingEngine<'a> {
             let (bits, count) = self.value_row(a, va);
             total += self.best_head(bits, count, h).1 as u64;
         }
-        total as f64 / m as f64
+        acv_of(total, m)
     }
 
     /// Builds the association table of the directed edge `({a}, {h})`.
@@ -1366,7 +1393,7 @@ impl<'a> CountingEngine<'a> {
                 total += self.best_head(bits, count, h).1 as u64;
             }
         }
-        total as f64 / m as f64
+        acv_of(total, m)
     }
 
     /// Builds the association table of the 2-to-1 hyperedge `({a,b}, {h})`

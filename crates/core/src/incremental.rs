@@ -57,7 +57,7 @@
 
 use crate::builder;
 use crate::config::ModelConfig;
-use crate::counting::{for_each_bit, CountingEngine, HeadCounter, KernelPath};
+use crate::counting::{acv_of, for_each_bit, CountingEngine, HeadCounter, KernelPath};
 use crate::model::AssociationModel;
 use crate::parallel::{parallel_blocks, steal_block_size};
 use crate::phase::{Phase, PhaseLaps, PhaseTimer};
@@ -877,7 +877,7 @@ impl IncrementalState {
                     best_v = v;
                 }
             }
-            let acv = best_c as f64 / m as f64;
+            let acv = acv_of(u64::from(best_c), m);
             if acv.to_bits() != model.baseline[h].to_bits() {
                 self.baseline_dirty[h / 64] |= 1u64 << (h % 64);
             }
@@ -907,8 +907,8 @@ impl IncrementalState {
                     s_ij += row_max as u64;
                 }
                 let s_ji: u64 = col_max[..k].iter().map(|&c| c as u64).sum();
-                let acv_ij = s_ij as f64 / m as f64;
-                let acv_ji = s_ji as f64 / m as f64;
+                let acv_ij = acv_of(s_ij, m);
+                let acv_ji = acv_of(s_ji, m);
                 if acv_ij.to_bits() != raw[i * n + j].to_bits() {
                     self.raw_dirty[i * wpb + j / 64] |= 1u64 << (j % 64);
                 }
@@ -1072,7 +1072,7 @@ impl IncrementalState {
                             dirt,
                             w,
                             |h: usize| {
-                                let acv = self.s2[p * n + h] as f64 / m as f64;
+                                let acv = acv_of(u64::from(self.s2[p * n + h]), m);
                                 let floor = raw[i * n + h].max(raw[j * n + h]);
                                 (
                                     (self.s2_dirty[p * wpb + h / 64] >> (h % 64)) & 1 == 1,
@@ -1142,7 +1142,7 @@ impl IncrementalState {
                         if h == i || h == j {
                             continue;
                         }
-                        let acv = self.s2[p * n + h] as f64 / m as f64;
+                        let acv = acv_of(u64::from(self.s2[p * n + h]), m);
                         let floor = raw[i * n + h].max(raw[j * n + h]);
                         if acv > 0.0 && acv >= gamma_hyper * floor {
                             self.kept_scratch[(n + p) * wpb + h / 64] |= 1u64 << (h % 64);

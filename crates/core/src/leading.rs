@@ -28,7 +28,7 @@
 //! [`StopRule::FullCover`] is the literal pseudocode.
 
 use hypermine_hypergraph::fx::FxHashMap;
-use hypermine_hypergraph::{one_step_cover, DirectedHypergraph, NodeId};
+use hypermine_hypergraph::{one_step_cover, DirectedHypergraph, EdgeId, EdgeRef, NodeId};
 
 /// When to stop growing the dominator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -234,23 +234,46 @@ impl Default for SetCoverOptions {
 /// recomputes coverage. Zero-α candidates are discarded permanently
 /// (Line 18).
 ///
-/// Tail sets are numbered once, in first-appearance (edge-id) order,
-/// through a map keyed by the graph's own node slices. Each edge keeps
-/// its tail set's id, and each tail set a CSR list of its subsets that
-/// are themselves tail sets (itself included; tails of up to 16 nodes).
-/// An iteration is then one `O(|E|)` pass counting every tail id's
-/// uncovered `S` heads, and each live candidate's edge term is the sum of
-/// its subsets' counts: nothing is hashed or allocated after set-up.
-/// Cost per iteration is `O(|E| + Σ_{t*} 2^{|t*|})` plus the coverage
-/// recount. On a ~100k-edge ACV-filtered window (80 attributes, k = 5)
-/// the whole adaptation takes ~4 ms single-threaded on a 2-vCPU AVX2
-/// host; hashing boxed tail sets and their subsets in every iteration
-/// took ~18 ms.
+/// This is [`set_cover_adaptation_filtered`] keeping every edge; see there
+/// for the cost model.
 pub fn set_cover_adaptation(
     g: &DirectedHypergraph,
     s: &[NodeId],
     opts: &SetCoverOptions,
 ) -> DominatorResult {
+    set_cover_adaptation_filtered(g, s, opts, |_, _| true)
+}
+
+/// [`set_cover_adaptation`] over the edges `keep` accepts: the same
+/// [`DominatorResult`] as `set_cover_adaptation(&g.filter_edges(keep), s,
+/// opts)`, without building the filtered graph. Section 5.4 runs the
+/// adaptation on the strongest edges by ACV (`keep = w(e) ≥ threshold`).
+///
+/// One pass over the edges interns the kept edges' tail sets — numbered
+/// in first-appearance (edge-id) order, through a map keyed by the
+/// graph's own node slices, once per run of adjacent edges sharing a
+/// tail — and lays the kept `(edge, head)` pairs out as runs of one
+/// tail-set id over a flat head array. Each tail set keeps a CSR list of
+/// its subsets that are themselves tail sets (itself included; tails of
+/// up to 16 nodes). An iteration is then one pass over the head array
+/// counting every tail id's uncovered `S` heads, and each live
+/// candidate's edge term is the sum of its subsets' counts; coverage is
+/// recomputed over the runs whose tail set lies inside the dominator.
+/// Nothing is hashed or allocated after set-up. Cost per iteration is
+/// `O(|E_kept| + Σ_{t*} 2^{|t*|})`, after one `O(|E|)` set-up pass. On an
+/// 80-attribute, 252-day window at k = 5 (~248k edges, the strongest 40%
+/// kept: ~107k edges in ~3.2k tail runs) the filtered adaptation takes
+/// about 4 ms single-threaded on a 2-vCPU AVX2 host, where copying the
+/// kept edges into a new graph and covering that took 8–12 ms.
+pub fn set_cover_adaptation_filtered<F>(
+    g: &DirectedHypergraph,
+    s: &[NodeId],
+    opts: &SetCoverOptions,
+    mut keep: F,
+) -> DominatorResult
+where
+    F: FnMut(EdgeId, EdgeRef<'_>) -> bool,
+{
     let n = g.num_nodes();
     let in_s = make_flags(n, s);
     let s_size = in_s.iter().filter(|&&b| b).count();
@@ -270,19 +293,50 @@ pub fn set_cover_adaptation(
         };
     }
 
-    // Distinct tail sets, in first-appearance order (determinism), and
-    // each edge's tail-set id.
+    // Distinct tail sets of the kept edges, in first-appearance order
+    // (determinism), and the kept edges' heads in edge order, as runs of
+    // one tail-set id: run `r` owns `heads[run_end[r - 1]..run_end[r]]`.
+    // Edges are walked in runs of one tail (a mined graph stores the
+    // edges of one tail together, so runs are long), and a run's tail is
+    // interned once, when the run ends with a kept edge in it. Every
+    // edge's heads are written and kept only by advancing `len`, so the
+    // walk does not branch on `keep`.
     let mut ids: FxHashMap<&[NodeId], u32> = FxHashMap::default();
     let mut tailsets: Vec<&[NodeId]> = Vec::new();
-    let mut edge_tail: Vec<u32> = Vec::with_capacity(g.num_edges());
-    for (_, e) in g.edges() {
-        let t = e.tail();
-        let id = *ids.entry(t).or_insert_with(|| {
-            tailsets.push(t);
-            (tailsets.len() - 1) as u32
-        });
-        edge_tail.push(id);
+    let mut run_tail: Vec<u32> = Vec::new();
+    let mut run_end: Vec<usize> = Vec::new();
+    let mut heads = vec![NodeId::new(0); g.num_edges()];
+    let mut len = 0;
+    let mut tail: &[NodeId] = &[];
+    let mut run_start = 0;
+    for (id, e) in g.edges() {
+        if e.tail() != tail {
+            if len > run_start {
+                run_tail.push(intern(&mut ids, &mut tailsets, tail));
+                run_end.push(len);
+            }
+            tail = e.tail();
+            run_start = len;
+        }
+        let hs = e.head();
+        if heads.len() < len + hs.len() {
+            heads.resize(len + hs.len(), NodeId::new(0));
+        }
+        match hs {
+            [h] => heads[len] = *h,
+            _ => heads[len..len + hs.len()].copy_from_slice(hs),
+        }
+        len += usize::from(keep(id, e)) * hs.len();
     }
+    if len > run_start {
+        run_tail.push(intern(&mut ids, &mut tailsets, tail));
+        run_end.push(len);
+    }
+    heads.truncate(len);
+    let runs = || {
+        let starts = std::iter::once(0).chain(run_end.iter().copied());
+        run_tail.iter().zip(starts.zip(run_end.iter().copied()))
+    };
     // CSR: the ids of each tail set's subsets that are tail sets, so
     // `T(e) ⊆ t*` is a walk over `subsets[sub_offsets[i]..sub_offsets[i + 1]]`.
     let mut sub_offsets = Vec::with_capacity(tailsets.len() + 1);
@@ -306,18 +360,18 @@ pub fn set_cover_adaptation(
         sub_offsets.push(subsets.len());
     }
     let mut alive = vec![true; tailsets.len()];
-    // Uncovered `S` heads of the edges with exactly tail set `i`.
+    // `open[v]`: `v ∈ S ∖ Covered`.
+    let mut open = in_s.clone();
+    // Uncovered `S` heads of the kept edges with exactly tail set `i`.
     let mut heads_by_tail = vec![0usize; tailsets.len()];
+    // Tail sets lying inside the dominator.
+    let mut inside = vec![false; tailsets.len()];
 
     while covered_in_s < s_size {
         iterations += 1;
         heads_by_tail.fill(0);
-        for ((_, e), &t) in g.edges().zip(&edge_tail) {
-            for &h in e.head() {
-                if in_s[h.index()] && !covered[h.index()] {
-                    heads_by_tail[t as usize] += 1;
-                }
-            }
+        for (&t, (lo, hi)) in runs() {
+            heads_by_tail[t as usize] += heads[lo..hi].iter().filter(|h| open[h.index()]).count();
         }
         // (index, alpha, new_members)
         let mut best: Option<(usize, usize, usize)> = None;
@@ -326,10 +380,7 @@ pub fn set_cover_adaptation(
             if !alive[i] {
                 continue;
             }
-            let self_gain = t
-                .iter()
-                .filter(|u| in_s[u.index()] && !covered[u.index()])
-                .count();
+            let self_gain = t.iter().filter(|u| open[u.index()]).count();
             let edge_gain: usize = subsets[sub_offsets[i]..sub_offsets[i + 1]]
                 .iter()
                 .map(|&j| heads_by_tail[j as usize])
@@ -367,16 +418,30 @@ pub fn set_cover_adaptation(
             if !covered[u.index()] {
                 covered[u.index()] = true;
                 if in_s[u.index()] {
+                    open[u.index()] = false;
                     covered_in_s += 1;
                 }
             }
         }
-        covered_in_s += absorb_dominated(g, &in_s, &in_dom, &mut covered);
-        if opts.enhancement2 {
-            for (i, t) in tailsets.iter().enumerate() {
-                if alive[i] && t.iter().all(|u| in_dom[u.index()]) {
-                    alive[i] = false;
+        // Coverage: `S` heads of kept edges whose tail lies inside the
+        // dominator.
+        for (flag, t) in inside.iter_mut().zip(&tailsets) {
+            *flag = t.iter().all(|u| in_dom[u.index()]);
+        }
+        for (&t, (lo, hi)) in runs() {
+            if inside[t as usize] {
+                for &h in &heads[lo..hi] {
+                    if open[h.index()] {
+                        open[h.index()] = false;
+                        covered[h.index()] = true;
+                        covered_in_s += 1;
+                    }
                 }
+            }
+        }
+        if opts.enhancement2 {
+            for (flag, &inside) in alive.iter_mut().zip(&inside) {
+                *flag &= !inside;
             }
         }
     }
@@ -388,6 +453,18 @@ pub fn set_cover_adaptation(
         s_size,
         iterations,
     }
+}
+
+/// The id of tail set `t`, numbering it next if it is new.
+fn intern<'g>(
+    ids: &mut FxHashMap<&'g [NodeId], u32>,
+    tailsets: &mut Vec<&'g [NodeId]>,
+    t: &'g [NodeId],
+) -> u32 {
+    *ids.entry(t).or_insert_with(|| {
+        tailsets.push(t);
+        (tailsets.len() - 1) as u32
+    })
 }
 
 #[cfg(test)]

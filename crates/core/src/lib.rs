@@ -58,8 +58,8 @@ pub use counting::{CountingEngine, HeadCounter, KernelPath, PairRows};
 pub use euclid::euclidean_similarity;
 pub use incremental::{AdvanceError, AdvanceLaps, AdvancePhase, IncrementalStats};
 pub use leading::{
-    dominating_adaptation, is_dominator, set_cover_adaptation, DominatorResult, SetCoverOptions,
-    StopRule,
+    dominating_adaptation, is_dominator, set_cover_adaptation, set_cover_adaptation_filtered,
+    DominatorResult, SetCoverOptions, StopRule,
 };
 pub use mining::{top_rules, MinedRule};
 pub use model::{

@@ -2,7 +2,7 @@
 
 use crate::builder;
 use crate::config::ModelConfig;
-use crate::counting::{CountingEngine, KernelPath, PairRows};
+use crate::counting::{acv_level, CountingEngine, KernelPath, PairRows};
 use crate::simd::SimdLevel;
 use crate::incremental::AdvanceError;
 use crate::table::AssociationTable;
@@ -55,6 +55,22 @@ pub struct ModelExport {
     pub epoch: u64,
     /// The configuration the model was mined under.
     pub config: ModelConfig,
+}
+
+impl ModelExport {
+    /// Every kept edge's ACV level, indexed by edge id: the exact integer
+    /// numerator (in `0..=m`) of its weight over the window's `m`
+    /// observations. Levels order edges exactly as their ACVs do, so a
+    /// consumer can rank or bucket edges by integer keys (the snapshot's
+    /// in-edge rankings count-sort them).
+    pub fn acv_levels(&self) -> Vec<u32> {
+        let m = self.db.num_obs();
+        self.graph
+            .weights()
+            .iter()
+            .map(|&w| acv_level(w, m))
+            .collect()
+    }
 }
 
 /// Errors raised by [`AssociationModel::build`].

@@ -583,6 +583,12 @@ impl DirectedHypergraph {
         }
     }
 
+    /// Every edge's weight, indexed by edge id.
+    #[inline]
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
     /// Forward star: ids of edges whose tail contains `v`.
     #[inline]
     pub fn out_edges(&self, v: NodeId) -> &[EdgeId] {

@@ -28,8 +28,8 @@
 //! [`AssociationClassifier::predict`]: hypermine_core::AssociationClassifier::predict
 
 use hypermine_core::{
-    attr_of, node_of, set_cover_adaptation, top_rules, AssociationModel, MinedRule, ModelConfig,
-    ModelExport, Phase, PhaseLaps, PhaseTimer, SetCoverOptions,
+    attr_of, node_of, set_cover_adaptation_filtered, top_rules, AssociationModel, MinedRule,
+    ModelConfig, ModelExport, Phase, PhaseLaps, PhaseTimer, SetCoverOptions,
 };
 use hypermine_data::{AttrId, Database, Value};
 use hypermine_hypergraph::stats::DegreeStats;
@@ -50,7 +50,7 @@ pub struct SnapshotSpec {
     /// `0` skips rule mining entirely, for streams that only serve
     /// dominators and predictions. Ranking is support-bounded
     /// ([`top_rules`]): on a 40-ticker, 756-day window at k = 3 (~12k
-    /// edges) the default 32 cost ~1 ms of a ~3.5 ms publish, where
+    /// edges) the default 32 cost ~0.8 ms of a ~2.4 ms publish, where
     /// sorting every row cost 80 ms of ~100 ms.
     pub rule_limit: usize,
     /// Support floor for the pre-ranked rules.
@@ -78,8 +78,10 @@ pub enum PublishPhase {
     /// [`AssociationModel::export`]: cloning the graph, the window's
     /// database and the per-attribute metadata.
     Export,
-    /// The ACV threshold and filter, set cover, and the dominator's
-    /// membership flags.
+    /// Deriving every edge's ACV level ([`ModelExport::acv_levels`]).
+    Levels,
+    /// The ACV threshold, set cover over the edges at or above it, and
+    /// the dominator's membership flags.
     Dominator,
     /// The per-head in-edge rankings and best edges.
     Rankings,
@@ -96,6 +98,7 @@ pub enum PublishPhase {
 impl Phase for PublishPhase {
     const ALL: &'static [Self] = &[
         PublishPhase::Export,
+        PublishPhase::Levels,
         PublishPhase::Dominator,
         PublishPhase::Rankings,
         PublishPhase::Tables,
@@ -111,6 +114,7 @@ impl Phase for PublishPhase {
     fn name(self) -> &'static str {
         match self {
             PublishPhase::Export => "export",
+            PublishPhase::Levels => "levels",
             PublishPhase::Dominator => "dominator",
             PublishPhase::Rankings => "rankings",
             PublishPhase::Tables => "tables",
@@ -122,7 +126,7 @@ impl Phase for PublishPhase {
 }
 
 /// Per-stage wall time of one [`ModelSnapshot::build`].
-pub type PublishLaps = PhaseLaps<PublishPhase, 7>;
+pub type PublishLaps = PhaseLaps<PublishPhase, 8>;
 
 /// Reusable per-reader scratch for [`ModelSnapshot::predict_into`]. One
 /// allocation per reader thread, valid for every snapshot sharing the
@@ -201,22 +205,29 @@ pub struct ModelSnapshot {
 impl ModelSnapshot {
     /// Builds a snapshot of `model`'s current state. This is the
     /// publish-time cost the writer pays so that readers pay nothing:
-    /// one [`AssociationModel::export`], one ACV threshold, filter and
-    /// set-cover dominator, one per-head ranking pass, one table
-    /// materialization pass over the hot edge set, one rule ranking, and
-    /// one digest pass. Every stage is a full pass — a slide moves two
-    /// rows of every edge's table, so every ACV changes — kept cheap
-    /// instead: the rankings sort one flat integer key per in-edge, the
-    /// best edges are read off the ranked segments, the threshold is a
-    /// selection rather than a sort, and set cover works on integer tail
-    /// ids ([`set_cover_adaptation`]). On an 80-attribute, 252-day window
-    /// at k = 5 (~248k kept edges, no rules) a publish takes 30–50 ms on a
-    /// 2-vCPU AVX2 host — about 10 ms each for the rankings, the
-    /// dominator and the digest — where comparator sorts and a hash-keyed
-    /// set cover took 70–110 ms. Each stage's time is kept in
-    /// [`ModelSnapshot::publish_phases`].
+    /// one [`AssociationModel::export`], one pass deriving every edge's
+    /// ACV level, one ACV threshold and set-cover dominator, one per-head
+    /// ranking pass, one table materialization pass over the hot edge
+    /// set, one rule ranking, and one digest pass. Every stage is a full
+    /// pass — a slide moves two rows of every edge's table, so every ACV
+    /// changes — kept linear instead: an ACV is an exact count over the
+    /// window's `m` observations, so the rankings counting-sort each
+    /// head's in-edges on integer levels in `0..=m`, the best edges are
+    /// read off the ranked segments, the threshold is a selection rather
+    /// than a sort, and set cover scans the edges at or above it in place
+    /// ([`set_cover_adaptation_filtered`]). On an 80-attribute, 252-day
+    /// window at k = 5 (~248k kept edges, no rules) a publish takes
+    /// 18–21 ms on a 2-vCPU AVX2 host — about 5 ms each for the dominator
+    /// (threshold and set cover) and the digest, 3.5 ms for the rankings
+    /// and best edges — where per-edge 128-bit sort keys, a filtered graph
+    /// copy and a byte-at-a-time digest took 34–43 ms. Each stage's time
+    /// is kept in [`ModelSnapshot::publish_phases`].
     pub fn build(model: &AssociationModel, spec: &SnapshotSpec) -> ModelSnapshot {
         let mut timer = PhaseTimer::start();
+        let export = model.export();
+        timer.lap(PublishPhase::Export);
+        let levels = export.acv_levels();
+        timer.lap(PublishPhase::Levels);
         let ModelExport {
             graph,
             db,
@@ -226,22 +237,20 @@ impl ModelSnapshot {
             raw_edge_acv: _,
             epoch,
             config,
-        } = model.export();
+        } = export;
         let n = db.num_attrs();
-        timer.lap(PublishPhase::Export);
 
-        // Dominator over the (optionally ACV-filtered) graph, exactly as
-        // the streaming example derives its leading indicators.
+        // Dominator over the edges at or above the ACV threshold (every
+        // edge without one), exactly as the streaming example derives its
+        // leading indicators from the filtered graph.
         let nodes: Vec<NodeId> = db.attrs().map(node_of).collect();
-        let dom_result = match spec
+        let threshold = spec
             .acv_keep_fraction
             .and_then(|f| graph.weight_percentile_threshold(f))
-        {
-            Some(thr) => {
-                set_cover_adaptation(&graph.filter_by_weight(thr), &nodes, &spec.set_cover)
-            }
-            None => set_cover_adaptation(&graph, &nodes, &spec.set_cover),
-        };
+            .unwrap_or(f64::NEG_INFINITY);
+        let dom_result = set_cover_adaptation_filtered(&graph, &nodes, &spec.set_cover, |_, e| {
+            e.weight() >= threshold
+        });
         let coverage = dom_result.percent_covered();
         let mut dominator = dom_result.dominator;
         dominator.sort_unstable();
@@ -252,36 +261,59 @@ impl ModelSnapshot {
         let known: Vec<AttrId> = dominator.iter().map(|&v| attr_of(v)).collect();
         timer.lap(PublishPhase::Dominator);
 
-        // Per-head in-edge rankings, CSR, and the best edges read off
-        // them: a head's strongest simple edge (hyperedge) is the first
-        // 1-node (2-node) tail in its ranked segment.
-        let mut best_in = Vec::with_capacity(n);
-        let mut best_in_hyper = Vec::with_capacity(n);
+        // Per-head in-edge rankings, CSR: a stable counting sort of each
+        // head's in-edges (ascending ids) on their levels, strongest
+        // first, so ties keep ascending id order.
         let mut ranked_offsets = Vec::with_capacity(n + 1);
-        let mut ranked_edges = Vec::new();
-        let mut keys: Vec<u128> = Vec::new();
+        let mut ranked_edges = Vec::with_capacity(graph.num_edges());
+        let mut in_levels: Vec<u32> = Vec::new();
+        // `slots[top - level]`: the next ranked position of that level.
+        let mut slots: Vec<usize> = Vec::new();
         ranked_offsets.push(0u32);
         for a in db.attrs() {
-            keys.clear();
-            keys.extend(
-                graph
-                    .in_edges(node_of(a))
-                    .iter()
-                    .map(|&id| rank_key(graph.edge(id).weight(), id)),
-            );
-            keys.sort_unstable();
+            let in_edges = graph.in_edges(node_of(a));
+            in_levels.clear();
+            in_levels.extend(in_edges.iter().map(|id| levels[id.index()]));
+            let top = in_levels.iter().copied().max().unwrap_or(0);
+            let bottom = in_levels.iter().copied().min().unwrap_or(0);
+            slots.clear();
+            slots.resize((top - bottom) as usize + 1, 0);
+            for &level in &in_levels {
+                slots[(top - level) as usize] += 1;
+            }
             let start = ranked_edges.len();
-            ranked_edges.extend(keys.iter().map(|&key| EdgeId::new(key as u32)));
-            let segment = &ranked_edges[start..];
-            let first_with_tail = |len: usize| {
-                segment
-                    .iter()
-                    .copied()
-                    .find(|&id| graph.edge(id).tail_len() == len)
-            };
-            best_in.push(first_with_tail(1));
-            best_in_hyper.push(first_with_tail(2));
+            let mut next = start;
+            for slot in &mut slots {
+                let count = *slot;
+                *slot = next;
+                next += count;
+            }
+            ranked_edges.resize(next, EdgeId::new(0));
+            for (&id, &level) in in_edges.iter().zip(&in_levels) {
+                let slot = &mut slots[(top - level) as usize];
+                ranked_edges[*slot] = id;
+                *slot += 1;
+            }
             ranked_offsets.push(ranked_edges.len() as u32);
+        }
+        // Best edges, the first 1-node (2-node) tail of each head's
+        // ranking: the strongest, ties by ascending id. One sequential
+        // pass over the edges in id order finds them; scanning the ranked
+        // segments would decode edges in random order.
+        let mut best_in: Vec<Option<EdgeId>> = vec![None; n];
+        let mut best_in_hyper: Vec<Option<EdgeId>> = vec![None; n];
+        for (id, e) in graph.edges() {
+            let best = match e.tail_len() {
+                1 => &mut best_in,
+                2 => &mut best_in_hyper,
+                _ => continue,
+            };
+            for &h in e.head() {
+                let slot = &mut best[h.index()];
+                if slot.is_none_or(|b| levels[id.index()] > levels[b.index()]) {
+                    *slot = Some(id);
+                }
+            }
         }
         timer.lap(PublishPhase::Rankings);
 
@@ -581,10 +613,15 @@ impl ModelSnapshot {
         &self.phases
     }
 
-    /// The content digest stamped at build time: FNV-1a over the epoch,
-    /// the attribute count and `k`, every edge's nodes and ACV bits, the
-    /// dominator, the baselines, the hot-table CSR offsets, the rules'
-    /// heads, values and measure bits, and the coverage.
+    /// The content digest stamped at build time: FNV-1a over the
+    /// little-endian bytes of the epoch, the attribute count and `k`,
+    /// every edge's nodes and ACV bits, the dominator, the baselines, the
+    /// hot-table CSR offsets, the rules' heads, values and measure bits,
+    /// and the coverage, each hashed as a `u64`. A word's zero high bytes
+    /// are folded into one multiply by a power of the FNV prime (hashing
+    /// a zero byte only multiplies), so a small node id costs one round
+    /// rather than eight; the value is the byte-at-a-time hash's, and a
+    /// unit test pins it to a recorded constant.
     ///
     /// It does not hash the per-head rankings and best edges, the
     /// majorities, the degree stats, or the tables' contents. Each is a
@@ -645,24 +682,26 @@ impl ModelSnapshot {
     }
 }
 
-/// The ranking key of an in-edge: the high 64 bits map the weight onto
-/// `u64` so that ascending keys mean descending weight, and the low 32
-/// bits are the edge id. Sorting keys ascending therefore orders by ACV
-/// descending, ties by ascending id — the float comparator's order, with
-/// `+ 0.0` folding −0.0 into +0.0 as `partial_cmp` does.
-fn rank_key(weight: f64, id: EdgeId) -> u128 {
-    assert!(weight.is_finite(), "ACVs are finite");
-    let bits = (weight + 0.0).to_bits();
-    let ascending = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    };
-    (u128::from(!ascending) << 64) | id.index() as u128
-}
-
-/// Minimal FNV-1a, enough to make torn content detectable.
+/// FNV-1a over the little-endian bytes of each hashed word. Hashing a
+/// zero byte only multiplies by the prime (`h ^ 0 = h`), so a word's run
+/// of zero high bytes folds, with the round of the byte below them, into
+/// one multiply by a power of the prime: a node id below 256 costs one
+/// xor and one multiply rather than eight of each, and the value is the
+/// byte-at-a-time hash's.
 struct Fnv(u64);
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME_POW[i]` is `FNV_PRIME^i`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut i = 1;
+    while i < pow.len() {
+        pow[i] = pow[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    pow
+};
 
 impl Fnv {
     fn new() -> Self {
@@ -670,10 +709,15 @@ impl Fnv {
     }
 
     fn u64(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        let bytes = x.to_le_bytes();
+        // The highest nonzero byte (the first for x = 0): its round and
+        // the zero bytes above it take one multiply by a prime power.
+        let last = ((71 - x.leading_zeros() as usize) / 8).max(1) - 1;
+        let mut h = self.0;
+        for &byte in &bytes[..last] {
+            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
+        self.0 = (h ^ u64::from(bytes[last])).wrapping_mul(FNV_PRIME_POW[8 - last]);
     }
 
     fn finish(&self) -> u64 {
@@ -708,6 +752,12 @@ mod tests {
         ModelSnapshot::build(model, &SnapshotSpec::default())
     }
 
+    /// The digest of `snapshot_mirrors_the_model`'s snapshot, recorded
+    /// with the byte-at-a-time hash. The digest's value and inputs are
+    /// fixed by design: a stream's digests prove one build equal to
+    /// another, so a faster hash must produce the same value.
+    const GOLDEN_DIGEST: u64 = 0x93b7_54ca_a316_0edf;
+
     #[test]
     fn snapshot_mirrors_the_model() {
         let d = db();
@@ -725,6 +775,55 @@ mod tests {
             assert_eq!(s.baseline_acv(a).to_bits(), m.baseline_acv(a).to_bits());
         }
         assert!(s.verify_digest());
+        assert_eq!(s.digest(), GOLDEN_DIGEST, "the digest's value is fixed");
+    }
+
+    #[test]
+    fn folded_word_hash_matches_byte_at_a_time_fnv() {
+        fn bytewise(mut h: u64, x: u64) -> u64 {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+            h
+        }
+        let mut words = vec![
+            0,
+            1,
+            0xff,
+            0x100,
+            u64::from(u32::MAX),
+            u64::MAX,
+            0x0100_0001,
+            0x00ff_0000_00ff_0000,
+            0x8000_0000_0000_0001,
+            1 << 63,
+        ];
+        for (c, m) in [
+            (0u64, 5usize),
+            (5, 5),
+            (1, 3),
+            (2, 7),
+            (126, 252),
+            (251, 252),
+            (97, 756),
+        ] {
+            words.push((c as f64 / m as f64).to_bits());
+        }
+        let mut folded = Fnv::new();
+        let mut expected = Fnv::new().finish();
+        for &x in &words {
+            let mut one = Fnv::new();
+            one.u64(x);
+            assert_eq!(
+                one.finish(),
+                bytewise(Fnv::new().finish(), x),
+                "word {x:#x}"
+            );
+            folded.u64(x);
+            expected = bytewise(expected, x);
+            assert_eq!(folded.finish(), expected, "running hash after {x:#x}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    a from-scratch batch rebuild of that epoch's window.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hypermine_core::{AssociationClassifier, AssociationModel, ModelConfig};
@@ -82,6 +82,16 @@ fn assert_snapshot_matches_batch_rebuild(snap: &ModelSnapshot, window: &Database
     }
 }
 
+/// Decrements a live-reader count when its reader thread exits, by
+/// returning or by panicking.
+struct ReaderExit<'a>(&'a AtomicUsize);
+
+impl Drop for ReaderExit<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 #[test]
 fn concurrent_readers_see_monotone_untorn_bit_identical_epochs() {
     const WINDOW: usize = 80;
@@ -101,12 +111,19 @@ fn concurrent_readers_see_monotone_untorn_bit_identical_epochs() {
 
     let done = AtomicBool::new(false);
     let observed = Mutex::new(BTreeMap::<u64, std::sync::Arc<ModelSnapshot>>::new());
+    // The newest epoch any reader has recorded in `observed`, and the
+    // readers still running.
+    let recorded = AtomicU64::new(0);
+    let live = AtomicUsize::new(3);
     std::thread::scope(|s| {
         for _ in 0..3 {
             let mut reader = server.reader();
             let done = &done;
             let observed = &observed;
+            let recorded = &recorded;
+            let exit = ReaderExit(&live);
             s.spawn(move || {
+                let _exit = exit;
                 let mut last = 0u64;
                 let mut finish = false;
                 while !finish {
@@ -125,12 +142,16 @@ fn concurrent_readers_see_monotone_untorn_bit_identical_epochs() {
                         .unwrap()
                         .entry(snap.epoch())
                         .or_insert_with(|| std::sync::Arc::clone(&snap));
+                    recorded.fetch_max(snap.epoch(), Ordering::SeqCst);
                 }
             });
         }
 
         // The writer: slides with a mid-stream retirement, recording
-        // each published epoch's exact window.
+        // each published epoch's exact window. After its first publish
+        // it waits until a reader has recorded that epoch, so readers
+        // see at least two epochs however fast the writer runs (a reader
+        // that panicked ends the wait; the scope then reports it).
         for (i, obs) in (WINDOW..WINDOW + SLIDES).enumerate() {
             let epoch = if i == SLIDES / 2 {
                 server.retire_oldest().unwrap()
@@ -141,14 +162,20 @@ fn concurrent_readers_see_monotone_untorn_bit_identical_epochs() {
                 .lock()
                 .unwrap()
                 .insert(epoch, server.model().database().clone());
+            if i == 0 {
+                while recorded.load(Ordering::SeqCst) < epoch && live.load(Ordering::SeqCst) > 0 {
+                    std::thread::yield_now();
+                }
+            }
         }
         done.store(true, Ordering::Release);
     });
 
     let windows = windows.into_inner().unwrap();
     let observed = observed.into_inner().unwrap();
-    // Readers raced a fast writer, so they saw a subset of epochs; the
-    // latest epoch is always seen (readers spin past `done`).
+    // Readers raced a fast writer, so they saw a subset of epochs: the
+    // first published one (the writer waited for it) and the latest
+    // (readers spin past `done`).
     assert!(observed.contains_key(&(SLIDES as u64)));
     assert!(observed.len() >= 2, "readers observed multiple epochs");
     // 3: everything observed is bit-identical to a batch rebuild.

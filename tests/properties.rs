@@ -8,13 +8,14 @@
 use hypermine::approx::{greedy_set_cover, t_clustering, DistanceMatrix};
 use hypermine::core::{
     attr_of, dominating_adaptation, in_similarity_graph, is_dominator, node_of,
-    out_similarity_graph, set_cover_adaptation, top_rules, AssociationClassifier, AssociationModel,
-    CountingEngine, DominatorResult, MinedRule, ModelConfig, SetCoverOptions, StopRule,
+    out_similarity_graph, set_cover_adaptation, set_cover_adaptation_filtered, top_rules,
+    AssociationClassifier, AssociationModel, CountingEngine, DominatorResult, MinedRule,
+    ModelConfig, SetCoverOptions, StopRule,
 };
 use hypermine::data::discretize::{Discretizer, EquiDepth};
 use hypermine::data::{AttrId, Database, Value};
 use hypermine::hypergraph::fx::{FxHashMap, FxHashSet};
-use hypermine::hypergraph::{DirectedHypergraph, EdgeId, NodeId};
+use hypermine::hypergraph::{DirectedHypergraph, EdgeId, EdgeRef, NodeId};
 use hypermine::serve::{ModelSnapshot, SnapshotSpec};
 use proptest::prelude::*;
 
@@ -150,13 +151,13 @@ fn check_top_rules(model: &AssociationModel) -> Result<(), TestCaseError> {
 }
 
 /// Strategy for the set-cover oracle: a general hypergraph over 4..=10
-/// nodes built with `add_edge`, and a random membership mask for `S`.
-/// Tails of 1–3 nodes are drawn from a pool of at most six, so tail sets
-/// repeat across heads; heads have 1–2 nodes; weights come from four
-/// levels, so they tie. Candidates `add_edge` rejects (a tail/head
-/// overlap, a repeated `(T, H)`) are skipped, and nodes no kept edge
-/// touches stay isolated.
-fn cover_graph() -> impl Strategy<Value = (DirectedHypergraph, Vec<bool>)> {
+/// nodes built with `add_edge`, a random membership mask for `S`, and a
+/// random keep mask over edge ids. Tails of 1–3 nodes are drawn from a
+/// pool of at most six, so tail sets repeat across heads; heads have 1–2
+/// nodes; weights come from four levels, so they tie. Candidates
+/// `add_edge` rejects (a tail/head overlap, a repeated `(T, H)`) are
+/// skipped, and nodes no kept edge touches stay isolated.
+fn cover_graph() -> impl Strategy<Value = (DirectedHypergraph, Vec<bool>, Vec<bool>)> {
     (4usize..=10).prop_flat_map(|n| {
         (
             proptest::collection::vec(proptest::collection::vec(0..n, 1..=3), 1..=6),
@@ -165,8 +166,9 @@ fn cover_graph() -> impl Strategy<Value = (DirectedHypergraph, Vec<bool>)> {
                 0..=24,
             ),
             proptest::collection::vec(0u8..=1, n),
+            proptest::collection::vec(0u8..=1, 24),
         )
-            .prop_map(move |(pool, edges, mask)| {
+            .prop_map(move |(pool, edges, mask, keep)| {
                 let set = |ids: &[usize]| -> Vec<NodeId> {
                     let mut v: Vec<NodeId> = ids.iter().map(|&i| NodeId::new(i as u32)).collect();
                     v.sort_unstable();
@@ -178,7 +180,8 @@ fn cover_graph() -> impl Strategy<Value = (DirectedHypergraph, Vec<bool>)> {
                     let tail = set(&pool[ti % pool.len()]);
                     let _ = g.add_edge(&tail, &set(&head), f64::from(w) / 4.0);
                 }
-                (g, mask.into_iter().map(|b| b == 1).collect())
+                let flags = |bits: Vec<u8>| bits.into_iter().map(|b| b == 1).collect();
+                (g, flags(mask), flags(keep))
             })
     })
 }
@@ -339,8 +342,17 @@ fn reference_set_cover(
     }
 }
 
-/// `set_cover_adaptation` against the reference under every option set.
-fn check_set_cover(g: &DirectedHypergraph, s: &[NodeId]) -> Result<(), TestCaseError> {
+/// `set_cover_adaptation` against the reference under every option set,
+/// and the filtered set cover against `set_cover_adaptation` on a
+/// filtered copy for keep masks none, all and `keep` (indexed by edge
+/// id).
+fn check_set_cover(
+    g: &DirectedHypergraph,
+    s: &[NodeId],
+    keep: &[bool],
+) -> Result<(), TestCaseError> {
+    let none = vec![false; g.num_edges()];
+    let all = vec![true; g.num_edges()];
     for opts in all_cover_options() {
         let got = set_cover_adaptation(g, s, &opts);
         let want = reference_set_cover(g, s, &opts);
@@ -348,6 +360,15 @@ fn check_set_cover(g: &DirectedHypergraph, s: &[NodeId]) -> Result<(), TestCaseE
             got == want,
             "{opts:?}, S = {s:?}: got {got:?}, want {want:?}"
         );
+        for mask in [&none[..], &all[..], keep] {
+            let kept = |id: EdgeId, _: EdgeRef<'_>| mask[id.index()];
+            let got = set_cover_adaptation_filtered(g, s, &opts, kept);
+            let want = set_cover_adaptation(&g.filter_edges(kept), s, &opts);
+            prop_assert!(
+                got == want,
+                "{opts:?}, S = {s:?}, keep {mask:?}: got {got:?}, want {want:?}"
+            );
+        }
     }
     Ok(())
 }
@@ -394,16 +415,54 @@ fn check_rankings(model: &AssociationModel) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Set cover on the ACV-filtered graph (as a snapshot derives its
-/// dominator) and the threshold itself, for the strongest 40% and all
-/// edges.
+/// Set cover on the ACV-filtered graph and the threshold itself, for the
+/// strongest 40% and all edges (filtered set cover keeping every third
+/// edge dropped).
 fn check_filtered_cover(model: &AssociationModel) -> Result<(), TestCaseError> {
     let nodes: Vec<NodeId> = model.attrs().map(node_of).collect();
     check_threshold(model.hypergraph())?;
     for fraction in [0.4, 1.0] {
         if let Some(thr) = model.acv_percentile_threshold(fraction) {
-            check_set_cover(model.filter_by_acv(thr).hypergraph(), &nodes)?;
+            let g = model.filter_by_acv(thr);
+            let keep: Vec<bool> = (0..g.hypergraph().num_edges())
+                .map(|i| i % 3 != 0)
+                .collect();
+            check_set_cover(g.hypergraph(), &nodes, &keep)?;
         }
+    }
+    Ok(())
+}
+
+/// A snapshot's dominator and coverage against set cover on the
+/// ACV-filtered copy of the graph (every edge without a threshold), for
+/// keep fractions that filter, keep everything, keep the strongest edge
+/// only (1e-9, NaN), and none.
+fn check_snapshot_dominator(model: &AssociationModel) -> Result<(), TestCaseError> {
+    let nodes: Vec<NodeId> = model.attrs().map(node_of).collect();
+    for fraction in [Some(0.4), Some(1.0), Some(1e-9), Some(f64::NAN), None] {
+        let spec = SnapshotSpec {
+            acv_keep_fraction: fraction,
+            ..SnapshotSpec::default()
+        };
+        let snap = ModelSnapshot::build(model, &spec);
+        let want = match fraction.and_then(|f| model.acv_percentile_threshold(f)) {
+            Some(thr) => set_cover_adaptation(
+                model.filter_by_acv(thr).hypergraph(),
+                &nodes,
+                &spec.set_cover,
+            ),
+            None => set_cover_adaptation(model.hypergraph(), &nodes, &spec.set_cover),
+        };
+        let mut dominator = want.dominator.clone();
+        dominator.sort_unstable();
+        prop_assert!(
+            snap.dominator() == &dominator[..]
+                && snap.coverage().to_bits() == want.percent_covered().to_bits(),
+            "keep fraction {fraction:?}: got {:?} covering {}, want {dominator:?} covering {}",
+            snap.dominator(),
+            snap.coverage(),
+            want.percent_covered()
+        );
     }
     Ok(())
 }
@@ -466,26 +525,29 @@ proptest! {
     /// The integer-id set cover returns the same `DominatorResult` as
     /// the hash-keyed original on general hypergraphs (repeated tail
     /// sets, 2-node heads, isolated nodes), for `S` = every node, a
-    /// random subset, and nothing, under all eight option sets; the
-    /// selection-based threshold matches the full sort bit for bit on
-    /// their tied weights.
+    /// random subset, and nothing, under all eight option sets, and set
+    /// cover over a random edge subset matches it on a filtered copy;
+    /// the selection-based threshold matches the full sort bit for bit
+    /// on their tied weights.
     #[test]
-    fn set_cover_matches_the_hash_keyed_reference((g, mask) in cover_graph()) {
+    fn set_cover_matches_the_hash_keyed_reference((g, mask, keep) in cover_graph()) {
         let all: Vec<NodeId> = g.nodes().collect();
         let some: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
-        check_set_cover(&g, &all)?;
-        check_set_cover(&g, &some)?;
-        check_set_cover(&g, &[])?;
+        check_set_cover(&g, &all, &keep)?;
+        check_set_cover(&g, &some, &keep)?;
+        check_set_cover(&g, &[], &keep)?;
         check_threshold(&g)?;
         check_threshold(&DirectedHypergraph::new(g.num_nodes()))?;
     }
 
-    /// On mined models — fresh and after 1–3 slides — set cover over the
-    /// ACV-filtered graph matches the original, the threshold matches the
-    /// full sort, and a snapshot's in-edge rankings and best edges match
-    /// the comparator sort and the model's scans. The duplicated column
-    /// gives exact ACV ties (present under γ = 1), which only edge ids
-    /// break.
+    /// On mined models — fresh, after 1–3 slides, and after a
+    /// `retire_oldest` that shrinks the window (so every ACV level is
+    /// re-derived over a new `m`) — set cover over the ACV-filtered graph
+    /// matches the original, the threshold matches the full sort, a
+    /// snapshot's dominator and coverage match set cover on the filtered
+    /// copy, and its in-edge rankings and best edges match the comparator
+    /// sort and the model's scans. The duplicated column gives exact ACV
+    /// ties (present under γ = 1), which only edge ids break.
     #[test]
     fn publish_indexes_match_the_originals((db, window) in rule_db(), gamma_one in 0u8..=1) {
         let mut cfg = ModelConfig { threads: 1, ..ModelConfig::default() };
@@ -504,17 +566,22 @@ proptest! {
                 "the duplicated column yields exact ACV ties"
             );
         }
-        check_filtered_cover(&model)?;
-        check_rankings(&model)?;
+        let check = |model: &AssociationModel| -> Result<(), TestCaseError> {
+            check_filtered_cover(model)?;
+            check_snapshot_dominator(model)?;
+            check_rankings(model)
+        };
+        check(&model)?;
         let mut row = vec![0 as Value; db.num_attrs()];
         for obs in window..db.num_obs() {
             for a in db.attrs() {
                 row[a.index()] = db.value(a, obs);
             }
             model.advance(&row).unwrap();
-            check_filtered_cover(&model)?;
-            check_rankings(&model)?;
+            check(&model)?;
         }
+        model.retire_oldest().unwrap();
+        check(&model)?;
     }
 
     /// Theorem 3.8: ACV(∅,h) <= ACV({a},h) <= ACV({a,b},h); all in [0,1].
