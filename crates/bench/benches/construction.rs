@@ -1,23 +1,13 @@
 //! Section 5.1.2 benchmark: association-hypergraph construction — the cost
 //! of computing every directed-edge and 2-to-1 hyperedge ACV with the
-//! γ-significance filter, across universe size `n`, value-domain size `k`
-//! (C1 uses k = 3, C2 uses k = 5; k = 8 and k = 12 probe the large-k
-//! regime), and counting strategy (`bitset` / `obsmajor` / `auto`). The
-//! strategy sweep demonstrates the observation-major crossover: `obsmajor`
-//! (PairRows-free pair buckets + dirty-list fold) should win by ≥ 4× at
-//! k = 8 and keep widening at k = 12, while `bitset` stays ahead at k = 3,
-//! with `auto` tracking the better of the two.
+//! γ-significance filter, across universe size `n` and value-domain size
+//! `k` (C1 uses k = 3, C2 uses k = 5; k = 8 and k = 12 probe the large-k
+//! regime), on the one observation-major counting path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hypermine_core::{AssociationModel, CountStrategy, ModelConfig};
+use hypermine_core::{AssociationModel, ModelConfig};
 use hypermine_market::{discretize_market, Market, SimConfig, Universe};
 use std::hint::black_box;
-
-const STRATEGIES: [(&str, CountStrategy); 3] = [
-    ("bitset", CountStrategy::Bitset),
-    ("obsmajor", CountStrategy::ObsMajor),
-    ("auto", CountStrategy::Auto),
-];
 
 fn bench_construction(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction");
@@ -33,19 +23,12 @@ fn bench_construction(c: &mut Criterion) {
         );
         for &k in &[3u8, 5, 8, 12] {
             let disc = discretize_market(&market, k, None);
-            for (name, strategy) in STRATEGIES {
-                let cfg = ModelConfig {
-                    strategy,
-                    ..ModelConfig::c1()
-                };
-                group.bench_with_input(
-                    BenchmarkId::new(format!("n{tickers}"), format!("k{k}/{name}")),
-                    &disc.database,
-                    |b, db| {
-                        b.iter(|| AssociationModel::build(black_box(db), &cfg).unwrap())
-                    },
-                );
-            }
+            let cfg = ModelConfig::c1();
+            group.bench_with_input(
+                BenchmarkId::new(format!("n{tickers}"), format!("k{k}")),
+                &disc.database,
+                |b, db| b.iter(|| AssociationModel::build(black_box(db), &cfg).unwrap()),
+            );
         }
     }
     group.finish();

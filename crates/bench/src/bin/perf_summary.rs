@@ -1,8 +1,7 @@
 //! Emits a machine-readable construction-performance summary as JSON —
-//! per-strategy build times on the registry's `perf_construction`
-//! fixture at **threads ∈ {1, 4, 8}** (`-t4`/`-t8` label suffixes; the
-//! bare label stays the single-thread entry so old baselines keep
-//! matching), the
+//! build times on the registry's `perf_construction` fixture at
+//! **threads ∈ {1, 4, 8}** (`obsmajor`, `obsmajor-t4`, `obsmajor-t8`:
+//! every build runs the one observation-major counting path), the
 //! **incremental sliding-window** latencies (`inc-slide` = steady-state
 //! per-slide `AssociationModel::advance` on the triple-tensor path,
 //! `inc-rebuild` = full batch build on the same window; the slide entry
@@ -41,7 +40,8 @@
 //!
 //! Optionally **gates** against a committed baseline: with
 //! `--baseline <path>` the run fails (exit 1) if any `(k, strategy)`
-//! time regresses more than the tolerance over the baseline's, if the
+//! entry's time regresses more than the tolerance over the baseline's
+//! (after the machine-speed calibration under `--raw` below), if the
 //! k = 5 slide speedup drops below 3× (the pre-SIMD floor was 10×;
 //! the vertical kernel halved the batch-rebuild denominator while the
 //! tensor path has no dense sweeps to vectorize), if the k = 3
@@ -101,18 +101,24 @@
 //!   runners jitter, while real regressions from a counting-engine change
 //!   are typically ≥ 2×.
 //! - `--raw`: compare absolute times. By default the gate **calibrates**
-//!   for hardware speed first: every matched entry's `new/old` ratio is
-//!   computed and the median ratio is treated as the machine-speed factor,
-//!   so a uniformly slower (or faster) runner than the baseline's author
-//!   machine doesn't trip (or mask) the gate — only entries regressing
-//!   relative to the rest of the suite do. The tradeoff: a change that
-//!   slows *every* strategy uniformly is attributed to hardware; the
-//!   per-strategy shape (which is what the counting-engine work optimizes)
-//!   is what's gated.
+//!   for hardware speed first: the median `new/old` ratio of the matched
+//!   **single-thread** entries (labels without a `-t<N>` suffix) is
+//!   treated as the machine-speed factor, and every matched entry,
+//!   threaded ones included, is gated against it. So a uniformly slower
+//!   (or faster) runner than the baseline's author machine doesn't trip
+//!   (or mask) the gate — only entries regressing relative to the rest of
+//!   the suite do. Threaded entries stay out of the factor because their
+//!   ratio also depends on both hosts' core counts: the host that
+//!   recorded the committed baseline got no speedup from threads, so on a
+//!   runner that does, the threaded entries' ratios (two thirds of the
+//!   construction and wide entries) read well below the single-thread
+//!   ones and would pull the factor down until single-thread entries
+//!   failed. The tradeoff: a change that slows *every* entry uniformly is
+//!   attributed to hardware; the per-entry shape is what's gated.
 
 use hypermine_core::{
-    AdvanceLaps, AssociationModel, CountStrategy, GammaPreset, ModelConfig, Phase, PhaseLaps,
-    SimdLevel, SimdPolicy,
+    AdvanceLaps, AssociationModel, GammaPreset, ModelConfig, Phase, PhaseLaps, SimdLevel,
+    SimdPolicy,
 };
 use hypermine_experiments::registry::{find, RunScale, ScenarioSpec};
 use hypermine_market::discretize_market;
@@ -179,8 +185,8 @@ const SERVE_MS: u64 = 500;
 const DURABILITY_SLIDES: usize = 64;
 
 /// Worker-thread counts for the construction and wide240 sections. The
-/// single-thread entry keeps the bare strategy label (so old baselines
-/// keep matching); the others get a `-t4`/`-t8` suffix. The wide500
+/// single-thread entry keeps the bare label (so old baselines keep
+/// matching); the others get a `-t4`/`-t8` suffix. The wide500
 /// section stays single-threaded for runtime budget.
 const THREADS: [usize; 3] = [1, 4, 8];
 
@@ -376,6 +382,14 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Whether a timing label names a multi-threaded entry: a `-t<N>` suffix
+/// (`obsmajor-t4`, `wide-obsmajor-t8`).
+fn is_threaded(label: &str) -> bool {
+    label
+        .rsplit_once("-t")
+        .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+}
+
 /// One measured `(k, strategy)` construction time.
 struct Entry {
     k: u8,
@@ -431,53 +445,46 @@ fn main() {
         for run in con_spec.runs {
             let k = run.k;
             let disc = discretize_market(&market, k, None);
-            for (name, strategy) in [
-                ("bitset", CountStrategy::Bitset),
-                ("obsmajor", CountStrategy::ObsMajor),
-                ("auto", CountStrategy::Auto),
-            ] {
-                // The explicit thread counts (rather than `threads: 0` =
-                // all cores) keep snapshots comparable across CI runners
-                // with different core counts: every machine measures the
-                // same three worker configurations, and the per-entry label
-                // says which one it was.
-                for &threads in &THREADS {
-                    let label = if threads == 1 {
-                        name.to_string()
-                    } else {
-                        format!("{name}-t{threads}")
-                    };
-                    let cfg = ModelConfig {
-                        strategy,
-                        threads,
-                        ..run.model_config(con_dims.tickers)
-                    };
-                    // Warm-up, then best-of-RUNS wall time (min is the most
-                    // stable point estimate on shared CI runners).
-                    let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                    let mut best = f64::INFINITY;
-                    for _ in 0..RUNS {
-                        let start = Instant::now();
-                        model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-                    }
-                    if !entries.is_empty() {
-                        entries.push_str(",\n");
-                    }
-                    write!(
-                        entries,
-                        "    {{\"k\": {k}, \"strategy\": \"{label}\", \"threads\": {threads}, \
-                         \"simd\": \"{}\", \"millis\": {best:.3}, \"edges\": {}}}",
-                        model.simd_level(),
-                        model.hypergraph().num_edges()
-                    )
-                    .expect("writing to a String cannot fail");
-                    measured.push(Entry {
-                        k,
-                        strategy: label,
-                        millis: best,
-                    });
+            // The explicit thread counts (rather than `threads: 0` = all
+            // cores) keep snapshots comparable across CI runners with
+            // different core counts: every machine measures the same three
+            // worker configurations, and the per-entry label says which one
+            // it was.
+            for &threads in &THREADS {
+                let label = if threads == 1 {
+                    "obsmajor".to_string()
+                } else {
+                    format!("obsmajor-t{threads}")
+                };
+                let cfg = ModelConfig {
+                    threads,
+                    ..run.model_config(con_dims.tickers)
+                };
+                // Warm-up, then best-of-RUNS wall time (min is the most
+                // stable point estimate on shared CI runners).
+                let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
+                let mut best = f64::INFINITY;
+                for _ in 0..RUNS {
+                    let start = Instant::now();
+                    model = AssociationModel::build(&disc.database, &cfg).unwrap();
+                    best = best.min(start.elapsed().as_secs_f64() * 1e3);
                 }
+                if !entries.is_empty() {
+                    entries.push_str(",\n");
+                }
+                write!(
+                    entries,
+                    "    {{\"k\": {k}, \"strategy\": \"{label}\", \"threads\": {threads}, \
+                     \"simd\": \"{}\", \"millis\": {best:.3}, \"edges\": {}}}",
+                    model.simd_level(),
+                    model.hypergraph().num_edges()
+                )
+                .expect("writing to a String cannot fail");
+                measured.push(Entry {
+                    k,
+                    strategy: label,
+                    millis: best,
+                });
             }
         }
         sections.push(format!(
@@ -742,7 +749,6 @@ fn main() {
                     format!("wide-obsmajor-t{threads}")
                 };
                 let cfg = ModelConfig {
-                    strategy: CountStrategy::ObsMajor,
                     threads,
                     ..run.model_config(n240)
                 };
@@ -802,7 +808,6 @@ fn main() {
         if let Some(run) = wide_spec.runs.iter().find(|r| r.k == 8) {
             let disc = discretize_market(&market_wide, run.k, None);
             let cfg = ModelConfig {
-                strategy: CountStrategy::ObsMajor,
                 threads: 1,
                 simd: SimdPolicy::ForceScalar,
                 ..run.model_config(n240)
@@ -868,7 +873,6 @@ fn main() {
             let k = run.k;
             let disc = discretize_market(&market_500, k, None);
             let cfg = ModelConfig {
-                strategy: CountStrategy::ObsMajor,
                 threads: 1,
                 ..run.model_config(n500)
             };
@@ -1159,19 +1163,31 @@ fn main() {
     if matched.is_empty() {
         eprintln!("calibrated timing gate skipped: no timed section selected");
     } else {
-        // Machine-speed calibration: the median new/old ratio is what a
-        // hardware difference between the baseline's machine and this one
-        // looks like; gate each entry against it (see the module docs).
+        // Machine-speed calibration: the median new/old ratio of the
+        // single-thread entries is what a hardware difference between the
+        // baseline's machine and this one looks like; gate every entry
+        // against it (see the module docs).
         let factor = if args.raw {
             1.0
         } else {
-            let mut ratios: Vec<f64> = matched.iter().map(|(o, n)| n.millis / o.millis).collect();
+            let mut ratios: Vec<f64> = matched
+                .iter()
+                .filter(|(old, _)| !is_threaded(&old.strategy))
+                .map(|(o, n)| n.millis / o.millis)
+                .collect();
+            if ratios.is_empty() {
+                eprintln!("calibrated timing gate: no single-thread entry to calibrate on");
+                std::process::exit(1);
+            }
             ratios.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-            ratios[ratios.len() / 2]
+            let factor = ratios[ratios.len() / 2];
+            eprintln!(
+                "machine-speed calibration factor (median new/old of {} single-thread \
+                 entries): {factor:.3}",
+                ratios.len()
+            );
+            factor
         };
-        if !args.raw {
-            eprintln!("machine-speed calibration factor (median new/old): {factor:.3}");
-        }
         // Absolute noise floor on top of the fractional tolerance:
         // timing noise has an additive component (scheduler quantum,
         // cache state, noisy neighbours) that dominates entries in the
@@ -1212,7 +1228,7 @@ fn main() {
         // kernel roughly halved while the incremental path (which
         // touches only what one observation changes — no dense-row
         // sweeps to vectorize) stayed flat, so the pre-SIMD ≥ 13×
-        // measurement became 4.4–8.9× across k and runs; 3× is the
+        // measurement became 3.6–7.6× across k and runs; 3× is the
         // committed floor — a broken incremental path shows ~1×, so
         // the floor still bites while run-to-run wobble on ~1 ms
         // slides doesn't. The batch ratio's baseline moved the same
@@ -1453,4 +1469,28 @@ fn main() {
         }
     }
     eprintln!("every selected gate passed against {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_threaded;
+
+    #[test]
+    fn only_thread_suffixed_labels_are_threaded() {
+        for label in ["obsmajor-t4", "obsmajor-t8", "wide-obsmajor-t4"] {
+            assert!(is_threaded(label), "{label}");
+        }
+        for label in [
+            "obsmajor",
+            "wide-obsmajor",
+            "wide-scalar",
+            "wide500-obsmajor",
+            "wide500-slide",
+            "inc-slide",
+            "batch-slide",
+            "obsmajor-t",
+        ] {
+            assert!(!is_threaded(label), "{label}");
+        }
+    }
 }

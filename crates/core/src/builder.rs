@@ -2,17 +2,17 @@
 //!
 //! Both passes — directed edges over every ordered attribute pair, then
 //! 2-to-1 hyperedges over every `(unordered pair, head)` combination — run
-//! through the scoped-thread harness in `crate::parallel` and dispatch
-//! between the two counting strategies (`CountStrategy`), with `Auto`
-//! resolved per pass. Pass 1 (uniform per-tail cost, short work list) uses
-//! contiguous chunks; pass 2 uses work-stealing fixed-size blocks claimed
-//! off an atomic cursor. Either way results are merged in work-list order,
-//! so edge ids are deterministic at every thread count and under every
-//! strategy. The observation-major pass 2 never builds `PairRows`: each
-//! worker re-buckets the pair's observations into a thread-local
+//! the observation-major sweeps of `crate::counting` (every head of one
+//! tail counted in one pass over the tail's rows) through the
+//! scoped-thread harness in `crate::parallel`. Pass 1 (uniform per-tail
+//! cost, short work list) uses contiguous chunks; pass 2 uses
+//! work-stealing fixed-size blocks claimed off an atomic cursor. Either
+//! way results are merged in work-list order, so edge ids are
+//! deterministic at every thread count. Pass 2 never builds `PairRows`:
+//! each worker re-buckets the pair's observations into a thread-local
 //! `PairBuckets` scratch and sweeps those buckets directly.
 
-use crate::config::{CountStrategy, ModelConfig};
+use crate::config::ModelConfig;
 use crate::counting::{CountingEngine, HeadCounter};
 use crate::model::{node_of, AssociationModel};
 use crate::parallel::{parallel_blocks, parallel_chunks, steal_block_size};
@@ -24,8 +24,6 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
     engine.restrict_kernel(cfg.kernel_cap);
     engine.set_simd_policy(cfg.simd);
     let n = db.num_attrs();
-    let k = db.k() as usize;
-    let m = db.num_obs();
     let attrs: Vec<AttrId> = db.attrs().collect();
     let threads = cfg.effective_threads();
 
@@ -38,25 +36,16 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
     // Pass 1: every ordered pair's directed-edge ACV, parallel over tail
     // attributes (k rows per tail). The raw ACV matrix is retained in full —
     // the γ tests for 2-to-1 edges need it.
-    let strategy1 = cfg.strategy.resolve(k, k, m, n);
     let acv_chunks: Vec<Vec<f64>> = parallel_chunks(&attrs, threads, |slice| {
         let mut counter = HeadCounter::new(n, db.k());
         let mut out = Vec::with_capacity(slice.len() * n);
         for &t in slice {
-            if strategy1 == CountStrategy::ObsMajor {
-                engine.edge_acv_all_heads(t, &mut counter);
-                out.extend(
-                    attrs
-                        .iter()
-                        .map(|&h| if h == t { 0.0 } else { counter.acv(h) }),
-                );
-            } else {
-                out.extend(
-                    attrs
-                        .iter()
-                        .map(|&h| if h == t { 0.0 } else { engine.edge_acv(t, h) }),
-                );
-            }
+            engine.edge_acv_all_heads(t, &mut counter);
+            out.extend(
+                attrs
+                    .iter()
+                    .map(|&h| if h == t { 0.0 } else { counter.acv(h) }),
+            );
         }
         out
     });
@@ -77,7 +66,6 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
                 pairs.push((attrs[i], attrs[j]));
             }
         }
-        let strategy2 = cfg.strategy.resolve(k * k, k, m, n);
         // Kept candidates: (a, b, h, acv). Blocks are claimed off an atomic
         // cursor (work stealing), sized by the shared `BLOCKS_PER_THREAD`
         // rule so uneven per-pair costs rebalance across workers; each
@@ -98,24 +86,13 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
             move |slice: &[(AttrId, AttrId)]| {
                 let mut out = Vec::new();
                 for &(a, b) in slice {
-                    // ObsMajor is PairRows-free: bucket obs ids by
-                    // (v_a, v_b) and sweep the buckets for all heads at
-                    // once. Bitset counts each head over cached pair
-                    // row bitsets.
-                    let pair = (strategy2 != CountStrategy::ObsMajor)
-                        .then(|| engine.pair_rows(a, b));
-                    if strategy2 == CountStrategy::ObsMajor {
-                        engine.bucket_pair(a, b, &mut buckets);
-                        engine.hyper_acv_all_heads(&buckets, &mut counter);
-                    }
+                    engine.bucket_pair(a, b, &mut buckets);
+                    engine.hyper_acv_all_heads(&buckets, &mut counter);
                     for &h in attrs {
                         if h == a || h == b {
                             continue;
                         }
-                        let acv = match &pair {
-                            Some(pair) => engine.hyper_acv(pair, h),
-                            None => counter.acv(h),
-                        };
+                        let acv = counter.acv(h);
                         let floor = raw[a.index() * n + h.index()]
                             .max(raw[b.index() * n + h.index()]);
                         if acv > 0.0 && acv >= cfg.gamma_hyper * floor {
@@ -299,33 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_does_not_change_the_model() {
-        let d = db(7, 150);
-        let mut models = Vec::new();
-        for strategy in [
-            CountStrategy::Auto,
-            CountStrategy::Bitset,
-            CountStrategy::ObsMajor,
-        ] {
-            for threads in [1, 3] {
-                let cfg = ModelConfig {
-                    strategy,
-                    threads,
-                    ..ModelConfig::default()
-                };
-                models.push((
-                    format!("{strategy:?} x{threads}"),
-                    AssociationModel::build(&d, &cfg).unwrap(),
-                ));
-            }
-        }
-        let (ref_name, reference) = &models[0];
-        for (name, m) in &models[1..] {
-            assert_same_model(m, reference, &format!("{name} vs {ref_name}"));
-        }
-    }
-
-    #[test]
     fn gamma_filter_is_sound() {
         // Every kept edge must actually satisfy its γ inequality.
         let d = db(6, 300);
@@ -375,16 +325,10 @@ mod tests {
             vec![vec![], vec![], vec![]],
         )
         .unwrap();
-        for strategy in [CountStrategy::Bitset, CountStrategy::ObsMajor] {
-            let cfg = ModelConfig {
-                strategy,
-                ..ModelConfig::default()
-            };
-            let m = AssociationModel::build(&d, &cfg).unwrap();
-            assert_eq!(m.hypergraph().num_edges(), 0);
-            assert_eq!(m.baseline_acv(AttrId::new(0)), 0.0);
-            assert_eq!(m.majority_value(AttrId::new(0)), None);
-        }
+        let m = AssociationModel::build(&d, &ModelConfig::default()).unwrap();
+        assert_eq!(m.hypergraph().num_edges(), 0);
+        assert_eq!(m.baseline_acv(AttrId::new(0)), 0.0);
+        assert_eq!(m.majority_value(AttrId::new(0)), None);
     }
 
     #[test]

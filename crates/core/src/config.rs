@@ -3,89 +3,42 @@
 use crate::counting::KernelPath;
 use crate::simd::SimdPolicy;
 
-/// How the construction sweeps count head-value distributions (see
-/// `crate::counting` for the two implementations, which produce
-/// bit-identical models).
+/// A construction counting strategy — **inert**: every build runs the
+/// observation-major sweep (see `crate::counting`), whatever this says.
+///
+/// The type and [`ModelConfig::strategy`] remain for compatibility only:
+/// checkpoints encode the field as one byte, and the repository
+/// benchmark (`perfbench/`) labels its reports with
+/// [`CountStrategy::resolve`]. A follow-up deletes the type, the field
+/// and the checkpoint byte together, with a checkpoint version bump so
+/// that old checkpoints fail recovery cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountStrategy {
-    /// Pick per pass by the estimated cost crossover — see
-    /// [`CountStrategy::resolve`].
+    /// The default. Builds run [`CountStrategy::ObsMajor`].
     #[default]
     Auto,
-    /// Per-head bitset AND + popcount: `O(rows · (k−1) · m/64)` word
-    /// operations per head. Wins at small `k`, where one 64-bit word
-    /// covers many observations per intersection.
+    /// The per-head bitset path, which builds do not run: they run
+    /// [`CountStrategy::ObsMajor`].
     Bitset,
-    /// Observation-major multi-head sweep: stream each tail row's
-    /// observations once (pass 2 reads row memberships off `PairBuckets`
-    /// — no bitset intersections, no `PairRows`) and bump per-head value
-    /// counters for all heads simultaneously, folding each row with an
-    /// adaptive (exact-small-row / dirty-list / unrolled-dense) best-count
-    /// scan — `O(m + rows + rows·k/8)` per head, independent of the
-    /// `k³/64` factor. Wins once `k` grows past the paper's settings.
+    /// The observation-major multi-head sweep: stream each tail row's
+    /// observations once and count every head's values at once — the
+    /// only construction path.
     ObsMajor,
 }
 
 impl CountStrategy {
-    /// Resolves `Auto` for one construction pass over tails of
-    /// `rows_per_tail` value rows (`k` in pass 1, `k²` in pass 2) on a
-    /// database of `num_attrs` attributes × `num_obs` observations over
-    /// `1..=k`.
-    ///
-    /// Cost model, per head of one tail: the bitset path performs
-    /// `rows · (k−1)` intersection popcounts of `⌈m/64⌉` words; the
-    /// observation-major path performs `m` counter bumps (the rows
-    /// partition the observations) plus a per-row best-count fold that
-    /// the blocked flat kernels run at roughly one-eighth of a scalar op
-    /// per counter slot — `c·m + rows + rows·k/8`, where `c` is the
-    /// flat-bump discount over the v3 per-head walk the old model was
-    /// fitted to: 0.7 for the u16 kernel (precomputed slot stripes, four
-    /// observations in lockstep; measured at n ∈ {40, 120, 240}),
-    /// 0.8 where only the u32 wide kernel engages (`n·stride > 65536`
-    /// or `m > 65535` — same bump structure, doubled lane width halves
-    /// the fold's lanes per vector; estimated from the lane-width ratio
-    /// and held honest by the CI-gated n = 500 wide fixture), and 1.0
-    /// in the segmented-walk regime past even the u32 range. Comparing
-    /// the two operation counts directly matches the measured crossovers
-    /// on x86-64 (bench fixtures, `m ≈ 500`, re-measured at
-    /// n ∈ {40, 120, 240} and checked unchanged at n = 500 — both sides
-    /// scale with the head count, so the crossover `k` is
-    /// n-independent): the paper's C1 setting `k = 3` stays on `Bitset`
-    /// for both passes (≈1.3× faster, at n = 40 as at n = 500), the
-    /// pair pass switches to `ObsMajor` from `k = 4` (≈1.3× there, ≈10×
-    /// by k = 8 at n = 40), and the cheap directed pass 1 flips at
-    /// `k = 8`.
+    /// The strategy a build runs for a pass over tails of
+    /// `rows_per_tail` value rows on a database of `num_attrs`
+    /// attributes × `num_obs` observations over `1..=k`: always
+    /// [`CountStrategy::ObsMajor`], for every input and every variant.
     pub fn resolve(
         self,
-        rows_per_tail: usize,
-        k: usize,
-        num_obs: usize,
-        num_attrs: usize,
+        _rows_per_tail: usize,
+        _k: usize,
+        _num_obs: usize,
+        _num_attrs: usize,
     ) -> CountStrategy {
-        match self {
-            CountStrategy::Auto => {
-                let words = num_obs.div_ceil(64);
-                let bitset_per_head = rows_per_tail * k.saturating_sub(1) * words;
-                let stride = k.div_ceil(4) * 4;
-                let u16_fits =
-                    num_obs <= u16::MAX as usize && num_attrs * stride <= u16::MAX as usize + 1;
-                let bump = if u16_fits {
-                    7 * num_obs / 10
-                } else {
-                    // The wide u32 kernel engages for every practical
-                    // database past the u16 caps; the 1.0 segmented
-                    // regime is unreachable without an explicit cap.
-                    4 * num_obs / 5
-                };
-                let obs_per_head = bump + rows_per_tail + rows_per_tail * k / 8;
-                if bitset_per_head > obs_per_head {
-                    CountStrategy::ObsMajor
-                } else {
-                    CountStrategy::Bitset
-                }
-            }
-            fixed => fixed,
-        }
+        CountStrategy::ObsMajor
     }
 }
 
@@ -165,14 +118,10 @@ pub struct ModelConfig {
     /// Worker threads for both counting sweeps; 0 means use
     /// [`std::thread::available_parallelism`].
     pub threads: usize,
-    /// Counting strategy for both construction passes. [`CountStrategy::Auto`]
-    /// resolves per pass by the estimated cost crossover; every choice
-    /// yields the same model bit for bit.
-    ///
-    /// This governs **batch** counting (`AssociationModel::build` and the
-    /// one-time state build behind the first `advance`); per-slide
-    /// incremental maintenance has a single counting path whose output is
-    /// bit-identical to every strategy by construction.
+    /// Inert: no build reads it, and every value builds the same model
+    /// through the one observation-major counting path. Kept only because
+    /// checkpoints store it and the benchmark labels its reports with it
+    /// (see [`CountStrategy`]).
     pub strategy: CountStrategy,
     /// Upper bound on the observation-major counting kernel tier (see
     /// `crate::counting`): the engine engages the best tier the database
@@ -271,71 +220,6 @@ mod tests {
         assert_eq!(c2.gamma_edge, 1.20);
         assert_eq!(c2.gamma_hyper, 1.12);
         assert!(c1.with_hyperedges && c2.with_hyperedges);
-    }
-
-    #[test]
-    fn auto_strategy_crossover() {
-        let m = 504; // two simulated years of trading days
-        let n = 500; // the widest CI-gated fixture — still u16-flat at k ≤ 12
-        let auto = CountStrategy::Auto;
-        // C1 (k = 3) stays on the bitset path for both passes…
-        assert_eq!(auto.resolve(3, 3, m, n), CountStrategy::Bitset);
-        assert_eq!(auto.resolve(9, 3, m, n), CountStrategy::Bitset);
-        // …the pair pass crosses over from k = 4 with the v4 flat kernels
-        // (measured 1.3× at n = 40 and n = 120)…
-        assert_eq!(auto.resolve(16, 4, m, n), CountStrategy::ObsMajor);
-        assert_eq!(auto.resolve(25, 5, m, n), CountStrategy::ObsMajor);
-        // …while the cheap directed pass holds out a little longer…
-        assert_eq!(auto.resolve(4, 4, m, n), CountStrategy::Bitset);
-        assert_eq!(auto.resolve(5, 5, m, n), CountStrategy::Bitset);
-        // …and large k is observation-major everywhere it matters.
-        assert_eq!(auto.resolve(64, 8, m, n), CountStrategy::ObsMajor);
-        assert_eq!(auto.resolve(144, 12, m, n), CountStrategy::ObsMajor);
-        // The directed pass now crosses over at k = 8 (the flat blocked
-        // bump made ObsMajor cheap enough that only intersection-light
-        // small-k tails keep Bitset competitive).
-        assert_eq!(auto.resolve(8, 8, m, n), CountStrategy::ObsMajor);
-        assert_eq!(auto.resolve(12, 12, m, n), CountStrategy::ObsMajor);
-        // Degenerate inputs never panic and fall back to Bitset.
-        assert_eq!(auto.resolve(1, 1, 0, 0), CountStrategy::Bitset);
-        // Fixed strategies resolve to themselves.
-        assert_eq!(
-            CountStrategy::Bitset.resolve(64, 8, m, n),
-            CountStrategy::Bitset
-        );
-        assert_eq!(
-            CountStrategy::ObsMajor.resolve(9, 3, m, n),
-            CountStrategy::ObsMajor
-        );
-    }
-
-    #[test]
-    fn auto_strategy_widens_the_bitset_window_past_the_u16_caps() {
-        let m = 504;
-        // 20 000 attributes at k = 4: n·stride = 80 000 > 65 536, so only
-        // the u32 wide kernel engages and the bump discount weakens to
-        // 0.8 — the pair-pass crossover slips from k = 4 to k = 5 while
-        // everything from k = 5 up is unchanged.
-        let wide_n = 20_000;
-        assert_eq!(
-            CountStrategy::Auto.resolve(16, 4, m, wide_n),
-            CountStrategy::Bitset
-        );
-        assert_eq!(
-            CountStrategy::Auto.resolve(16, 4, m, 500),
-            CountStrategy::ObsMajor
-        );
-        assert_eq!(
-            CountStrategy::Auto.resolve(25, 5, m, wide_n),
-            CountStrategy::ObsMajor
-        );
-        // A long history (m > u16::MAX) trips the same recalibration even
-        // at a narrow attribute set.
-        let long_m = 70_000;
-        assert_eq!(
-            CountStrategy::Auto.resolve(64, 8, long_m, 40),
-            CountStrategy::ObsMajor
-        );
     }
 
     #[test]

@@ -3,21 +3,16 @@
 //! All ACVs reduce to counts of observations matching value combinations.
 //! [`CountingEngine`] indexes one database both ways — a [`ValueIndex`]
 //! (per `(attribute, value)` observation bitsets) and an [`ObsMatrix`]
-//! (row-major `m × n` code matrix) — and offers **two counting
-//! strategies** over the same tail rows:
+//! (row-major `m × n` code matrix) — and counts tail rows two ways:
 //!
-//! - **Bitset** (per-head): a directed edge `({a}, {h})` needs `k·(k−1)`
-//!   intersection popcounts; a 2-to-1 hyperedge `({a,b}, {h})` reuses `k²`
-//!   cached tail-row bitsets (built once per unordered pair via
-//!   [`CountingEngine::pair_rows`]) and performs `k²·(k−1)` intersection
-//!   popcounts per head — `O(rows · (k−1) · m/64)` words per head.
-//! - **Observation-major** (multi-head): [`edge_acv_all_heads`] /
-//!   [`hyper_acv_all_heads`] iterate each tail row's observations *once*
-//!   and bump `counts[head][value(head, obs)]` for **all** heads
-//!   simultaneously into a reusable [`HeadCounter`]. The pair sweep is
-//!   **PairRows-free**: it reads row memberships straight off
-//!   [`PairBuckets`] (obs ids grouped by `(v_a, v_b)` in one counting-sort
-//!   pass), never intersecting bitsets. Dense rows take the **blocked
+//! - **Observation-major** (multi-head), the one construction path:
+//!   [`edge_acv_all_heads`] / [`hyper_acv_all_heads`] iterate each tail
+//!   row's observations *once* and bump `counts[head][value(head, obs)]`
+//!   for **all** heads simultaneously into a reusable [`HeadCounter`].
+//!   Pass 1 reads a tail's value rows off the [`ValueIndex`]; the pair
+//!   sweep reads row memberships straight off [`PairBuckets`] (obs ids
+//!   grouped by `(v_a, v_b)` in one counting-sort pass), never
+//!   intersecting bitsets. Dense rows take the **blocked
 //!   flat kernel**: per head tile of at most `TILE_SLOTS` u16 counter
 //!   lanes (L1-sized — the "head blocking" lever for wide attribute
 //!   sets), the observations' precomputed [`SlotMatrix`] slot stripes are
@@ -28,24 +23,36 @@
 //!   memset. Rows of 1–4 observations skip the counters entirely (exact
 //!   `O(n)` comparison folds), and mid-size rows under `k/4` observations
 //!   use a dirty list (`O(touched)` instead of `O(n·k)`). Per pair:
-//!   `O(m + m·(n−2) + Σ_rows fold)` versus the bitset path's
-//!   `O(k²·m/64 + (n−2)·k²·(k−1)·m/64)` — both the `k³/64` per-head factor
-//!   and the `k²·m/64` pair-setup term are gone, and the constant in
-//!   front of `m·(n−2)` is ~0.7 of the pre-blocked per-head walk's
-//!   (measured at n ∈ {40, 120, 240}; see `CountStrategy::resolve`).
+//!   `O(m + m·(n−2) + Σ_rows fold)` — no `k³/64` per-head factor and no
+//!   `k²·m/64` pair-setup term — and the constant in front of
+//!   `m·(n−2)` is ~0.7 of the pre-blocked per-head walk's (measured at
+//!   n ∈ {40, 120, 240}).
+//! - **Per-head** (bitset), one edge at a time: a directed edge
+//!   `({a}, {h})` needs `k·(k−1)` intersection popcounts; a 2-to-1
+//!   hyperedge `({a,b}, {h})` reuses `k²` cached tail-row bitsets (built
+//!   once per unordered pair via [`CountingEngine::pair_rows`]) and
+//!   performs `k²·(k−1)` intersection popcounts per head —
+//!   `O(rows · (k−1) · m/64)` words per head, cubic in `k`. It backs the
+//!   `*_table` methods and rule ranking, and [`CountingEngine::edge_acv`]
+//!   / [`CountingEngine::hyper_acv`] are the independent reference the
+//!   construction tests hold the sweeps to.
 //!
-//! Both strategies produce bit-identical ACVs (they accumulate the same
-//! integer counts and perform the same final division); the builder picks
-//! between them via `CountStrategy` in the model configuration: the
-//! measured crossovers put the paper's C1 setting `k = 3` on `Bitset`,
-//! the pair pass on `ObsMajor` from `k = 4`, and the directed pass 1 on
-//! `ObsMajor` from `k = 8`, independent of `n` (both sides scale with
-//! the head count). **Kernel tiers** ([`KernelPath`]): the u16 flat
-//! kernel needs `n · stride ≤ 65536` and `m ≤ 65535` (u16 slots and
-//! counters); beyond either bound the dense path engages the **wide
-//! flat kernel** — the same blocked bump structure over u32
-//! [`WideSlotMatrix`] stripes and u32 counter lanes (half the tile
-//! width, same 16 KB live slice), which admits any real universe
+//! Both produce bit-identical ACVs (they accumulate the same integer
+//! counts and perform the same final division). Builds never choose
+//! between them: with the SIMD vertical kernel below, the sweep is the
+//! faster construction path at every `k` (n = 40, m = 504, one AVX2
+//! thread: a third to a half of the per-head path's time at the paper's
+//! C1 setting `k = 3`, a fifth to a tenth at `k = 5`, under a twentieth
+//! at `k = 8`; the per-head side grows as `k³`). The one loss is a
+//! forced-scalar build at `k = 3`, 1.2–1.5× slower than the per-head
+//! path on the same window, which no gated workload runs.
+//!
+//! **Kernel tiers** ([`KernelPath`]): the u16 flat kernel needs
+//! `n · stride ≤ 65536` and `m ≤ 65535` (u16 slots and counters);
+//! beyond either bound the dense path engages the **wide flat kernel**
+//! — the same blocked bump structure over u32 [`WideSlotMatrix`]
+//! stripes and u32 counter lanes (half the tile width, same 16 KB live
+//! slice), which admits any real universe
 //! (`n · stride ≤ u32::MAX`) and any window the u32 obs ids allow —
 //! and only past *that* falls back to the segmented per-head byte
 //! walk. All tiers are bit-identical; the engaged tier is surfaced via
@@ -115,13 +122,13 @@
 //! (`AssociationModel::advance`), `crate::incremental` instead maintains
 //! the count tensors across slides and touches only what one
 //! retired/appended observation can change — `O(n²)`–`O(n³)` per slide
-//! versus the batch passes' `O(n²·m)`-and-up, a 4.4–8.9× per-slide win
-//! on the bench fixture (≥ 13× before the SIMD vertical kernel halved
-//! the batch side). Its triple-tensor path has no dense sweeps to
-//! vectorize; its row-recount fallback, past the tensor budget, counts
-//! the one or two pair rows a slide touches through the same per-row
-//! folds as a pair sweep — the vertical kernel, or the scalar histogram
-//! and dense fold where the kernel declines
+//! versus the batch passes' `O(n²·m)`-and-up, a 3.6–7.6× per-slide win
+//! on the bench fixture at k ∈ {3, 5, 8} (≥ 13× before the SIMD
+//! vertical kernel halved the batch side). Its triple-tensor path has no
+//! dense sweeps to vectorize; its row-recount fallback, past the tensor
+//! budget, counts the one or two pair rows a slide touches through the
+//! same per-row folds as a pair sweep — the vertical kernel, or the
+//! scalar histogram and dense fold where the kernel declines
 //! (`HeadCounter::add_row`). Batch wins for one-shot builds and for
 //! bulk window jumps; incremental wins as soon as the same model is slid
 //! more than a couple of observations at a time.

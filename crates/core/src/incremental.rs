@@ -49,10 +49,10 @@
 //!   reinserting them.
 //!
 //! The result on the 40-ticker fixture (k = 5, three-year window):
-//! 4.4–6.3× faster per slide than a batch rebuild (≥ 10× before the
+//! 4.2–7.0× faster per slide than a batch rebuild (≥ 10× before the
 //! SIMD vertical kernel halved the rebuild side), bit-identical output.
 //! The `streaming` integration suite proves `advance` ≡ `build` across
-//! k, strategies, and thread counts; `perf_summary` measures the
+//! k and thread counts; `perf_summary` measures the
 //! per-slide latency against a full rebuild and CI gates on it.
 
 use crate::builder;

@@ -3,23 +3,20 @@
 //! `ValueIndex` stores, for every attribute `a` and value `v`, the set of
 //! observations where `a = v` as a packed `u64` bitset. Support counting of a
 //! value combination then becomes word-level AND + popcount. This backs the
-//! **bitset** counting strategy of association-hypergraph construction:
-//! evaluating every head of one tail pair costs
-//! `O(heads · k² · (k−1) · m/64)` word operations (one AND+popcount per
-//! `(row, head value)` combination), i.e. `O(pairs · heads · k³ · m/64)`
-//! for the full sweep.
+//! **per-head** counting path of `hypermine_core`'s counting engine
+//! (association tables, rule ranking, one edge at a time): evaluating
+//! every head of one tail pair costs `O(heads · k² · (k−1) · m/64)` word
+//! operations (one AND+popcount per `(row, head value)` combination).
 //!
-//! That per-head cost grows cubically with `k`, so past roughly
-//! `k²·(k−1) ≈ 64` words stop paying for themselves and the
-//! **observation-major** strategy wins: stream each tail row's
-//! observations once (pass 1 via these bitsets, the pair pass via
+//! That per-head cost grows cubically with `k`, so construction instead
+//! runs the **observation-major** sweep at every `k`: stream each tail
+//! row's observations once (pass 1 via these bitsets, the pair pass via
 //! `PairBuckets` — no intersections at all) and bump per-head value
 //! counters from the row-major `ObsMatrix`, costing `O(m·heads)` per pair
-//! independent of `k³` and of `m/64`. `hypermine_core`'s counting engine
-//! implements both and its `CountStrategy::Auto` picks by the estimated
-//! cost crossover; see `hypermine_core::counting` for the details.
+//! independent of `k³` and of `m/64`; see `hypermine_core::counting` for
+//! the details.
 //!
-//! Both of those are **batch** builds over a fixed window. For a
+//! Both of those count over a fixed window. For a
 //! **sliding** window the index is maintained *incrementally* instead:
 //! [`ValueIndex::with_capacity`] starts an all-empty index over physical
 //! ring slots, and [`ValueIndex::set_obs`] / [`ValueIndex::clear_obs`]

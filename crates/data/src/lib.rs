@@ -10,9 +10,9 @@
 //!   measures of Definition 3.2 over [`Pattern`]s;
 //! - [`ValueIndex`]: per `(attribute, value)` observation bitsets enabling
 //!   counting of value combinations via word-level intersections — the
-//!   workhorse of the bitset counting strategy;
+//!   workhorse of the per-head counting path;
 //! - [`ObsMatrix`]: the row-major `m × n` transpose backing the
-//!   observation-major counting strategy (stream each observation once,
+//!   observation-major counting sweeps (stream each observation once,
 //!   count all heads simultaneously);
 //! - [`SlotMatrix`]: the precomputed counter-slot lanes
 //!   (`head·stride + value − 1` as contiguous u16 stripes, stride = `k`

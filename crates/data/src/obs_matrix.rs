@@ -1,8 +1,8 @@
 //! Row-major observation code matrix and pair-row observation buckets.
 //!
 //! [`Database`] stores columns contiguously, which is what the per-value
-//! bitset strategy wants. The observation-major counting strategy instead
-//! streams whole observations: for each observation in a tail row it reads
+//! bitsets want. The observation-major counting sweeps instead stream
+//! whole observations: for each observation in a tail row they read
 //! the value of *every* candidate head attribute. [`ObsMatrix`] is the
 //! cache-friendly transpose supporting that access pattern — an `m × n`
 //! byte matrix whose row `o` holds observation `o`'s value for every

@@ -1,16 +1,12 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `report [--scale tiny|default|full] [--seed N] [--only SECTION]
-//! [--strategy auto|bitset|obsmajor]`. Sections are enumerated from the
-//! scenario registry (`registry::REPORT_SECTIONS`); run
-//! `report --only help` to list them. The market, its per-scale
-//! dimensions, and the default seed come from the registry's
-//! `paper_market` scenario, so `report` reproduces exactly what the
-//! `replication` binary gates. The counting strategy never changes any
-//! reported number (the strategies are bit-identical) — the flag exists
-//! to time and A/B the construction paths on real report workloads.
+//! Usage: `report [--scale tiny|default|full] [--seed N] [--only SECTION]`.
+//! Sections are enumerated from the scenario registry
+//! (`registry::REPORT_SECTIONS`); run `report --only help` to list them.
+//! The market, its per-scale dimensions, and the default seed come from
+//! the registry's `paper_market` scenario, so `report` reproduces exactly
+//! what the `replication` binary gates.
 
-use hypermine_core::CountStrategy;
 use hypermine_experiments::baselines::BaselineConfig;
 use hypermine_experiments::dominator_tables::{dominator_table, DominatorAlgorithm};
 use hypermine_experiments::registry::{self, RunScale, REPORT_SECTIONS};
@@ -32,12 +28,11 @@ fn print_sections(to_stderr: bool) {
     }
 }
 
-fn parse_args() -> (Scale, u64, Option<String>, CountStrategy) {
+fn parse_args() -> (Scale, u64, Option<String>) {
     let spec = registry::find("paper_market").expect("paper_market is registered");
     let mut scale = Scale::default_scale();
     let mut seed = spec.seed;
     let mut only = None;
-    let mut strategy = CountStrategy::Auto;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -75,22 +70,13 @@ fn parse_args() -> (Scale, u64, Option<String>, CountStrategy) {
                 }
                 only = Some(section);
             }
-            "--strategy" => match args.next().as_deref() {
-                Some("auto") => strategy = CountStrategy::Auto,
-                Some("bitset") => strategy = CountStrategy::Bitset,
-                Some("obsmajor") => strategy = CountStrategy::ObsMajor,
-                other => {
-                    eprintln!("unknown strategy {other:?} (auto|bitset|obsmajor)");
-                    std::process::exit(2);
-                }
-            },
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
             }
         }
     }
-    (scale, seed, only, strategy)
+    (scale, seed, only)
 }
 
 /// One line per built model: edge count, the counting-kernel tier the
@@ -110,7 +96,7 @@ fn log_build(t0: &Instant, name: &str, model: &hypermine_core::AssociationModel)
 }
 
 fn main() {
-    let (scale, seed, only, strategy) = parse_args();
+    let (scale, seed, only) = parse_args();
     let t0 = Instant::now();
     println!(
         "== hypermine report: {} tickers, {} years, seed {seed} ==\n",
@@ -118,13 +104,9 @@ fn main() {
     );
 
     let scenario = Scenario::new(scale, seed);
-    let mut cfg1 = Configuration::c1();
-    cfg1.model.strategy = strategy;
-    let mut cfg2 = Configuration::c2();
-    cfg2.model.strategy = strategy;
-    let c1 = scenario.build(&cfg1);
+    let c1 = scenario.build(&Configuration::c1());
     log_build(&t0, "C1", &c1.model);
-    let c2 = scenario.build(&cfg2);
+    let c2 = scenario.build(&Configuration::c2());
     log_build(&t0, "C2", &c2.model);
     println!();
 

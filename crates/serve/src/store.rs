@@ -486,12 +486,14 @@ fn encode_checkpoint(model: &AssociationModel) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + db.num_attrs() * (16 + db.num_obs()));
     out.extend_from_slice(CKPT_MAGIC);
     push_u64(&mut out, model.epoch());
-    // Config — every field, so a recovered build resolves strategies,
-    // kernel caps, and SIMD policy exactly as the pre-crash writer did.
+    // Config — every field, so a recovered build resolves kernel caps
+    // and SIMD policy exactly as the pre-crash writer did.
     push_u64(&mut out, cfg.gamma_edge.to_bits());
     push_u64(&mut out, cfg.gamma_hyper.to_bits());
     out.push(cfg.with_hyperedges as u8);
     push_u64(&mut out, cfg.threads as u64);
+    // No build reads the strategy any more (`CountStrategy` is inert);
+    // its byte stays so the checkpoint format and version do not change.
     out.push(match cfg.strategy {
         CountStrategy::Auto => 0,
         CountStrategy::Bitset => 1,

@@ -1,11 +1,12 @@
-//! Cross-validation of the two counting strategies: `Bitset`, `ObsMajor`,
-//! and the naive recount must agree — bit for bit — on random databases
-//! across the k/thread matrix, and construction must be deterministic in
-//! edge ids at every thread count (both passes run parallel).
+//! Cross-validation of the counting paths: model builds must equal a
+//! reference assembled independently from the per-head counting paths —
+//! bit for bit, in edge ids, at every thread count — and the
+//! observation-major sweeps behind every build must agree with the
+//! per-head paths and the naive recount on random databases across the
+//! k, kernel-tier and SIMD matrix.
 
 use hypermine::core::{
-    AssociationModel, CountStrategy, CountingEngine, HeadCounter, KernelPath, ModelConfig,
-    SimdPolicy,
+    node_of, AssociationModel, CountingEngine, HeadCounter, KernelPath, ModelConfig, SimdPolicy,
 };
 use hypermine::data::{AttrId, Database, PairBuckets, Value};
 use proptest::prelude::*;
@@ -41,16 +42,85 @@ fn db_with_k() -> impl Strategy<Value = Database> {
     })
 }
 
-fn build(db: &Database, strategy: CountStrategy, threads: usize) -> AssociationModel {
-    AssociationModel::build(
-        db,
-        &ModelConfig {
-            strategy,
-            threads,
-            ..ModelConfig::default()
-        },
-    )
-    .expect("paper gammas are valid")
+/// One edge of an expected model: tail, head, and the weight's bits.
+type RefEdge = (Vec<AttrId>, AttrId, u64);
+
+/// The edge list `AssociationModel::build` must produce under `cfg`, in id
+/// order, assembled without the builder: directed-edge ACVs from the
+/// per-head bitset path (`edge_acv`), hyperedge ACVs from cached pair
+/// rows (`pair_rows` + `hyper_acv`), baselines from `baseline_acv`, and
+/// this function's own γ tests (Definition 3.7) — directed edges in
+/// tail-major order, then hyperedges in `(pair, head)` order.
+fn reference_edges(db: &Database, cfg: &ModelConfig) -> Vec<RefEdge> {
+    let engine = CountingEngine::new(db);
+    let attrs: Vec<AttrId> = db.attrs().collect();
+    let n = attrs.len();
+    let mut raw = vec![0.0f64; n * n];
+    for &t in &attrs {
+        for &h in &attrs {
+            if h != t {
+                raw[t.index() * n + h.index()] = engine.edge_acv(t, h);
+            }
+        }
+    }
+    let mut edges = Vec::new();
+    for &t in &attrs {
+        for &h in &attrs {
+            let acv = raw[t.index() * n + h.index()];
+            if h != t && acv > 0.0 && acv >= cfg.gamma_edge * engine.baseline_acv(h) {
+                edges.push((vec![t], h, acv.to_bits()));
+            }
+        }
+    }
+    if cfg.with_hyperedges {
+        for (i, &a) in attrs.iter().enumerate() {
+            for &b in &attrs[i + 1..] {
+                let pair = engine.pair_rows(a, b);
+                for &h in &attrs {
+                    if h == a || h == b {
+                        continue;
+                    }
+                    let acv = engine.hyper_acv(&pair, h);
+                    let floor = raw[a.index() * n + h.index()].max(raw[b.index() * n + h.index()]);
+                    if acv > 0.0 && acv >= cfg.gamma_hyper * floor {
+                        edges.push((vec![a, b], h, acv.to_bits()));
+                    }
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// Asserts that `m` holds exactly `expected`: same edge ids, tails,
+/// heads, and weight bits.
+fn assert_matches_reference(m: &AssociationModel, expected: &[RefEdge], what: &str) {
+    let g = m.hypergraph();
+    assert_eq!(g.num_edges(), expected.len(), "{what}: edge count");
+    for ((id, e), (tail, head, bits)) in g.edges().zip(expected) {
+        let tail: Vec<_> = tail.iter().map(|&a| node_of(a)).collect();
+        assert_eq!(e.tail(), &tail[..], "{what}: tail of {id:?}");
+        assert_eq!(e.head(), &[node_of(*head)][..], "{what}: head of {id:?}");
+        assert_eq!(e.weight().to_bits(), *bits, "{what}: ACV of {id:?}");
+    }
+}
+
+/// Builds `db` under `cfg` at threads {1, 3} and checks both models
+/// against [`reference_edges`]; returns the reference.
+fn check_against_reference(db: &Database, cfg: &ModelConfig, what: &str) -> Vec<RefEdge> {
+    let expected = reference_edges(db, cfg);
+    for threads in [1usize, 3] {
+        let m = AssociationModel::build(
+            db,
+            &ModelConfig {
+                threads,
+                ..cfg.clone()
+            },
+        )
+        .expect("valid gammas");
+        assert_matches_reference(&m, &expected, &format!("{what} x{threads} threads"));
+    }
+    expected
 }
 
 fn assert_identical(a: &AssociationModel, b: &AssociationModel, what: &str) {
@@ -74,21 +144,15 @@ fn assert_identical(a: &AssociationModel, b: &AssociationModel, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The full strategy × thread matrix produces one identical model:
-    /// same edge ids, same tails/heads, bit-identical ACVs.
+    /// Builds at every thread count equal the independent per-head
+    /// reference — same edge ids, same tails/heads, bit-identical ACVs —
+    /// with and without the hyperedge pass.
     #[test]
-    fn strategy_matrix_is_bit_identical(db in db_with_k()) {
-        let reference = build(&db, CountStrategy::Bitset, 1);
-        for strategy in [CountStrategy::Bitset, CountStrategy::ObsMajor, CountStrategy::Auto] {
-            for threads in [1usize, 3] {
-                let m = build(&db, strategy, threads);
-                assert_identical(
-                    &m,
-                    &reference,
-                    &format!("{strategy:?} x {threads} threads vs Bitset x 1"),
-                );
-            }
-        }
+    fn builds_match_the_per_head_reference(db in db_with_k()) {
+        let cfg = ModelConfig::default();
+        check_against_reference(&db, &cfg, "default gammas");
+        let directed = ModelConfig { with_hyperedges: false, ..cfg };
+        check_against_reference(&db, &directed, "directed edges only");
     }
 
     /// Both fast sweeps agree with the naive (bitset-free) recount on every
@@ -132,8 +196,8 @@ proptest! {
 
 /// All-constant columns: every pair sweep touches exactly one `(v_a, v_b)`
 /// bucket and one counter slot per head — the dirty list's minimal case —
-/// and the whole strategy × thread matrix must still agree bit for bit,
-/// down to the k = 2 minimum.
+/// and builds at every thread count must still equal the per-head
+/// reference bit for bit, down to the k = 2 minimum.
 #[test]
 fn all_constant_columns_are_bit_identical_across_strategies() {
     for k in [2u8, 3, 5, 8] {
@@ -171,27 +235,21 @@ fn all_constant_columns_are_bit_identical_across_strategies() {
                 }
             }
         }
-        let reference = build(&db, CountStrategy::Bitset, 1);
-        for strategy in [CountStrategy::Bitset, CountStrategy::ObsMajor, CountStrategy::Auto] {
-            for threads in [1usize, 3] {
-                let m = build(&db, strategy, threads);
-                assert_identical(
-                    &m,
-                    &reference,
-                    &format!("constant columns, k = {k}, {strategy:?} x {threads}"),
-                );
-            }
-        }
+        check_against_reference(
+            &db,
+            &ModelConfig::default(),
+            &format!("constant columns, k = {k}"),
+        );
     }
 }
 
 /// Wide-attribute fixture: n = 128 (every earlier suite stopped at
 /// n ≈ 40), deterministic mixed-correlation columns with a handful of
-/// constant ones. The whole strategy × thread matrix — and therefore the
-/// blocked flat u16 kernels the observation-major path takes at this
-/// width — must agree bit for bit. Gammas are raised so the kept-edge
-/// set stays small enough for a debug-mode run; the counting sweeps
-/// still evaluate every one of the ~1M (pair, head) candidates.
+/// constant ones. Builds at every thread count — and therefore the
+/// blocked flat u16 kernels the sweeps take at this width — must equal
+/// the per-head reference bit for bit. Gammas are raised so the
+/// kept-edge set stays small enough for a debug-mode run; the counting
+/// sweeps still evaluate every one of the ~1M (pair, head) candidates.
 #[test]
 fn wide_attribute_fixture_is_bit_identical_across_strategies() {
     let n_attrs = 128usize;
@@ -218,32 +276,13 @@ fn wide_attribute_fixture_is_bit_identical_across_strategies() {
         cols,
     )
     .unwrap();
-    let cfg = |strategy, threads| ModelConfig {
-        strategy,
-        threads,
+    let cfg = ModelConfig {
         gamma_edge: 1.3,
         gamma_hyper: 1.25,
         ..ModelConfig::default()
     };
-    let reference =
-        AssociationModel::build(&db, &cfg(CountStrategy::Bitset, 1)).unwrap();
-    assert!(
-        reference.hypergraph().num_edges() > 0,
-        "fixture keeps some edges"
-    );
-    for (strategy, threads) in [
-        (CountStrategy::ObsMajor, 1),
-        (CountStrategy::ObsMajor, 3),
-        (CountStrategy::Auto, 1),
-        (CountStrategy::Auto, 3),
-    ] {
-        let m = AssociationModel::build(&db, &cfg(strategy, threads)).unwrap();
-        assert_identical(
-            &m,
-            &reference,
-            &format!("n=128 {strategy:?} x{threads} vs Bitset x1"),
-        );
-    }
+    let expected = check_against_reference(&db, &cfg, "n=128");
+    assert!(!expected.is_empty(), "fixture keeps some edges");
 }
 
 /// Beyond one head tile: at `n · stride > 8192` counter lanes the flat
@@ -350,51 +389,35 @@ fn wide_fixture_db_k(n_attrs: usize, n_obs: usize, k: u8) -> Database {
 /// Kernel-tier matrix: the u16 flat, u32 wide flat, and segmented
 /// byte-walk kernels must produce bit-identical models through **full
 /// builds** across the tier × thread matrix at n = 40 (single head
-/// tile) and n = 128 (multi-tile). The cap rides on
-/// `ModelConfig::kernel_cap`, so the forced tier flows through both
-/// construction passes exactly as it would for a database that
-/// genuinely outgrew the u16 caps. The strategy is pinned to `ObsMajor`
-/// so the dense kernels actually run (under `Auto` these dimensions can
-/// resolve to `Bitset`, which has no kernel tiers), and the
-/// unrestricted `Bitset` build is the reference — covering the
-/// Bitset × tier axis of the matrix in the same sweep. (n = 500
-/// full builds are debug-prohibitive here; that width is tier-swept at
-/// the engine level below and build-tested in release by the
-/// `perf_summary` wide fixture.)
+/// tile) and n = 128 (multi-tile), each equal to the per-head reference.
+/// The cap rides on `ModelConfig::kernel_cap`, so the forced tier flows
+/// through both construction passes exactly as it would for a database
+/// that genuinely outgrew the u16 caps. (n = 500 full builds are
+/// debug-prohibitive here; that width is tier-swept at the engine level
+/// below and build-tested in release by the `perf_summary` wide
+/// fixture.)
 #[test]
 fn kernel_tiers_are_bit_identical_through_model_builds() {
     for &(n_attrs, n_obs) in &[(40usize, 60usize), (128, 40)] {
         let db = wide_fixture_db(n_attrs, n_obs);
-        let cfg = |cap, strategy, threads| ModelConfig {
+        let cfg = |cap, threads| ModelConfig {
             kernel_cap: cap,
-            strategy,
             threads,
             gamma_edge: 1.3,
             gamma_hyper: 1.25,
             ..ModelConfig::default()
         };
-        let reference =
-            AssociationModel::build(&db, &cfg(KernelPath::FlatU16, CountStrategy::Bitset, 1))
-                .unwrap();
-        assert!(
-            reference.hypergraph().num_edges() > 0,
-            "n={n_attrs} fixture keeps some edges"
-        );
-        assert_eq!(reference.kernel_path(), KernelPath::FlatU16);
+        let expected = reference_edges(&db, &cfg(KernelPath::FlatU16, 1));
+        assert!(!expected.is_empty(), "n={n_attrs} fixture keeps some edges");
         for cap in [
             KernelPath::FlatU16,
             KernelPath::FlatU32,
             KernelPath::Segmented,
         ] {
             for threads in [1usize, 3] {
-                let m = AssociationModel::build(&db, &cfg(cap, CountStrategy::ObsMajor, threads))
-                    .unwrap();
+                let m = AssociationModel::build(&db, &cfg(cap, threads)).unwrap();
                 assert_eq!(m.kernel_path(), cap, "forced tier is the reported tier");
-                assert_identical(
-                    &m,
-                    &reference,
-                    &format!("n={n_attrs} {cap:?} x{threads} vs Bitset/FlatU16 x1"),
-                );
+                assert_matches_reference(&m, &expected, &format!("n={n_attrs} {cap:?} x{threads}"));
             }
         }
     }
@@ -492,7 +515,6 @@ fn simd_policies_are_bit_identical_through_model_builds() {
             let cfg = |cap, simd, threads| ModelConfig {
                 kernel_cap: cap,
                 simd,
-                strategy: CountStrategy::ObsMajor,
                 threads,
                 gamma_edge: 1.3,
                 gamma_hyper: 1.25,
@@ -590,7 +612,8 @@ fn simd_policies_agree_at_the_wide_fixture_width() {
 
 /// Pass-1 parallelization regression: directed-edge ids must be assigned in
 /// the same tail-major order at every thread count (pass 2 was already
-/// parallel; pass 1 newly runs through the same chunking harness).
+/// parallel; pass 1 newly runs through the same chunking harness), equal
+/// to the per-head reference's.
 #[test]
 fn pass_1_edge_ids_are_deterministic_across_thread_counts() {
     // Strongly associated attribute family so pass 1 keeps many edges.
@@ -611,31 +634,23 @@ fn pass_1_edge_ids_are_deterministic_across_thread_counts() {
     .unwrap();
     let cfg = ModelConfig {
         with_hyperedges: false, // isolate pass 1
-        threads: 1,
         ..ModelConfig::default()
     };
-    let reference = AssociationModel::build(&db, &cfg).unwrap();
+    let expected = reference_edges(&db, &cfg);
     assert!(
-        reference.hypergraph().num_edges() >= n_attrs,
+        expected.len() >= n_attrs,
         "fixture keeps plenty of directed edges"
     );
-    for threads in [2usize, 3, 4, 9, 16] {
-        for strategy in [CountStrategy::Bitset, CountStrategy::ObsMajor] {
-            let m = AssociationModel::build(
-                &db,
-                &ModelConfig {
-                    threads,
-                    strategy,
-                    ..cfg.clone()
-                },
-            )
-            .unwrap();
-            assert_identical(
-                &m,
-                &reference,
-                &format!("pass 1 with {threads} threads, {strategy:?}"),
-            );
-        }
+    for threads in [1usize, 2, 3, 4, 9, 16] {
+        let m = AssociationModel::build(
+            &db,
+            &ModelConfig {
+                threads,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+        assert_matches_reference(&m, &expected, &format!("pass 1 with {threads} threads"));
     }
 }
 

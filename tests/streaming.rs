@@ -5,7 +5,7 @@
 //! all counting strategies, and thread counts {1, 3}, at every step of
 //! the stream.
 
-use hypermine::core::{AdvanceError, AssociationModel, CountStrategy, ModelConfig};
+use hypermine::core::{AdvanceError, AssociationModel, ModelConfig};
 use hypermine::data::{Database, StreamEvent, Value, WindowedDatabase};
 use proptest::prelude::*;
 
@@ -113,8 +113,7 @@ proptest! {
     }
 
     /// Sliding a model with `advance` equals rebuilding from scratch on
-    /// the slid window, for every batch strategy × thread combination,
-    /// at every step.
+    /// the slid window, at every thread count, at every step.
     #[test]
     fn advance_is_bit_identical_to_batch_rebuild((stream, window, k) in stream_with_k()) {
         let full = db_from(&stream, k);
@@ -127,19 +126,13 @@ proptest! {
             model.advance(&stream[window + step]).unwrap();
             prop_assert_eq!(model.epoch(), (step + 1) as u64);
             let w = full.slice_obs(step + 1..step + 1 + window);
-            for strategy in [CountStrategy::Auto, CountStrategy::Bitset, CountStrategy::ObsMajor] {
-                for threads in [1usize, 3] {
-                    let batch = AssociationModel::build(
-                        &w,
-                        &ModelConfig { strategy, threads, ..ModelConfig::default() },
-                    )
-                    .unwrap();
-                    assert_identical(
-                        &model,
-                        &batch,
-                        &format!("step {step}, k {k}, {strategy:?} x{threads}"),
-                    );
-                }
+            for threads in [1usize, 3] {
+                let batch = AssociationModel::build(
+                    &w,
+                    &ModelConfig { threads, ..ModelConfig::default() },
+                )
+                .unwrap();
+                assert_identical(&model, &batch, &format!("step {step}, k {k}, x{threads}"));
             }
         }
     }
