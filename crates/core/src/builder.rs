@@ -21,7 +21,6 @@ use hypermine_hypergraph::DirectedHypergraph;
 
 pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
     let mut engine = CountingEngine::new(db);
-    engine.restrict_kernel(cfg.kernel_cap);
     engine.set_simd_policy(cfg.simd);
     let n = db.num_attrs();
     let attrs: Vec<AttrId> = db.attrs().collect();

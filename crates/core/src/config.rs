@@ -1,17 +1,14 @@
 //! Model-construction configuration.
 
-use crate::counting::KernelPath;
 use crate::simd::SimdPolicy;
 
 /// A construction counting strategy — **inert**: every build runs the
 /// observation-major sweep (see `crate::counting`), whatever this says.
 ///
 /// The type and [`ModelConfig::strategy`] remain for compatibility only:
-/// checkpoints encode the field as one byte, and the repository
-/// benchmark (`perfbench/`) labels its reports with
-/// [`CountStrategy::resolve`]. A follow-up deletes the type, the field
-/// and the checkpoint byte together, with a checkpoint version bump so
-/// that old checkpoints fail recovery cleanly.
+/// the repository benchmark (`perfbench/`) labels its reports with
+/// [`CountStrategy::resolve`]. Checkpoints do not store the field, so
+/// deleting the type and the field needs no checkpoint format change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountStrategy {
     /// The default. Builds run [`CountStrategy::ObsMajor`].
@@ -120,24 +117,16 @@ pub struct ModelConfig {
     pub threads: usize,
     /// Inert: no build reads it, and every value builds the same model
     /// through the one observation-major counting path. Kept only because
-    /// checkpoints store it and the benchmark labels its reports with it
-    /// (see [`CountStrategy`]).
+    /// the benchmark labels its reports with it (see [`CountStrategy`]).
+    /// Checkpoints do not store it: a recovered model carries the
+    /// default.
     pub strategy: CountStrategy,
-    /// Upper bound on the observation-major counting kernel tier (see
-    /// `crate::counting`): the engine engages the best tier the database
-    /// fits that does not exceed this cap, so the default
-    /// [`KernelPath::FlatU16`] means "no restriction". Lowering the cap
-    /// (to [`KernelPath::FlatU32`] or [`KernelPath::Segmented`]) forces
-    /// wider-universe code paths on small fixtures; every tier is
-    /// bit-identical, so this is a testing/diagnostics knob, not a
-    /// tuning knob.
-    pub kernel_cap: KernelPath,
-    /// Whether the flat counting kernels may engage the runtime-detected
+    /// Whether the counting kernels may engage the runtime-detected
     /// SIMD tier (see `crate::simd`): the default [`SimdPolicy::Auto`]
     /// resolves to AVX2 / NEON where the host supports one,
     /// [`SimdPolicy::ForceScalar`] pins the portable scalar kernels.
-    /// Every level is bit-identical — like `kernel_cap`, a
-    /// testing/diagnostics knob, not a tuning knob.
+    /// Every level is bit-identical — a testing/diagnostics knob, not a
+    /// tuning knob.
     pub simd: SimdPolicy,
     /// Memory budget for the incremental engine's triple-count tensor in
     /// bytes; `None` uses the built-in 32 MB default. The tensor makes a
@@ -161,7 +150,6 @@ impl Default for ModelConfig {
             with_hyperedges: true,
             threads: 0,
             strategy: CountStrategy::Auto,
-            kernel_cap: KernelPath::FlatU16,
             simd: SimdPolicy::default(),
             triple_tensor_max_bytes: None,
         }
@@ -243,7 +231,6 @@ mod tests {
         let wide = ModelConfig::with_preset(GammaPreset::WideDefault);
         assert!(wide.gamma_edge > ModelConfig::c1().gamma_edge);
         assert!(wide.gamma_hyper > ModelConfig::c1().gamma_hyper);
-        assert_eq!(wide.kernel_cap, KernelPath::FlatU16);
     }
 
     #[test]

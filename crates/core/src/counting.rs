@@ -13,16 +13,15 @@
 //!   sweep reads row memberships straight off [`PairBuckets`] (obs ids
 //!   grouped by `(v_a, v_b)` in one counting-sort pass), never
 //!   intersecting bitsets. Dense rows take the **blocked
-//!   flat kernel**: per head tile of at most `TILE_SLOTS` u16 counter
-//!   lanes (L1-sized — the "head blocking" lever for wide attribute
-//!   sets), the observations' precomputed [`SlotMatrix`] slot stripes are
-//!   streamed four observations in lockstep and `counts[slot]` bumped
-//!   directly — no per-head multiply, no byte widening, ≈1 increment per
-//!   cycle sustained; the per-row fold is a branch-free `k`-monomorphized
-//!   max reduction over padded, 8-byte-aligned u16 chunks plus one bulk
-//!   memset. Rows of 1–4 observations skip the counters entirely (exact
-//!   `O(n)` comparison folds), and mid-size rows under `k/4` observations
-//!   use a dirty list (`O(touched)` instead of `O(n·k)`). Per pair:
+//!   flat kernel**: per head tile of at most `TILE_BYTES` (16 KB) of
+//!   counter lanes (L1-sized — the "head blocking" lever for wide
+//!   attribute sets), the observations' precomputed [`SlotMatrix`] slot
+//!   stripes are streamed four observations in lockstep and
+//!   `counts[slot]` bumped directly — no per-head multiply, no byte
+//!   widening, ≈1 increment per cycle sustained; the per-row fold is a
+//!   branch-free `k`-monomorphized max reduction over padded,
+//!   lane-aligned chunks plus one bulk memset. Rows of 1–4 observations
+//!   skip the counters entirely (exact `O(n)` comparison folds). Per pair:
 //!   `O(m + m·(n−2) + Σ_rows fold)` — no `k³/64` per-head factor and no
 //!   `k²·m/64` pair-setup term — and the constant in front of
 //!   `m·(n−2)` is ~0.7 of the pre-blocked per-head walk's (measured at
@@ -47,25 +46,23 @@
 //! forced-scalar build at `k = 3`, 1.2–1.5× slower than the per-head
 //! path on the same window, which no gated workload runs.
 //!
-//! **Kernel tiers** ([`KernelPath`]): the u16 flat kernel needs
-//! `n · stride ≤ 65536` and `m ≤ 65535` (u16 slots and counters);
-//! beyond either bound the dense path engages the **wide flat kernel**
-//! — the same blocked bump structure over u32 [`WideSlotMatrix`]
-//! stripes and u32 counter lanes (half the tile width, same 16 KB live
-//! slice), which admits any real universe
-//! (`n · stride ≤ u32::MAX`) and any window the u32 obs ids allow —
-//! and only past *that* falls back to the segmented per-head byte
-//! walk. All tiers are bit-identical; the engaged tier is surfaced via
-//! [`CountingEngine::kernel_path`] so outgrowing a cap is visible
-//! rather than silently slower, and
-//! [`CountingEngine::restrict_kernel`] pins a worse tier for tests and
-//! measurement.
+//! **Lane width** ([`KernelPath`]): the flat kernel is generic over its
+//! counter-lane width and runs the same loops at either. It counts in
+//! u16 lanes where `n · stride ≤ 65536` and `m ≤ 65535` (every slot and
+//! every row count fit 16 bits, and half-width lanes halve the bump's
+//! store traffic and the fold's scan), and in u32 lanes beyond either
+//! bound, which admits any window the u32 obs ids allow. Both widths
+//! produce bit-identical counts. The width depends only on the database
+//! and is surfaced via [`CountingEngine::kernel_path`], so outgrowing
+//! the u16 lanes is visible rather than silently slower. Past
+//! `n · stride > 2^32` (at least 16.7 M attributes) the slot build
+//! panics: no build over that many attribute pairs could finish.
 //!
-//! **SIMD tier.** On top of the kernel tiers rides a runtime-detected
+//! **SIMD tier.** On top of the flat kernel rides a runtime-detected
 //! vector tier (`crate::simd`): when the host has AVX2 (x86-64) or NEON
 //! (aarch64) and a dense row satisfies the **vertical kernel**'s bounds
 //! — `|row| ≤ 255` observations, `k ∈ 2..=8`, `n ≥` one vector block
-//! (32 heads AVX2 / 16 NEON) — the flat kernels' whole
+//! (32 heads AVX2 / 16 NEON) — the flat kernel's whole
 //! bump-fold-memset cycle is replaced by per-head-block byte-compare
 //! counting straight off the [`ObsMatrix`] rows: one 32-byte row load
 //! per observation, `k` compare/subtract accumulations into u8 lanes
@@ -80,7 +77,7 @@
 //! `ModelConfig::simd` (`SimdPolicy::ForceScalar`) and globally via
 //! `HYPERMINE_FORCE_SCALAR` for CI's portable-fallback leg; hosts with
 //! neither instruction set run the scalar kernels verbatim. Every
-//! tier × policy combination is bit-identical — property-tested in
+//! lane width × policy combination is bit-identical — property-tested in
 //! `tests/strategies.rs` and unit-tested against scalar references in
 //! `crate::simd` — and the engaged level is surfaced via
 //! [`CountingEngine::simd_level`] next to the kernel path.
@@ -140,8 +137,10 @@
 use crate::simd::{self, SimdLevel};
 use crate::table::{AssociationTable, RowCounts};
 use hypermine_data::{
-    AttrId, Database, ObsMatrix, PairBuckets, SlotMatrix, Value, ValueIndex, WideSlotMatrix,
+    counter_stride, AttrId, Database, ObsMatrix, PairBuckets, SlotLane, SlotMatrix, Value,
+    ValueIndex,
 };
+use std::ops::AddAssign;
 
 /// The ACV with exact numerator `count` over a window of `m`
 /// observations. Every ACV a model stores — edge weights, the raw pair
@@ -170,29 +169,23 @@ pub(crate) fn acv_level(acv: f64, m: usize) -> u32 {
     level
 }
 
-/// Which dense-row kernel a [`CountingEngine`] engages, in degradation
-/// order: the u16 flat blocked kernel where its caps admit it
-/// (`n·stride ≤ 65536` and `m ≤ 65535`), the u32 flat kernel beyond
-/// them, and the segmented per-head byte walk as the last-resort
-/// portable fallback. All three produce bit-identical counts; they
-/// differ only in speed and counter footprint.
+/// The counter-lane width a [`CountingEngine`]'s blocked flat kernel
+/// counts dense rows in: u16 where every slot and every row count fit
+/// 16 bits (`n·stride ≤ 65536` and `m ≤ 65535`), u32 beyond. Both
+/// produce bit-identical counts; they differ only in speed and counter
+/// footprint.
 ///
 /// Surfaced by [`CountingEngine::kernel_path`] (and from there by
 /// `incremental_stats()` / `perf_summary` / the `report` bin) so a
-/// database silently outgrowing the u16 caps is visible instead of just
-/// slower; [`CountingEngine::restrict_kernel`] caps the engine at a
-/// *worse* tier, which is how the property tests pin each path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// database outgrowing the u16 lanes is visible instead of just slower.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// Blocked flat bumps over u16 [`SlotMatrix`] stripes into u16
     /// counter lanes.
     FlatU16,
-    /// Blocked flat bumps over u32 [`WideSlotMatrix`] stripes into u32
-    /// counter lanes — engaged when the u16 caps decline.
+    /// Blocked flat bumps over u32 [`SlotMatrix`] stripes into u32
+    /// counter lanes.
     FlatU32,
-    /// Segmented per-head walk over the byte matrix with u32 counters —
-    /// no precomputed slots at all.
-    Segmented,
 }
 
 impl KernelPath {
@@ -201,28 +194,19 @@ impl KernelPath {
         match self {
             KernelPath::FlatU16 => "flat_u16",
             KernelPath::FlatU32 => "flat_u32",
-            KernelPath::Segmented => "segmented",
         }
     }
 
-    /// The tier a [`CountingEngine`] over a `num_attrs × num_obs`
-    /// database with codes in `1..=k` engages under `cap` — the same
-    /// decision [`CountingEngine::kernel_path`] makes, as a pure
-    /// function of the dimensions, so stats paths can report the tier
-    /// without holding (or building) an engine.
-    pub fn select(num_attrs: usize, k: usize, num_obs: usize, cap: KernelPath) -> KernelPath {
-        let slot_range = num_attrs.checked_mul(SlotMatrix::counter_stride(k));
-        let u16_fits = cap <= KernelPath::FlatU16
-            && num_obs <= u16::MAX as usize
-            && slot_range.is_some_and(|s| s <= SlotMatrix::MAX_SLOTS);
-        let u32_fits =
-            cap <= KernelPath::FlatU32 && slot_range.is_some_and(|s| s <= u32::MAX as usize);
-        if u16_fits {
+    /// The lane width a [`CountingEngine`] over a `num_attrs × num_obs`
+    /// database with codes in `1..=k` counts in — the same decision
+    /// [`CountingEngine::kernel_path`] makes, as a pure function of the
+    /// dimensions, so stats paths can report it without holding (or
+    /// building) an engine.
+    pub fn select(num_attrs: usize, k: usize, num_obs: usize) -> KernelPath {
+        if num_obs <= u16::MAX as usize && SlotMatrix::<u16>::fits(num_attrs, k) {
             KernelPath::FlatU16
-        } else if u32_fits {
-            KernelPath::FlatU32
         } else {
-            KernelPath::Segmented
+            KernelPath::FlatU32
         }
     }
 }
@@ -263,20 +247,66 @@ impl PairRows {
     }
 }
 
-/// Counter lanes per head tile of the blocked flat bump passes: a tile
-/// bounds the slice of the u16 counter array one dense row sweep touches
-/// to 16 KB (8192 lanes), keeping the histogram L1-resident even as
-/// `n·stride` grows toward the [`SlotMatrix`] limit (128 KB of counters
-/// at `n·stride = 65536`). At the bench fixtures (`n·stride ≤ 1920`
-/// lanes for n = 240, k = 8) a single tile covers every head and the
-/// blocking adds no work at all; the tile loop only splits once
-/// `n·stride > 8192`.
-const TILE_SLOTS: usize = 8 << 10;
+/// Bytes of counter lanes per head tile of the blocked flat bump pass: a
+/// tile bounds the slice of the counter array one dense row sweep
+/// touches to 16 KB (8192 u16 or 4096 u32 lanes), keeping the histogram
+/// L1-resident even as `n·stride` grows (128 KB of u16 counters at
+/// `n·stride = 65536`). At the bench fixtures (`n·stride ≤ 1920` lanes
+/// for n = 240, k = 8) a single tile covers every head and the blocking
+/// adds no work at all; the tile loop only splits past 16 KB.
+const TILE_BYTES: usize = 16 << 10;
 
-/// Counter lanes per head tile of the **wide** (u32) flat bump passes:
-/// half the u16 tile's lane count, so the tile's counter slice stays at
-/// the same 16 KB despite the doubled lane width.
-const WIDE_TILE_SLOTS: usize = 4 << 10;
+/// A counter-lane width of the blocked flat kernel: the [`SlotLane`] its
+/// slot stripes are stored in, which is also the width of the counters
+/// those slots address, with the vector max-fold over them.
+trait FlatLane: SlotLane + Default + Ord + AddAssign + From<u8> + Into<u64> {
+    /// This width's counter lanes in `flat`.
+    fn lanes(flat: &mut FlatLanes) -> &mut Vec<Self>;
+
+    /// The vector max-fold at this width ([`simd::fold_max_u16`] /
+    /// [`simd::fold_max_u32`]); `false` when `level` has none.
+    fn fold_max(level: SimdLevel, flat: &[Self], stride: usize, totals: &mut [u64]) -> bool;
+}
+
+impl FlatLane for u16 {
+    fn lanes(flat: &mut FlatLanes) -> &mut Vec<u16> {
+        &mut flat.u16
+    }
+
+    fn fold_max(level: SimdLevel, flat: &[u16], stride: usize, totals: &mut [u64]) -> bool {
+        simd::fold_max_u16(level, flat, stride, totals)
+    }
+}
+
+impl FlatLane for u32 {
+    fn lanes(flat: &mut FlatLanes) -> &mut Vec<u32> {
+        &mut flat.u32
+    }
+
+    fn fold_max(level: SimdLevel, flat: &[u32], stride: usize, totals: &mut [u64]) -> bool {
+        simd::fold_max_u32(level, flat, stride, totals)
+    }
+}
+
+/// The flat kernel's counter lanes at each width, laid out at the padded
+/// [`counter_stride`] and addressed by [`SlotMatrix`] stripes. A width's
+/// lanes are allocated on the first dense row counted at that width, so
+/// a counter holds only the width its engine uses. The padding lanes
+/// are never bumped and stay zero; the fold re-zeroes the rest between
+/// rows.
+#[derive(Debug, Clone, Default)]
+struct FlatLanes {
+    u16: Vec<u16>,
+    u32: Vec<u32>,
+}
+
+/// The engine's counter-slot stripes, at the lane width
+/// [`KernelPath::select`] picks for its database.
+#[derive(Debug)]
+enum Slots {
+    U16(SlotMatrix<u16>),
+    U32(SlotMatrix<u32>),
+}
 
 /// Reusable scratch for the observation-major multi-head sweep: per-head
 /// per-value counters within the current tail row, plus per-head
@@ -292,61 +322,38 @@ const WIDE_TILE_SLOTS: usize = 4 << 10;
 ///
 /// - `c == 1`: every head's best count is 1 — the row is tallied in `O(1)`
 ///   and folded into the totals once per sweep, with no counting at all;
-/// - `c ∈ {2, 3, 4}` (pair pass): the observation rows are compared
-///   directly — the best multiplicity of 2–4 values falls out of their
-///   pairwise equalities — `O(n)` with no counter traffic at all;
-/// - sparse rows (`4 < c < k/4`): the bump loop records first-touched
-///   slots in a **dirty list** and the fold scans and zeroes only those —
-///   `O(c·n)` instead of the dense fold's `O(n·k)`, the regime where the
-///   old fold's `k³·(n−2)` pair-pass term lived;
-/// - dense rows: **flat blocked bumps** off the precomputed [`SlotMatrix`]
-///   when the database admits one (`n·k ≤ 65536`): per head tile of at
-///   most `TILE_SLOTS` (8192) counter lanes, the row's observations' contiguous
-///   u16 slot stripes are streamed and `counts[slot]` incremented directly
-///   — no per-head multiply, no byte widening, no segment branches — with
-///   four observations in lockstep to overlap the read-modify-write
-///   chains. Databases beyond the slot limit fall back to the segmented
-///   per-head walk (`bump_obs`/`bump_obs2`). Either way the fold is a
-///   `k`-monomorphized unrolled max-and-zero scan over each head's `k`
-///   slots.
+/// - `c ∈ {2, 3, 4}` (pair pass; `c == 2` in pass 1): the observation
+///   rows are compared directly — the best multiplicity of 2–4 values
+///   falls out of their pairwise equalities — `O(n)` with no counter
+///   traffic at all;
+/// - dense rows: the SIMD vertical kernel where it accepts the row, else
+///   **flat blocked bumps** off the database's precomputed
+///   [`SlotMatrix`]: per head tile of at most `TILE_BYTES` (16 KB) of
+///   counter lanes, the row's observations' contiguous slot stripes are
+///   streamed and `counts[slot]` incremented directly — no per-head
+///   multiply, no byte widening, no segment branches — with four
+///   observations in lockstep to overlap the read-modify-write chains,
+///   then a `k`-monomorphized unrolled max-and-zero scan over each
+///   head's padded lanes.
 #[derive(Debug, Clone)]
 pub struct HeadCounter {
     k: usize,
     num_obs: usize,
-    /// Head-major counter matrix: `counts[head * k + (value − 1)]` —
-    /// matches the bump loop's per-observation head walk (`h·k` is
-    /// strength-reduced to an addition). Zeroed between rows by whichever
-    /// fold ran.
+    /// Head-major counter matrix of [`HeadCounter::add_row`]'s scalar
+    /// histogram: `counts[head * k + (value − 1)]` — matches the bump
+    /// loop's per-observation head walk (`h·k` is strength-reduced to an
+    /// addition). Zeroed between rows by [`HeadCounter::fold_row_dense`].
     counts: Vec<u32>,
-    /// u16 twin of `counts` for the flat blocked dense path (engaged only
-    /// when `m ≤ u16::MAX`, so no row count can overflow): halving the
-    /// lane width halves both the bump pass's L1 store traffic and the
+    /// Counter lanes of the blocked flat kernel, at the width of the
+    /// engine's [`SlotMatrix`]: halving the lane width where a database
+    /// admits u16 halves both the bump pass's L1 store traffic and the
     /// fold's read+memset traffic, and lets the unrolled max reduction
-    /// run twice as many lanes per vector. Laid out at the padded
-    /// [`SlotMatrix::counter_stride`] (`k` rounded up to a multiple of
-    /// four lanes) so every head's chunk is 8-byte aligned; the padding
-    /// lanes are never bumped and stay zero. Zeroed between rows by
-    /// [`HeadCounter::fold_row_dense_flat`].
-    flat: Vec<u16>,
-    /// u32 counter lanes of the **wide** flat kernel, at the same padded
-    /// stride, addressed by [`WideSlotMatrix`] stripes — the dense path
-    /// past the u16 caps (`n·stride > 65536` or `m > 65535`). Allocated
-    /// lazily on the first wide bump so counters sized for the common
-    /// u16 regime pay nothing; zeroed between rows by
-    /// [`HeadCounter::fold_row_dense_flat_wide`].
-    flat_wide: Vec<u32>,
-    /// `SlotMatrix::counter_stride(k)` — the per-head lane stride of
-    /// `flat` and of the slot values addressing it.
+    /// run twice as many lanes per vector. Zeroed between rows by
+    /// [`HeadCounter::fold_row_flat`].
+    flat: FlatLanes,
+    /// [`counter_stride`]`(k)` — the per-head lane stride of `flat` and
+    /// of the slot values addressing it.
     stride: usize,
-    /// Slots of `counts` first-touched by a sparse row, packed as
-    /// `(head << 32) | slot`; drained (and the slots zeroed) by the
-    /// sparse fold.
-    dirty: Vec<u64>,
-    /// Sparse-fold scratch: per-head best of the current row, **kept
-    /// zeroed** between sparse folds (the fold re-zeroes what it touched).
-    sparse_best: Vec<u32>,
-    /// Heads touched during a sparse fold (scratch).
-    dirty_heads: Vec<u32>,
     /// Obs ids of the dense value row being swept (scratch of the flat
     /// blocked pass-1 bump, which needs the row's ids materialized to
     /// stream four slot stripes in lockstep).
@@ -381,12 +388,8 @@ impl HeadCounter {
             k: k as usize,
             num_obs: 0,
             counts: vec![0u32; num_attrs * k as usize],
-            flat: vec![0u16; num_attrs * SlotMatrix::counter_stride(k as usize)],
-            flat_wide: Vec::new(),
-            stride: SlotMatrix::counter_stride(k as usize),
-            dirty: Vec::with_capacity(num_attrs * k as usize),
-            sparse_best: vec![0u32; num_attrs],
-            dirty_heads: Vec::with_capacity(num_attrs),
+            flat: FlatLanes::default(),
+            stride: counter_stride(k as usize),
             ids: Vec::new(),
             single_rows: 0,
             totals: vec![0u64; num_attrs],
@@ -394,24 +397,6 @@ impl HeadCounter {
             seg: (usize::MAX, usize::MAX),
             simd: simd::detect(),
         }
-    }
-
-    /// Sparse-row cutoff: rows with `4 < c <` this many observations use
-    /// the dirty-list bump + fold (`O(c·n)` work) instead of flat
-    /// increments + the dense fold (`O(c·n + n·k)`, but with a far
-    /// cheaper unrolled per-slot scan). The tracking tax on every bump
-    /// only pays for itself when the row touches well under a quarter of
-    /// each head's `k` slots, so the cutoff is `k/4` — inert at the
-    /// paper's domain sizes (rows that small are caught by the exact
-    /// 1-to-4-observation folds first) and increasingly active as `k`
-    /// grows past 16. Re-measured against the blocked flat kernels at
-    /// `n ∈ {40, 120}`, `k ∈ {12, 16}`: `k/4` still wins (disabling the
-    /// dirty list costs ~20% at n = 120, k = 16; widening the cutoff to
-    /// `k/2` or `k` regresses 1.7–4× — the flat dense bump is simply much
-    /// cheaper per touch than the tracked one).
-    #[inline]
-    fn sparse_cutoff(&self) -> usize {
-        self.k / 4
     }
 
     /// Resets the accumulated totals for a new sweep over `num_obs`
@@ -501,7 +486,7 @@ impl HeadCounter {
     }
 
     /// Bumps `counts[head][value]` for every non-tail attribute of one
-    /// observation row (dense path — no tracking).
+    /// observation row.
     #[inline]
     fn bump_obs(&mut self, row: &[Value]) {
         let k = self.k;
@@ -541,147 +526,6 @@ impl HeadCounter {
         }
     }
 
-    /// Bumps `counts[head][value]` for every non-tail attribute of one
-    /// observation row, recording first-touched slots in the dirty list
-    /// (sparse path).
-    #[inline]
-    fn bump_obs_tracked(&mut self, row: &[Value]) {
-        let k = self.k;
-        for (from, to) in self.head_segments(row.len()) {
-            for (off, &v) in row[from..to].iter().enumerate() {
-                let h = from + off;
-                let slot = h * k + (v as usize - 1);
-                let c = self.counts[slot];
-                if c == 0 {
-                    self.dirty.push(((h as u64) << 32) | slot as u64);
-                }
-                self.counts[slot] = c + 1;
-            }
-        }
-    }
-
-    /// Head-tile width of the blocked flat sweep: as many heads as keep a
-    /// tile's counter slice within [`TILE_SLOTS`] u16 lanes.
-    #[inline]
-    fn tile_heads(&self) -> usize {
-        (TILE_SLOTS / self.stride).max(1)
-    }
-
-    /// Dense-row bump pass over precomputed slot stripes, blocked by head
-    /// tile: for each tile, the row's observations' contiguous u16 slot
-    /// lanes are streamed and `counts[slot]` incremented directly. The
-    /// slot index `h·k + (v−1)` is independent of the swept tail, so the
-    /// stripes come straight off the shared [`SlotMatrix`] — no per-head
-    /// multiply, no byte widening. Four observations go through each tile
-    /// in lockstep, which overlaps the four independent read-modify-write
-    /// chains the one-row loop would serialize.
-    ///
-    /// Tail columns are bumped like any other (their counts are zeroed by
-    /// the fold and their totals never accumulated), trading the old
-    /// segmented walk's 2/n skip for branch-free contiguous stripes.
-    fn bump_row_flat(&mut self, slots: &SlotMatrix, ids: &[u32], tile_heads: usize) {
-        let n = slots.num_attrs();
-        let counts = &mut self.flat[..];
-        let mut h0 = 0usize;
-        while h0 < n {
-            let h1 = (h0 + tile_heads).min(n);
-            let mut quads = ids.chunks_exact(4);
-            for q in &mut quads {
-                let s0 = slots.stripe(q[0] as usize, h0, h1);
-                let s1 = slots.stripe(q[1] as usize, h0, h1);
-                let s2 = slots.stripe(q[2] as usize, h0, h1);
-                let s3 = slots.stripe(q[3] as usize, h0, h1);
-                // Four heads per step off one u64 read per stripe (the
-                // stripes are contiguous u16 lanes): 4 loads feed 16
-                // increments, keeping the loop store-bound instead of
-                // load-bound.
-                let mut w0 = s0.chunks_exact(4);
-                let mut w1 = s1.chunks_exact(4);
-                let mut w2 = s2.chunks_exact(4);
-                let mut w3 = s3.chunks_exact(4);
-                for (((a, b), c), d) in (&mut w0).zip(&mut w1).zip(&mut w2).zip(&mut w3) {
-                    for i in 0..4 {
-                        counts[a[i] as usize] += 1;
-                        counts[b[i] as usize] += 1;
-                        counts[c[i] as usize] += 1;
-                        counts[d[i] as usize] += 1;
-                    }
-                }
-                for (((&a, &b), &c), &d) in w0
-                    .remainder()
-                    .iter()
-                    .zip(w1.remainder())
-                    .zip(w2.remainder())
-                    .zip(w3.remainder())
-                {
-                    counts[a as usize] += 1;
-                    counts[b as usize] += 1;
-                    counts[c as usize] += 1;
-                    counts[d as usize] += 1;
-                }
-            }
-            for &o in quads.remainder() {
-                for &s in slots.stripe(o as usize, h0, h1) {
-                    counts[s as usize] += 1;
-                }
-            }
-            h0 = h1;
-        }
-    }
-
-    /// Ends a flat-bumped dense row: the u16 twin of
-    /// [`HeadCounter::fold_row_dense`], scanning the padded
-    /// [`SlotMatrix::counter_stride`] chunks — always a multiple of four
-    /// lanes, so the monomorphized max reductions vectorize evenly at
-    /// every `k` (the padding lanes hold zero and never win the max).
-    ///
-    /// When the engine resolved a vector tier, the max pass runs the
-    /// explicit [`simd::fold_max_u16`] reduction (`_mm256_max_epu16` /
-    /// `vmaxq_u16` over the padded 8-byte-aligned chunks with a
-    /// horizontal reduce per head) instead of the scalar scan below.
-    fn fold_row_dense_flat(&mut self) {
-        if !simd::fold_max_u16(self.simd, &self.flat, self.stride, &mut self.totals) {
-            match self.stride {
-                4 => self.fold_row_dense_flat_k::<4>(),
-                8 => self.fold_row_dense_flat_k::<8>(),
-                12 => self.fold_row_dense_flat_k::<12>(),
-                16 => self.fold_row_dense_flat_k::<16>(),
-                _ => self.fold_row_dense_flat_any(),
-            }
-        }
-        self.flat.fill(0);
-    }
-
-    /// `fold_row_dense_flat` max pass for a compile-time
-    /// `K == self.stride`.
-    fn fold_row_dense_flat_k<const K: usize>(&mut self) {
-        for (chunk, t) in self.flat.chunks_exact(K).zip(self.totals.iter_mut()) {
-            let chunk: &[u16; K] = chunk.try_into().expect("chunk length is K");
-            let mut best = 0u16;
-            for &c in chunk {
-                best = best.max(c);
-            }
-            *t += best as u64;
-        }
-    }
-
-    /// `fold_row_dense_flat` max pass for arbitrary runtime strides.
-    fn fold_row_dense_flat_any(&mut self) {
-        for (chunk, t) in self
-            .flat
-            .chunks_exact(self.stride)
-            .zip(self.totals.iter_mut())
-        {
-            let mut best = 0u16;
-            for &c in chunk {
-                if c > best {
-                    best = c;
-                }
-            }
-            *t += best as u64;
-        }
-    }
-
     /// Attempts the fused vertical dense-row kernel
     /// ([`simd::dense_row_vertical`]): counts a register-resident block
     /// of heads per pass straight off the byte code matrix and folds
@@ -691,136 +535,54 @@ impl HeadCounter {
     /// bounds (`c > 255`, `k ∉ 2..=8`, narrow universes); the caller
     /// then runs the scalar blocked bump + fold. Tail columns are
     /// accumulated like any other head and pinned back to zero by
-    /// `finish`, exactly as the flat paths do.
+    /// `finish`, exactly as the flat kernel does.
     #[inline]
     fn fold_row_dense_vertical(&mut self, codes: &[Value], n: usize, ids: &[u32]) -> bool {
         simd::dense_row_vertical(self.simd, codes, n, ids, self.k, &mut self.totals)
     }
 
-    /// Head-tile width of the wide flat sweep: u32 lanes are twice the
-    /// bytes of the u16 kernel's, so the tile halves its lane count
-    /// ([`WIDE_TILE_SLOTS`]) to keep the live counter slice the same
-    /// 16 KB and L1-resident.
-    #[inline]
-    fn tile_heads_wide(&self) -> usize {
-        (WIDE_TILE_SLOTS / self.stride).max(1)
-    }
-
-    /// Grows the lazily-allocated wide counter lanes to match `flat`'s
-    /// geometry on the first wide bump (all-zero, like every counter
-    /// array between rows).
-    #[inline]
-    fn ensure_flat_wide(&mut self) {
-        if self.flat_wide.is_empty() {
-            self.flat_wide.resize(self.flat.len(), 0);
+    /// Folds a dense row — the observations `ids` of `obs` — into the
+    /// totals: the vertical kernel where it accepts the row, else the
+    /// blocked flat kernel at the lane width of the engine's `slots`.
+    fn fold_dense_row(&mut self, obs: &ObsMatrix, slots: &Slots, ids: &[u32]) {
+        if self.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
+            return;
+        }
+        match slots {
+            Slots::U16(slots) => self.fold_row_flat(slots, ids),
+            Slots::U32(slots) => self.fold_row_flat(slots, ids),
         }
     }
 
-    /// The u32 twin of [`HeadCounter::bump_row_flat`], streaming
-    /// [`WideSlotMatrix`] stripes into the u32 counter lanes — same
-    /// four-observations-in-lockstep structure, engaged only past the
-    /// u16 kernel's caps.
-    fn bump_row_flat_wide(&mut self, slots: &WideSlotMatrix, ids: &[u32], tile_heads: usize) {
-        self.ensure_flat_wide();
-        let n = slots.num_attrs();
-        let counts = &mut self.flat_wide[..];
-        let mut h0 = 0usize;
-        while h0 < n {
-            let h1 = (h0 + tile_heads).min(n);
-            let mut quads = ids.chunks_exact(4);
-            for q in &mut quads {
-                let s0 = slots.stripe(q[0] as usize, h0, h1);
-                let s1 = slots.stripe(q[1] as usize, h0, h1);
-                let s2 = slots.stripe(q[2] as usize, h0, h1);
-                let s3 = slots.stripe(q[3] as usize, h0, h1);
-                for (((&a, &b), &c), &d) in s0.iter().zip(s1).zip(s2).zip(s3) {
-                    counts[a as usize] += 1;
-                    counts[b as usize] += 1;
-                    counts[c as usize] += 1;
-                    counts[d as usize] += 1;
-                }
-            }
-            for &o in quads.remainder() {
-                for &s in slots.stripe(o as usize, h0, h1) {
-                    counts[s as usize] += 1;
-                }
-            }
-            h0 = h1;
+    /// The blocked flat kernel at lane width `L`: bumps the row's slot
+    /// stripes into the counter lanes ([`bump_row_flat`]), folds each
+    /// head's padded [`counter_stride`] chunk — always a multiple of
+    /// four lanes, so the monomorphized max reductions vectorize evenly
+    /// at every `k` (the padding lanes hold zero and never win the max)
+    /// — into its total, and re-zeroes the lanes with one memset.
+    ///
+    /// When the engine resolved a vector tier, the max pass runs the
+    /// explicit [`FlatLane::fold_max`] reduction (`_mm256_max_epu16` /
+    /// `vmaxq_u16` and their u32 forms over the padded, aligned chunks
+    /// with a horizontal reduce per head) instead of the scalar scan.
+    fn fold_row_flat<L: FlatLane>(&mut self, slots: &SlotMatrix<L>, ids: &[u32]) {
+        let stride = self.stride;
+        let counts = L::lanes(&mut self.flat);
+        if counts.is_empty() {
+            counts.resize(self.totals.len() * stride, L::default());
         }
-    }
-
-    /// Ends a wide-flat-bumped dense row: the u32 twin of
-    /// [`HeadCounter::fold_row_dense_flat`] over the same padded stride
-    /// chunks — [`simd::fold_max_u32`] when the engine resolved a
-    /// vector tier.
-    fn fold_row_dense_flat_wide(&mut self) {
-        if !simd::fold_max_u32(self.simd, &self.flat_wide, self.stride, &mut self.totals) {
-            match self.stride {
-                4 => self.fold_row_dense_flat_wide_k::<4>(),
-                8 => self.fold_row_dense_flat_wide_k::<8>(),
-                12 => self.fold_row_dense_flat_wide_k::<12>(),
-                16 => self.fold_row_dense_flat_wide_k::<16>(),
-                _ => self.fold_row_dense_flat_wide_any(),
+        let tile_heads = (TILE_BYTES / std::mem::size_of::<L>() / stride).max(1);
+        bump_row_flat(counts, slots, ids, tile_heads);
+        if !L::fold_max(self.simd, counts, stride, &mut self.totals) {
+            match stride {
+                4 => fold_flat_k::<L, 4>(counts, &mut self.totals),
+                8 => fold_flat_k::<L, 8>(counts, &mut self.totals),
+                12 => fold_flat_k::<L, 12>(counts, &mut self.totals),
+                16 => fold_flat_k::<L, 16>(counts, &mut self.totals),
+                _ => fold_flat_any(counts, stride, &mut self.totals),
             }
         }
-        self.flat_wide.fill(0);
-    }
-
-    /// `fold_row_dense_flat_wide` max pass for a compile-time
-    /// `K == self.stride`.
-    fn fold_row_dense_flat_wide_k<const K: usize>(&mut self) {
-        for (chunk, t) in self.flat_wide.chunks_exact(K).zip(self.totals.iter_mut()) {
-            let chunk: &[u32; K] = chunk.try_into().expect("chunk length is K");
-            let mut best = 0u32;
-            for &c in chunk {
-                best = best.max(c);
-            }
-            *t += best as u64;
-        }
-    }
-
-    /// `fold_row_dense_flat_wide` max pass for arbitrary runtime strides.
-    fn fold_row_dense_flat_wide_any(&mut self) {
-        for (chunk, t) in self
-            .flat_wide
-            .chunks_exact(self.stride)
-            .zip(self.totals.iter_mut())
-        {
-            let mut best = 0u32;
-            for &c in chunk {
-                if c > best {
-                    best = c;
-                }
-            }
-            *t += best as u64;
-        }
-    }
-
-    /// Ends a sparse tail row: folds each touched head's best count into
-    /// its total (tail heads excluded) and re-zeroes exactly the touched
-    /// slots. `O(touched)`, not `O(n·k)`.
-    fn fold_row_sparse(&mut self) {
-        for e in self.dirty.drain(..) {
-            let h = (e >> 32) as usize;
-            let slot = (e & u64::from(u32::MAX)) as usize;
-            let c = self.counts[slot];
-            self.counts[slot] = 0;
-            if self.sparse_best[h] == 0 {
-                self.dirty_heads.push(h as u32);
-            }
-            if c > self.sparse_best[h] {
-                self.sparse_best[h] = c;
-            }
-        }
-        let [t0, t1] = self.tail;
-        for &h in &self.dirty_heads {
-            let h = h as usize;
-            if h != t0 && h != t1 {
-                self.totals[h] += self.sparse_best[h] as u64;
-            }
-            self.sparse_best[h] = 0;
-        }
-        self.dirty_heads.clear();
+        counts.fill(L::default());
     }
 
     /// Ends a dense tail row: per-head max over the head's `k` counter
@@ -959,6 +721,99 @@ impl HeadCounter {
     }
 }
 
+/// Dense-row bump pass over precomputed slot stripes, blocked by head
+/// tile: for each tile of `tile_heads` heads, the row's observations'
+/// contiguous slot lanes are streamed and `counts[slot]` incremented
+/// directly. The slot index `h·stride + (v−1)` is independent of the
+/// swept tail, so the stripes come straight off the shared
+/// [`SlotMatrix`] — no per-head multiply, no byte widening. Four
+/// observations go through each tile in lockstep, which overlaps the
+/// four independent read-modify-write chains the one-row loop would
+/// serialize.
+///
+/// Tail columns are bumped like any other (their counts are zeroed by
+/// the fold and their totals never accumulated), keeping the stripes
+/// branch-free and contiguous.
+fn bump_row_flat<L: FlatLane>(
+    counts: &mut [L],
+    slots: &SlotMatrix<L>,
+    ids: &[u32],
+    tile_heads: usize,
+) {
+    let one = L::from(1);
+    let n = slots.num_attrs();
+    let mut h0 = 0usize;
+    while h0 < n {
+        let h1 = (h0 + tile_heads).min(n);
+        let mut quads = ids.chunks_exact(4);
+        for q in &mut quads {
+            let s0 = slots.stripe(q[0] as usize, h0, h1);
+            let s1 = slots.stripe(q[1] as usize, h0, h1);
+            let s2 = slots.stripe(q[2] as usize, h0, h1);
+            let s3 = slots.stripe(q[3] as usize, h0, h1);
+            // Four heads per step off one 4-lane read per stripe: 4
+            // loads feed 16 increments, keeping the loop store-bound
+            // instead of load-bound.
+            let mut w0 = s0.chunks_exact(4);
+            let mut w1 = s1.chunks_exact(4);
+            let mut w2 = s2.chunks_exact(4);
+            let mut w3 = s3.chunks_exact(4);
+            for (((a, b), c), d) in (&mut w0).zip(&mut w1).zip(&mut w2).zip(&mut w3) {
+                for i in 0..4 {
+                    counts[a[i].index()] += one;
+                    counts[b[i].index()] += one;
+                    counts[c[i].index()] += one;
+                    counts[d[i].index()] += one;
+                }
+            }
+            for (((&a, &b), &c), &d) in w0
+                .remainder()
+                .iter()
+                .zip(w1.remainder())
+                .zip(w2.remainder())
+                .zip(w3.remainder())
+            {
+                counts[a.index()] += one;
+                counts[b.index()] += one;
+                counts[c.index()] += one;
+                counts[d.index()] += one;
+            }
+        }
+        for &o in quads.remainder() {
+            for &s in slots.stripe(o as usize, h0, h1) {
+                counts[s.index()] += one;
+            }
+        }
+        h0 = h1;
+    }
+}
+
+/// The flat kernel's scalar max pass at a compile-time stride `K`: adds
+/// each head's largest counter lane to its total.
+fn fold_flat_k<L: FlatLane, const K: usize>(counts: &[L], totals: &mut [u64]) {
+    for (chunk, t) in counts.chunks_exact(K).zip(totals.iter_mut()) {
+        let chunk: &[L; K] = chunk.try_into().expect("chunk length is K");
+        let mut best = L::default();
+        for &c in chunk {
+            best = best.max(c);
+        }
+        *t += best.into();
+    }
+}
+
+/// The flat kernel's scalar max pass for arbitrary runtime strides.
+fn fold_flat_any<L: FlatLane>(counts: &[L], stride: usize, totals: &mut [u64]) {
+    for (chunk, t) in counts.chunks_exact(stride).zip(totals.iter_mut()) {
+        let mut best = L::default();
+        for &c in chunk {
+            if c > best {
+                best = c;
+            }
+        }
+        *t += best.into();
+    }
+}
+
 /// Calls `f` with the index of every set bit of `bits`, ascending.
 #[inline]
 pub(crate) fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
@@ -1000,17 +855,10 @@ pub struct CountingEngine<'a> {
     /// never touch it, and it costs `n·m` bytes. `OnceLock` keeps the
     /// engine shareable across the builder's scoped worker threads.
     obs: std::sync::OnceLock<ObsMatrix>,
-    /// Precomputed counter-slot stripes feeding the flat blocked dense
-    /// bumps, built on first use; `None` when `n·k` exceeds the u16 slot
-    /// range (the sweeps then fall back to the wide kernel).
-    slots: std::sync::OnceLock<Option<SlotMatrix>>,
-    /// u32 twin of `slots` feeding the wide flat kernel, built on first
-    /// use and only consulted when the u16 matrix declines.
-    wide_slots: std::sync::OnceLock<Option<WideSlotMatrix>>,
-    /// The most compressed kernel tier the dense sweeps may engage
-    /// ([`CountingEngine::restrict_kernel`]); [`KernelPath::FlatU16`]
-    /// means unrestricted.
-    kernel_cap: KernelPath,
+    /// Precomputed counter-slot stripes feeding the blocked flat kernel,
+    /// at the lane width [`KernelPath::select`] picks; built on first
+    /// use.
+    slots: std::sync::OnceLock<Slots>,
     /// The vector tier the flat kernels engage
     /// ([`CountingEngine::set_simd_policy`]); defaults to the runtime-
     /// detected level.
@@ -1027,24 +875,13 @@ impl<'a> CountingEngine<'a> {
             idx: ValueIndex::build(db),
             obs: std::sync::OnceLock::new(),
             slots: std::sync::OnceLock::new(),
-            wide_slots: std::sync::OnceLock::new(),
-            kernel_cap: KernelPath::FlatU16,
             simd: simd::detect(),
         }
     }
 
-    /// Forbids dense kernels better than `cap` — `FlatU32` skips the u16
-    /// flat kernel, `Segmented` skips both flat kernels. Counts are
-    /// bit-identical under every cap; this exists for the cross-path
-    /// property tests and for measuring one tier in isolation.
-    pub fn restrict_kernel(&mut self, cap: KernelPath) {
-        self.kernel_cap = cap;
-    }
-
     /// Resolves `policy` against the host CPU and pins the flat
-    /// kernels' vector tier — the engine-level mirror of
-    /// [`CountingEngine::restrict_kernel`] for the SIMD dimension.
-    /// Counts are bit-identical under every policy.
+    /// kernel's vector tier. Counts are bit-identical under every
+    /// policy.
     pub fn set_simd_policy(&mut self, policy: crate::SimdPolicy) {
         self.simd = policy.resolve();
     }
@@ -1055,16 +892,10 @@ impl<'a> CountingEngine<'a> {
         self.simd
     }
 
-    /// The dense-row kernel tier this engine's sweeps engage for its
-    /// database (and cap): the first tier whose caps admit the database.
+    /// The counter-lane width this engine's flat kernel counts its
+    /// database's dense rows in ([`KernelPath::select`]).
     pub fn kernel_path(&self) -> KernelPath {
-        if self.slots().is_some() {
-            KernelPath::FlatU16
-        } else if self.wide_slots().is_some() {
-            KernelPath::FlatU32
-        } else {
-            KernelPath::Segmented
-        }
+        KernelPath::select(self.db.num_attrs(), self.db.k() as usize, self.db.num_obs())
     }
 
     /// The row-major code matrix, built on first use.
@@ -1072,31 +903,13 @@ impl<'a> CountingEngine<'a> {
         self.obs.get_or_init(|| ObsMatrix::build(self.db))
     }
 
-    /// The counter-slot stripe matrix feeding the flat blocked dense
-    /// bumps, built on first use; `None` beyond the u16 slot range
-    /// (`n·k > 65536`) or when a row count could overflow the u16
-    /// counter lanes (`m > 65535`) — the sweeps then fall back to the
-    /// segmented per-head walk over the byte matrix.
-    fn slots(&self) -> Option<&SlotMatrix> {
-        if self.kernel_cap > KernelPath::FlatU16 || self.db.num_obs() > u16::MAX as usize {
-            return None;
-        }
-        self.slots
-            .get_or_init(|| SlotMatrix::build(self.db))
-            .as_ref()
-    }
-
-    /// The u32 slot matrix feeding the wide flat kernel, built on first
-    /// use — the dense path when [`CountingEngine::slots`] declines.
-    /// `None` only under a [`KernelPath::Segmented`] cap (or a
-    /// `n·stride` beyond the u32 range, which no real universe reaches).
-    fn wide_slots(&self) -> Option<&WideSlotMatrix> {
-        if self.kernel_cap > KernelPath::FlatU32 {
-            return None;
-        }
-        self.wide_slots
-            .get_or_init(|| WideSlotMatrix::build(self.db))
-            .as_ref()
+    /// The counter-slot stripes feeding the blocked flat kernel, at the
+    /// engine's lane width, built on first use.
+    fn slots(&self) -> &Slots {
+        self.slots.get_or_init(|| match self.kernel_path() {
+            KernelPath::FlatU16 => Slots::U16(SlotMatrix::build(self.db)),
+            KernelPath::FlatU32 => Slots::U32(SlotMatrix::build(self.db)),
+        })
     }
 
     /// The underlying database.
@@ -1180,13 +993,6 @@ impl<'a> CountingEngine<'a> {
         self.check_counter(out);
         let obs = self.obs();
         let slots = self.slots();
-        let wide = if slots.is_none() {
-            self.wide_slots()
-        } else {
-            None
-        };
-        let tile_heads = out.tile_heads();
-        let tile_heads_wide = out.tile_heads_wide();
         out.simd = self.simd;
         out.begin(self.db.num_obs(), [a.index(), usize::MAX]);
         for va in 1..=self.db.k() {
@@ -1199,36 +1005,13 @@ impl<'a> CountingEngine<'a> {
                     let (o1, o2) = first_two_bits(bits);
                     out.fold_two(obs.row(o1), obs.row(o2));
                 }
-                c if c < out.sparse_cutoff() => {
-                    for_each_bit(bits, |o| out.bump_obs_tracked(obs.row(o)));
-                    out.fold_row_sparse();
+                _ => {
+                    let mut ids = std::mem::take(&mut out.ids);
+                    ids.clear();
+                    for_each_bit(bits, |o| ids.push(o as u32));
+                    out.fold_dense_row(obs, slots, &ids);
+                    out.ids = ids;
                 }
-                _ => match (slots, wide) {
-                    (Some(slots), _) => {
-                        let mut ids = std::mem::take(&mut out.ids);
-                        ids.clear();
-                        for_each_bit(bits, |o| ids.push(o as u32));
-                        if !out.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), &ids) {
-                            out.bump_row_flat(slots, &ids, tile_heads);
-                            out.fold_row_dense_flat();
-                        }
-                        out.ids = ids;
-                    }
-                    (None, Some(wide)) => {
-                        let mut ids = std::mem::take(&mut out.ids);
-                        ids.clear();
-                        for_each_bit(bits, |o| ids.push(o as u32));
-                        if !out.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), &ids) {
-                            out.bump_row_flat_wide(wide, &ids, tile_heads_wide);
-                            out.fold_row_dense_flat_wide();
-                        }
-                        out.ids = ids;
-                    }
-                    (None, None) => {
-                        for_each_bit(bits, |o| out.bump_obs(obs.row(o)));
-                        out.fold_row_dense();
-                    }
-                },
             }
         }
         out.finish();
@@ -1269,13 +1052,6 @@ impl<'a> CountingEngine<'a> {
         );
         let obs = self.obs();
         let slots = self.slots();
-        let wide = if slots.is_none() {
-            self.wide_slots()
-        } else {
-            None
-        };
-        let tile_heads = out.tile_heads();
-        let tile_heads_wide = out.tile_heads_wide();
         out.simd = self.simd;
         out.begin(self.db.num_obs(), [a.index(), b.index()]);
         for r in 0..buckets.num_rows() {
@@ -1295,30 +1071,7 @@ impl<'a> CountingEngine<'a> {
                     obs.row(o3 as usize),
                     obs.row(o4 as usize),
                 ]),
-                _ if ids.len() < out.sparse_cutoff() => {
-                    for &o in ids {
-                        out.bump_obs_tracked(obs.row(o as usize));
-                    }
-                    out.fold_row_sparse();
-                }
-                _ => match (slots, wide) {
-                    (Some(slots), _) => {
-                        if !out.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
-                            out.bump_row_flat(slots, ids, tile_heads);
-                            out.fold_row_dense_flat();
-                        }
-                    }
-                    (None, Some(wide)) => {
-                        if !out.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
-                            out.bump_row_flat_wide(wide, ids, tile_heads_wide);
-                            out.fold_row_dense_flat_wide();
-                        }
-                    }
-                    (None, None) => {
-                        out.bump_ids(obs, ids);
-                        out.fold_row_dense();
-                    }
-                },
+                _ => out.fold_dense_row(obs, slots, ids),
             }
         }
         out.finish();
@@ -1543,56 +1296,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_tiers_are_bit_identical_and_reported() {
-        // A database dense enough that every tail row takes the dense
-        // path (k = 2 ⇒ sparse cutoff 0, rows of m/2 ≈ 30 observations),
-        // swept once per kernel tier; all totals must agree bit for bit.
-        let n = 12usize;
-        let cols: Vec<Vec<Value>> = (0..n)
-            .map(|a| (0..60).map(|o| ((o * (a + 3) + a) % 2 + 1) as Value).collect())
-            .collect();
-        let d = Database::from_columns(
-            (0..n).map(|i| format!("A{i}")).collect(),
-            2,
-            cols,
-        )
-        .unwrap();
-        let attrs: Vec<AttrId> = d.attrs().collect();
-        let sweep = |cap: KernelPath| {
-            let mut e = CountingEngine::new(&d);
-            e.restrict_kernel(cap);
-            assert_eq!(e.kernel_path(), cap, "cap engages the named tier");
-            let mut counter = HeadCounter::new(n, d.k());
-            let mut buckets = PairBuckets::new();
-            let mut totals: Vec<u64> = Vec::new();
-            for &t in &attrs {
-                e.edge_acv_all_heads(t, &mut counter);
-                totals.extend(attrs.iter().filter(|&&h| h != t).map(|&h| counter.total(h)));
-            }
-            for (i, &a) in attrs.iter().enumerate() {
-                for &b in &attrs[i + 1..] {
-                    e.bucket_pair(a, b, &mut buckets);
-                    e.hyper_acv_all_heads(&buckets, &mut counter);
-                    totals.extend(
-                        attrs
-                            .iter()
-                            .filter(|&&h| h != a && h != b)
-                            .map(|&h| counter.total(h)),
-                    );
-                }
-            }
-            totals
-        };
-        let u16_totals = sweep(KernelPath::FlatU16);
-        assert_eq!(u16_totals, sweep(KernelPath::FlatU32));
-        assert_eq!(u16_totals, sweep(KernelPath::Segmented));
-    }
-
-    #[test]
     fn kernel_path_degrades_with_database_size() {
         let d = db();
         assert_eq!(CountingEngine::new(&d).kernel_path(), KernelPath::FlatU16);
-        // Past the u16 slot range the wide kernel engages on its own.
+        assert_eq!(KernelPath::FlatU16.to_string(), "flat_u16");
+        // Past the u16 slot range the u32 lanes engage on their own.
         let wide = Database::from_columns(
             (0..16385).map(|i| format!("A{i}")).collect(),
             3,
@@ -1602,7 +1310,11 @@ mod tests {
         let e = CountingEngine::new(&wide);
         assert_eq!(e.kernel_path(), KernelPath::FlatU32);
         assert_eq!(e.kernel_path().as_str(), "flat_u32");
-        assert_eq!(KernelPath::Segmented.to_string(), "segmented");
+        // So do windows whose row counts could overflow u16 lanes.
+        assert_eq!(KernelPath::select(6, 3, 65_535), KernelPath::FlatU16);
+        assert_eq!(KernelPath::select(6, 3, 65_536), KernelPath::FlatU32);
+        assert_eq!(KernelPath::select(16_384, 3, 10), KernelPath::FlatU16);
+        assert_eq!(KernelPath::select(16_385, 3, 10), KernelPath::FlatU32);
     }
 
     #[test]
@@ -1634,10 +1346,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_take_the_dirty_list_path_and_match_naive() {
-        // k = 16 with 3-observation tail rows: 2 < 3 < k/4 = 4, so the
-        // tracked (dirty-list) bump + fold runs for every such row; every
-        // ACV must still match the per-head paths and the naive recount.
+    fn small_rows_at_k_16_match_naive() {
+        // k = 16 with 3-observation tail rows, which pass 1 counts as
+        // dense rows far sparser than the counter lanes they sweep; every
+        // ACV must still match the naive recount.
         let x: Vec<Value> = (0..15).map(|o| (o / 3 + 1) as Value).collect();
         let y: Vec<Value> = (0..15).map(|o| (o % 5 * 3 + 1) as Value).collect();
         let z: Vec<Value> = (0..15).map(|o| (o * 7 % 16 + 1) as Value).collect();
@@ -1684,8 +1396,8 @@ mod tests {
     #[test]
     fn constant_columns_touch_one_slot_per_head() {
         // Every column constant: each row sweep touches exactly one counter
-        // slot per head — the minimal dirty list. All-heads sweeps must
-        // still match the per-head paths exactly.
+        // slot per head. All-heads sweeps must still match the per-head
+        // paths exactly.
         let d = Database::from_columns(
             vec!["x".into(), "y".into(), "z".into()],
             4,

@@ -180,15 +180,14 @@ pub struct IncrementalStats {
     pub pair_counts_bytes: usize,
     /// Bytes held by the pass-2 numerators `S₂`.
     pub s2_bytes: usize,
-    /// The counting-kernel tier ([`KernelPath`]) the window's database
-    /// engages under the model's `kernel_cap` for the batch-grade count
-    /// of the initial state build (the fallback's `S₂` sweep). Per-slide
-    /// recounts use no flat tier: they count a few listed rows with the
+    /// The counter-lane width ([`KernelPath`]) the window's database
+    /// selects for the blocked flat kernel in the batch-grade count of
+    /// the initial state build (the fallback's `S₂` sweep). Per-slide
+    /// recounts use no flat kernel: they count a few listed rows with the
     /// vertical kernel or the scalar histogram. Surfaced so a stream
-    /// outgrowing the u16 flat caps degrades *visibly* — the wide u32
-    /// tier is bit-identical but slower, and "slower" without a reported
-    /// cause is exactly the silent degradation this field exists to
-    /// prevent.
+    /// outgrowing the u16 lanes degrades *visibly* — the u32 lanes are
+    /// bit-identical but slower, and "slower" without a reported cause
+    /// is exactly the silent degradation this field exists to prevent.
     pub kernel_path: KernelPath,
     /// The SIMD tier ([`SimdLevel`]) the model's `simd` policy resolves
     /// to: the initial state build's sweep and the row-recount
@@ -269,11 +268,9 @@ pub(crate) struct IncrementalState {
     old_row: Vec<Value>,
     /// Per-stage wall time of the last successful advance call.
     laps: AdvanceLaps,
-    /// The model's kernel cap, kept so `stats()` can report the tier the
-    /// window's dimensions select without re-threading the config.
-    kernel_cap: KernelPath,
-    /// The model's resolved SIMD tier, kept for the same reason (and
-    /// applied to every batch-grade recount engine this state builds).
+    /// The model's resolved SIMD tier, kept so `stats()` can report it
+    /// without re-threading the config (and applied to every batch-grade
+    /// recount engine this state builds).
     simd: SimdLevel,
 }
 
@@ -331,7 +328,6 @@ impl IncrementalState {
         // buckets and the code matrix.
         let engine = (want_hyper && !use_tensor).then(|| {
             let mut engine = CountingEngine::new(db);
-            engine.restrict_kernel(cfg.kernel_cap);
             engine.set_simd_policy(cfg.simd);
             engine
         });
@@ -432,7 +428,6 @@ impl IncrementalState {
             pre: HeadCounter::new(n, db.k()),
             old_row: vec![0; n],
             laps: AdvanceLaps::default(),
-            kernel_cap: cfg.kernel_cap,
             simd: cfg.simd.resolve(),
         })
     }
@@ -455,7 +450,6 @@ impl IncrementalState {
                 self.window.num_attrs(),
                 self.window.k() as usize,
                 self.window.num_obs(),
-                self.kernel_cap,
             ),
             simd: self.simd,
         }

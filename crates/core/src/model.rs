@@ -397,20 +397,15 @@ impl AssociationModel {
         &self.cfg
     }
 
-    /// The counting-kernel tier ([`KernelPath`]) this model's database
-    /// dimensions select under its `kernel_cap` — the tier `build` used
-    /// and every batch-grade recount (association tables, the
-    /// incremental row-recount fallback) will use. Log it wherever build
-    /// times are reported: a universe outgrowing the u16 flat caps
-    /// silently switches to the slower wide tier, and this is the signal
+    /// The counter-lane width ([`KernelPath`]) this model's database
+    /// dimensions select for the blocked flat kernel — the width `build`
+    /// counted in and every batch-grade sweep over this window (the
+    /// incremental fallback's initial `S₂` build) will. Log it wherever
+    /// build times are reported: a universe outgrowing the u16 lanes
+    /// silently switches to the slower u32 lanes, and this is the signal
     /// that says so.
     pub fn kernel_path(&self) -> KernelPath {
-        KernelPath::select(
-            self.db.num_attrs(),
-            self.db.k() as usize,
-            self.db.num_obs(),
-            self.cfg.kernel_cap,
-        )
+        KernelPath::select(self.db.num_attrs(), self.db.k() as usize, self.db.num_obs())
     }
 
     /// The SIMD tier ([`SimdLevel`]) the flat counting kernels engage
@@ -437,7 +432,6 @@ impl AssociationModel {
     /// it around when reading many tables).
     pub fn tables(&self) -> ModelTables<'_> {
         let mut engine = CountingEngine::new(&self.db);
-        engine.restrict_kernel(self.cfg.kernel_cap);
         engine.set_simd_policy(self.cfg.simd);
         ModelTables {
             model: self,

@@ -32,7 +32,7 @@
 //!   8-byte-aligned counter chunk with a horizontal reduce — the fold
 //!   tier for dense rows the vertical kernel declines (rows past 255
 //!   observations, `k > 8`, narrow universes), where the blocked flat
-//!   kernels still run.
+//!   kernel still runs, at its u16 or u32 counter-lane width.
 //!
 //! Three invariants keep the vector forms trivially bit-identical to
 //! the scalar ones (property-tested in `tests/strategies.rs`):
@@ -42,7 +42,7 @@
 //!   row bound proves cannot saturate; max-of-counts is associative, so
 //!   blocking by head changes nothing.
 //! - **Padded, aligned strides.** Counter lanes are laid out at
-//!   [`SlotMatrix::counter_stride`] (`k` rounded up to a multiple of
+//!   [`counter_stride`] (`k` rounded up to a multiple of
 //!   four lanes), so every head's chunk starts 8-byte aligned and the
 //!   padding lanes hold zero — a `max` over the full padded chunk
 //!   equals the scalar max over the `k` live lanes.
@@ -53,7 +53,7 @@
 //!   simply skips the already-accumulated lanes when adding to the
 //!   totals.
 //!
-//! [`SimdPolicy`] on [`crate::ModelConfig`] mirrors `kernel_cap`: `Auto`
+//! [`SimdPolicy`] on [`crate::ModelConfig`] selects the tier: `Auto`
 //! resolves to the detected [`SimdLevel`], `ForceScalar` pins the
 //! portable kernels (how the bit-identity tests compare paths). The
 //! `HYPERMINE_FORCE_SCALAR` environment variable forces `Auto` to
@@ -63,12 +63,12 @@
 //! `AssociationModel::simd_level`, `IncrementalStats::simd`, the
 //! `report` log lines, and every `perf_summary` JSON entry.
 //!
-//! [`SlotMatrix::counter_stride`]: hypermine_data::SlotMatrix::counter_stride
+//! [`counter_stride`]: hypermine_data::counter_stride
 
 use std::sync::OnceLock;
 
 /// Whether a model build may engage the runtime-detected SIMD kernels —
-/// the `simd` knob of [`crate::ModelConfig`], mirroring `kernel_cap`.
+/// the `simd` knob of [`crate::ModelConfig`].
 ///
 /// Counts are bit-identical under both policies; `ForceScalar` exists
 /// for the cross-path property tests and for measuring the scalar tier
@@ -202,7 +202,7 @@ pub(crate) fn dense_row_vertical(
 /// adds the chunk's max into the matching total. Returns `false` when
 /// `level` has no vector kernel on this architecture — the caller then
 /// runs the scalar fold. `stride` must be a multiple of 4 (guaranteed by
-/// `SlotMatrix::counter_stride`) and `flat.len()` a multiple of
+/// `hypermine_data::counter_stride`) and `flat.len()` a multiple of
 /// `stride`.
 pub(crate) fn fold_max_u16(
     level: SimdLevel,
@@ -229,8 +229,8 @@ pub(crate) fn fold_max_u16(
     }
 }
 
-/// Vectorized u32 fold — the wide-kernel twin of [`fold_max_u16`], over
-/// u32 counter lanes at the same padded stride.
+/// Vectorized u32 fold: [`fold_max_u16`] over u32 counter lanes at the
+/// same padded stride.
 pub(crate) fn fold_max_u32(
     level: SimdLevel,
     flat: &[u32],

@@ -15,11 +15,10 @@
 //!   observation-major counting sweeps (stream each observation once,
 //!   count all heads simultaneously);
 //! - [`SlotMatrix`]: the precomputed counter-slot lanes
-//!   (`head·stride + value − 1` as contiguous u16 stripes, stride = `k`
-//!   padded to a multiple of four) that flatten the observation-major
-//!   bump loops into plain `counts[slot] += 1` over contiguous lanes;
-//! - [`WideSlotMatrix`]: the u32 twin of those lanes for universes past
-//!   the u16 slot range (`n·stride > 65536` or `m > 65535`);
+//!   (`head·stride + value − 1` as contiguous stripes, stride = `k`
+//!   padded to a multiple of four by [`counter_stride`]) that flatten the
+//!   observation-major bump loops into plain `counts[slot] += 1` over
+//!   contiguous lanes, in `u16` or `u32` lanes ([`SlotLane`]);
 //! - [`PairBuckets`]: obs ids grouped by `(v_a, v_b)` row via one
 //!   counting-sort pass — the PairRows-free input of the observation-major
 //!   pair sweep;
@@ -64,7 +63,7 @@ mod windowed;
 
 pub use bitmap::ValueIndex;
 pub use database::{AttrId, Database, DatabaseError, Value};
-pub use obs_matrix::{ObsMatrix, PairBuckets, SlotMatrix, WideSlotMatrix};
+pub use obs_matrix::{counter_stride, ObsMatrix, PairBuckets, SlotLane, SlotMatrix};
 pub use delta::{delta_matrix, delta_series, try_delta_matrix, try_delta_series, DeltaError};
 pub use support::{confidence, support, support_count, Pattern};
 pub use windowed::{StreamEvent, WindowedDatabase};

@@ -12,11 +12,12 @@
 //! that transpose: the multi-head bump loop increments
 //! `counts[head · stride + (value − 1)]`, and since that slot index
 //! depends only on `(head, value)` — never on the swept tail — it can be
-//! materialized once per database as an `m × n` matrix of `u16` lanes.
-//! The inner loop then reads one contiguous u16 stripe per observation
-//! and increments `counts[slot]` directly: no per-head multiply, no byte
-//! widening, no segment branches, which is what lets the hot pass-2 loop
-//! run several observations' stripes in lockstep.
+//! materialized once per database as an `m × n` matrix of integer lanes
+//! (`u16` where every slot fits 16 bits, `u32` beyond; see
+//! [`SlotLane`]). The inner loop then reads one contiguous stripe per
+//! observation and increments `counts[slot]` directly: no per-head
+//! multiply, no byte widening, no segment branches, which is what lets
+//! the hot pass-2 loop run several observations' stripes in lockstep.
 //!
 //! [`PairBuckets`] complements both for the pair pass: the
 //! observation-major sweep over a tail pair `{a, b}` only needs to know
@@ -114,65 +115,118 @@ impl ObsMatrix {
     }
 }
 
+/// The counter-array stride per head for domain size `k`: `k` rounded
+/// up to a multiple of four lanes, shared between the slot values a
+/// [`SlotMatrix`] stores and the counter arrays indexed by them, so
+/// every head's counter chunk is lane-aligned and a vector max over the
+/// full chunk covers whole registers at every `k`.
+#[inline]
+pub fn counter_stride(k: usize) -> usize {
+    k.div_ceil(4) * 4
+}
+
+/// The integer width of a [`SlotMatrix`]'s lanes: `u16` or `u32`.
+pub trait SlotLane: Copy + Send + Sync + std::fmt::Debug + 'static {
+    /// How many slot indices a lane holds: `2^16` for `u16`, `2^32` for
+    /// `u32`.
+    const SLOTS: u64;
+    /// The lane holding slot index `slot`, which must be below
+    /// [`SlotLane::SLOTS`].
+    fn from_slot(slot: usize) -> Self;
+    /// The slot index this lane holds.
+    fn index(self) -> usize;
+}
+
+impl SlotLane for u16 {
+    const SLOTS: u64 = 1 << 16;
+
+    #[inline]
+    fn from_slot(slot: usize) -> Self {
+        slot as u16
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl SlotLane for u32 {
+    const SLOTS: u64 = 1 << 32;
+
+    #[inline]
+    fn from_slot(slot: usize) -> Self {
+        slot as u32
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Row-major `m × n` matrix of precomputed counter-slot indices:
 /// `row(o)[h]` is `h · stride + (value(h, o) − 1)`, the slot the
 /// multi-head bump loop increments for head `h` of observation `o`,
 /// where `stride` is `k` rounded up to a multiple of four
-/// ([`SlotMatrix::counter_stride`]) so every head's counter chunk is
-/// 8-byte aligned and the fold's per-head max reduction runs over even
-/// vector lanes at every `k` (the padding lanes are never bumped and
-/// stay zero).
+/// ([`counter_stride`]) so every head's counter chunk is lane-aligned
+/// and the fold's per-head max reduction runs over even vector lanes at
+/// every `k` (the padding lanes are never bumped and stay zero).
 ///
-/// Slots are `u16` lanes, so the matrix only exists for
-/// `n · stride ≤ 65536` ([`SlotMatrix::build`] returns `None` beyond
-/// that and counting falls back to computing slots on the fly); within
-/// the limit every counting sweep reads one contiguous u16 stripe per
+/// Slots are stored in lanes of `L` ([`SlotLane`]), which must hold
+/// every slot index: `n · stride ≤ 65536` for `u16`, `≤ 2^32` for
+/// `u32`. Every counting sweep then reads one contiguous stripe per
 /// observation instead of widening bytes and multiplying per head.
 #[derive(Debug, Clone)]
-pub struct SlotMatrix {
+pub struct SlotMatrix<L> {
     num_attrs: usize,
     num_obs: usize,
     k: usize,
     /// Layout: `slots[o * num_attrs + h] = h·stride + (value − 1)`.
-    slots: Vec<u16>,
+    slots: Vec<L>,
 }
 
-impl SlotMatrix {
-    /// The largest `n · stride` product whose slots fit the u16 lanes.
-    pub const MAX_SLOTS: usize = u16::MAX as usize + 1;
-
-    /// The counter-array stride per head for domain size `k`: `k` rounded
-    /// up to a multiple of four u16 lanes (8 bytes), shared between the
-    /// slot values stored here and the counter arrays indexed by them.
-    #[inline]
-    pub fn counter_stride(k: usize) -> usize {
-        k.div_ceil(4) * 4
+impl<L: SlotLane> SlotMatrix<L> {
+    /// Whether every slot of a `num_attrs`-attribute database over
+    /// `1..=k` fits a lane of `L`: `num_attrs · stride ≤ L::SLOTS`.
+    pub fn fits(num_attrs: usize, k: usize) -> bool {
+        num_attrs
+            .checked_mul(counter_stride(k))
+            .is_some_and(|s| s as u64 <= L::SLOTS)
     }
 
-    /// Builds the slot matrix in one pass over the database's columns, or
-    /// `None` when `n · stride` exceeds [`SlotMatrix::MAX_SLOTS`].
-    pub fn build(db: &Database) -> Option<Self> {
+    /// Builds the slot matrix in one pass over the database's columns.
+    ///
+    /// # Panics
+    /// Panics when the slots do not fit a lane of `L`
+    /// ([`SlotMatrix::fits`]). For `u32` that takes `n · stride > 2^32`:
+    /// at least 16.7 M attributes even at `k = 255`, a universe no build
+    /// over its Θ(n²) attribute pairs could finish.
+    pub fn build(db: &Database) -> Self {
         let num_attrs = db.num_attrs();
         let num_obs = db.num_obs();
         let k = db.k() as usize;
-        let stride = Self::counter_stride(k);
-        if num_attrs * stride > Self::MAX_SLOTS {
-            return None;
-        }
-        let mut slots = vec![0u16; num_attrs * num_obs];
+        let stride = counter_stride(k);
+        assert!(
+            Self::fits(num_attrs, k),
+            "{num_attrs} attributes at counter stride {stride} overflow {}-bit slot lanes; \
+             no build over that many attribute pairs can finish",
+            8 * std::mem::size_of::<L>()
+        );
+        let mut slots = vec![L::from_slot(0); num_attrs * num_obs];
         for a in db.attrs() {
             let ai = a.index();
-            let base = (ai * stride) as u16;
+            let base = ai * stride;
             for (o, &v) in db.column(a).iter().enumerate() {
-                slots[o * num_attrs + ai] = base + (v as u16 - 1);
+                slots[o * num_attrs + ai] = L::from_slot(base + (v as usize - 1));
             }
         }
-        Some(SlotMatrix {
+        SlotMatrix {
             num_attrs,
             num_obs,
             k,
             slots,
-        })
+        }
     }
 
     /// Number of attributes `n` (row width).
@@ -193,98 +247,16 @@ impl SlotMatrix {
         self.k
     }
 
-    /// Observation `o`'s slot stripe, one u16 per attribute.
+    /// Observation `o`'s slot stripe, one lane per attribute.
     #[inline]
-    pub fn row(&self, o: usize) -> &[u16] {
+    pub fn row(&self, o: usize) -> &[L] {
         &self.slots[o * self.num_attrs..(o + 1) * self.num_attrs]
     }
 
     /// The sub-stripe of observation `o` covering heads `h0..h1` (the
     /// input of one head-tile bump pass).
     #[inline]
-    pub fn stripe(&self, o: usize, h0: usize, h1: usize) -> &[u16] {
-        &self.slots[o * self.num_attrs + h0..o * self.num_attrs + h1]
-    }
-}
-
-/// u32 twin of [`SlotMatrix`] for universes past the u16 slot range:
-/// the same row-major `m × n` matrix of precomputed counter-slot indices
-/// `h · stride + (value − 1)`, with 32-bit lanes so the addressable
-/// counter range grows from 65536 lanes to `u32::MAX` — enough for any
-/// `n · stride` a real universe reaches (n = 500 000 attributes at
-/// k = 8 is 4 M lanes). The wide flat kernel streams these stripes
-/// exactly like the u16 kernel streams [`SlotMatrix`]'s, bumping u32
-/// counters, so `m > 65535` (multi-year single windows) no longer
-/// forces the segmented per-head byte walk either.
-///
-/// Costs twice the bytes per lane of [`SlotMatrix`], so the counting
-/// engine only builds it when the u16 matrix declines
-/// (`n · stride > 65536` or `m > 65535`).
-#[derive(Debug, Clone)]
-pub struct WideSlotMatrix {
-    num_attrs: usize,
-    num_obs: usize,
-    k: usize,
-    /// Layout: `slots[o * num_attrs + h] = h·stride + (value − 1)`.
-    slots: Vec<u32>,
-}
-
-impl WideSlotMatrix {
-    /// Builds the wide slot matrix in one pass over the database's
-    /// columns, or `None` when `n · stride` exceeds the u32 slot range
-    /// (no practical universe does).
-    pub fn build(db: &Database) -> Option<Self> {
-        let num_attrs = db.num_attrs();
-        let num_obs = db.num_obs();
-        let k = db.k() as usize;
-        let stride = SlotMatrix::counter_stride(k);
-        if num_attrs.checked_mul(stride)? > u32::MAX as usize {
-            return None;
-        }
-        let mut slots = vec![0u32; num_attrs * num_obs];
-        for a in db.attrs() {
-            let ai = a.index();
-            let base = (ai * stride) as u32;
-            for (o, &v) in db.column(a).iter().enumerate() {
-                slots[o * num_attrs + ai] = base + (v as u32 - 1);
-            }
-        }
-        Some(WideSlotMatrix {
-            num_attrs,
-            num_obs,
-            k,
-            slots,
-        })
-    }
-
-    /// Number of attributes `n` (row width).
-    #[inline]
-    pub fn num_attrs(&self) -> usize {
-        self.num_attrs
-    }
-
-    /// Number of observations `m` (row count).
-    #[inline]
-    pub fn num_obs(&self) -> usize {
-        self.num_obs
-    }
-
-    /// The value-domain size `k` the slots were computed for.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Observation `o`'s slot stripe, one u32 per attribute.
-    #[inline]
-    pub fn row(&self, o: usize) -> &[u32] {
-        &self.slots[o * self.num_attrs..(o + 1) * self.num_attrs]
-    }
-
-    /// The sub-stripe of observation `o` covering heads `h0..h1` (the
-    /// input of one head-tile bump pass).
-    #[inline]
-    pub fn stripe(&self, o: usize, h0: usize, h1: usize) -> &[u32] {
+    pub fn stripe(&self, o: usize, h0: usize, h1: usize) -> &[L] {
         &self.slots[o * self.num_attrs + h0..o * self.num_attrs + h1]
     }
 }
@@ -490,15 +462,14 @@ mod tests {
             &[[1, 2, 3], [3, 1, 2], [2, 2, 1]],
         )
         .unwrap();
-        let m = SlotMatrix::build(&db).expect("3 attrs x stride 4 fits");
+        let m = SlotMatrix::<u16>::build(&db);
         assert_eq!((m.num_attrs(), m.num_obs(), m.k()), (3, 3, 3));
-        let stride = SlotMatrix::counter_stride(3);
+        let stride = counter_stride(3);
         assert_eq!(stride, 4);
         for o in 0..db.num_obs() {
             for h in db.attrs() {
-                let slot = m.row(o)[h.index()] as usize;
                 assert_eq!(
-                    slot,
+                    m.row(o)[h.index()].index(),
                     h.index() * stride + db.value(h, o) as usize - 1,
                     "obs {o}, head {h:?}"
                 );
@@ -511,19 +482,27 @@ mod tests {
     #[test]
     fn slot_matrix_declines_past_the_u16_slot_range() {
         // 16385 attrs x stride 4 (k = 3) = 65540 > 65536; one fewer fits.
-        let wide = |n: usize| {
-            Database::from_columns(
-                (0..n).map(|i| format!("A{i}")).collect(),
-                3,
-                vec![vec![1, 2]; n],
-            )
-            .unwrap()
-        };
-        assert!(SlotMatrix::build(&wide(16385)).is_none());
-        assert!(SlotMatrix::build(&wide(16384)).is_some());
-        assert_eq!(SlotMatrix::counter_stride(255), 256);
-        assert_eq!(SlotMatrix::counter_stride(8), 8);
-        assert_eq!(SlotMatrix::counter_stride(5), 8);
+        assert!(!SlotMatrix::<u16>::fits(16385, 3));
+        assert!(SlotMatrix::<u16>::fits(16384, 3));
+        assert!(SlotMatrix::<u32>::fits(16385, 3));
+        // 2^24 attrs x stride 256 (k = 255) = 2^32 still fits u32 lanes.
+        assert!(SlotMatrix::<u32>::fits(1 << 24, 255));
+        assert!(!SlotMatrix::<u32>::fits((1 << 24) + 1, 255));
+        assert!(
+            !SlotMatrix::<u32>::fits(usize::MAX, 3),
+            "overflow is not a fit"
+        );
+        let db = Database::from_columns(
+            (0..16385).map(|i| format!("A{i}")).collect(),
+            3,
+            vec![vec![1, 2]; 16385],
+        )
+        .unwrap();
+        let built = std::panic::catch_unwind(|| SlotMatrix::<u16>::build(&db));
+        assert!(built.is_err(), "a u16 build past the slot range panics");
+        assert_eq!(counter_stride(255), 256);
+        assert_eq!(counter_stride(8), 8);
+        assert_eq!(counter_stride(5), 8);
     }
 
     #[test]
@@ -534,8 +513,8 @@ mod tests {
             &[[1, 2, 3], [3, 1, 2], [2, 2, 1]],
         )
         .unwrap();
-        let narrow = SlotMatrix::build(&db).unwrap();
-        let wide = WideSlotMatrix::build(&db).unwrap();
+        let narrow = SlotMatrix::<u16>::build(&db);
+        let wide = SlotMatrix::<u32>::build(&db);
         assert_eq!(
             (wide.num_attrs(), wide.num_obs(), wide.k()),
             (narrow.num_attrs(), narrow.num_obs(), narrow.k())
@@ -549,16 +528,15 @@ mod tests {
 
     #[test]
     fn wide_slot_matrix_exists_past_the_u16_range() {
-        // 16385 attrs x stride 4 declines the u16 matrix but not the wide.
+        // 16385 attrs x stride 4 is past the u16 lanes but not the u32.
         let db = Database::from_columns(
             (0..16385).map(|i| format!("A{i}")).collect(),
             3,
             vec![vec![1, 2]; 16385],
         )
         .unwrap();
-        assert!(SlotMatrix::build(&db).is_none());
-        let wide = WideSlotMatrix::build(&db).expect("u32 range is ample");
-        let stride = SlotMatrix::counter_stride(3);
+        let wide = SlotMatrix::<u32>::build(&db);
+        let stride = counter_stride(3);
         assert_eq!(wide.row(0)[16384], (16384 * stride) as u32);
         assert_eq!(wide.row(1)[0], 1);
     }

@@ -18,11 +18,11 @@
 //!   loads and one atomic store — no locks, no heap allocation — and
 //!   queries it through precomputed indexes ([`snapshot`]).
 //! - **Publish-time precompute.** Each snapshot carries per-node
-//!   incidence rankings, degree statistics, the cached dominator set,
-//!   per-head best edges, pre-materialized association tables for the
-//!   classifier's hot edge set, and pre-ranked mined rules — a query is
-//!   pointer-chasing, not recounting, and classification is
-//!   bit-identical to [`AssociationClassifier`] on the same window.
+//!   incidence rankings, the cached dominator set, per-head best edges,
+//!   pre-materialized association tables for the classifier's hot edge
+//!   set, and pre-ranked mined rules — a query is pointer-chasing, not
+//!   recounting, and classification is bit-identical to
+//!   [`AssociationClassifier`] on the same window.
 //! - **Sim / host split.** [`MarketFeed`] (the sim) generates a
 //!   deterministic discretized market stream; [`ServeHost`] (the host)
 //!   runs the writer on its own thread behind a bounded command queue

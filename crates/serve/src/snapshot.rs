@@ -3,7 +3,7 @@
 //! A [`ModelSnapshot`] is everything a query needs, precomputed at
 //! publish time so answering is pointer-chasing, not recounting:
 //!
-//! - the window's hypergraph, database, and [`DegreeStats`];
+//! - the window's hypergraph and database;
 //! - the cached leading-indicator (dominator) set, computed with the
 //!   same ACV-percentile filter + set-cover adaptation the streaming
 //!   example uses, plus membership flags for O(1) lookups;
@@ -32,7 +32,6 @@ use hypermine_core::{
     ModelConfig, ModelExport, Phase, PhaseLaps, PhaseTimer, SetCoverOptions,
 };
 use hypermine_data::{AttrId, Database, Value};
-use hypermine_hypergraph::stats::DegreeStats;
 use hypermine_hypergraph::{DirectedHypergraph, EdgeId, EdgeRef, HypergraphMemory, NodeId};
 
 use hypermine_core::AssociationTable;
@@ -89,8 +88,6 @@ pub enum PublishPhase {
     Tables,
     /// Ranking the mined rules ([`top_rules`]).
     Rules,
-    /// The weighted degree vectors.
-    DegreeStats,
     /// The content digest.
     Digest,
 }
@@ -103,7 +100,6 @@ impl Phase for PublishPhase {
         PublishPhase::Rankings,
         PublishPhase::Tables,
         PublishPhase::Rules,
-        PublishPhase::DegreeStats,
         PublishPhase::Digest,
     ];
 
@@ -119,14 +115,13 @@ impl Phase for PublishPhase {
             PublishPhase::Rankings => "rankings",
             PublishPhase::Tables => "tables",
             PublishPhase::Rules => "rules",
-            PublishPhase::DegreeStats => "degree_stats",
             PublishPhase::Digest => "digest",
         }
     }
 }
 
 /// Per-stage wall time of one [`ModelSnapshot::build`].
-pub type PublishLaps = PhaseLaps<PublishPhase, 8>;
+pub type PublishLaps = PhaseLaps<PublishPhase, 7>;
 
 /// Reusable per-reader scratch for [`ModelSnapshot::predict_into`]. One
 /// allocation per reader thread, valid for every snapshot sharing the
@@ -175,7 +170,6 @@ pub struct ModelSnapshot {
     config: ModelConfig,
     majority: Vec<Option<Value>>,
     baseline: Vec<f64>,
-    degree_stats: DegreeStats,
     /// The cached dominator, sorted ascending.
     dominator: Vec<NodeId>,
     /// `in_dominator[a]` — O(1) membership.
@@ -353,8 +347,6 @@ impl ModelSnapshot {
             spec.rule_limit,
         );
         timer.lap(PublishPhase::Rules);
-        let degree_stats = DegreeStats::compute(&graph);
-        timer.lap(PublishPhase::DegreeStats);
 
         let mut snapshot = ModelSnapshot {
             epoch,
@@ -364,7 +356,6 @@ impl ModelSnapshot {
             config,
             majority,
             baseline,
-            degree_stats,
             dominator,
             in_dominator,
             known,
@@ -419,11 +410,6 @@ impl ModelSnapshot {
     /// Attribute name lookup (no allocation).
     pub fn attr_name(&self, a: AttrId) -> &str {
         self.db.attr_name(a)
-    }
-
-    /// Weighted degree vectors of the window's hypergraph.
-    pub fn degree_stats(&self) -> &DegreeStats {
-        &self.degree_stats
     }
 
     /// The cached leading-indicator (dominator) set, sorted ascending.
@@ -624,10 +610,10 @@ impl ModelSnapshot {
     /// unit test pins it to a recorded constant.
     ///
     /// It does not hash the per-head rankings and best edges, the
-    /// majorities, the degree stats, or the tables' contents. Each is a
-    /// deterministic function of the window and the hashed graph and
-    /// dominator, and hashing them too would add a pass over every ranked
-    /// edge and table row to each publish. That they equal their
+    /// majorities, or the tables' contents. Each is a deterministic
+    /// function of the window and the hashed graph and dominator, and
+    /// hashing them too would add a pass over every ranked edge and table
+    /// row to each publish. That they equal their
     /// straightforward derivations is pinned by tests instead: rankings
     /// and best edges by the `publish_indexes_match_the_originals`
     /// property test, tables by the bit-identity of predictions with the

@@ -5,7 +5,8 @@
 //!
 //! - A **checkpoint** captures everything [`hypermine_core::AssociationModel::build`]
 //!   needs to reproduce the model bit-identically — the windowed
-//!   [`Database`], the full [`ModelConfig`], and the epoch stamp — in a
+//!   [`Database`], every [`ModelConfig`] field a build reads, and the
+//!   epoch stamp — in a
 //!   versioned binary file sealed by an FNV-1a checksum (the same
 //!   function, same constants, as [`crate::ModelSnapshot`]'s content
 //!   digest). The mined hypergraph, serving indexes, and incremental
@@ -44,16 +45,16 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use hypermine_core::{
-    AssociationModel, CountStrategy, KernelPath, ModelConfig, SimdPolicy,
-};
+use hypermine_core::{AssociationModel, CountStrategy, ModelConfig, SimdPolicy};
 use hypermine_data::{Database, Value};
 
 #[cfg(feature = "fault-injection")]
 use crate::faults::{FaultPlan, IoFault};
 
 /// Checkpoint file header; the trailing byte is the format version.
-const CKPT_MAGIC: &[u8; 8] = b"HMCKPT\x00\x01";
+/// Version 2 dropped version 1's `strategy` and `kernel_cap` bytes, so a
+/// version-1 checkpoint fails recovery on this header.
+const CKPT_MAGIC: &[u8; 8] = b"HMCKPT\x00\x02";
 /// WAL segment file header; the trailing byte is the format version.
 const WAL_MAGIC: &[u8; 8] = b"HMWAL\x00\x00\x01";
 /// Upper bound on one record's payload; anything larger mid-log is
@@ -486,24 +487,13 @@ fn encode_checkpoint(model: &AssociationModel) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + db.num_attrs() * (16 + db.num_obs()));
     out.extend_from_slice(CKPT_MAGIC);
     push_u64(&mut out, model.epoch());
-    // Config — every field, so a recovered build resolves kernel caps
-    // and SIMD policy exactly as the pre-crash writer did.
+    // Config — every field a build reads, so a recovered build resolves
+    // its SIMD policy and tensor budget exactly as the pre-crash writer
+    // did. The inert `strategy` is not stored; no build reads it.
     push_u64(&mut out, cfg.gamma_edge.to_bits());
     push_u64(&mut out, cfg.gamma_hyper.to_bits());
     out.push(cfg.with_hyperedges as u8);
     push_u64(&mut out, cfg.threads as u64);
-    // No build reads the strategy any more (`CountStrategy` is inert);
-    // its byte stays so the checkpoint format and version do not change.
-    out.push(match cfg.strategy {
-        CountStrategy::Auto => 0,
-        CountStrategy::Bitset => 1,
-        CountStrategy::ObsMajor => 2,
-    });
-    out.push(match cfg.kernel_cap {
-        KernelPath::FlatU16 => 0,
-        KernelPath::FlatU32 => 1,
-        KernelPath::Segmented => 2,
-    });
     out.push(match cfg.simd {
         SimdPolicy::Auto => 0,
         SimdPolicy::ForceScalar => 1,
@@ -563,18 +553,6 @@ fn decode_checkpoint(
     let gamma_hyper = f64::from_bits(c.u64().ok_or_else(|| fail(&c, "truncated gamma_hyper"))?);
     let with_hyperedges = c.u8().ok_or_else(|| fail(&c, "truncated with_hyperedges"))? != 0;
     let threads = c.u64().ok_or_else(|| fail(&c, "truncated threads"))? as usize;
-    let strategy = match c.u8().ok_or_else(|| fail(&c, "truncated strategy"))? {
-        0 => CountStrategy::Auto,
-        1 => CountStrategy::Bitset,
-        2 => CountStrategy::ObsMajor,
-        _ => return Err(fail(&c, "unknown strategy tag")),
-    };
-    let kernel_cap = match c.u8().ok_or_else(|| fail(&c, "truncated kernel_cap"))? {
-        0 => KernelPath::FlatU16,
-        1 => KernelPath::FlatU32,
-        2 => KernelPath::Segmented,
-        _ => return Err(fail(&c, "unknown kernel_cap tag")),
-    };
     let simd = match c.u8().ok_or_else(|| fail(&c, "truncated simd"))? {
         0 => SimdPolicy::Auto,
         1 => SimdPolicy::ForceScalar,
@@ -617,8 +595,7 @@ fn decode_checkpoint(
         gamma_hyper,
         with_hyperedges,
         threads,
-        strategy,
-        kernel_cap,
+        strategy: CountStrategy::default(),
         simd,
         triple_tensor_max_bytes,
     };
@@ -813,12 +790,25 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrips_database_config_and_epoch() {
-        let (_, model) = fixture(100);
+        let (d, _) = fixture(100);
+        // Every stored field off its default, so each is shown to
+        // round-trip rather than to decode back to the default.
+        let stored = ModelConfig {
+            gamma_edge: 1.2,
+            gamma_hyper: 1.1,
+            with_hyperedges: false,
+            threads: 3,
+            simd: SimdPolicy::ForceScalar,
+            triple_tensor_max_bytes: Some(12_345),
+            ..ModelConfig::default()
+        };
+        let mut model = AssociationModel::build(&d.slice_obs(0..100), &stored).unwrap();
+        model.advance(&row_at(&d, 100)).unwrap();
         let bytes = encode_checkpoint(&model);
         let (db, cfg, epoch) =
             decode_checkpoint(&bytes, Path::new("test.ckpt")).expect("roundtrip");
-        assert_eq!(epoch, 0);
-        assert_eq!(&cfg, model.config());
+        assert_eq!(epoch, 1);
+        assert_eq!(cfg, stored);
         assert_eq!(db.num_obs(), model.database().num_obs());
         assert_eq!(db.attr_names(), model.database().attr_names());
         for a in db.attrs() {
@@ -834,6 +824,23 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = decode_checkpoint(&bytes, Path::new("test.ckpt")).unwrap_err();
         assert!(matches!(err, RecoverError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_fails_recovery_as_corrupt() {
+        let (_, model) = fixture(100);
+        let dir = tmp_dir("v1-magic");
+        drop(WalStore::create(&dir, 0, &model).unwrap());
+        let path = checkpoint_path(&dir, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"HMCKPT\x00\x01");
+        fs::write(&path, &bytes).unwrap();
+        let err = recover(&dir).unwrap_err();
+        assert!(
+            matches!(&err, RecoverError::Corrupt { offset: 0, what, .. } if what.contains("magic")),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -110,7 +110,6 @@ fn query_path_does_not_allocate_after_snapshot_acquisition() {
         if let Some(rule) = snap.top_rules().first() {
             sink ^= rule.support.to_bits();
         }
-        sink ^= snap.degree_stats().weighted_in[a.index()].to_bits();
         if !snap.is_leading(a) {
             // Classification into the pre-sized scratch.
             if let Some((v, c)) = snap.predict_into(&mut scratch, &row, a) {

@@ -3,7 +3,7 @@
 //! bit for bit, in edge ids, at every thread count — and the
 //! observation-major sweeps behind every build must agree with the
 //! per-head paths and the naive recount on random databases across the
-//! k, kernel-tier and SIMD matrix.
+//! k, counter-lane width and SIMD matrix.
 
 use hypermine::core::{
     node_of, AssociationModel, CountingEngine, HeadCounter, KernelPath, ModelConfig, SimdPolicy,
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// Random database over `k ∈ {2, 3, 5, 8}` — the paper's C1/C2 settings
 /// plus the large-k regime the observation-major sweep targets. Roughly a
 /// quarter of the columns are forced constant, so pair rows with a single
-/// touched counter slot (the dirty list's minimal case) show up routinely.
+/// touched counter slot per head show up routinely.
 fn db_with_k() -> impl Strategy<Value = Database> {
     (2usize..=5, 5usize..=60, 0usize..4).prop_flat_map(|(n_attrs, n_obs, k_idx)| {
         let k = [2u8, 3, 5, 8][k_idx];
@@ -195,9 +195,9 @@ proptest! {
 }
 
 /// All-constant columns: every pair sweep touches exactly one `(v_a, v_b)`
-/// bucket and one counter slot per head — the dirty list's minimal case —
-/// and builds at every thread count must still equal the per-head
-/// reference bit for bit, down to the k = 2 minimum.
+/// bucket and one counter slot per head, and builds at every thread count
+/// must still equal the per-head reference bit for bit, down to the k = 2
+/// minimum.
 #[test]
 fn all_constant_columns_are_bit_identical_across_strategies() {
     for k in [2u8, 3, 5, 8] {
@@ -285,76 +285,87 @@ fn wide_attribute_fixture_is_bit_identical_across_strategies() {
     assert!(!expected.is_empty(), "fixture keeps some edges");
 }
 
-/// Beyond one head tile: at `n · stride > 8192` counter lanes the flat
-/// dense bump runs blocked over several head tiles. A thin database with
-/// thousands of attributes exercises the multi-tile path cheaply; every
-/// ACV must still match the naive recount.
+/// Beyond one head tile: once `n · stride` lanes outgrow one 16 KB tile
+/// the flat dense bump runs blocked over several head tiles. Thin
+/// databases with thousands of attributes exercise the multi-tile path
+/// cheaply at both lane widths: n = 2400 at k = 3 (9600 u16 lanes, two
+/// tiles of 2048 heads) and n = 16,400 (65,600 lanes, past the u16 slot
+/// range, so u32 lanes in 17 tiles of at most 1024 heads). Each runs
+/// under `ForceScalar` as well as `Auto`, since on vector hosts the
+/// vertical kernel takes these 18-observation rows; every ACV must match
+/// the naive recount, the last head's included.
 #[test]
 fn multi_tile_flat_sweeps_match_naive() {
-    let n_attrs = 2400usize; // stride 4 at k=3 -> 9600 lanes, two tiles
     let n_obs = 18usize;
     let k = 3u8;
-    // Even columns are constant: any pair over two of them puts all 18
-    // observations into one (v_a, v_b) row — deep past the exact small-c
-    // folds, so the blocked flat bump walks every head tile. Odd columns
-    // vary, covering mixed-density rows.
-    let cols: Vec<Vec<u8>> = (0..n_attrs)
-        .map(|a| {
-            (0..n_obs)
-                .map(|o| {
-                    if a % 2 == 0 {
-                        (a % 3 + 1) as u8
-                    } else {
-                        ((o * 7 + a) % 3 + 1) as u8
+    for (n_attrs, lanes) in [
+        (2400usize, KernelPath::FlatU16),
+        (16_400, KernelPath::FlatU32),
+    ] {
+        // Even columns are constant: any pair over two of them puts all
+        // 18 observations into one (v_a, v_b) row — deep past the exact
+        // small-c folds, so the blocked flat bump walks every head tile.
+        // Odd columns vary, covering mixed-density rows.
+        let cols: Vec<Vec<u8>> = (0..n_attrs)
+            .map(|a| {
+                (0..n_obs)
+                    .map(|o| {
+                        if a % 2 == 0 {
+                            (a % 3 + 1) as u8
+                        } else {
+                            ((o * 7 + a) % 3 + 1) as u8
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let db = Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), k, cols)
+            .unwrap();
+        let last = n_attrs as u32 - 1;
+        let mid = n_attrs as u32 / 2;
+        for policy in [SimdPolicy::ForceScalar, SimdPolicy::Auto] {
+            let mut engine = CountingEngine::new(&db);
+            engine.set_simd_policy(policy);
+            assert_eq!(engine.kernel_path(), lanes, "n = {n_attrs}");
+            let mut counter = HeadCounter::new(db.num_attrs(), db.k());
+            let mut buckets = PairBuckets::new();
+            // A handful of pairs and tails is enough — each sweep crosses
+            // every tile boundary for every dense row.
+            for t in [0, 1, mid - 1, last].map(AttrId::new) {
+                engine.edge_acv_all_heads(t, &mut counter);
+                for h in [7, mid, last - 1, last].map(AttrId::new) {
+                    if h == t {
+                        continue;
                     }
-                })
-                .collect()
-        })
-        .collect();
-    let db = Database::from_columns(
-        (0..n_attrs).map(|i| format!("A{i}")).collect(),
-        k,
-        cols,
-    )
-    .unwrap();
-    let engine = CountingEngine::new(&db);
-    let mut counter = HeadCounter::new(db.num_attrs(), db.k());
-    let mut buckets = PairBuckets::new();
-    // A handful of pairs and tails is enough — each sweep crosses every
-    // tile boundary for every dense row.
-    let probe: Vec<u32> = vec![0, 1, 1199, 2399];
-    for &t in &probe {
-        let t = AttrId::new(t);
-        engine.edge_acv_all_heads(t, &mut counter);
-        for &h in &[7u32, 1200, 2398] {
-            let h = AttrId::new(h);
-            if h == t {
-                continue;
+                    let naive = engine.naive_table(&[t], h).acv();
+                    assert_eq!(
+                        counter.acv(h).to_bits(),
+                        naive.to_bits(),
+                        "n = {n_attrs} {policy:?}: {t:?} -> {h:?}"
+                    );
+                }
             }
-            let naive = engine.naive_table(&[t], h).acv();
-            assert_eq!(counter.acv(h).to_bits(), naive.to_bits(), "{t:?} -> {h:?}");
-        }
-    }
-    for (a, b) in [(0u32, 2u32), (0, 1), (5, 2398), (1199, 1200)] {
-        let (a, b) = (AttrId::new(a), AttrId::new(b));
-        engine.bucket_pair(a, b, &mut buckets);
-        engine.hyper_acv_all_heads(&buckets, &mut counter);
-        for &h in &[3u32, 1201, 2397] {
-            let h = AttrId::new(h);
-            if h == a || h == b {
-                continue;
+            for (a, b) in [(0, 2), (0, 1), (5, last - 1), (mid - 1, mid)] {
+                let (a, b) = (AttrId::new(a), AttrId::new(b));
+                engine.bucket_pair(a, b, &mut buckets);
+                engine.hyper_acv_all_heads(&buckets, &mut counter);
+                for h in [3, mid + 1, last - 2, last].map(AttrId::new) {
+                    if h == a || h == b {
+                        continue;
+                    }
+                    let naive = engine.naive_table(&[a, b], h).acv();
+                    assert_eq!(
+                        counter.acv(h).to_bits(),
+                        naive.to_bits(),
+                        "n = {n_attrs} {policy:?}: ({a:?},{b:?}) -> {h:?}"
+                    );
+                }
             }
-            let naive = engine.naive_table(&[a, b], h).acv();
-            assert_eq!(
-                counter.acv(h).to_bits(),
-                naive.to_bits(),
-                "({a:?},{b:?}) -> {h:?}"
-            );
         }
     }
 }
 
-/// Columns of the wide kernel-tier fixtures: a correlated family,
+/// Columns of the wide fixtures: a correlated family,
 /// shifted copies, a constant column, and two pseudo-random stripes.
 fn wide_fixture_db(n_attrs: usize, n_obs: usize) -> Database {
     wide_fixture_db_k(n_attrs, n_obs, 3)
@@ -386,166 +397,48 @@ fn wide_fixture_db_k(n_attrs: usize, n_obs: usize, k: u8) -> Database {
     .unwrap()
 }
 
-/// Kernel-tier matrix: the u16 flat, u32 wide flat, and segmented
-/// byte-walk kernels must produce bit-identical models through **full
-/// builds** across the tier × thread matrix at n = 40 (single head
-/// tile) and n = 128 (multi-tile), each equal to the per-head reference.
-/// The cap rides on `ModelConfig::kernel_cap`, so the forced tier flows
-/// through both construction passes exactly as it would for a database
-/// that genuinely outgrew the u16 caps. (n = 500 full builds are
-/// debug-prohibitive here; that width is tier-swept at the engine level
-/// below and build-tested in release by the `perf_summary` wide
-/// fixture.)
-#[test]
-fn kernel_tiers_are_bit_identical_through_model_builds() {
-    for &(n_attrs, n_obs) in &[(40usize, 60usize), (128, 40)] {
-        let db = wide_fixture_db(n_attrs, n_obs);
-        let cfg = |cap, threads| ModelConfig {
-            kernel_cap: cap,
-            threads,
-            gamma_edge: 1.3,
-            gamma_hyper: 1.25,
-            ..ModelConfig::default()
-        };
-        let expected = reference_edges(&db, &cfg(KernelPath::FlatU16, 1));
-        assert!(!expected.is_empty(), "n={n_attrs} fixture keeps some edges");
-        for cap in [
-            KernelPath::FlatU16,
-            KernelPath::FlatU32,
-            KernelPath::Segmented,
-        ] {
-            for threads in [1usize, 3] {
-                let m = AssociationModel::build(&db, &cfg(cap, threads)).unwrap();
-                assert_eq!(m.kernel_path(), cap, "forced tier is the reported tier");
-                assert_matches_reference(&m, &expected, &format!("n={n_attrs} {cap:?} x{threads}"));
-            }
-        }
-    }
-}
-
-/// n = 500 — the CI wide fixture's width — tier-swept at the engine
-/// level (full debug-mode builds at this width cost minutes; the
-/// release-mode `perf_summary` wide fixture builds it for real). Every
-/// tier must agree bit for bit with the others and with the naive
-/// recount on sampled tails, pairs, and heads spanning both head-tile
-/// boundaries.
-#[test]
-fn kernel_tiers_agree_at_the_wide_fixture_width() {
-    let db = wide_fixture_db(500, 24);
-    let caps = [
-        KernelPath::FlatU16,
-        KernelPath::FlatU32,
-        KernelPath::Segmented,
-    ];
-    let engines: Vec<CountingEngine> = caps
-        .iter()
-        .map(|&cap| {
-            let mut e = CountingEngine::new(&db);
-            e.restrict_kernel(cap);
-            assert_eq!(e.kernel_path(), cap);
-            e
-        })
-        .collect();
-    let mut counter = HeadCounter::new(db.num_attrs(), db.k());
-    let heads: Vec<AttrId> = [3u32, 77, 250, 499].map(AttrId::new).into();
-    for t in [0u32, 1, 250, 499].map(AttrId::new) {
-        let mut per_cap = Vec::new();
-        let probe: Vec<AttrId> = heads.iter().copied().filter(|&h| h != t).collect();
-        for e in &engines {
-            e.edge_acv_all_heads(t, &mut counter);
-            per_cap.push(
-                probe
-                    .iter()
-                    .map(|&h| counter.acv(h).to_bits())
-                    .collect::<Vec<u64>>(),
-            );
-        }
-        for (got, cap) in per_cap.iter().zip(caps) {
-            assert_eq!(got, &per_cap[0], "pass 1 tail {t:?}, {cap:?} vs FlatU16");
-        }
-        for (&h, &bits) in probe.iter().zip(&per_cap[0]) {
-            let naive = engines[0].naive_table(&[t], h).acv();
-            assert_eq!(bits, naive.to_bits(), "pass 1 {t:?} -> {h:?} vs naive");
-        }
-    }
-    let mut buckets = PairBuckets::new();
-    for (a, b) in [(0u32, 1u32), (0, 2), (5, 499), (249, 250)] {
-        let (a, b) = (AttrId::new(a), AttrId::new(b));
-        let mut per_cap = Vec::new();
-        let probe: Vec<AttrId> = heads
-            .iter()
-            .copied()
-            .filter(|&h| h != a && h != b)
-            .collect();
-        for e in &engines {
-            e.bucket_pair(a, b, &mut buckets);
-            e.hyper_acv_all_heads(&buckets, &mut counter);
-            per_cap.push(
-                probe
-                    .iter()
-                    .map(|&h| counter.acv(h).to_bits())
-                    .collect::<Vec<u64>>(),
-            );
-        }
-        for (got, cap) in per_cap.iter().zip(caps) {
-            assert_eq!(got, &per_cap[0], "pass 2 pair ({a:?},{b:?}), {cap:?}");
-        }
-        for (&h, &bits) in probe.iter().zip(&per_cap[0]) {
-            let naive = engines[0].naive_table(&[a, b], h).acv();
-            assert_eq!(bits, naive.to_bits(), "pass 2 ({a:?},{b:?}) -> {h:?}");
-        }
-    }
-}
-
 /// SIMD bit-identity matrix: models built under `SimdPolicy::Auto`
 /// (whatever level runtime detection engages — AVX2, NEON, or scalar)
-/// must be bit-identical to `ForceScalar` builds across both flat
-/// kernel tiers, every thread count the perf tier reports, and a k
-/// sweep spanning the vertical kernel's whole eligibility range
-/// (k ∈ {3, 5, 8}) plus a width past it (k = 16, which declines to the
-/// fold tier — on hosts without AVX2/NEON the two builds run the same
-/// scalar code and the assertion is trivially true, which is exactly
-/// the portable-fallback contract). n = 40 runs the single-head-tile
-/// path, n = 128 the multi-tile one.
+/// must be bit-identical to `ForceScalar` builds across every thread
+/// count the perf tier reports and a k sweep spanning the vertical
+/// kernel's whole eligibility range (k ∈ {3, 5, 8}) plus a width past it
+/// (k = 16, which declines to the fold tier — on hosts without AVX2/NEON
+/// the two builds run the same scalar code and the assertion is
+/// trivially true, which is exactly the portable-fallback contract).
+/// n = 40 runs the single-head-tile path, n = 128 the multi-tile one.
 #[test]
 fn simd_policies_are_bit_identical_through_model_builds() {
     for &(n_attrs, n_obs) in &[(40usize, 60usize), (128, 40)] {
         for k in [3u8, 5, 8, 16] {
             let db = wide_fixture_db_k(n_attrs, n_obs, k);
-            let cfg = |cap, simd, threads| ModelConfig {
-                kernel_cap: cap,
+            let cfg = |simd, threads| ModelConfig {
                 simd,
                 threads,
                 gamma_edge: 1.3,
                 gamma_hyper: 1.25,
                 ..ModelConfig::default()
             };
-            for cap in [KernelPath::FlatU16, KernelPath::FlatU32] {
-                let reference =
-                    AssociationModel::build(&db, &cfg(cap, SimdPolicy::ForceScalar, 1))
-                        .unwrap();
-                assert!(
-                    reference.hypergraph().num_edges() > 0,
-                    "n={n_attrs} k={k} fixture keeps some edges"
+            let reference = AssociationModel::build(&db, &cfg(SimdPolicy::ForceScalar, 1)).unwrap();
+            assert!(
+                reference.hypergraph().num_edges() > 0,
+                "n={n_attrs} k={k} fixture keeps some edges"
+            );
+            for threads in [1usize, 4, 8] {
+                let m = AssociationModel::build(&db, &cfg(SimdPolicy::Auto, threads)).unwrap();
+                assert_identical(
+                    &m,
+                    &reference,
+                    &format!("n={n_attrs} k={k} Auto x{threads} vs ForceScalar x1"),
                 );
-                for threads in [1usize, 4, 8] {
-                    let m = AssociationModel::build(&db, &cfg(cap, SimdPolicy::Auto, threads))
-                        .unwrap();
-                    assert_eq!(m.kernel_path(), cap);
-                    assert_identical(
-                        &m,
-                        &reference,
-                        &format!("n={n_attrs} k={k} {cap:?} Auto x{threads} vs ForceScalar x1"),
-                    );
-                }
             }
         }
     }
 }
 
 /// n = 500 — the CI wide fixture's width — SIMD-swept at the engine
-/// level (full debug-mode builds at this width cost minutes, as with
-/// the kernel-tier sweep above). The `Auto` engine must agree bit for
+/// level (full debug-mode builds at this width cost minutes; the
+/// release-mode `perf_summary` wide fixture builds it for real). The
+/// `Auto` engine must agree bit for
 /// bit with the `ForceScalar` engine and with the naive recount on
 /// sampled tails, pairs, and heads spanning both head-tile boundaries.
 #[test]
@@ -652,6 +545,43 @@ fn pass_1_edge_ids_are_deterministic_across_thread_counts() {
         .unwrap();
         assert_matches_reference(&m, &expected, &format!("pass 1 with {threads} threads"));
     }
+}
+
+/// A window longer than u16 row counts allow: m = 65,600 selects the u32
+/// lanes, and n = 6 (under one vector block) keeps the vertical kernel
+/// out, so every dense row runs the u32 flat kernel. Gammas of 1 keep
+/// every candidate (Theorem 3.8), so all 90 ACVs are compared: builds at
+/// threads {1, 3} equal the per-head reference, and one advance equals a
+/// rebuild of the slid window. The triple tensor is off past
+/// m = 65,535, so the row-recount fallback's initial `S₂` build is a u32
+/// sweep too.
+#[test]
+fn u32_lanes_build_and_advance_like_the_reference() {
+    let (n, k, m) = (6usize, 3u8, 65_600usize);
+    let rows = fallback_stream(n, k, m + 1, 0x0001_0040);
+    let cols: Vec<Vec<Value>> = (0..n)
+        .map(|a| rows.iter().map(|r| r[a]).collect())
+        .collect();
+    let full = Database::from_columns((0..n).map(|i| format!("A{i}")).collect(), k, cols)
+        .expect("generated values are in range");
+    let db = full.slice_obs(0..m);
+    let cfg = ModelConfig {
+        gamma_edge: 1.0,
+        gamma_hyper: 1.0,
+        ..ModelConfig::default()
+    };
+    let expected = check_against_reference(&db, &cfg, "m = 65,600");
+    assert_eq!(expected.len(), n * (n - 1) + n * (n - 1) / 2 * (n - 2));
+    let mut model = AssociationModel::build(&db, &cfg).unwrap();
+    assert_eq!(model.kernel_path(), KernelPath::FlatU32);
+    model.advance(&rows[m]).unwrap();
+    let stats = model
+        .incremental_stats()
+        .expect("an advance builds the incremental state");
+    assert!(!stats.uses_triple_tensor, "no tensor past u16 row counts");
+    assert_eq!(stats.kernel_path, KernelPath::FlatU32);
+    let fresh = AssociationModel::build(model.database(), &cfg).unwrap();
+    assert_identical(&model, &fresh, "advance vs rebuild at m = 65,600");
 }
 
 /// A deterministic observation stream over `n` attributes with values in
