@@ -4,8 +4,7 @@
 //! - bitset counting engine vs the naive per-observation recount;
 //! - Algorithm 6 with and without Enhancements 1/2;
 //! - hyperedges on/off (directed-graph-only model — the paper's "directed
-//!   hypergraphs capture more relationships than directed graphs");
-//! - construction thread scaling.
+//!   hypergraphs capture more relationships than directed graphs").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypermine_bench::fixture;
@@ -81,31 +80,10 @@ fn bench_hyperedges_on_off(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thread_scaling(c: &mut Criterion) {
-    let f = fixture(40, 2 * 252, 3, 15);
-    let mut group = c.benchmark_group("ablation_threads");
-    group.sample_size(10);
-    for threads in [1usize, 2] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                let cfg = ModelConfig {
-                    threads,
-                    ..ModelConfig::c1()
-                };
-                b.iter(|| black_box(AssociationModel::build(&f.disc.database, &cfg).unwrap()))
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_counting_paths,
     bench_enhancements,
-    bench_hyperedges_on_off,
-    bench_thread_scaling
+    bench_hyperedges_on_off
 );
 criterion_main!(benches);

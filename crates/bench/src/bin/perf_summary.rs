@@ -47,9 +47,9 @@
 //! tensor path has no dense sweeps to vectorize), if the k = 3
 //! batch speedup
 //! drops below 1.3× (the single slides it is compared against sped up
-//! post-SIMD), if a default-spec publish costs more than 2.43× a slide
-//! at k = 3 or more than 7.40× at k = 5 (k = 8 is reported, not
-//! gated), if the stages of a reported publish or slide sum to less
+//! post-SIMD), if a default-spec publish costs more than 3.09× a slide
+//! at k = 3, 7.40× at k = 5 or 15.0× at k = 8, if the stages of a
+//! reported publish or slide sum to less
 //! than 95% of its wall time, if any slide entry (`inc-slide`,
 //! `inc-slide-fallback`, `batch-slide`, `wide500-slide`) is slower than
 //! the same run's rebuild of its window, if reader throughput fails to
@@ -147,13 +147,18 @@ const PUBLISH_RUNS: usize = 7;
 /// Publish-cost ceilings `(k, multiple)`: a default-spec
 /// `ModelSnapshot::build` of the slid model must cost at most this
 /// multiple of one slide. Over ten runs on a 2-vCPU AVX2 host k = 3
-/// measured 0.93–1.62× and k = 5 3.58–4.93× (k = 8: 6.03–9.55×, reported
-/// only). Each ceiling is 1.5× the largest ratio measured, so that host
-/// noise leaves headroom. With 128-bit ranking sort keys and a filtered
-/// graph copy for set cover the ratios were 1.4–2.8× and 3.9–5.6×; with
-/// per-head comparator sorts and a hash-keyed set cover ~4× and ~8.5×;
-/// ranking rules by sorting every mined row made k = 3 ~60×.
-const PUBLISH_RATIO_LIMITS: [(u8, f64); 2] = [(3, 2.43), (5, 7.40)];
+/// measured 1.58–2.06×, k = 5 3.78–5.72× and k = 8 6.05–10.00×. Each
+/// ceiling is 1.5× the largest ratio measured, so that host noise leaves
+/// headroom; k = 5 keeps its earlier, tighter 7.40×. The slide is the
+/// denominator, so a cheaper slide raises the ratios: when the graph
+/// stopped maintaining incidence on every splice, the k = 3 slide fell
+/// from ~1.0 to ~0.7 ms while the publish held at ~1.3 ms, and k = 3
+/// moved up from 0.93–1.62× (ceiling 2.43×). With 128-bit ranking sort
+/// keys and a filtered graph copy for set cover the ratios were
+/// 1.4–2.8× and 3.9–5.6×; with per-head comparator sorts and a
+/// hash-keyed set cover ~4× and ~8.5×; ranking rules by sorting every
+/// mined row made k = 3 ~60×.
+const PUBLISH_RATIO_LIMITS: [(u8, f64); 3] = [(3, 3.09), (5, 7.40), (8, 15.0)];
 
 /// Phase-coverage floor: the phases of each reported publish
 /// (`ModelSnapshot::publish_phases`) and slide
@@ -1249,9 +1254,8 @@ fn main() {
         }
         // Publish gates: a default-spec publish may cost at most a small
         // multiple of the slide it follows (same-run ratio, no
-        // calibration), at k = 3 and k = 5 (k = 8 is reported only). A
-        // regression to ranking by sorting every mined row shows ~60x at
-        // k = 3.
+        // calibration), at k = 3, 5 and 8. A regression to ranking by
+        // sorting every mined row shows ~60x at k = 3.
         for &(k, limit) in &PUBLISH_RATIO_LIMITS {
             let ratio = publish_ratios
                 .iter()

@@ -154,10 +154,11 @@ pub(crate) fn edge_kept(
 /// through here, which is what makes their edge ids provably identical:
 /// same input order, same insertion order, same ids.
 ///
-/// Capacities are reserved exactly before insertion (the kept set is
+/// The edge store is reserved exactly before insertion (the kept set is
 /// known up front), and edges are inserted through the hypergraph's
 /// unchecked bulk path — tails/heads arrive sorted, distinct, and unique
-/// by construction.
+/// by construction. No incidence is written: the graph derives its
+/// stars on the first star query.
 pub(crate) fn assemble_into(
     graph: &mut DirectedHypergraph,
     attrs: &[AttrId],
@@ -171,29 +172,12 @@ pub(crate) fn assemble_into(
     debug_assert_eq!(graph.num_nodes(), n);
     let kept = |t: AttrId, h: AttrId| edge_kept(raw_edge_acv, baseline, gamma_edge, n, t, h);
 
-    // Size everything once: per-node degrees across both passes.
-    let mut out_deg = vec![0usize; n];
-    let mut in_deg = vec![0usize; n];
-    let mut kept1 = 0usize;
-    for &t in attrs {
-        for &h in attrs {
-            if kept(t, h) {
-                kept1 += 1;
-                out_deg[t.index()] += 1;
-                in_deg[h.index()] += 1;
-            }
-        }
-    }
+    let kept1: usize = attrs
+        .iter()
+        .map(|&t| attrs.iter().filter(|&&h| kept(t, h)).count())
+        .sum();
     let kept2: usize = candidate_blocks.iter().map(Vec::len).sum();
-    for (a, b, h, _) in candidate_blocks.iter().flatten() {
-        out_deg[a.index()] += 1;
-        out_deg[b.index()] += 1;
-        in_deg[h.index()] += 1;
-    }
     graph.reserve_edges(kept1 + kept2);
-    for &a in attrs {
-        graph.reserve_incidence(node_of(a), out_deg[a.index()], in_deg[a.index()]);
-    }
 
     for &t in attrs {
         for &h in attrs {

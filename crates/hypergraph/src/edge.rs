@@ -14,9 +14,10 @@
 //! three or more nodes, or multi-node heads — spill their sorted node
 //! lists into a shared arena and the inline record becomes a
 //! `(offset, lens)` descriptor. Either way an edge costs 20 bytes of
-//! record plus its incidence entries, about 3× less than the previous
-//! slab of enum node sets, and reads come back as a borrowed [`EdgeRef`]
-//! view instead of a `&Hyperedge`.
+//! record and weight, plus 4 bytes per tail or head node once a star
+//! query derives the incidence CSR — even then about 3× less than the
+//! previous slab of enum node sets — and reads come back as a borrowed
+//! [`EdgeRef`] view instead of a `&Hyperedge`.
 //!
 //! # Migration from the slab representation
 //!

@@ -3,6 +3,7 @@
 use crate::edge::{EdgeId, EdgeRef, NodeId};
 use crate::fx::FxHashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors raised while mutating a [`DirectedHypergraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,10 +76,11 @@ pub struct HypergraphMemory {
     pub weight_bytes: usize,
     /// The spill arena holding >2-node tails and multi-node heads.
     pub arena_bytes: usize,
-    /// Both incidence indexes: per-node edge-id vectors plus their
-    /// `Vec` headers.
+    /// The incidence CSR (both stars' offsets and edge ids); 0 unless a
+    /// star query built it after the last edge change.
     pub incidence_bytes: usize,
-    /// Total incidence entries (`Σ_e |T(e)| + |H(e)|`).
+    /// Entries in the incidence CSR (`Σ_e |T(e)| + |H(e)|`); 0 unless a
+    /// star query built it after the last edge change.
     pub incidence_entries: usize,
 }
 
@@ -89,20 +91,71 @@ impl HypergraphMemory {
     }
 }
 
+/// Both stars of every node in one CSR: node `v`'s forward star is
+/// `ids[offsets[v]..offsets[v + 1]]` and its backward star
+/// `ids[offsets[n + v]..offsets[n + v + 1]]`, each ascending by id.
+#[derive(Debug, Clone)]
+struct Incidence {
+    offsets: Vec<usize>,
+    ids: Vec<EdgeId>,
+}
+
+impl Incidence {
+    /// Counts every star's size, prefix-sums the counts into offsets,
+    /// then fills the stars in id order, so each comes out ascending.
+    fn build(g: &DirectedHypergraph) -> Incidence {
+        let n = g.num_nodes;
+        let mut offsets = vec![0usize; 2 * n + 1];
+        for (_, e) in g.edges() {
+            for &t in e.tail() {
+                offsets[t.index() + 1] += 1;
+            }
+            for &h in e.head() {
+                offsets[n + h.index() + 1] += 1;
+            }
+        }
+        for s in 1..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut next = offsets[..2 * n].to_vec();
+        let mut ids = vec![EdgeId::new(0); offsets[2 * n]];
+        for (id, e) in g.edges() {
+            for &t in e.tail() {
+                ids[next[t.index()]] = id;
+                next[t.index()] += 1;
+            }
+            for &h in e.head() {
+                ids[next[n + h.index()]] = id;
+                next[n + h.index()] += 1;
+            }
+        }
+        Incidence { offsets, ids }
+    }
+
+    #[inline]
+    fn star(&self, s: usize) -> &[EdgeId] {
+        &self.ids[self.offsets[s]..self.offsets[s + 1]]
+    }
+}
+
 /// A weighted directed hypergraph over a fixed node range `0..num_nodes`.
 ///
-/// Maintains incidence indexes in both directions:
-/// - `out_edges(v)`: edges whose **tail** contains `v` (the forward star);
-/// - `in_edges(v)`: edges whose **head** contains `v` (the backward star);
+/// The edge records are the only stored state. Two indexes are derived
+/// from them **lazily**, each on its first query:
+/// - the incidence CSR behind `out_edges(v)` (edges whose **tail**
+///   contains `v`, the forward star) and `in_edges(v)` (edges whose
+///   **head** contains `v`, the backward star), built in one `O(|E|)`
+///   counting pass and dropped by every mutator that changes the edge
+///   set, so the next star query rebuilds it;
+/// - an exact-match index from `(tail, head)` to [`EdgeId`], used heavily
+///   by the association-similarity computation (switching one node of a
+///   tail or head and asking whether the resulting hyperedge exists).
+///   Once built it is kept in sync by later insertions.
 ///
-/// plus an exact-match index from `(tail, head)` to [`EdgeId`], used heavily
-/// by the association-similarity computation (switching one node of a tail or
-/// head and asking whether the resulting hyperedge exists). The exact-match
-/// index is built **lazily** on the first lookup: bulk construction (the
-/// association builder and the per-slide streaming reassembly) inserts tens
-/// of thousands of edges via [`DirectedHypergraph::add_edge_unchecked`] and
-/// never pays for hashing them; once built, the index is kept in sync by
-/// every subsequent insertion.
+/// Bulk construction (the association builder) and the per-slide
+/// streaming splice therefore write records and weights only; only
+/// batch analyses (dominating adaptation, similarity, B-reachability,
+/// best-edge scans) pay for the indexes they read.
 ///
 /// # Compressed edge store
 ///
@@ -115,9 +168,9 @@ impl HypergraphMemory {
 /// edge's id **is** its position in these arrays, there is no
 /// slab/order indirection: [`DirectedHypergraph::splice_edges`]
 /// renumbers survivors by memcpy-ing the record runs between splice
-/// points, and [`DirectedHypergraph::reset_edges`] /
-/// [`DirectedHypergraph::truncate_edges`] are plain truncations that
-/// keep allocations live for the streaming model's per-slide reuse.
+/// points, and [`DirectedHypergraph::reset_edges`] is a plain
+/// truncation that keeps allocations live for the streaming model's
+/// per-slide reuse.
 #[derive(Debug, Default)]
 pub struct DirectedHypergraph {
     num_nodes: usize,
@@ -133,30 +186,33 @@ pub struct DirectedHypergraph {
     /// Live (referenced) arena entries; the rest is garbage awaiting
     /// [`DirectedHypergraph::maybe_compact_arena`].
     arena_live: usize,
-    out_edges: Vec<Vec<EdgeId>>,
-    in_edges: Vec<Vec<EdgeId>>,
-    index: std::sync::OnceLock<FxHashMap<EdgeKey, EdgeId>>,
+    incidence: OnceLock<Incidence>,
+    index: OnceLock<FxHashMap<EdgeKey, EdgeId>>,
     /// Double buffers for [`DirectedHypergraph::splice_edges`]'s record
     /// rebuild — per-slide splices reuse their allocations.
     packed_scratch: Vec<[NodeId; 3]>,
     weights_scratch: Vec<f64>,
 }
 
+/// A copy of `lock`, built only if `lock` is.
+fn clone_built<T: Clone>(lock: &OnceLock<T>) -> OnceLock<T> {
+    let copy = OnceLock::new();
+    if let Some(value) = lock.get() {
+        let _ = copy.set(value.clone());
+    }
+    copy
+}
+
 impl Clone for DirectedHypergraph {
     fn clone(&self) -> Self {
-        let index = std::sync::OnceLock::new();
-        if let Some(map) = self.index.get() {
-            let _ = index.set(map.clone());
-        }
         DirectedHypergraph {
             num_nodes: self.num_nodes,
             packed: self.packed.clone(),
             weights: self.weights.clone(),
             arena: self.arena.clone(),
             arena_live: self.arena_live,
-            out_edges: self.out_edges.clone(),
-            in_edges: self.in_edges.clone(),
-            index,
+            incidence: clone_built(&self.incidence),
+            index: clone_built(&self.index),
             packed_scratch: Vec::new(),
             weights_scratch: Vec::new(),
         }
@@ -176,9 +232,8 @@ impl DirectedHypergraph {
             weights: Vec::new(),
             arena: Vec::new(),
             arena_live: 0,
-            out_edges: vec![Vec::new(); num_nodes],
-            in_edges: vec![Vec::new(); num_nodes],
-            index: std::sync::OnceLock::new(),
+            incidence: OnceLock::new(),
+            index: OnceLock::new(),
             packed_scratch: Vec::new(),
             weights_scratch: Vec::new(),
         }
@@ -199,42 +254,15 @@ impl DirectedHypergraph {
     }
 
     /// Removes every edge while keeping the node range and the allocations
-    /// of the edge store and both incidence indexes — the streaming model
-    /// reassembles its graph in place once per slide.
+    /// of the edge store — the streaming model reassembles its graph in
+    /// place once per slide. Both derived indexes are dropped.
     pub fn reset_edges(&mut self) {
         self.packed.clear();
         self.weights.clear();
         self.arena.clear();
         self.arena_live = 0;
-        for star in &mut self.out_edges {
-            star.clear();
-        }
-        for star in &mut self.in_edges {
-            star.clear();
-        }
-        self.index = std::sync::OnceLock::new();
-    }
-
-    /// Drops every edge with id `≥ len` while keeping the first `len`
-    /// edges (and their ids) intact — the rollback/retire primitive over
-    /// the compressed store. Incidence lists are sorted by id, so each
-    /// star truncates at one partition point; spilled node lists of
-    /// dropped edges are released to the arena compactor.
-    pub fn truncate_edges(&mut self, len: usize) {
-        if len >= self.packed.len() {
-            return;
-        }
-        for o in len..self.packed.len() {
-            self.release_arena(o);
-        }
-        self.packed.truncate(len);
-        self.weights.truncate(len);
-        for star in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
-            let keep = star.partition_point(|id| id.index() < len);
-            star.truncate(keep);
-        }
-        self.index = std::sync::OnceLock::new();
-        self.maybe_compact_arena();
+        self.incidence.take();
+        self.index.take();
     }
 
     /// Applies a sorted batch of edge removals and insertions while
@@ -247,9 +275,9 @@ impl DirectedHypergraph {
     /// ascending, with the same invariants as
     /// [`DirectedHypergraph::add_edge_unchecked`]. The result is
     /// identical to rebuilding with the merged edge sequence, but costs
-    /// `O(ops · star)` for the touched edges plus one contiguous
-    /// id-shift pass over the incidence lists and one memcpy pass over
-    /// the packed record and weight arrays.
+    /// one memcpy pass over the packed record and weight arrays plus the
+    /// inserted edges' packing. Both derived indexes are dropped; the
+    /// next query rebuilds them.
     pub fn splice_edges(&mut self, removes: &[EdgeId], inserts: &[EdgeInsert]) {
         if removes.is_empty() && inserts.is_empty() {
             return;
@@ -258,162 +286,7 @@ impl DirectedHypergraph {
         debug_assert!(inserts.windows(2).all(|w| w[0].new_id < w[1].new_id));
         let old_len = self.packed.len();
 
-        // 1. Drop the removed edges' incidence entries (pre-splice ids).
-        for &id in removes {
-            let rec = self.packed[id.index()];
-            if rec[0] != SPILL {
-                let tlen = if rec[0] == rec[1] { 1 } else { 2 };
-                for &t in &rec[..tlen] {
-                    let star = &mut self.out_edges[t.index()];
-                    let pos = star.binary_search(&id).expect("incidence entry exists");
-                    star.remove(pos);
-                }
-                let star = &mut self.in_edges[rec[2].index()];
-                let pos = star.binary_search(&id).expect("incidence entry exists");
-                star.remove(pos);
-            } else {
-                let off = rec[1].raw() as usize;
-                let (tlen, hlen) = ((rec[2].raw() >> 16) as usize, (rec[2].raw() & 0xffff) as usize);
-                for s in 0..tlen + hlen {
-                    let v = self.arena[off + s];
-                    let star = if s < tlen {
-                        &mut self.out_edges[v.index()]
-                    } else {
-                        &mut self.in_edges[v.index()]
-                    };
-                    let pos = star.binary_search(&id).expect("incidence entry exists");
-                    star.remove(pos);
-                }
-            }
-        }
-
-        // 2. The piecewise old→new id mapping of surviving edges: regions
-        // of constant shift, delimited by the splice positions — built in
-        // `O(ops)` by merging the two op streams. A removal at old id `r`
-        // lowers the shift of every later survivor; an insertion at
-        // post-splice id `q` raises the shift of survivors from old
-        // position `q − delta` on (ties only affect removed ids, which no
-        // longer appear in any star).
-        let mut regions: Vec<(usize, usize, i64)> = Vec::new();
-        {
-            let mut bounds: Vec<(usize, i64)> = Vec::with_capacity(removes.len() + inserts.len());
-            let (mut i_rm, mut i_in) = (0usize, 0usize);
-            let mut delta = 0i64;
-            loop {
-                let next_rm = removes.get(i_rm).map(|r| r.index());
-                let next_in = inserts
-                    .get(i_in)
-                    .map(|q| (q.new_id.index() as i64 - delta) as usize);
-                let (pos, is_remove) = match (next_rm, next_in) {
-                    (None, None) => break,
-                    (Some(r), None) => (r, true),
-                    (None, Some(q)) => (q, false),
-                    (Some(r), Some(q)) => {
-                        if r <= q {
-                            (r, true)
-                        } else {
-                            (q, false)
-                        }
-                    }
-                };
-                let start = if is_remove {
-                    delta -= 1;
-                    i_rm += 1;
-                    pos + 1
-                } else {
-                    delta += 1;
-                    i_in += 1;
-                    pos
-                };
-                match bounds.last_mut() {
-                    Some((s, d)) if *s == start => *d = delta,
-                    _ => bounds.push((start, delta)),
-                }
-            }
-            let mut prev = (0usize, 0i64);
-            for &(start, d) in &bounds {
-                if start > prev.0 {
-                    regions.push((prev.0, start, prev.1));
-                }
-                prev = (start.max(prev.0), d);
-            }
-            regions.push((prev.0, old_len.max(prev.0), prev.1));
-            #[cfg(debug_assertions)]
-            {
-                // Cross-check against the O(old_len) simulation.
-                let (mut i_rm, mut i_in, mut out_pos) = (0usize, 0usize, 0usize);
-                for o in 0..old_len {
-                    if i_rm < removes.len() && removes[i_rm].index() == o {
-                        i_rm += 1;
-                        continue;
-                    }
-                    while i_in < inserts.len() && inserts[i_in].new_id.index() == out_pos {
-                        out_pos += 1;
-                        i_in += 1;
-                    }
-                    let delta = out_pos as i64 - o as i64;
-                    let region = regions
-                        .iter()
-                        .find(|&&(s, e, _)| o >= s && o < e)
-                        .unwrap_or_else(|| panic!("old id {o} not covered"));
-                    debug_assert_eq!(region.2, delta, "shift of old id {o}");
-                    out_pos += 1;
-                }
-            }
-        }
-
-        // 3. Shift surviving ids star by star. With few splice points,
-        // binary-search each shifted region's subrange per star (entries
-        // below the first change are untouched); with many, one merged
-        // two-pointer walk per star costs `O(star + regions)`.
-        let first_change = regions
-            .iter()
-            .find(|&&(_, _, d)| d != 0)
-            .map(|&(s, _, _)| s)
-            .unwrap_or(usize::MAX);
-        for star in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
-            let lo = star.partition_point(|id| id.index() < first_change);
-            let tail = &mut star[lo..];
-            if tail.is_empty() {
-                continue;
-            }
-            // Binary-searching region bounds beats a linear merge only
-            // when regions are much scarcer than surviving entries.
-            if regions.len() * 16 < tail.len() {
-                let mut cursor = 0usize;
-                for &(start, end, delta) in &regions {
-                    if end <= first_change {
-                        continue;
-                    }
-                    let a = cursor + tail[cursor..].partition_point(|id| id.index() < start);
-                    let b = a + tail[a..].partition_point(|id| id.index() < end);
-                    cursor = b;
-                    if delta != 0 {
-                        for id in &mut tail[a..b] {
-                            *id = EdgeId::new((id.index() as i64 + delta) as u32);
-                        }
-                    }
-                }
-            } else {
-                let mut r = 0usize;
-                for id in tail.iter_mut() {
-                    let o = id.index();
-                    while r < regions.len() && o >= regions[r].1 {
-                        r += 1;
-                    }
-                    debug_assert!(
-                        r < regions.len() && o >= regions[r].0,
-                        "surviving incidence id lies in some region"
-                    );
-                    let delta = regions[r].2;
-                    if delta != 0 {
-                        *id = EdgeId::new((o as i64 + delta) as u32);
-                    }
-                }
-            }
-        }
-
-        // 4. Rebuild the packed record and weight arrays into the double
+        // Rebuild the packed record and weight arrays into the double
         // buffers: surviving runs between splice points are copied with
         // `extend_from_slice` (plain POD memcpy — edge ids are positions,
         // so the copy *is* the renumbering), inserted edges pack in
@@ -425,63 +298,47 @@ impl DirectedHypergraph {
         let new_len = old_len - removes.len() + inserts.len();
         packed.reserve(new_len);
         weights.reserve(new_len);
-        {
-            let (mut i_rm, mut i_in) = (0usize, 0usize);
-            let mut o = 0usize;
-            loop {
-                while i_in < inserts.len() && inserts[i_in].new_id.index() == packed.len() {
-                    let ins = &inserts[i_in];
-                    let rec =
-                        pack_record(&ins.tail, &ins.head, &mut self.arena, &mut self.arena_live);
-                    packed.push(rec);
-                    weights.push(ins.weight);
-                    i_in += 1;
-                }
-                if o >= old_len {
-                    break;
-                }
-                // Copy the surviving run up to the next splice point.
-                let next_rm = removes
-                    .get(i_rm)
-                    .map(|r| r.index())
-                    .unwrap_or(old_len);
-                let next_in = inserts
-                    .get(i_in)
-                    .map(|q| o + (q.new_id.index() - packed.len()))
-                    .unwrap_or(old_len);
-                let end = next_rm.min(next_in).min(old_len);
-                packed.extend_from_slice(&self.packed[o..end]);
-                weights.extend_from_slice(&self.weights[o..end]);
-                o = end;
-                if o == next_rm && o < old_len {
-                    self.release_arena(o);
-                    o += 1;
-                    i_rm += 1;
-                }
+        let (mut i_rm, mut i_in) = (0usize, 0usize);
+        let mut o = 0usize;
+        loop {
+            while i_in < inserts.len() && inserts[i_in].new_id.index() == packed.len() {
+                let ins = &inserts[i_in];
+                debug_assert!(ins.weight.is_finite());
+                debug_assert!(ins.tail.windows(2).all(|w| w[0] < w[1]));
+                debug_assert!(ins.head.windows(2).all(|w| w[0] < w[1]));
+                let rec = pack_record(&ins.tail, &ins.head, &mut self.arena, &mut self.arena_live);
+                packed.push(rec);
+                weights.push(ins.weight);
+                i_in += 1;
             }
-            debug_assert_eq!(i_in, inserts.len(), "insert ids must be dense");
+            if o >= old_len {
+                break;
+            }
+            // Copy the surviving run up to the next splice point.
+            let next_rm = removes
+                .get(i_rm)
+                .map(|r| r.index())
+                .unwrap_or(old_len);
+            let next_in = inserts
+                .get(i_in)
+                .map(|q| o + (q.new_id.index() - packed.len()))
+                .unwrap_or(old_len);
+            let end = next_rm.min(next_in).min(old_len);
+            packed.extend_from_slice(&self.packed[o..end]);
+            weights.extend_from_slice(&self.weights[o..end]);
+            o = end;
+            if o == next_rm && o < old_len {
+                self.release_arena(o);
+                o += 1;
+                i_rm += 1;
+            }
         }
+        debug_assert_eq!(i_in, inserts.len(), "insert ids must be dense");
         self.packed_scratch = std::mem::replace(&mut self.packed, packed);
         self.weights_scratch = std::mem::replace(&mut self.weights, weights);
         self.maybe_compact_arena();
-
-        // 5. Register the inserted edges' incidence (post-splice ids).
-        for ins in inserts {
-            debug_assert!(ins.weight.is_finite());
-            debug_assert!(ins.tail.windows(2).all(|w| w[0] < w[1]));
-            debug_assert!(ins.head.windows(2).all(|w| w[0] < w[1]));
-            for &t in &ins.tail {
-                let star = &mut self.out_edges[t.index()];
-                let pos = star.partition_point(|id| *id < ins.new_id);
-                star.insert(pos, ins.new_id);
-            }
-            for &h in &ins.head {
-                let star = &mut self.in_edges[h.index()];
-                let pos = star.partition_point(|id| *id < ins.new_id);
-                star.insert(pos, ins.new_id);
-            }
-        }
-        self.index = std::sync::OnceLock::new();
+        self.incidence.take();
+        self.index.take();
     }
 
     /// Returns dropped edge `o`'s arena span (if spilled) to the garbage
@@ -527,13 +384,6 @@ impl DirectedHypergraph {
             }
             map
         })
-    }
-
-    /// Reserves room for `additional` more incident edge ids in node `v`'s
-    /// forward (`out`) and backward (`in`) stars.
-    pub fn reserve_incidence(&mut self, v: NodeId, out_additional: usize, in_additional: usize) {
-        self.out_edges[v.index()].reserve(out_additional);
-        self.in_edges[v.index()].reserve(in_additional);
     }
 
     /// Number of nodes `|V|`.
@@ -589,27 +439,36 @@ impl DirectedHypergraph {
         &self.weights
     }
 
-    /// Forward star: ids of edges whose tail contains `v`.
-    #[inline]
-    pub fn out_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.out_edges[v.index()]
+    /// The incidence CSR, built on first use (`O(|E|)` once).
+    fn incidence(&self) -> &Incidence {
+        self.incidence.get_or_init(|| Incidence::build(self))
     }
 
-    /// Backward star: ids of edges whose head contains `v`.
+    /// Forward star: ids of edges whose tail contains `v`, ascending.
+    /// The first star query after a mutation rebuilds the incidence CSR.
+    #[inline]
+    pub fn out_edges(&self, v: NodeId) -> &[EdgeId] {
+        assert!(v.index() < self.num_nodes, "node {v} is out of range");
+        self.incidence().star(v.index())
+    }
+
+    /// Backward star: ids of edges whose head contains `v`, ascending.
+    /// The first star query after a mutation rebuilds the incidence CSR.
     #[inline]
     pub fn in_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.in_edges[v.index()]
+        assert!(v.index() < self.num_nodes, "node {v} is out of range");
+        self.incidence().star(self.num_nodes + v.index())
     }
 
     /// Byte accounting of the live storage (see [`HypergraphMemory`]).
     pub fn memory(&self) -> HypergraphMemory {
-        let vec_header = std::mem::size_of::<Vec<EdgeId>>();
-        let mut incidence_bytes = 2 * self.num_nodes * vec_header;
-        let mut incidence_entries = 0usize;
-        for star in self.out_edges.iter().chain(self.in_edges.iter()) {
-            incidence_bytes += star.capacity() * std::mem::size_of::<EdgeId>();
-            incidence_entries += star.len();
-        }
+        let (incidence_bytes, incidence_entries) = self.incidence.get().map_or((0, 0), |inc| {
+            (
+                inc.offsets.capacity() * std::mem::size_of::<usize>()
+                    + inc.ids.capacity() * std::mem::size_of::<EdgeId>(),
+                inc.ids.len(),
+            )
+        });
         HypergraphMemory {
             edge_record_bytes: self.packed.capacity() * std::mem::size_of::<[NodeId; 3]>(),
             weight_bytes: self.weights.capacity() * std::mem::size_of::<f64>(),
@@ -704,15 +563,10 @@ impl DirectedHypergraph {
 
     /// Inserts an edge whose invariants are already established. If the
     /// exact-match index has been built, it is kept in sync; otherwise no
-    /// hashing happens at all.
+    /// hashing happens at all. A built incidence CSR is dropped.
     fn push_edge_unchecked(&mut self, tail: &[NodeId], head: &[NodeId], weight: f64) -> EdgeId {
         let id = EdgeId::new(self.packed.len() as u32);
-        for &t in tail.iter() {
-            self.out_edges[t.index()].push(id);
-        }
-        for &h in head.iter() {
-            self.in_edges[h.index()].push(id);
-        }
+        self.incidence.take();
         if let Some(map) = self.index.get_mut() {
             map.insert((tail.into(), head.into()), id);
         }
@@ -739,7 +593,8 @@ impl DirectedHypergraph {
         self.find_edge(tail, head).is_some()
     }
 
-    /// Updates the weight of an existing edge.
+    /// Updates the weight of an existing edge. Both derived indexes stay
+    /// valid: neither depends on weights.
     pub fn set_weight(&mut self, id: EdgeId, weight: f64) -> Result<(), HypergraphError> {
         if !weight.is_finite() {
             return Err(HypergraphError::NonFiniteWeight);
@@ -1011,45 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_edges_keeps_a_prefix_bit_identically() {
-        let mut g = DirectedHypergraph::new(5);
-        g.add_edge(&[n(0)], &[n(1)], 0.1).unwrap();
-        g.add_edge(&[n(1), n(2)], &[n(3)], 0.2).unwrap();
-        // A spilled edge inside and one outside the kept prefix.
-        g.add_edge(&[n(0), n(1), n(2)], &[n(4)], 0.3).unwrap();
-        g.add_edge(&[n(2)], &[n(0)], 0.4).unwrap();
-        g.add_edge(&[n(1), n(3), n(4)], &[n(0)], 0.5).unwrap();
-        g.truncate_edges(3);
-        assert_eq!(g.num_edges(), 3);
-        let mut expected = DirectedHypergraph::new(5);
-        expected.add_edge(&[n(0)], &[n(1)], 0.1).unwrap();
-        expected.add_edge(&[n(1), n(2)], &[n(3)], 0.2).unwrap();
-        expected.add_edge(&[n(0), n(1), n(2)], &[n(4)], 0.3).unwrap();
-        for (id, e) in expected.edges() {
-            let s = g.edge(id);
-            assert_eq!(e.tail(), s.tail(), "{id}");
-            assert_eq!(e.head(), s.head(), "{id}");
-            assert_eq!(e.weight(), s.weight(), "{id}");
-        }
-        for v in 0..5u32 {
-            assert_eq!(g.out_edges(n(v)), expected.out_edges(n(v)), "out star {v}");
-            assert_eq!(g.in_edges(n(v)), expected.in_edges(n(v)), "in star {v}");
-        }
-        // The rebuilt lazy index only knows the kept prefix.
-        assert_eq!(g.find_edge(&[n(2)], &[n(0)]), None);
-        assert!(g.find_edge(&[n(0), n(1), n(2)], &[n(4)]).is_some());
-        // Truncating past the end is a no-op.
-        g.truncate_edges(10);
-        assert_eq!(g.num_edges(), 3);
-        // Truncating to zero leaves a working empty graph.
-        g.truncate_edges(0);
-        assert_eq!(g.num_edges(), 0);
-        assert!(g.out_edges(n(1)).is_empty());
-        let e = g.add_edge(&[n(4)], &[n(0)], 0.9).unwrap();
-        assert_eq!(e, EdgeId::new(0));
-    }
-
-    #[test]
     fn splice_edges_matches_a_from_scratch_rebuild() {
         // Deterministic pseudo-random edge soups; every splice result is
         // compared edge-for-edge (ids, sets, weights, incidence) against
@@ -1315,6 +1131,11 @@ mod tests {
         assert!(mem.edge_record_bytes >= 2 * 12);
         assert!(mem.weight_bytes >= 2 * 8);
         assert!(mem.arena_bytes >= 4 * 4, "spilled 3+1 nodes");
+        // Nobody queried a star yet, so no incidence CSR exists.
+        assert_eq!(mem.incidence_entries, 0);
+        assert_eq!(mem.incidence_bytes, 0);
+        assert_eq!(g.in_degree(n(3)), 1);
+        let mem = g.memory();
         // 2 + 1 (edge 0) + 3 + 1 (edge 1) incidence entries.
         assert_eq!(mem.incidence_entries, 7);
         assert!(mem.incidence_bytes >= 7 * 4);
@@ -1322,5 +1143,94 @@ mod tests {
             mem.total_bytes(),
             mem.edge_record_bytes + mem.weight_bytes + mem.arena_bytes + mem.incidence_bytes
         );
+    }
+
+    /// Asserts that `g`'s stars and incidence accounting equal those of
+    /// a graph rebuilt from its edge records (leaving `g`'s CSR built).
+    fn assert_stars_match_a_rebuild(g: &DirectedHypergraph, what: &str) {
+        let mut rebuilt = DirectedHypergraph::new(g.num_nodes());
+        for (_, e) in g.edges() {
+            rebuilt.add_edge_unchecked(e.tail(), e.head(), e.weight());
+        }
+        for v in g.nodes() {
+            assert_eq!(g.out_edges(v), rebuilt.out_edges(v), "{what}: out star of {v}");
+            assert_eq!(g.in_edges(v), rebuilt.in_edges(v), "{what}: in star of {v}");
+        }
+        let (mem, want) = (g.memory(), rebuilt.memory());
+        assert_eq!(mem.incidence_entries, want.incidence_entries, "{what}");
+        assert_eq!(mem.incidence_bytes, want.incidence_bytes, "{what}");
+    }
+
+    #[test]
+    fn every_edge_mutator_drops_a_built_incidence_csr() {
+        fn ins(id: u32, tail: &[u32], head: &[u32], weight: f64) -> EdgeInsert {
+            EdgeInsert {
+                new_id: EdgeId::new(id),
+                tail: tail.iter().map(|&v| n(v)).collect(),
+                head: head.iter().map(|&v| n(v)).collect(),
+                weight,
+            }
+        }
+        let mut g = DirectedHypergraph::new(6);
+        g.add_edge(&[n(0), n(1)], &[n(2)], 0.4).unwrap();
+        g.add_edge(&[n(0)], &[n(3)], 0.6).unwrap();
+        // A spilled edge (3-node tail, 2-node head).
+        g.add_edge(&[n(1), n(2), n(4)], &[n(5), n(0)], 0.2).unwrap();
+        g.add_edge(&[n(3)], &[n(1)], 0.9).unwrap();
+        assert_eq!(g.memory().incidence_entries, 0, "no star queried yet");
+        assert_stars_match_a_rebuild(&g, "first query");
+
+        type Step = Box<dyn Fn(&mut DirectedHypergraph)>;
+        let steps: Vec<(&str, Step)> = vec![
+            (
+                "add_edge",
+                Box::new(|g| {
+                    g.add_edge(&[n(4)], &[n(2)], 0.3).unwrap();
+                }),
+            ),
+            (
+                "add_edge_unchecked",
+                Box::new(|g| {
+                    g.add_edge_unchecked(&[n(2), n(5)], &[n(1)], 0.7);
+                }),
+            ),
+            (
+                "splice removals",
+                Box::new(|g| g.splice_edges(&[EdgeId::new(0), EdgeId::new(4)], &[])),
+            ),
+            (
+                "splice inserts",
+                Box::new(|g| {
+                    g.splice_edges(&[], &[ins(0, &[5], &[4], 0.8), ins(3, &[0, 2], &[1], 0.1)])
+                }),
+            ),
+            (
+                // Removes the spilled edge too.
+                "splice removals and inserts",
+                Box::new(|g| {
+                    g.splice_edges(&[EdgeId::new(1), EdgeId::new(2)], &[ins(1, &[4], &[3], 0.5)])
+                }),
+            ),
+            ("reset_edges", Box::new(|g| g.reset_edges())),
+        ];
+        for (what, step) in steps {
+            assert!(g.memory().incidence_bytes > 0, "{what}: the CSR is built");
+            step(&mut g);
+            assert_eq!(g.memory().incidence_bytes, 0, "{what} drops the CSR");
+            assert_stars_match_a_rebuild(&g, what);
+        }
+
+        // Weight writes and clones keep a built CSR valid.
+        g.add_edge(&[n(0)], &[n(1)], 0.1).unwrap();
+        g.add_edge(&[n(2), n(3)], &[n(1)], 0.2).unwrap();
+        assert_stars_match_a_rebuild(&g, "refill");
+        let built = g.memory();
+        g.set_weight(EdgeId::new(1), 0.6).unwrap();
+        assert_eq!(g.memory(), built, "set_weight keeps the CSR");
+        assert_stars_match_a_rebuild(&g, "set_weight");
+        let copy = g.clone();
+        assert_eq!(copy.memory().incidence_entries, 5, "clone copies a built CSR");
+        assert_stars_match_a_rebuild(&copy, "clone");
+        assert_eq!(DirectedHypergraph::new(2).clone().memory().incidence_bytes, 0);
     }
 }

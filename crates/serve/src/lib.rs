@@ -17,8 +17,8 @@
 //!   contract). A reader pins the current snapshot with two atomic
 //!   loads and one atomic store — no locks, no heap allocation — and
 //!   queries it through precomputed indexes ([`snapshot`]).
-//! - **Publish-time precompute.** Each snapshot carries per-node
-//!   incidence rankings, the cached dominator set, per-head best edges,
+//! - **Publish-time precompute.** Each snapshot carries per-head
+//!   in-edge rankings, the cached dominator set, per-head best edges,
 //!   pre-materialized association tables for the classifier's hot edge
 //!   set, and pre-ranked mined rules — a query is pointer-chasing, not
 //!   recounting, and classification is bit-identical to

@@ -137,11 +137,13 @@ pub struct QueryScratch {
 /// Itemized resident bytes of one [`ModelSnapshot`] — the
 /// `incremental_stats()`-style byte accounting extended across the
 /// serving layer, with the hypergraph side further itemized by
-/// [`HypergraphMemory`] (edge records, weights, arena spill, and the
-/// incidence lists that dominate wide-universe windows).
+/// [`HypergraphMemory`] (edge records, weights, arena spill, and an
+/// incidence CSR, which a published snapshot does not hold: publish
+/// reads no star).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMemory {
-    /// The snapshot's hypergraph, itemized (incidence included).
+    /// The snapshot's hypergraph, itemized (incidence only once a star
+    /// query built it).
     pub graph: HypergraphMemory,
     /// The pre-materialized voting tables (the classifier's hot set).
     pub table_bytes: usize,
@@ -200,22 +202,24 @@ impl ModelSnapshot {
     /// Builds a snapshot of `model`'s current state. This is the
     /// publish-time cost the writer pays so that readers pay nothing:
     /// one [`AssociationModel::export`], one pass deriving every edge's
-    /// ACV level, one ACV threshold and set-cover dominator, one per-head
-    /// ranking pass, one table materialization pass over the hot edge
-    /// set, one rule ranking, and one digest pass. Every stage is a full
-    /// pass — a slide moves two rows of every edge's table, so every ACV
-    /// changes — kept linear instead: an ACV is an exact count over the
-    /// window's `m` observations, so the rankings counting-sort each
-    /// head's in-edges on integer levels in `0..=m`, the best edges are
-    /// read off the ranked segments, the threshold is a selection rather
-    /// than a sort, and set cover scans the edges at or above it in place
-    /// ([`set_cover_adaptation_filtered`]). On an 80-attribute, 252-day
-    /// window at k = 5 (~248k kept edges, no rules) a publish takes
-    /// 18–21 ms on a 2-vCPU AVX2 host — about 5 ms each for the dominator
-    /// (threshold and set cover) and the digest, 3.5 ms for the rankings
-    /// and best edges — where per-edge 128-bit sort keys, a filtered graph
-    /// copy and a byte-at-a-time digest took 34–43 ms. Each stage's time
-    /// is kept in [`ModelSnapshot::publish_phases`].
+    /// ACV level, one ACV threshold and set-cover dominator, two passes
+    /// for the rankings and best edges, one table materialization pass
+    /// over the hot edge set, one rule ranking, and one digest pass.
+    /// Every stage is a full pass — a slide moves two rows of every
+    /// edge's table, so every ACV changes — kept linear instead: an ACV
+    /// is an exact count over the window's `m` observations, so the
+    /// rankings are one counting sort of all edges on (head, level) with
+    /// levels in `0..=m`, fused with the best-edge scan; the threshold
+    /// is a selection rather than a sort; and set cover scans the edges
+    /// at or above it in place ([`set_cover_adaptation_filtered`]). No
+    /// stage queries the graph's stars, so the exported graph never
+    /// builds its incidence CSR. On an 80-attribute, 252-day window at
+    /// k = 5 (~247k kept edges, no rules) a publish takes 15–18 ms on a
+    /// 2-vCPU AVX2 host: 4.0–4.7 ms each for the dominator (threshold
+    /// and set cover) and the digest, 2.8–3.5 ms for the tables,
+    /// 3.1–3.5 ms for the rankings and best edges, and 0.7 ms for the
+    /// export. Each stage's time is kept in
+    /// [`ModelSnapshot::publish_phases`].
     pub fn build(model: &AssociationModel, spec: &SnapshotSpec) -> ModelSnapshot {
         let mut timer = PhaseTimer::start();
         let export = model.export();
@@ -255,58 +259,53 @@ impl ModelSnapshot {
         let known: Vec<AttrId> = dominator.iter().map(|&v| attr_of(v)).collect();
         timer.lap(PublishPhase::Dominator);
 
-        // Per-head in-edge rankings, CSR: a stable counting sort of each
-        // head's in-edges (ascending ids) on their levels, strongest
-        // first, so ties keep ascending id order.
-        let mut ranked_offsets = Vec::with_capacity(n + 1);
-        let mut ranked_edges = Vec::with_capacity(graph.num_edges());
-        let mut in_levels: Vec<u32> = Vec::new();
-        // `slots[top - level]`: the next ranked position of that level.
-        let mut slots: Vec<usize> = Vec::new();
-        ranked_offsets.push(0u32);
-        for a in db.attrs() {
-            let in_edges = graph.in_edges(node_of(a));
-            in_levels.clear();
-            in_levels.extend(in_edges.iter().map(|id| levels[id.index()]));
-            let top = in_levels.iter().copied().max().unwrap_or(0);
-            let bottom = in_levels.iter().copied().min().unwrap_or(0);
-            slots.clear();
-            slots.resize((top - bottom) as usize + 1, 0);
-            for &level in &in_levels {
-                slots[(top - level) as usize] += 1;
-            }
-            let start = ranked_edges.len();
-            let mut next = start;
-            for slot in &mut slots {
-                let count = *slot;
-                *slot = next;
-                next += count;
-            }
-            ranked_edges.resize(next, EdgeId::new(0));
-            for (&id, &level) in in_edges.iter().zip(&in_levels) {
-                let slot = &mut slots[(top - level) as usize];
-                ranked_edges[*slot] = id;
-                *slot += 1;
-            }
-            ranked_offsets.push(ranked_edges.len() as u32);
-        }
-        // Best edges, the first 1-node (2-node) tail of each head's
-        // ranking: the strongest, ties by ascending id. One sequential
-        // pass over the edges in id order finds them; scanning the ranked
-        // segments would decode edges in random order.
+        // Per-head in-edge rankings (CSR) and best edges, in two passes
+        // over the edges in id order and no star query. The first finds
+        // each head's best edges — the strongest 1-node (2-node) tail,
+        // ties by ascending id — and counts the in-edges in each bucket
+        // (head, top − level); the second places every edge at its
+        // bucket's next position. Buckets run strongest level first
+        // within a head, and edges enter them in ascending id order, so
+        // ties keep ascending ids.
+        let top = levels.iter().copied().max().unwrap_or(0);
+        let bottom = levels.iter().copied().min().unwrap_or(0);
+        let span = (top - bottom) as usize + 1;
+        let bucket = |h: NodeId, level: u32| h.index() * span + (top - level) as usize;
+        let mut slots = vec![0u32; n * span];
         let mut best_in: Vec<Option<EdgeId>> = vec![None; n];
         let mut best_in_hyper: Vec<Option<EdgeId>> = vec![None; n];
         for (id, e) in graph.edges() {
-            let best = match e.tail_len() {
-                1 => &mut best_in,
-                2 => &mut best_in_hyper,
-                _ => continue,
-            };
+            let level = levels[id.index()];
             for &h in e.head() {
-                let slot = &mut best[h.index()];
-                if slot.is_none_or(|b| levels[id.index()] > levels[b.index()]) {
-                    *slot = Some(id);
+                slots[bucket(h, level)] += 1;
+                let best = match e.tail_len() {
+                    1 => &mut best_in[h.index()],
+                    2 => &mut best_in_hyper[h.index()],
+                    _ => continue,
+                };
+                if best.is_none_or(|b| level > levels[b.index()]) {
+                    *best = Some(id);
                 }
+            }
+        }
+        // `slots[b]`: the next ranked position of bucket `b`.
+        let mut ranked_offsets = Vec::with_capacity(n + 1);
+        let mut next = 0u32;
+        for (b, slot) in slots.iter_mut().enumerate() {
+            if b % span == 0 {
+                ranked_offsets.push(next);
+            }
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        ranked_offsets.push(next);
+        let mut ranked_edges = vec![EdgeId::new(0); next as usize];
+        for (id, e) in graph.edges() {
+            for &h in e.head() {
+                let slot = &mut slots[bucket(h, levels[id.index()])];
+                ranked_edges[*slot as usize] = id;
+                *slot += 1;
             }
         }
         timer.lap(PublishPhase::Rankings);
@@ -383,6 +382,11 @@ impl ModelSnapshot {
     }
 
     /// The window's hypergraph (nodes = attributes, weights = ACVs).
+    ///
+    /// Publishing builds no incidence: the first star query on this
+    /// graph (`in_edges`, `out_edges`, a degree) derives its CSR once,
+    /// with one `O(|E|)` allocation, which the query path must not do.
+    /// Readers use [`ModelSnapshot::ranked_in_edges`] instead.
     pub fn graph(&self) -> &DirectedHypergraph {
         &self.graph
     }
@@ -567,9 +571,9 @@ impl ModelSnapshot {
     }
 
     /// Itemized resident bytes of this snapshot (see
-    /// [`SnapshotMemory`]). `perf_summary` reports these per epoch so
-    /// the wide-fixture RSS gate can attribute growth to incidence
-    /// storage vs serving indexes instead of guessing from process RSS.
+    /// [`SnapshotMemory`]), so RSS growth can be attributed to the graph
+    /// store, the tables or the serving indexes instead of guessed from
+    /// process RSS.
     pub fn memory(&self) -> SnapshotMemory {
         let table_bytes: usize = self
             .relevant_tables
@@ -889,7 +893,10 @@ mod tests {
             s.graph().memory().total_bytes(),
             "graph side is the hypergraph's own accounting"
         );
-        assert!(mem.graph.incidence_bytes > 0, "incidence is itemized");
+        assert_eq!(
+            mem.graph.incidence_bytes, 0,
+            "a fresh snapshot's graph builds no incidence"
+        );
         assert!(mem.index_bytes > 0, "CSR rankings are counted");
         let tables: usize = d
             .attrs()
