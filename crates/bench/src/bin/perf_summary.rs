@@ -32,8 +32,13 @@
 //! writer slides the window — the `hypermine-serve` concurrency
 //! story), plus a **durability section** (mean publish latency through
 //! the serve host with the observation WAL on vs off — the measured
-//! cost of crash safety, informational rather than gated) — so CI can
-//! upload it as an artifact. Every timing entry
+//! cost of crash safety, informational rather than gated) and an
+//! **ablations section** (the paper's design choices against their
+//! alternatives on the `perf_construction` k = 3 window: bitset vs
+//! naive association tables, Algorithm 6 with Enhancements 1/2 off,
+//! each alone and both on, and the build with vs without hyperedges —
+//! same-run ratios, informational; see the `ablations` module) — so CI
+//! can upload it as an artifact. Every timing entry
 //! carries the engaged `"kernel"`-style `"simd"` level
 //! (`avx2`/`neon`/`scalar`, see `hypermine_core::SimdLevel`), so a
 //! runner silently losing its vector tier is visible in the artifact.
@@ -69,10 +74,10 @@
 //! them out of the calibrated timing gate by construction — throughput
 //! under a deliberately oversubscribed reader count is far too
 //! machine-shaped to gate on absolute numbers; only the same-machine
-//! 1 → 8 scaling ratio is gated. Publish entries carry `"publish_ms"`
-//! and fallback slides `"slide_ms"` for the same reason: their gates are
-//! same-run ratios, and leaving them out keeps the committed baseline
-//! valid.
+//! 1 → 8 scaling ratio is gated. Publish entries carry `"publish_ms"`,
+//! fallback slides `"slide_ms"` and ablations `"ablation_ms"` for the
+//! same reason: their numbers are same-run ratios, and leaving them out
+//! keeps the committed baseline valid.
 //!
 //! Every fixture's universe dimensions, seed, k sweep, and γ settings
 //! come from the scenario registry
@@ -80,20 +85,21 @@
 //! `perf_incremental`, `perf_wide240`, `perf_wide500`, `perf_serve`, at
 //! [`RunScale::Default`]) — this binary owns only its measurement knobs
 //! (run counts, slide counts, durations) and gate floors. Change a
-//! fixture in the registry and the bench, the `replication` gate, and
-//! this summary all move together.
+//! fixture in the registry and the `replication` gate and this summary
+//! move together.
 //!
 //! Usage: `perf_summary [OUTPUT_PATH] [--baseline PATH] [--tolerance FRAC]
 //! [--raw] [--only SECTION[,SECTION...]]`
 //!
 //! - `OUTPUT_PATH`: also write the JSON there (stdout always gets it).
 //! - `--only SECTION[,...]`: run only the named sections (`construction`,
-//!   `incremental`, `wide`, `wide500`, `serve`, `durability`); the JSON
-//!   holds only those, a gate whose section did not run prints
-//!   "skipped", and the calibrated gate compares only the baseline
-//!   entries of the sections that ran. `--only incremental` times slides
-//!   and publishes in seconds without paying for wide500 (~60 s and
-//!   ~3.8 GB peak RSS). Without the flag every section runs, as in CI.
+//!   `incremental`, `wide`, `wide500`, `serve`, `durability`,
+//!   `ablations`); the JSON holds only those, a gate whose section did
+//!   not run prints "skipped", and the calibrated gate compares only the
+//!   baseline entries of the sections that ran. `--only incremental`
+//!   times slides and publishes in seconds without paying for wide500
+//!   (~60 s and ~3.8 GB peak RSS). Without the flag every section runs,
+//!   as in CI.
 //! - `--baseline PATH`: compare against a previous summary (e.g. the
 //!   committed `bench-baseline.json`) and fail on regressions.
 //! - `--tolerance FRAC`: allowed fractional slowdown before failing
@@ -127,7 +133,13 @@ use hypermine_serve::{
     ModelSnapshot, PublishLaps, QpsRun, ServeHost, SnapshotSpec,
 };
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+// Beside this file rather than in `src/bin/`, where Cargo would take it
+// for a binary of its own.
+#[path = "perf_summary/ablations.rs"]
+mod ablations;
 
 /// Best-of runs per construction timing (min is the most stable point
 /// estimate on shared CI runners).
@@ -223,16 +235,18 @@ enum Section {
     Wide500,
     Serve,
     Durability,
+    Ablations,
 }
 
 impl Section {
-    const ALL: [Section; 6] = [
+    const ALL: [Section; 7] = [
         Section::Construction,
         Section::Incremental,
         Section::Wide,
         Section::Wide500,
         Section::Serve,
         Section::Durability,
+        Section::Ablations,
     ];
 
     fn name(self) -> &'static str {
@@ -243,7 +257,13 @@ impl Section {
             Section::Wide500 => "wide500",
             Section::Serve => "serve",
             Section::Durability => "durability",
+            Section::Ablations => "ablations",
         }
+    }
+
+    /// The section an `--only` name selects.
+    fn parse(name: &str) -> Option<Section> {
+        Section::ALL.into_iter().find(|s| s.name() == name)
     }
 
     /// The section that measures a calibrated-gate entry, by its label.
@@ -303,17 +323,13 @@ fn parse_args() -> Args {
                 let sections = list
                     .split(',')
                     .map(|name| {
-                        Section::ALL
-                            .into_iter()
-                            .find(|s| s.name() == name)
-                            .unwrap_or_else(|| {
-                                let names: Vec<&str> =
-                                    Section::ALL.iter().map(|s| s.name()).collect();
-                                usage(&format!(
-                                    "unknown section {name}; sections: {}",
-                                    names.join(", ")
-                                ))
-                            })
+                        Section::parse(name).unwrap_or_else(|| {
+                            let names: Vec<&str> = Section::ALL.iter().map(|s| s.name()).collect();
+                            usage(&format!(
+                                "unknown section {name}; sections: {}",
+                                names.join(", ")
+                            ))
+                        })
                     })
                     .collect();
                 args.only = Some(sections);
@@ -355,6 +371,20 @@ fn phases_json<P: Phase, const N: usize>(laps: &PhaseLaps<P, N>, per: usize) -> 
         .map(|(phase, ns)| format!("\"{}\": {:.3}", phase.name(), ns as f64 / 1e6 / per as f64))
         .collect::<Vec<_>>()
         .join(", ")
+}
+
+/// One warm-up call of `f`, then the best of `runs` timed calls in
+/// milliseconds (min is the most stable point estimate on shared CI
+/// runners); returns the time and the warm-up call's result.
+fn best_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let out = f();
+    let mut best = f64::INFINITY;
+    for _ in 0..runs {
+        let start = Instant::now();
+        black_box(f());
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, out)
 }
 
 /// Times one steady-state advance per row (or one `advance_batch` per
@@ -465,15 +495,9 @@ fn main() {
                     threads,
                     ..run.model_config(con_dims.tickers)
                 };
-                // Warm-up, then best-of-RUNS wall time (min is the most
-                // stable point estimate on shared CI runners).
-                let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                let mut best = f64::INFINITY;
-                for _ in 0..RUNS {
-                    let start = Instant::now();
-                    model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                    best = best.min(start.elapsed().as_secs_f64() * 1e3);
-                }
+                let (best, model) = best_ms(RUNS, || {
+                    AssociationModel::build(&disc.database, &cfg).unwrap()
+                });
                 if !entries.is_empty() {
                     entries.push_str(",\n");
                 }
@@ -541,13 +565,8 @@ fn main() {
             let cover = laps.total_nanos() as f64 / 1e6 / total_ms;
             // Full rebuild of exactly the window the model now covers.
             let window_db = model.database().clone();
-            let mut rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
-            let mut rebuild_ms = f64::INFINITY;
-            for _ in 0..RUNS {
-                let start = Instant::now();
-                rebuilt = AssociationModel::build(&window_db, &cfg).unwrap();
-                rebuild_ms = rebuild_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            }
+            let (rebuild_ms, rebuilt) =
+                best_ms(RUNS, || AssociationModel::build(&window_db, &cfg).unwrap());
             assert_eq!(
                 rebuilt.hypergraph().num_edges(),
                 model.hypergraph().num_edges(),
@@ -757,13 +776,9 @@ fn main() {
                     threads,
                     ..run.model_config(n240)
                 };
-                let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                let mut best = f64::INFINITY;
-                for _ in 0..WIDE_RUNS {
-                    let start = Instant::now();
-                    model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                    best = best.min(start.elapsed().as_secs_f64() * 1e3);
-                }
+                let (best, model) = best_ms(WIDE_RUNS, || {
+                    AssociationModel::build(&disc.database, &cfg).unwrap()
+                });
                 if k == 8 {
                     wide_k8_by_threads[ti] = best;
                     if threads == 1 {
@@ -817,13 +832,9 @@ fn main() {
                 simd: SimdPolicy::ForceScalar,
                 ..run.model_config(n240)
             };
-            let mut model = AssociationModel::build(&disc.database, &cfg).unwrap();
-            let mut scalar_best = f64::INFINITY;
-            for _ in 0..WIDE_RUNS {
-                let start = Instant::now();
-                model = AssociationModel::build(&disc.database, &cfg).unwrap();
-                scalar_best = scalar_best.min(start.elapsed().as_secs_f64() * 1e3);
-            }
+            let (scalar_best, model) = best_ms(WIDE_RUNS, || {
+                AssociationModel::build(&disc.database, &cfg).unwrap()
+            });
             simd_level = SimdPolicy::Auto.resolve();
             simd_speedup = scalar_best / wide_k8_auto;
             eprintln!(
@@ -1105,6 +1116,10 @@ fn main() {
             "  \"durability\": {{\"slides\": {DURABILITY_SLIDES}, \
              \"entries\": [\n{durability_entries}\n  ]}}"
         ));
+    }
+
+    if args.runs(Section::Ablations) {
+        sections.push(ablations::section(scale));
     }
 
     let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
@@ -1477,7 +1492,16 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::is_threaded;
+    use super::{ablations, is_threaded, parse_entries, Section};
+
+    #[test]
+    fn ablation_entries_stay_out_of_the_calibrated_gate() {
+        assert_eq!(Section::parse("ablations"), Some(Section::Ablations));
+        let entry = ablations::entry("hyperedges", "directed_only", 0.4, 3.2, "\"edges\": 1560");
+        let json = format!("{{\n  \"ablations\": {{\"entries\": [\n{entry}\n  ]}}\n}}\n");
+        assert!(json.contains("\"ablation_ms\": 0.400"), "{json}");
+        assert!(parse_entries(&json).is_empty(), "{json}");
+    }
 
     #[test]
     fn only_thread_suffixed_labels_are_threaded() {

@@ -56,8 +56,8 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
     // Pass 2: all (unordered pair, head) combinations, parallel over pairs
     // (k² rows per pair). The γ₂-kept candidates are collected first; the
     // graph itself is assembled afterwards through the same `assemble_into`
-    // the streaming engine uses, so batch and incremental edge ids cannot
-    // diverge.
+    // the streaming engine's first slide uses, so batch and incremental
+    // edge ids cannot diverge.
     let candidates: Vec<Vec<(AttrId, AttrId, AttrId, f64)>> = if cfg.with_hyperedges && n >= 3 {
         let mut pairs: Vec<(AttrId, AttrId)> = Vec::with_capacity(n * (n - 1) / 2);
         for i in 0..n {
@@ -85,6 +85,7 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
             move |slice: &[(AttrId, AttrId)]| {
                 let mut out = Vec::new();
                 for &(a, b) in slice {
+                    let (i, j) = (a.index(), b.index());
                     engine.bucket_pair(a, b, &mut buckets);
                     engine.hyper_acv_all_heads(&buckets, &mut counter);
                     for &h in attrs {
@@ -92,9 +93,7 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
                             continue;
                         }
                         let acv = counter.acv(h);
-                        let floor = raw[a.index() * n + h.index()]
-                            .max(raw[b.index() * n + h.index()]);
-                        if acv > 0.0 && acv >= cfg.gamma_hyper * floor {
+                        if hyper_kept(raw, cfg.gamma_hyper, n, i, j, h.index(), acv) {
                             out.push((a, b, h, acv));
                         }
                     }
@@ -109,11 +108,10 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
     let mut graph = DirectedHypergraph::new(n);
     assemble_into(
         &mut graph,
-        &attrs,
         &raw_edge_acv,
         &baseline,
         cfg.gamma_edge,
-        &candidates,
+        candidates.iter().flatten().copied(),
     );
 
     AssociationModel {
@@ -131,28 +129,46 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
 
 /// Whether the directed edge `({t}, {h})` passes the γ₁ test (given the
 /// raw pass-1 ACV matrix and the per-head baselines). Shared by batch
-/// assembly, streaming reassembly, and the streaming kept-mask scan.
+/// assembly, streaming reassembly, and the streaming re-test.
 #[inline]
 pub(crate) fn edge_kept(
     raw_edge_acv: &[f64],
     baseline: &[f64],
     gamma_edge: f64,
     n: usize,
-    t: AttrId,
-    h: AttrId,
+    t: usize,
+    h: usize,
 ) -> bool {
-    let acv = raw_edge_acv[t.index() * n + h.index()];
-    t != h && acv > 0.0 && acv >= gamma_edge * baseline[h.index()]
+    let acv = raw_edge_acv[t * n + h];
+    t != h && acv > 0.0 && acv >= gamma_edge * baseline[h]
+}
+
+/// Whether the 2-to-1 hyperedge `({a, b}, {h})` with ACV `acv` passes the
+/// γ₂ test against the larger of its two directed edges' raw ACVs.
+/// Shared by the batch pass 2, streaming reassembly, and the streaming
+/// re-test.
+#[inline]
+pub(crate) fn hyper_kept(
+    raw_edge_acv: &[f64],
+    gamma_hyper: f64,
+    n: usize,
+    a: usize,
+    b: usize,
+    h: usize,
+    acv: f64,
+) -> bool {
+    let floor = raw_edge_acv[a * n + h].max(raw_edge_acv[b * n + h]);
+    acv > 0.0 && acv >= gamma_hyper * floor
 }
 
 /// Fills an **empty** graph with the kept edges of one model state: the
 /// γ₁-kept directed edges in tail-major order, then the already-filtered
-/// 2-to-1 hyperedge candidates in `(pair, head)` order — passed as the
-/// per-block vectors the parallel pass produced (concatenating the
-/// blocks in order is exactly the sequential candidate order). Both the
-/// batch builder and the streaming engine's per-slide reassembly go
-/// through here, which is what makes their edge ids provably identical:
-/// same input order, same insertion order, same ids.
+/// 2-to-1 hyperedges in `(pair, head)` order (the batch builder's
+/// per-block vectors flattened in block order, or the candidates the
+/// streaming engine's numerators keep). Both the batch builder and the
+/// streaming engine's full reassembly go through here, which is what
+/// makes their edge ids provably identical: same input order, same
+/// insertion order, same ids.
 ///
 /// The edge store is reserved exactly before insertion (the kept set is
 /// known up front), and edges are inserted through the hypergraph's
@@ -161,33 +177,29 @@ pub(crate) fn edge_kept(
 /// stars on the first star query.
 pub(crate) fn assemble_into(
     graph: &mut DirectedHypergraph,
-    attrs: &[AttrId],
     raw_edge_acv: &[f64],
     baseline: &[f64],
     gamma_edge: f64,
-    candidate_blocks: &[Vec<(AttrId, AttrId, AttrId, f64)>],
+    hyperedges: impl Iterator<Item = (AttrId, AttrId, AttrId, f64)> + Clone,
 ) {
-    let n = attrs.len();
+    let n = graph.num_nodes();
     debug_assert_eq!(graph.num_edges(), 0, "assemble_into needs an empty graph");
-    debug_assert_eq!(graph.num_nodes(), n);
-    let kept = |t: AttrId, h: AttrId| edge_kept(raw_edge_acv, baseline, gamma_edge, n, t, h);
+    debug_assert_eq!(raw_edge_acv.len(), n * n);
+    let kept = |t: usize, h: usize| edge_kept(raw_edge_acv, baseline, gamma_edge, n, t, h);
+    let node = |i: usize| node_of(AttrId::new(i as u32));
 
-    let kept1: usize = attrs
-        .iter()
-        .map(|&t| attrs.iter().filter(|&&h| kept(t, h)).count())
-        .sum();
-    let kept2: usize = candidate_blocks.iter().map(Vec::len).sum();
+    let kept1: usize = (0..n).map(|t| (0..n).filter(|&h| kept(t, h)).count()).sum();
+    let kept2 = hyperedges.clone().count();
     graph.reserve_edges(kept1 + kept2);
 
-    for &t in attrs {
-        for &h in attrs {
+    for t in 0..n {
+        for h in 0..n {
             if kept(t, h) {
-                let acv = raw_edge_acv[t.index() * n + h.index()];
-                graph.add_edge_unchecked(&[node_of(t)], &[node_of(h)], acv);
+                graph.add_edge_unchecked(&[node(t)], &[node(h)], raw_edge_acv[t * n + h]);
             }
         }
     }
-    for &(a, b, h, acv) in candidate_blocks.iter().flatten() {
+    for (a, b, h, acv) in hyperedges {
         graph.add_edge_unchecked(&[node_of(a), node_of(b)], &[node_of(h)], acv);
     }
 }

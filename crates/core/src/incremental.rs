@@ -7,11 +7,12 @@
 //! from scratch. [`IncrementalState`] is the persistent machinery behind
 //! it:
 //!
-//! - a [`WindowedDatabase`] ring plus slot-indexed [`ValueIndex`] /
-//!   [`ObsMatrix`] mirrors, maintained in `O(n)` per slide (one
-//!   observation's bits cleared, one set — ACVs are counts of value
-//!   combinations and do not depend on observation order, so physical
-//!   ring slots count exactly like chronological ids);
+//! - slot-indexed [`ValueIndex`] / [`ObsMatrix`] mirrors of the window,
+//!   kept as a ring (each slide's observation takes the retired one's
+//!   slot) and maintained in `O(n)` per slide (one observation's bits
+//!   cleared, one set — ACVs are counts of value combinations and do
+//!   not depend on observation order, so ring slots count exactly like
+//!   chronological ids);
 //! - the **pass-1 joint-count tensor**: for every unordered attribute
 //!   pair, the `k × k` table of value-combination counts
 //!   (`n·(n−1)/2 · k²` counters, updated in `O(n²)` per slide — one
@@ -63,9 +64,7 @@ use crate::model::AssociationModel;
 use crate::parallel::{parallel_blocks, steal_block_size};
 use crate::phase::{Phase, PhaseLaps, PhaseTimer};
 use crate::simd::SimdLevel;
-use hypermine_data::{
-    AttrId, Database, ObsMatrix, PairBuckets, Value, ValueIndex, WindowedDatabase,
-};
+use hypermine_data::{AttrId, Database, ObsMatrix, PairBuckets, Value, ValueIndex};
 use hypermine_hypergraph::{EdgeId, EdgeInsert};
 use std::fmt;
 
@@ -121,8 +120,8 @@ const TRIPLE_TENSOR_MAX_BYTES: usize = 32 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePhase {
     /// Input validation and per-observation window maintenance: the
-    /// ring, the slot-indexed index and code-matrix mirrors, the value
-    /// counts and the model's training database.
+    /// slot-indexed index and code-matrix mirrors, the value counts and
+    /// the model's training database.
     Window,
     /// The pass-1 joint counts and the pass-2 numerators `S₂`: the
     /// triple-tensor cell updates, or the fallback's pair row recounts.
@@ -202,7 +201,13 @@ pub struct IncrementalStats {
 /// Persistent sliding-window counting state (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct IncrementalState {
-    window: WindowedDatabase,
+    /// Attributes, domain size and window length (fixed).
+    n: usize,
+    k: usize,
+    m: usize,
+    /// The ring slot the next appended observation takes: the slot of
+    /// the observation it retires.
+    next_slot: usize,
     /// Slot-indexed observation bitsets, maintained incrementally.
     idx: ValueIndex,
     /// Slot-indexed row-major code matrix, maintained incrementally,
@@ -286,8 +291,6 @@ impl IncrementalState {
         if n == 0 || m == 0 {
             return Err(AdvanceError::EmptyModel);
         }
-        let window = WindowedDatabase::from_database(db, m)
-            .expect("a valid database seeds a valid window");
         // Initially logical order == slot order, so the batch-built
         // indexes are exactly the slot-indexed ones.
         let idx = ValueIndex::build(db);
@@ -410,7 +413,10 @@ impl IncrementalState {
         }
 
         Ok(IncrementalState {
-            window,
+            n,
+            k,
+            m,
+            next_slot: 0,
             idx,
             obs,
             value_counts,
@@ -447,18 +453,14 @@ impl IncrementalState {
             row_max_bytes: self.row_max.len() * 2,
             pair_counts_bytes: self.pair_counts.len() * 4,
             s2_bytes: self.s2.len() * 4,
-            kernel_path: KernelPath::select(
-                self.window.num_attrs(),
-                self.window.k() as usize,
-                self.window.num_obs(),
-            ),
+            kernel_path: KernelPath::select(self.n, self.k, self.m),
             simd: self.simd,
         }
     }
 
     /// Slides the window by `rows.len()` observations (oldest first) and
     /// updates `model` in place to the exact batch-rebuild state of the
-    /// final window. The per-slide count maintenance (ring, indexes,
+    /// final window. The per-slide count maintenance (indexes,
     /// value counts, pair tensors) runs once per observation, but the
     /// expensive tail — the exact pass-1 recompute, the γ re-test sweep
     /// over the accumulated dirty bits, and the single `splice_edges`
@@ -473,8 +475,7 @@ impl IncrementalState {
         rows: &[&[Value]],
     ) -> Result<(), AdvanceError> {
         let mut timer = PhaseTimer::start();
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
+        let (n, k) = (self.n, self.k);
         for new_obs in rows {
             if new_obs.len() != n {
                 return Err(AdvanceError::ArityMismatch {
@@ -521,7 +522,7 @@ impl IncrementalState {
             self.update_pairs_batch(&steps);
             timer.lap(AdvancePhase::Pairs);
         }
-        let m = self.window.num_obs();
+        let m = self.m;
 
         // Baselines, majorities, and the raw pass-1 ACV matrix — exact
         // recomputes from the maintained integer counts into the model's
@@ -538,23 +539,22 @@ impl IncrementalState {
         Ok(())
     }
 
-    /// One observation's window maintenance — slides the ring, the
-    /// slot-indexed index/matrix mirrors, the per-attribute value counts,
-    /// and the model's training database — and leaves the retired row in
+    /// One observation's window maintenance — slides the slot-indexed
+    /// index/matrix mirrors, the per-attribute value counts, and the
+    /// model's training database — and leaves the retired row in
     /// `self.old_row`. Returns the ring slot the appended observation
     /// took over. Pair-tensor maintenance is separate (`update_pairs` /
     /// `update_pairs_batch`).
     fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) -> usize {
-        // The window is full from the state build on (its capacity is the
-        // model's observation count), so every slide retires the oldest
-        // observation from the slot the new one takes.
-        debug_assert!(self.window.is_full());
-        let k = self.window.k() as usize;
-        self.window.read_obs(0, &mut self.old_row);
-        let slot = self
-            .window
-            .advance(new_obs)
-            .expect("row was validated by the caller");
+        // The window keeps its length from the state build on, so every
+        // slide retires the oldest observation (the training database's
+        // first) from the slot the new one takes.
+        let k = self.k;
+        for (a, v) in self.old_row.iter_mut().enumerate() {
+            *v = model.db.value(AttrId::new(a as u32), 0);
+        }
+        let slot = self.next_slot;
+        self.next_slot = (slot + 1) % self.m;
         self.idx.clear_obs(slot, &self.old_row);
         self.idx.set_obs(slot, new_obs);
         self.obs.set_row(slot, new_obs);
@@ -579,7 +579,7 @@ impl IncrementalState {
     /// The code-matrix row past the ring's slots that holds the retired
     /// observation while the fallback recounts the rows it left.
     fn spare_row(&self) -> usize {
-        self.window.capacity()
+        self.m
     }
 
     /// Updates `pair_counts` and `s2` for one slide on the **row-recount
@@ -587,8 +587,7 @@ impl IncrementalState {
     /// the batch's `s2_dirty` bits. `slot` is the appended observation's
     /// ring slot; the retired row is in `self.old_row`.
     fn update_pairs(&mut self, new_obs: &[Value], slot: usize) {
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
+        let (n, k) = (self.n, self.k);
         let hyper = !self.s2.is_empty();
         if hyper {
             let spare = self.spare_row();
@@ -620,7 +619,7 @@ impl IncrementalState {
     /// overwrote its slot. When both observations share a row, the spare
     /// row takes `slot`'s place in that one list.
     fn recount_pair(&mut self, p: usize, i: usize, j: usize, new_obs: &[Value], slot: usize) {
-        let n = self.window.num_attrs();
+        let n = self.n;
         let wpb = n.div_ceil(64);
         let spare = self.spare_row() as u32;
         let (a, b) = (AttrId::new(i as u32), AttrId::new(j as u32));
@@ -689,8 +688,7 @@ impl IncrementalState {
     /// integer increments/decrements, so reordering across pairs cannot
     /// change any count.
     fn update_pairs_batch(&mut self, steps: &[(Vec<Value>, &[Value])]) {
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
+        let (n, k) = (self.n, self.k);
         let mut p = 0usize;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -727,7 +725,7 @@ impl IncrementalState {
         // Monomorphize the per-head loop on the common domain sizes so
         // the k-cell max rescans fully unroll (KC = 0 keeps a runtime-k
         // body for everything else).
-        match self.window.k() {
+        match self.k {
             2 => self.fold_tensor_impl::<2>(p, i, j, r_old, r_new, old_row, new_obs),
             3 => self.fold_tensor_impl::<3>(p, i, j, r_old, r_new, old_row, new_obs),
             4 => self.fold_tensor_impl::<4>(p, i, j, r_old, r_new, old_row, new_obs),
@@ -751,12 +749,8 @@ impl IncrementalState {
         old_row: &[Value],
         new_obs: &[Value],
     ) {
-        let n = self.window.num_attrs();
-        let k = if KC > 0 {
-            KC
-        } else {
-            self.window.k() as usize
-        };
+        let n = self.n;
+        let k = if KC > 0 { KC } else { self.k };
         let k2 = k * k;
         let wpb = n.div_ceil(64);
         // Split borrows once: the per-head loop below is the hottest
@@ -854,8 +848,7 @@ impl IncrementalState {
     /// integers the batch counting paths produce, so the divisions yield
     /// bit-identical `f64`s.
     fn recompute_pass1(&mut self, model: &mut AssociationModel, m: usize) {
-        let n = self.window.num_attrs();
-        let k = self.window.k() as usize;
+        let (n, k) = (self.n, self.k);
         let wpb = n.div_ceil(64);
         self.baseline_dirty.clear();
         self.baseline_dirty.resize(wpb, 0);
@@ -943,7 +936,7 @@ impl IncrementalState {
         m: usize,
         timer: &mut PhaseTimer<AdvancePhase, 5>,
     ) {
-        let n = self.window.num_attrs();
+        let n = self.n;
         let hyper = !self.s2.is_empty();
         let npairs = n * (n - 1) / 2;
         let wpb = n.div_ceil(64);
@@ -1040,11 +1033,10 @@ impl IncrementalState {
                     dirt,
                     w,
                     |h: usize| {
-                        let acv = raw[t * n + h];
                         (
                             (self.raw_dirty[t * wpb + h / 64] >> (h % 64)) & 1 == 1,
-                            acv > 0.0 && acv >= gamma_edge * baseline[h],
-                            acv,
+                            builder::edge_kept(raw, baseline, gamma_edge, n, t, h),
+                            raw[t * n + h],
                         )
                     },
                     |_| vec![crate::model::node_of(AttrId::new(t as u32))],
@@ -1068,10 +1060,9 @@ impl IncrementalState {
                             w,
                             |h: usize| {
                                 let acv = acv_of(u64::from(self.s2[p * n + h]), m);
-                                let floor = raw[i * n + h].max(raw[j * n + h]);
                                 (
                                     (self.s2_dirty[p * wpb + h / 64] >> (h % 64)) & 1 == 1,
-                                    acv > 0.0 && acv >= gamma_hyper * floor,
+                                    builder::hyper_kept(raw, gamma_hyper, n, i, j, h, acv),
                                     acv,
                                 )
                             },
@@ -1096,68 +1087,55 @@ impl IncrementalState {
     }
 
     /// Rebuilds the graph from scratch in kept order (first slide, or a
-    /// model whose graph was filtered/replaced after building) and
-    /// records the kept mask.
+    /// model whose graph was filtered/replaced after building) through
+    /// the batch builder's `assemble_into`, so the first slide inserts
+    /// edges exactly as a build does, then records the kept mask: one
+    /// bit per assembled edge.
     fn rebuild_graph_full(&mut self, model: &mut AssociationModel, m: usize, words: usize) {
-        let n = self.window.num_attrs();
-        let hyper = !self.s2.is_empty();
+        let n = self.n;
+        let attr = |i: usize| AttrId::new(i as u32);
+        let (raw, s2, gamma_hyper) = (&model.raw_edge_acv, &self.s2, model.cfg.gamma_hyper);
+        // Pass-2 candidates in (pair, head) order, the builder's order.
+        let hyper_pairs = if s2.is_empty() { 0 } else { n * (n - 1) / 2 };
+        let hyperedges = (0..n)
+            .flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
+            .take(hyper_pairs)
+            .enumerate()
+            .flat_map(move |(p, (i, j))| {
+                (0..n)
+                    .filter(move |&h| h != i && h != j)
+                    .filter_map(move |h| {
+                        let acv = acv_of(u64::from(s2[p * n + h]), m);
+                        builder::hyper_kept(raw, gamma_hyper, n, i, j, h, acv)
+                            .then(|| (attr(i), attr(j), attr(h), acv))
+                    })
+            });
+        model.graph.reset_edges();
+        builder::assemble_into(
+            &mut model.graph,
+            raw,
+            &model.baseline,
+            model.cfg.gamma_edge,
+            hyperedges,
+        );
         let wpb = n.div_ceil(64);
-        self.kept_scratch.clear();
-        self.kept_scratch.resize(words, 0);
-        let gamma_edge = model.cfg.gamma_edge;
-        let gamma_hyper = model.cfg.gamma_hyper;
-        let raw = &model.raw_edge_acv;
-        let baseline = &model.baseline;
-        let graph = &mut model.graph;
-        graph.reset_edges();
-        for t in 0..n {
-            for h in 0..n {
-                if builder::edge_kept(
-                    raw,
-                    baseline,
-                    gamma_edge,
-                    n,
-                    AttrId::new(t as u32),
-                    AttrId::new(h as u32),
-                ) {
-                    self.kept_scratch[t * wpb + h / 64] |= 1u64 << (h % 64);
-                    graph.add_edge_unchecked(
-                        &[crate::model::node_of(AttrId::new(t as u32))],
-                        &[crate::model::node_of(AttrId::new(h as u32))],
-                        raw[t * n + h],
-                    );
+        self.kept.clear();
+        self.kept.resize(words, 0);
+        for (_, e) in model.graph.edges() {
+            // Pass-1 tails own blocks `0..n`, then pair `(i, j)` (i < j)
+            // owns block `n + p` at its lexicographic rank `p`.
+            let block = match *e.tail() {
+                [t] => t.index(),
+                [a, b] => {
+                    let (i, j) = (a.index(), b.index());
+                    n + i * (2 * n - i - 1) / 2 + (j - i - 1)
                 }
-            }
+                _ => unreachable!("association edges have 1- or 2-node tails"),
+            };
+            let h = e.head()[0].index();
+            self.kept[block * wpb + h / 64] |= 1u64 << (h % 64);
         }
-        if hyper {
-            let mut p = 0usize;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    for h in 0..n {
-                        if h == i || h == j {
-                            continue;
-                        }
-                        let acv = acv_of(u64::from(self.s2[p * n + h]), m);
-                        let floor = raw[i * n + h].max(raw[j * n + h]);
-                        if acv > 0.0 && acv >= gamma_hyper * floor {
-                            self.kept_scratch[(n + p) * wpb + h / 64] |= 1u64 << (h % 64);
-                            graph.add_edge_unchecked(
-                                &[
-                                    crate::model::node_of(AttrId::new(i as u32)),
-                                    crate::model::node_of(AttrId::new(j as u32)),
-                                ],
-                                &[crate::model::node_of(AttrId::new(h as u32))],
-                                acv,
-                            );
-                        }
-                    }
-                    p += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.kept, &mut self.kept_scratch);
     }
-
 }
 
 /// `(1 << b) - 1` tolerating `b == 64`.

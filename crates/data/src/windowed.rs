@@ -164,16 +164,6 @@ impl WindowedDatabase {
         self.columns[a.index()][slot]
     }
 
-    /// Copies the logical observation `logical` into `out` (one value per
-    /// attribute). `out.len()` must equal `num_attrs()`.
-    pub fn read_obs(&self, logical: usize, out: &mut [Value]) {
-        assert_eq!(out.len(), self.num_attrs(), "output row has wrong arity");
-        let slot = self.slot_of(logical);
-        for (a, v) in out.iter_mut().enumerate() {
-            *v = self.columns[a][slot];
-        }
-    }
-
     /// Validates one observation row against the window's arity and value
     /// domain (`obs` is only used for error reporting).
     fn validate_row(&self, row: &[Value], obs: usize) -> Result<(), DatabaseError> {
@@ -353,9 +343,6 @@ mod tests {
         assert_eq!(w.slot_of(2), 0);
         assert_eq!(w.value(a(1), 2), 2);
         assert_eq!(w.value_at_slot(a(0), 0), 1);
-        let mut row = vec![0; 2];
-        w.read_obs(0, &mut row);
-        assert_eq!(row, vec![2, 2]);
     }
 
     #[test]

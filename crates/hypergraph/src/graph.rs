@@ -82,12 +82,20 @@ pub struct HypergraphMemory {
     /// Entries in the incidence CSR (`Σ_e |T(e)| + |H(e)|`); 0 unless a
     /// star query built it after the last edge change.
     pub incidence_entries: usize,
+    /// The record and weight double buffers of
+    /// [`DirectedHypergraph::splice_edges`], which hold the arrays the
+    /// last splice swapped out; 0 until a splice ran (and in clones).
+    pub splice_scratch_bytes: usize,
 }
 
 impl HypergraphMemory {
     /// Sum over all tracked structures.
     pub fn total_bytes(&self) -> usize {
-        self.edge_record_bytes + self.weight_bytes + self.arena_bytes + self.incidence_bytes
+        self.edge_record_bytes
+            + self.weight_bytes
+            + self.arena_bytes
+            + self.incidence_bytes
+            + self.splice_scratch_bytes
     }
 }
 
@@ -475,6 +483,9 @@ impl DirectedHypergraph {
             arena_bytes: self.arena.capacity() * std::mem::size_of::<NodeId>(),
             incidence_bytes,
             incidence_entries,
+            splice_scratch_bytes: self.packed_scratch.capacity()
+                * std::mem::size_of::<[NodeId; 3]>()
+                + self.weights_scratch.capacity() * std::mem::size_of::<f64>(),
         }
     }
 
@@ -1139,10 +1150,37 @@ mod tests {
         // 2 + 1 (edge 0) + 3 + 1 (edge 1) incidence entries.
         assert_eq!(mem.incidence_entries, 7);
         assert!(mem.incidence_bytes >= 7 * 4);
+        assert_eq!(mem.splice_scratch_bytes, 0, "no splice ran");
         assert_eq!(
             mem.total_bytes(),
             mem.edge_record_bytes + mem.weight_bytes + mem.arena_bytes + mem.incidence_bytes
         );
+    }
+
+    #[test]
+    fn memory_accounting_counts_the_splice_double_buffers() {
+        let mut g = DirectedHypergraph::new(4);
+        for (t, h) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_edge(&[n(t)], &[n(h)], 0.5).unwrap();
+        }
+        let insert = EdgeInsert {
+            new_id: EdgeId::new(0),
+            tail: vec![n(0)],
+            head: vec![n(2)],
+            weight: 0.25,
+        };
+        g.splice_edges(&[EdgeId::new(1)], &[insert]);
+        // The swapped-out arrays held the four pre-splice edges.
+        let mem = g.memory();
+        assert!(mem.splice_scratch_bytes >= 4 * (12 + 8));
+        let both_buffers = (g.packed.capacity() + g.packed_scratch.capacity()) * 12
+            + (g.weights.capacity() + g.weights_scratch.capacity()) * 8;
+        assert_eq!(
+            mem.edge_record_bytes + mem.weight_bytes + mem.splice_scratch_bytes,
+            both_buffers
+        );
+        assert!(mem.total_bytes() >= both_buffers);
+        assert_eq!(g.clone().memory().splice_scratch_bytes, 0);
     }
 
     /// Asserts that `g`'s stars and incidence accounting equal those of

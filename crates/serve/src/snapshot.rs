@@ -137,9 +137,10 @@ pub struct QueryScratch {
 /// Itemized resident bytes of one [`ModelSnapshot`] — the
 /// `incremental_stats()`-style byte accounting extended across the
 /// serving layer, with the hypergraph side further itemized by
-/// [`HypergraphMemory`] (edge records, weights, arena spill, and an
-/// incidence CSR, which a published snapshot does not hold: publish
-/// reads no star).
+/// [`HypergraphMemory`] (edge records, weights, arena spill, an
+/// incidence CSR and splice buffers; a published snapshot holds neither
+/// of the last two: publish reads no star, and its graph is never
+/// spliced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMemory {
     /// The snapshot's hypergraph, itemized (incidence only once a star
