@@ -45,7 +45,10 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Creates an `n × n` zero matrix.
     pub fn new(n: usize) -> Self {
-        DistanceMatrix { n, d: vec![0.0; n * n] }
+        DistanceMatrix {
+            n,
+            d: vec![0.0; n * n],
+        }
     }
 
     /// Builds a matrix from a symmetric function `f(i, j)` (evaluated once

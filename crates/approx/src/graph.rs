@@ -28,7 +28,10 @@ impl UndirectedGraph {
     /// # Panics
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: usize, v: usize) {
-        assert!(u < self.adj.len() && v < self.adj.len(), "node out of range");
+        assert!(
+            u < self.adj.len() && v < self.adj.len(),
+            "node out of range"
+        );
         if u == v || self.adj[u].contains(&v) {
             return;
         }
@@ -66,8 +69,7 @@ impl UndirectedGraph {
                 in_dom[d] = true;
             }
         }
-        (0..self.adj.len())
-            .all(|v| in_dom[v] || self.adj[v].iter().any(|&u| in_dom[u]))
+        (0..self.adj.len()).all(|v| in_dom[v] || self.adj[v].iter().any(|&u| in_dom[u]))
     }
 }
 

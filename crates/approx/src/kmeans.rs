@@ -53,12 +53,7 @@ fn objective(points: &[Vec<f64>], centroids: &[Vec<f64>], assignment: &[usize]) 
 ///
 /// # Panics
 /// Panics if `points` is empty or dimensions differ.
-pub fn kmeans<R: Rng>(
-    points: &[Vec<f64>],
-    k: usize,
-    max_iter: usize,
-    rng: &mut R,
-) -> KMeansResult {
+pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut R) -> KMeansResult {
     assert!(!points.is_empty(), "cannot cluster zero points");
     let dim = points[0].len();
     assert!(

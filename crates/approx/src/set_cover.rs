@@ -182,9 +182,9 @@ mod tests {
         // Universe 0..6; greedy takes the big set, optimal is two sets.
         // Checks the greedy bound holds loosely: |greedy| <= H(6)*|OPT|.
         let sets = vec![
-            vec![0, 1, 2, 3],     // greedy bait
-            vec![0, 1, 4],        //
-            vec![2, 3, 5],        //
+            vec![0, 1, 2, 3], // greedy bait
+            vec![0, 1, 4],    //
+            vec![2, 3, 5],    //
             vec![4],
             vec![5],
         ];

@@ -309,10 +309,15 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--baseline" => {
-                args.baseline = Some(it.next().unwrap_or_else(|| usage("--baseline needs a path")))
+                args.baseline = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage("--baseline needs a path")),
+                )
             }
             "--tolerance" => {
-                let v = it.next().unwrap_or_else(|| usage("--tolerance needs a value"));
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| usage("--tolerance needs a value"));
                 args.tolerance = v
                     .parse()
                     .unwrap_or_else(|_| usage("--tolerance must be a number"));
@@ -441,9 +446,7 @@ fn parse_entries(json: &str) -> Vec<Entry> {
         let field = |name: &str| -> Option<&str> {
             let start = obj.find(&format!("\"{name}\":"))? + name.len() + 3;
             let rest = obj[start..].trim_start();
-            let end = rest
-                .find([',', '}', '\n'])
-                .unwrap_or(rest.len());
+            let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
             Some(rest[..end].trim().trim_matches('"'))
         };
         let (Some(k), Some(strategy), Some(millis)) =

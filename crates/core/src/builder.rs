@@ -230,12 +230,7 @@ mod tests {
                     .collect(),
             );
         }
-        Database::from_columns(
-            (0..n_attrs).map(|i| format!("A{i}")).collect(),
-            3,
-            cols,
-        )
-        .unwrap()
+        Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), 3, cols).unwrap()
     }
 
     fn assert_same_model(m: &AssociationModel, m1: &AssociationModel, what: &str) {

@@ -148,10 +148,7 @@ impl<'m> AssociationClassifier<'m> {
         let values: Vec<Value> = self.known.iter().map(|&a| db.value(a, obs)).collect();
         match self.predict(&values, target) {
             Some(p) => p.value,
-            None => self
-                .model
-                .majority_value(target)
-                .unwrap_or(1),
+            None => self.model.majority_value(target).unwrap_or(1),
         }
     }
 
@@ -292,8 +289,7 @@ mod tests {
         let k = m.k() as usize;
         for target in [a(1), a(3)] {
             for obs in 0..d.num_obs() {
-                let values: Vec<Value> =
-                    known.iter().map(|&s| d.value(s, obs)).collect();
+                let values: Vec<Value> = known.iter().map(|&s| d.value(s, obs)).collect();
                 // Old path: one table per relevant edge, in edge-id order.
                 let mut scores = vec![0.0f64; k];
                 for (id, e) in m.hypergraph().edges() {
@@ -388,8 +384,7 @@ mod tests {
         let eval = classify_targets(&m, &[a(0)], &d, &[a(1), a(2)]);
         assert_eq!(eval.per_target.len(), 2);
         let mean = eval.mean_confidence();
-        let manual: f64 =
-            eval.per_target.iter().map(|(_, c)| c).sum::<f64>() / 2.0;
+        let manual: f64 = eval.per_target.iter().map(|(_, c)| c).sum::<f64>() / 2.0;
         assert!((mean - manual).abs() < 1e-12);
     }
 }

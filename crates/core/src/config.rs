@@ -227,7 +227,10 @@ mod tests {
 
         // Exact is exactly C1; WideDefault is strictly stricter on both
         // thresholds, so it keeps a subset of C1's edges on any database.
-        assert_eq!(ModelConfig::with_preset(GammaPreset::Exact), ModelConfig::c1());
+        assert_eq!(
+            ModelConfig::with_preset(GammaPreset::Exact),
+            ModelConfig::c1()
+        );
         let wide = ModelConfig::with_preset(GammaPreset::WideDefault);
         assert!(wide.gamma_edge > ModelConfig::c1().gamma_edge);
         assert!(wide.gamma_hyper > ModelConfig::c1().gamma_hyper);

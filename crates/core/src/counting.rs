@@ -622,11 +622,7 @@ impl HeadCounter {
 
     /// `fold_row_dense` max pass for arbitrary runtime `k`.
     fn fold_row_dense_any(&mut self) {
-        for (chunk, t) in self
-            .counts
-            .chunks_exact(self.k)
-            .zip(self.totals.iter_mut())
-        {
+        for (chunk, t) in self.counts.chunks_exact(self.k).zip(self.totals.iter_mut()) {
             let mut best = 0u32;
             for &c in chunk {
                 if c > best {
@@ -1370,7 +1366,11 @@ mod tests {
                     continue;
                 }
                 let naive = e.naive_table(&[t], h).acv();
-                assert_eq!(counter.acv(h).to_bits(), naive.to_bits(), "({t:?} -> {h:?})");
+                assert_eq!(
+                    counter.acv(h).to_bits(),
+                    naive.to_bits(),
+                    "({t:?} -> {h:?})"
+                );
             }
         }
         let mut buckets = PairBuckets::new();
@@ -1407,12 +1407,18 @@ mod tests {
         let e = CountingEngine::new(&d);
         let mut counter = HeadCounter::new(d.num_attrs(), d.k());
         e.edge_acv_all_heads(a(0), &mut counter);
-        assert_eq!(counter.acv(a(1)).to_bits(), e.edge_acv(a(0), a(1)).to_bits());
+        assert_eq!(
+            counter.acv(a(1)).to_bits(),
+            e.edge_acv(a(0), a(1)).to_bits()
+        );
         assert_eq!(counter.total(a(2)), 10);
         let buckets = PairBuckets::build(&d, a(0), a(2));
         e.hyper_acv_all_heads(&buckets, &mut counter);
         let pair = e.pair_rows(a(0), a(2));
-        assert_eq!(counter.acv(a(1)).to_bits(), e.hyper_acv(&pair, a(1)).to_bits());
+        assert_eq!(
+            counter.acv(a(1)).to_bits(),
+            e.hyper_acv(&pair, a(1)).to_bits()
+        );
         assert_eq!(counter.acv(a(1)), 1.0);
     }
 
@@ -1427,12 +1433,8 @@ mod tests {
 
     #[test]
     fn all_heads_sweep_on_empty_database() {
-        let d = Database::from_columns(
-            vec!["x".into(), "y".into()],
-            2,
-            vec![vec![], vec![]],
-        )
-        .unwrap();
+        let d =
+            Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![], vec![]]).unwrap();
         let e = CountingEngine::new(&d);
         let mut counter = HeadCounter::new(2, 2);
         e.edge_acv_all_heads(a(0), &mut counter);
@@ -1561,12 +1563,8 @@ mod tests {
 
     #[test]
     fn empty_database_tables() {
-        let d = Database::from_columns(
-            vec!["x".into(), "y".into()],
-            2,
-            vec![vec![], vec![]],
-        )
-        .unwrap();
+        let d =
+            Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![], vec![]]).unwrap();
         let e = CountingEngine::new(&d);
         let t = e.edge_table(a(0), a(1));
         assert_eq!(t.acv(), 0.0);

@@ -90,7 +90,10 @@ impl fmt::Display for AdvanceError {
                 write!(f, "value {value} at attribute {attr} is outside 1..=k")
             }
             AdvanceError::EmptyModel => {
-                write!(f, "cannot advance a model with no attributes or observations")
+                write!(
+                    f,
+                    "cannot advance a model with no attributes or observations"
+                )
             }
         }
     }
@@ -358,7 +361,14 @@ impl IncrementalState {
             move |slice: &[(u32, u32)]| {
                 let mut out = PairChunk {
                     pair_counts: vec![0u32; slice.len() * k2],
-                    triple: vec![0u16; if use_tensor { slice.len() * k2 * n * k } else { 0 }],
+                    triple: vec![
+                        0u16;
+                        if use_tensor {
+                            slice.len() * k2 * n * k
+                        } else {
+                            0
+                        }
+                    ],
                     row_max: vec![0u16; if use_tensor { slice.len() * k2 * n } else { 0 }],
                     s2: vec![0u32; if want_hyper { slice.len() * n } else { 0 }],
                 };
@@ -378,8 +388,7 @@ impl IncrementalState {
                                 }
                             }
                             for h in 0..n {
-                                let cells =
-                                    &out.triple[row_base + h * k..row_base + (h + 1) * k];
+                                let cells = &out.triple[row_base + h * k..row_base + (h + 1) * k];
                                 let best = cells.iter().copied().max().unwrap_or(0);
                                 out.row_max[(p * k2 + r) * n + h] = best;
                                 if h != i && h != j {
@@ -1242,9 +1251,8 @@ mod tests {
         let mut model = AssociationModel::build(&full.slice_obs(0..window), &cfg).unwrap();
         for step in 0..stream.len() - window {
             model.advance(&stream[window + step]).unwrap();
-            let batch =
-                AssociationModel::build(&full.slice_obs(step + 1..step + 1 + window), &cfg)
-                    .unwrap();
+            let batch = AssociationModel::build(&full.slice_obs(step + 1..step + 1 + window), &cfg)
+                .unwrap();
             assert_models_identical(&model, &batch, &format!("step {step}"));
             assert_eq!(model.epoch(), (step + 1) as u64);
         }
@@ -1262,8 +1270,7 @@ mod tests {
         let mut model = AssociationModel::build(&full.slice_obs(0..1), &cfg).unwrap();
         for step in 0..3 {
             model.advance(&stream[1 + step]).unwrap();
-            let batch =
-                AssociationModel::build(&full.slice_obs(step + 1..step + 2), &cfg).unwrap();
+            let batch = AssociationModel::build(&full.slice_obs(step + 1..step + 2), &cfg).unwrap();
             assert_models_identical(&model, &batch, &format!("tiny step {step}"));
         }
     }
@@ -1319,12 +1326,8 @@ mod tests {
 
     #[test]
     fn advance_on_an_empty_model_errors() {
-        let d = Database::from_columns(
-            vec!["x".into(), "y".into()],
-            2,
-            vec![vec![], vec![]],
-        )
-        .unwrap();
+        let d =
+            Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![], vec![]]).unwrap();
         let cfg = crate::config::ModelConfig::default();
         let mut model = AssociationModel::build(&d, &cfg).unwrap();
         assert_eq!(model.advance(&[1, 1]), Err(AdvanceError::EmptyModel));

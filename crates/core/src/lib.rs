@@ -50,9 +50,7 @@ mod simgraph;
 mod similarity;
 mod table;
 
-pub use classifier::{
-    classify_targets, AssociationClassifier, ClassifierEval, Prediction,
-};
+pub use classifier::{classify_targets, AssociationClassifier, ClassifierEval, Prediction};
 pub use config::{CountStrategy, GammaPreset, ModelConfig, WIDE_PRESET_ATTRS};
 pub use counting::{CountingEngine, HeadCounter, KernelPath, PairRows};
 pub use euclid::euclidean_similarity;

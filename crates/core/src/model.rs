@@ -3,8 +3,8 @@
 use crate::builder;
 use crate::config::ModelConfig;
 use crate::counting::{acv_level, CountingEngine, KernelPath, PairRows};
-use crate::simd::SimdLevel;
 use crate::incremental::AdvanceError;
+use crate::simd::SimdLevel;
 use crate::table::AssociationTable;
 use hypermine_data::{AttrId, Database, Value};
 use hypermine_hypergraph::{DirectedHypergraph, EdgeId, NodeId};
@@ -597,12 +597,7 @@ mod tests {
             .map(|(i, &v)| if i % 10 == 0 { (v % 3) + 1 } else { v })
             .collect();
         let z: Vec<Value> = (0..120).map(|i| ((i / 7) % 3 + 1) as Value).collect();
-        Database::from_columns(
-            vec!["x".into(), "y".into(), "z".into()],
-            3,
-            vec![x, y, z],
-        )
-        .unwrap()
+        Database::from_columns(vec!["x".into(), "y".into(), "z".into()], 3, vec![x, y, z]).unwrap()
     }
 
     #[test]

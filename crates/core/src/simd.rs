@@ -695,7 +695,9 @@ mod tests {
                     let codes: Vec<u8> = (0..num_obs * n)
                         .map(|_| (next() as usize % k) as u8 + 1)
                         .collect();
-                    let ids: Vec<u32> = (0..c as u32).map(|i| (i * 7 + 2) % num_obs as u32).collect();
+                    let ids: Vec<u32> = (0..c as u32)
+                        .map(|i| (i * 7 + 2) % num_obs as u32)
+                        .collect();
                     let mut want = vec![11u64; n];
                     vertical_ref(&codes, n, &ids, k, &mut want);
                     let mut got = vec![11u64; n];
@@ -733,6 +735,9 @@ mod tests {
             4,
             &mut totals
         ));
-        assert!(totals.iter().all(|&t| t == 0), "declines must not touch totals");
+        assert!(
+            totals.iter().all(|&t| t == 0),
+            "declines must not touch totals"
+        );
     }
 }

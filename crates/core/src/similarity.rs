@@ -181,10 +181,7 @@ mod tests {
             for j in 0..6u32 {
                 let sij = out_similarity_graph(&g, n(i), n(j));
                 let sji = out_similarity_graph(&g, n(j), n(i));
-                assert!(
-                    (sij - sji).abs() < 1e-12,
-                    "out-sim({i},{j}) {sij} vs {sji}"
-                );
+                assert!((sij - sji).abs() < 1e-12, "out-sim({i},{j}) {sij} vs {sji}");
                 let iij = in_similarity_graph(&g, n(i), n(j));
                 let iji = in_similarity_graph(&g, n(j), n(i));
                 assert!((iij - iji).abs() < 1e-12);

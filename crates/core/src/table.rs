@@ -64,7 +64,10 @@ impl AssociationTable {
         let expected = (k as usize).pow(tail.len() as u32);
         assert_eq!(rows.len(), expected, "need k^|T| rows");
         for r in &rows {
-            assert!(r.best_count <= r.tail_count, "best_count exceeds tail_count");
+            assert!(
+                r.best_count <= r.tail_count,
+                "best_count exceeds tail_count"
+            );
             assert!(
                 (r.tail_count == 0) == (r.best_head == 0),
                 "best_head must be 0 exactly for empty rows"

@@ -293,8 +293,7 @@ mod tests {
         inc.clear_obs(3, &row);
         for at in d.attrs() {
             for v in 1..=d.k() {
-                let expected = batch.count1(at, v)
-                    - usize::from(d.value(at, 3) == v);
+                let expected = batch.count1(at, v) - usize::from(d.value(at, 3) == v);
                 assert_eq!(inc.count1(at, v), expected, "{at:?} = {v}");
             }
         }

@@ -75,7 +75,10 @@ impl fmt::Display for DatabaseError {
             }
             DatabaseError::ZeroK => write!(f, "k (the value-domain size) must be at least 1"),
             DatabaseError::WindowFull { capacity } => {
-                write!(f, "window already holds its capacity of {capacity} observations")
+                write!(
+                    f,
+                    "window already holds its capacity of {capacity} observations"
+                )
             }
             DatabaseError::ZeroCapacity => {
                 write!(f, "window capacity must be at least 1")
@@ -296,7 +299,10 @@ impl Database {
     /// order.
     pub fn select_attrs(&self, attrs: &[AttrId]) -> Database {
         Database {
-            names: attrs.iter().map(|&a| self.names[a.index()].clone()).collect(),
+            names: attrs
+                .iter()
+                .map(|&a| self.names[a.index()].clone())
+                .collect(),
             k: self.k,
             num_obs: self.num_obs,
             columns: attrs
@@ -387,11 +393,7 @@ mod tests {
             })
         );
         assert_eq!(
-            Database::from_columns(
-                vec!["x".into(), "y".into()],
-                2,
-                vec![vec![1, 2], vec![1]]
-            ),
+            Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![1, 2], vec![1]]),
             Err(DatabaseError::RaggedColumns {
                 expected: 2,
                 got: 1
@@ -492,8 +494,7 @@ mod tests {
             col.remove(0);
             col.push([3, 1][a]);
         }
-        let expect =
-            Database::from_columns(orig.attr_names().to_vec(), orig.k(), cols).unwrap();
+        let expect = Database::from_columns(orig.attr_names().to_vec(), orig.k(), cols).unwrap();
         assert_eq!(slid, expect);
         // Retiring an empty database is a no-op.
         let mut empty = Database::from_columns(vec!["x".into()], 2, vec![vec![]]).unwrap();

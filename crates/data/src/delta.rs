@@ -43,10 +43,7 @@ impl std::error::Error for DeltaError {}
 /// not already been validated; the market simulator guarantees positive
 /// prices and the CSV loader rejects non-positive ones at parse time.
 pub fn delta_series(prices: &[f64]) -> Vec<f64> {
-    prices
-        .windows(2)
-        .map(|w| (w[1] - w[0]) / w[0])
-        .collect()
+    prices.windows(2).map(|w| (w[1] - w[0]) / w[0]).collect()
 }
 
 /// Applies [`delta_series`] to every column of a price matrix.

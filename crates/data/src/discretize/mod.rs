@@ -164,13 +164,8 @@ mod tests {
     #[test]
     fn discretize_columns_roundtrip() {
         let cols = vec![vec![1.0, 2.0, 3.0, 4.0], vec![-1.0, 0.0, 1.0, 2.0]];
-        let (db, tvs) = discretize_columns(
-            vec!["a".into(), "b".into()],
-            2,
-            &cols,
-            &EquiDepth::new(2),
-        )
-        .unwrap();
+        let (db, tvs) =
+            discretize_columns(vec!["a".into(), "b".into()], 2, &cols, &EquiDepth::new(2)).unwrap();
         assert_eq!(db.num_attrs(), 2);
         assert_eq!(db.k(), 2);
         assert_eq!(tvs.len(), 2);

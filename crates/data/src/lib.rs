@@ -63,7 +63,7 @@ mod windowed;
 
 pub use bitmap::ValueIndex;
 pub use database::{AttrId, Database, DatabaseError, Value};
-pub use obs_matrix::{counter_stride, ObsMatrix, PairBuckets, SlotLane, SlotMatrix};
 pub use delta::{delta_matrix, delta_series, try_delta_matrix, try_delta_series, DeltaError};
+pub use obs_matrix::{counter_stride, ObsMatrix, PairBuckets, SlotLane, SlotMatrix};
 pub use support::{confidence, support, support_count, Pattern};
 pub use windowed::{StreamEvent, WindowedDatabase};

@@ -618,12 +618,8 @@ mod tests {
 
     #[test]
     fn pair_buckets_on_empty_database() {
-        let db = Database::from_columns(
-            vec!["x".into(), "y".into()],
-            2,
-            vec![vec![], vec![]],
-        )
-        .unwrap();
+        let db =
+            Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![], vec![]]).unwrap();
         let buckets = PairBuckets::build(&db, a(0), a(1));
         assert_eq!(buckets.num_obs(), 0);
         for r in 0..buckets.num_rows() {

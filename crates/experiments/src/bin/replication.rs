@@ -200,7 +200,9 @@ fn main() -> ExitCode {
         for d in &drift {
             eprintln!("- {d}");
         }
-        eprintln!("\nif the change is intentional, refresh with: replication --scale tiny --update");
+        eprintln!(
+            "\nif the change is intentional, refresh with: replication --scale tiny --update"
+        );
         ExitCode::FAILURE
     }
 }

@@ -44,13 +44,10 @@ fn parse_args() -> (Scale, u64, Option<String>) {
                 }
             },
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    });
+                seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--seed needs an integer");
+                    std::process::exit(2);
+                });
             }
             "--only" => {
                 let section = args.next().unwrap_or_else(|| {
@@ -176,9 +173,15 @@ fn main() {
                 }
                 println!("[{:?}]\n", t0.elapsed());
             }
-            "f51" => println!("{}", fig_5_1::degree_report(&c1, scenario.market.universe())),
+            "f51" => println!(
+                "{}",
+                fig_5_1::degree_report(&c1, scenario.market.universe())
+            ),
             "f52" => println!("{}", fig_5_2::similarity_report(&scenario, &c1, 2000)),
-            "f53" => println!("{}", fig_5_3::cluster_report(&c1, scenario.market.universe())),
+            "f53" => println!(
+                "{}",
+                fig_5_3::cluster_report(&c1, scenario.market.universe())
+            ),
             "f54" => {
                 for report in [
                     fig_5_4::expanding_windows(&scenario, DominatorAlgorithm::DominatingSet, 0.4),

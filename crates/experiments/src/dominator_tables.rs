@@ -69,10 +69,7 @@ pub fn dominator_table(
         if dominator.is_empty() {
             continue;
         }
-        let targets: Vec<AttrId> = model
-            .attrs()
-            .filter(|a| !dominator.contains(a))
-            .collect();
+        let targets: Vec<AttrId> = model.attrs().filter(|a| !dominator.contains(a)).collect();
         let clf = AssociationClassifier::new(&filtered, &dominator);
         let abc_in = clf.evaluate(&built.train_db, &targets).mean_confidence();
         let abc_out = clf.evaluate(&built.test_db, &targets).mean_confidence();
@@ -105,9 +102,9 @@ impl DominatorRow {
             DominatorAlgorithm::DominatingSet => &paper::TABLE_5_3,
             DominatorAlgorithm::SetCover => &paper::TABLE_5_4,
         };
-        table.iter().find(|p| {
-            p.config == self.config && (p.top_fraction - self.top_fraction).abs() < 1e-9
-        })
+        table
+            .iter()
+            .find(|p| p.config == self.config && (p.top_fraction - self.top_fraction).abs() < 1e-9)
     }
 
     /// The headline shape claims of Tables 5.3/5.4: the ABC beats SVM and
@@ -183,7 +180,10 @@ mod tests {
     fn table_rows_have_consistent_shape() {
         let s = Scenario::new(Scale::tiny(), 9);
         let b = s.build(&Configuration::c1());
-        for algorithm in [DominatorAlgorithm::DominatingSet, DominatorAlgorithm::SetCover] {
+        for algorithm in [
+            DominatorAlgorithm::DominatingSet,
+            DominatorAlgorithm::SetCover,
+        ] {
             let rows = dominator_table(&b, algorithm, &[0.4, 0.2], &quick_baselines());
             assert!(!rows.is_empty(), "{algorithm:?} produced no rows");
             for r in &rows {

@@ -54,10 +54,16 @@ pub fn degree_report(built: &BuiltConfig, universe: &Universe) -> DegreeReport {
         / top_out.len().max(1) as f64;
     DegreeReport {
         config: built.config.name,
-        in_histogram: Histogram::from_values(&stats.weighted_in, 12)
-            .unwrap_or(Histogram { min: 0.0, max: 0.0, counts: vec![] }),
-        out_histogram: Histogram::from_values(&stats.weighted_out, 12)
-            .unwrap_or(Histogram { min: 0.0, max: 0.0, counts: vec![] }),
+        in_histogram: Histogram::from_values(&stats.weighted_in, 12).unwrap_or(Histogram {
+            min: 0.0,
+            max: 0.0,
+            counts: vec![],
+        }),
+        out_histogram: Histogram::from_values(&stats.weighted_out, 12).unwrap_or(Histogram {
+            min: 0.0,
+            max: 0.0,
+            counts: vec![],
+        }),
         in_summary: Summary::of(&stats.weighted_in).expect("models have nodes"),
         out_summary: Summary::of(&stats.weighted_out).expect("models have nodes"),
         top_in,
@@ -79,7 +85,11 @@ fn render_histogram(f: &mut fmt::Formatter<'_>, h: &Histogram) -> fmt::Result {
 
 impl fmt::Display for DegreeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 5.1 ({}): weighted degree distributions", self.config)?;
+        writeln!(
+            f,
+            "Figure 5.1 ({}): weighted degree distributions",
+            self.config
+        )?;
         writeln!(
             f,
             "  (a) in-degree:  mean {:.2} sd {:.2} max {:.2}",

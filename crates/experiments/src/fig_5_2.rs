@@ -115,13 +115,7 @@ impl SimilarityReport {
         }
         bins.iter()
             .enumerate()
-            .map(|(i, &(sum, c))| {
-                (
-                    i as f64 / 10.0,
-                    if c > 0 { sum / c as f64 } else { 0.0 },
-                    c,
-                )
-            })
+            .map(|(i, &(sum, c))| (i as f64 / 10.0, if c > 0 { sum / c as f64 } else { 0.0 }, c))
             .collect()
     }
 }
@@ -152,7 +146,12 @@ impl fmt::Display for SimilarityReport {
         writeln!(f, "  in-sim decile -> mean ES (count):")?;
         for (lo, mean_es, count) in self.decile_profile() {
             if count > 0 {
-                writeln!(f, "    [{:.1}, {:.1}) -> {mean_es:.3} ({count})", lo, lo + 0.1)?;
+                writeln!(
+                    f,
+                    "    [{:.1}, {:.1}) -> {mean_es:.3} ({count})",
+                    lo,
+                    lo + 0.1
+                )?;
             }
         }
         writeln!(

@@ -137,7 +137,11 @@ impl fmt::Display for ClusterReport {
             "  clusters of size > 6: {}; mean sector purity {:.0}%; metric properties: {}",
             self.displayed_clusters,
             self.mean_purity * 100.0,
-            if self.metric_ok { "verified" } else { "VIOLATED" }
+            if self.metric_ok {
+                "verified"
+            } else {
+                "VIOLATED"
+            }
         )?;
         write!(f, "  sizes: ")?;
         for s in self.sizes.iter().take(15) {

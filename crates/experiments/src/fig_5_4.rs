@@ -58,8 +58,8 @@ pub fn expanding_windows(
         }
         let disc = discretize_market(&scenario.market, cfg.k, Some(0..split));
         let test_db = disc.discretize_more(&scenario.market, split..test_end);
-        let model = AssociationModel::build(&disc.database, &cfg.model)
-            .expect("paper gammas are valid");
+        let model =
+            AssociationModel::build(&disc.database, &cfg.model).expect("paper gammas are valid");
         let Some(threshold) = model.acv_percentile_threshold(fraction) else {
             continue;
         };
@@ -77,10 +77,7 @@ pub fn expanding_windows(
         if dominator.is_empty() {
             continue;
         }
-        let targets: Vec<AttrId> = model
-            .attrs()
-            .filter(|a| !dominator.contains(a))
-            .collect();
+        let targets: Vec<AttrId> = model.attrs().filter(|a| !dominator.contains(a)).collect();
         let clf = AssociationClassifier::new(&filtered, &dominator);
         points.push(WindowPoint {
             train_years,
@@ -117,7 +114,10 @@ impl fmt::Display for ExpandingWindowReport {
             DominatorAlgorithm::DominatingSet => "(a) Algorithm 5 dominator",
             DominatorAlgorithm::SetCover => "(b) Algorithm 6 dominator",
         };
-        writeln!(f, "Figure 5.4 {label}: expanding training windows (C1, top 40%)")?;
+        writeln!(
+            f,
+            "Figure 5.4 {label}: expanding training windows (C1, top 40%)"
+        )?;
         writeln!(f, "    train-years  |Dom|  in-sample  out-sample")?;
         for p in &self.points {
             writeln!(
@@ -183,7 +183,10 @@ mod tests {
             },
             23,
         );
-        for alg in [DominatorAlgorithm::DominatingSet, DominatorAlgorithm::SetCover] {
+        for alg in [
+            DominatorAlgorithm::DominatingSet,
+            DominatorAlgorithm::SetCover,
+        ] {
             let r = expanding_windows(&s, alg, 0.4);
             assert!(!r.points.is_empty(), "{alg:?}");
         }

@@ -26,10 +26,10 @@ pub mod baselines;
 pub mod config_stats;
 pub mod dominator_tables;
 pub mod fig_5_1;
-pub mod gamma_sweep;
 pub mod fig_5_2;
 pub mod fig_5_3;
 pub mod fig_5_4;
+pub mod gamma_sweep;
 pub mod paper;
 pub mod registry;
 pub mod replicate;

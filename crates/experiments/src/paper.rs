@@ -39,17 +39,72 @@ pub struct PaperTable52Row {
 
 /// Table 5.2, configuration C1 rows (subject ticker, ACVs as printed).
 pub const TABLE_5_2_C1: [PaperTable52Row; 11] = [
-    PaperTable52Row { subject: "EMN", hyper_acv: 0.52, edge1_acv: 0.49, edge2_acv: 0.49 },
-    PaperTable52Row { subject: "HON", hyper_acv: 0.53, edge1_acv: 0.50, edge2_acv: 0.49 },
-    PaperTable52Row { subject: "GT", hyper_acv: 0.51, edge1_acv: 0.48, edge2_acv: 0.47 },
-    PaperTable52Row { subject: "PG", hyper_acv: 0.53, edge1_acv: 0.50, edge2_acv: 0.49 },
-    PaperTable52Row { subject: "XOM", hyper_acv: 0.58, edge1_acv: 0.55, edge2_acv: 0.54 },
-    PaperTable52Row { subject: "AIG", hyper_acv: 0.54, edge1_acv: 0.51, edge2_acv: 0.51 },
-    PaperTable52Row { subject: "JNJ", hyper_acv: 0.48, edge1_acv: 0.45, edge2_acv: 0.45 },
-    PaperTable52Row { subject: "JCP", hyper_acv: 0.51, edge1_acv: 0.48, edge2_acv: 0.48 },
-    PaperTable52Row { subject: "INTC", hyper_acv: 0.55, edge1_acv: 0.52, edge2_acv: 0.52 },
-    PaperTable52Row { subject: "FDX", hyper_acv: 0.52, edge1_acv: 0.49, edge2_acv: 0.46 },
-    PaperTable52Row { subject: "TE", hyper_acv: 0.55, edge1_acv: 0.52, edge2_acv: 0.52 },
+    PaperTable52Row {
+        subject: "EMN",
+        hyper_acv: 0.52,
+        edge1_acv: 0.49,
+        edge2_acv: 0.49,
+    },
+    PaperTable52Row {
+        subject: "HON",
+        hyper_acv: 0.53,
+        edge1_acv: 0.50,
+        edge2_acv: 0.49,
+    },
+    PaperTable52Row {
+        subject: "GT",
+        hyper_acv: 0.51,
+        edge1_acv: 0.48,
+        edge2_acv: 0.47,
+    },
+    PaperTable52Row {
+        subject: "PG",
+        hyper_acv: 0.53,
+        edge1_acv: 0.50,
+        edge2_acv: 0.49,
+    },
+    PaperTable52Row {
+        subject: "XOM",
+        hyper_acv: 0.58,
+        edge1_acv: 0.55,
+        edge2_acv: 0.54,
+    },
+    PaperTable52Row {
+        subject: "AIG",
+        hyper_acv: 0.54,
+        edge1_acv: 0.51,
+        edge2_acv: 0.51,
+    },
+    PaperTable52Row {
+        subject: "JNJ",
+        hyper_acv: 0.48,
+        edge1_acv: 0.45,
+        edge2_acv: 0.45,
+    },
+    PaperTable52Row {
+        subject: "JCP",
+        hyper_acv: 0.51,
+        edge1_acv: 0.48,
+        edge2_acv: 0.48,
+    },
+    PaperTable52Row {
+        subject: "INTC",
+        hyper_acv: 0.55,
+        edge1_acv: 0.52,
+        edge2_acv: 0.52,
+    },
+    PaperTable52Row {
+        subject: "FDX",
+        hyper_acv: 0.52,
+        edge1_acv: 0.49,
+        edge2_acv: 0.46,
+    },
+    PaperTable52Row {
+        subject: "TE",
+        hyper_acv: 0.55,
+        edge1_acv: 0.52,
+        edge2_acv: 0.52,
+    },
 ];
 
 /// The 11 subject tickers of Tables 5.1/5.2, with their paper sector codes.
@@ -85,22 +140,154 @@ pub struct PaperDominatorRow {
 
 /// Table 5.3 (Algorithm 5 dominators).
 pub const TABLE_5_3: [PaperDominatorRow; 6] = [
-    PaperDominatorRow { config: "C1", top_fraction: 0.40, acv_threshold: 0.45, dominator_size: 13, percent_covered: 0.99, abc_in_sample: 0.643, abc_out_sample: 0.719, svm: 0.546, mlp: 0.716, logistic: 0.541 },
-    PaperDominatorRow { config: "C1", top_fraction: 0.30, acv_threshold: 0.46, dominator_size: 15, percent_covered: 0.95, abc_in_sample: 0.646, abc_out_sample: 0.723, svm: 0.509, mlp: 0.718, logistic: 0.508 },
-    PaperDominatorRow { config: "C1", top_fraction: 0.20, acv_threshold: 0.47, dominator_size: 22, percent_covered: 0.94, abc_in_sample: 0.650, abc_out_sample: 0.724, svm: 0.494, mlp: 0.719, logistic: 0.492 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.40, acv_threshold: 0.32, dominator_size: 20, percent_covered: 0.96, abc_in_sample: 0.646, abc_out_sample: 0.716, svm: 0.429, mlp: 0.627, logistic: 0.231 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.30, acv_threshold: 0.33, dominator_size: 30, percent_covered: 0.96, abc_in_sample: 0.649, abc_out_sample: 0.719, svm: 0.433, mlp: 0.638, logistic: 0.238 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.20, acv_threshold: 0.34, dominator_size: 31, percent_covered: 0.91, abc_in_sample: 0.650, abc_out_sample: 0.722, svm: 0.403, mlp: 0.633, logistic: 0.224 },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.40,
+        acv_threshold: 0.45,
+        dominator_size: 13,
+        percent_covered: 0.99,
+        abc_in_sample: 0.643,
+        abc_out_sample: 0.719,
+        svm: 0.546,
+        mlp: 0.716,
+        logistic: 0.541,
+    },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.30,
+        acv_threshold: 0.46,
+        dominator_size: 15,
+        percent_covered: 0.95,
+        abc_in_sample: 0.646,
+        abc_out_sample: 0.723,
+        svm: 0.509,
+        mlp: 0.718,
+        logistic: 0.508,
+    },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.20,
+        acv_threshold: 0.47,
+        dominator_size: 22,
+        percent_covered: 0.94,
+        abc_in_sample: 0.650,
+        abc_out_sample: 0.724,
+        svm: 0.494,
+        mlp: 0.719,
+        logistic: 0.492,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.40,
+        acv_threshold: 0.32,
+        dominator_size: 20,
+        percent_covered: 0.96,
+        abc_in_sample: 0.646,
+        abc_out_sample: 0.716,
+        svm: 0.429,
+        mlp: 0.627,
+        logistic: 0.231,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.30,
+        acv_threshold: 0.33,
+        dominator_size: 30,
+        percent_covered: 0.96,
+        abc_in_sample: 0.649,
+        abc_out_sample: 0.719,
+        svm: 0.433,
+        mlp: 0.638,
+        logistic: 0.238,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.20,
+        acv_threshold: 0.34,
+        dominator_size: 31,
+        percent_covered: 0.91,
+        abc_in_sample: 0.650,
+        abc_out_sample: 0.722,
+        svm: 0.403,
+        mlp: 0.633,
+        logistic: 0.224,
+    },
 ];
 
 /// Table 5.4 (Algorithm 6 dominators).
 pub const TABLE_5_4: [PaperDominatorRow; 6] = [
-    PaperDominatorRow { config: "C1", top_fraction: 0.40, acv_threshold: 0.45, dominator_size: 16, percent_covered: 0.96, abc_in_sample: 0.651, abc_out_sample: 0.723, svm: 0.526, mlp: 0.717, logistic: 0.519 },
-    PaperDominatorRow { config: "C1", top_fraction: 0.30, acv_threshold: 0.46, dominator_size: 22, percent_covered: 0.93, abc_in_sample: 0.653, abc_out_sample: 0.723, svm: 0.514, mlp: 0.718, logistic: 0.510 },
-    PaperDominatorRow { config: "C1", top_fraction: 0.20, acv_threshold: 0.47, dominator_size: 26, percent_covered: 0.91, abc_in_sample: 0.656, abc_out_sample: 0.728, svm: 0.515, mlp: 0.725, logistic: 0.512 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.40, acv_threshold: 0.32, dominator_size: 28, percent_covered: 0.96, abc_in_sample: 0.650, abc_out_sample: 0.721, svm: 0.429, mlp: 0.627, logistic: 0.231 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.30, acv_threshold: 0.33, dominator_size: 40, percent_covered: 0.90, abc_in_sample: 0.652, abc_out_sample: 0.722, svm: 0.433, mlp: 0.638, logistic: 0.238 },
-    PaperDominatorRow { config: "C2", top_fraction: 0.20, acv_threshold: 0.34, dominator_size: 36, percent_covered: 0.78, abc_in_sample: 0.652, abc_out_sample: 0.720, svm: 0.403, mlp: 0.633, logistic: 0.224 },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.40,
+        acv_threshold: 0.45,
+        dominator_size: 16,
+        percent_covered: 0.96,
+        abc_in_sample: 0.651,
+        abc_out_sample: 0.723,
+        svm: 0.526,
+        mlp: 0.717,
+        logistic: 0.519,
+    },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.30,
+        acv_threshold: 0.46,
+        dominator_size: 22,
+        percent_covered: 0.93,
+        abc_in_sample: 0.653,
+        abc_out_sample: 0.723,
+        svm: 0.514,
+        mlp: 0.718,
+        logistic: 0.510,
+    },
+    PaperDominatorRow {
+        config: "C1",
+        top_fraction: 0.20,
+        acv_threshold: 0.47,
+        dominator_size: 26,
+        percent_covered: 0.91,
+        abc_in_sample: 0.656,
+        abc_out_sample: 0.728,
+        svm: 0.515,
+        mlp: 0.725,
+        logistic: 0.512,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.40,
+        acv_threshold: 0.32,
+        dominator_size: 28,
+        percent_covered: 0.96,
+        abc_in_sample: 0.650,
+        abc_out_sample: 0.721,
+        svm: 0.429,
+        mlp: 0.627,
+        logistic: 0.231,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.30,
+        acv_threshold: 0.33,
+        dominator_size: 40,
+        percent_covered: 0.90,
+        abc_in_sample: 0.652,
+        abc_out_sample: 0.722,
+        svm: 0.433,
+        mlp: 0.638,
+        logistic: 0.238,
+    },
+    PaperDominatorRow {
+        config: "C2",
+        top_fraction: 0.20,
+        acv_threshold: 0.34,
+        dominator_size: 36,
+        percent_covered: 0.78,
+        abc_in_sample: 0.652,
+        abc_out_sample: 0.720,
+        svm: 0.403,
+        mlp: 0.633,
+        logistic: 0.224,
+    },
 ];
 
 /// Figure 5.1's producer/consumer findings (Section 5.2): sector shares of

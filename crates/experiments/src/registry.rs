@@ -466,11 +466,17 @@ pub static REPORT_SECTIONS: &[(&str, &str)] = &[
     ("t51", "Table 5.1: top directed edge and 2-to-1 hyperedge"),
     ("t52", "Table 5.2: hyperedge vs constituent directed edges"),
     ("t53", "Table 5.3: dominators via Algorithm 5"),
-    ("t54", "Table 5.4: dominators via Algorithm 6 (+ Enhancements 1 & 2)"),
+    (
+        "t54",
+        "Table 5.4: dominators via Algorithm 6 (+ Enhancements 1 & 2)",
+    ),
     ("f51", "Figure 5.1: weighted degree distributions"),
     ("f52", "Figure 5.2: association vs Euclidean similarity"),
     ("f53", "Figure 5.3: t-clustering of all series"),
-    ("f54", "Figure 5.4: expanding-window classification confidence"),
+    (
+        "f54",
+        "Figure 5.4: expanding-window classification confidence",
+    ),
 ];
 
 /// The paper's Gene database (Tables 3.3–3.4, Example 3.4): raw
@@ -941,13 +947,18 @@ mod tests {
         let baseline = find("perf_construction").unwrap();
         let b = baseline.simulate(RunScale::Tiny).unwrap();
         assert!(b.crisis_days().is_empty());
-        assert!(find("gene_expression").unwrap().simulate(RunScale::Tiny).is_none());
+        assert!(find("gene_expression")
+            .unwrap()
+            .simulate(RunScale::Tiny)
+            .is_none());
     }
 
     #[test]
     fn expected_summary_paths_are_stable() {
         assert_eq!(
-            find("paper_market").unwrap().expected_summary(RunScale::Tiny),
+            find("paper_market")
+                .unwrap()
+                .expected_summary(RunScale::Tiny),
             "replication/tiny/paper_market.json"
         );
     }

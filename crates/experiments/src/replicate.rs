@@ -174,14 +174,22 @@ impl ScenarioSummary {
                         format!("[{}]", parts.join(", "))
                     }
                 };
-                let comma = if ii + 1 < section.items.len() { "," } else { "" };
+                let comma = if ii + 1 < section.items.len() {
+                    ","
+                } else {
+                    ""
+                };
                 out.push_str(&format!(
                     "        \"{}\": {rendered}{comma}\n",
                     json_escape(key)
                 ));
             }
             out.push_str("      }\n");
-            let comma = if si + 1 < self.sections.len() { "," } else { "" };
+            let comma = if si + 1 < self.sections.len() {
+                ","
+            } else {
+                ""
+            };
             out.push_str(&format!("    }}{comma}\n"));
         }
         out.push_str("  ]\n");
@@ -238,7 +246,11 @@ fn record_model(section: &mut SummarySection, cfg: &ModelConfig, model: &Associa
     section.float("gamma_hyper", cfg.gamma_hyper, 2);
     section.uint("directed_edges", stats.num_directed_edges);
     section.uint("hyperedges", stats.num_hyperedges);
-    section.float("mean_acv_directed", stats.mean_acv_directed.unwrap_or(0.0), 6);
+    section.float(
+        "mean_acv_directed",
+        stats.mean_acv_directed.unwrap_or(0.0),
+        6,
+    );
     section.float("mean_acv_hyper", stats.mean_acv_hyper.unwrap_or(0.0), 6);
     section.text("kernel", model.kernel_path().to_string());
 }
@@ -323,7 +335,8 @@ fn run_inline(spec: &ScenarioSpec, table: &InlineTable, summary: &mut ScenarioSu
     let mut rules = SummarySection::new("rules");
     for check in table.rules {
         let rule = MvaRule::new(
-            check.antecedent
+            check
+                .antecedent
                 .iter()
                 .map(|&(a, v)| (AttrId::new(a), v))
                 .collect(),
@@ -407,16 +420,16 @@ fn run_inline(spec: &ScenarioSpec, table: &InlineTable, summary: &mut ScenarioSu
             }
             InlineExtra::Predictions => {
                 let nodes: Vec<_> = model.attrs().map(node_of).collect();
-                let dom = set_cover_adaptation(
-                    model.hypergraph(),
-                    &nodes,
-                    &SetCoverOptions::default(),
-                );
+                let dom =
+                    set_cover_adaptation(model.hypergraph(), &nodes, &SetCoverOptions::default());
                 let measured: Vec<AttrId> = dom.dominator.iter().map(|&n| attr_of(n)).collect();
                 let mut section = SummarySection::new("predictions");
                 section.list(
                     "measured",
-                    measured.iter().map(|&a| model.attr_name(a).to_string()).collect(),
+                    measured
+                        .iter()
+                        .map(|&a| model.attr_name(a).to_string())
+                        .collect(),
                 );
                 section.float("percent_covered", dom.percent_covered(), 4);
                 let clf = AssociationClassifier::new(&model, &measured);
@@ -498,14 +511,17 @@ fn record_market_shape(summary: &mut ScenarioSummary, spec: &ScenarioSpec, marke
             let n = deltas.len() as f64;
             let day_mean = |d: usize| deltas.iter().map(|s| s[d]).sum::<f64>() / n;
             let rms = |days: &[usize]| {
-                (days.iter().map(|&d| day_mean(d).powi(2)).sum::<f64>()
-                    / days.len().max(1) as f64)
+                (days.iter().map(|&d| day_mean(d).powi(2)).sum::<f64>() / days.len().max(1) as f64)
                     .sqrt()
             };
             let mut section = SummarySection::new("market");
             section.uint("crisis_days", crisis.len());
             section.uint("calm_days", calm.len());
-            section.float("crisis_to_calm_move_ratio", rms(&crisis) / rms(&calm).max(1e-12), 4);
+            section.float(
+                "crisis_to_calm_move_ratio",
+                rms(&crisis) / rms(&calm).max(1e-12),
+                4,
+            );
             summary.sections.push(section);
         }
     }
@@ -529,8 +545,7 @@ fn run_market(spec: &ScenarioSpec, scale: RunScale, summary: &mut ScenarioSummar
             for run in spec.runs {
                 let disc = discretize_market(&market, run.k, None);
                 let cfg = run.model_config(disc.database.num_attrs());
-                let model =
-                    AssociationModel::build(&disc.database, &cfg).expect("gammas are >= 1");
+                let model = AssociationModel::build(&disc.database, &cfg).expect("gammas are >= 1");
                 let mut section = SummarySection::new(format!("run:{}", run.label));
                 section.uint("k", run.k as usize);
                 section.uint("obs", disc.database.num_obs());
@@ -588,8 +603,11 @@ fn record_dominator(section: &mut SummarySection, built: &BuiltConfig) {
     };
     let filtered = model.filter_by_acv(threshold);
     let all_nodes: Vec<_> = model.attrs().map(node_of).collect();
-    let result =
-        set_cover_adaptation(filtered.hypergraph(), &all_nodes, &SetCoverOptions::default());
+    let result = set_cover_adaptation(
+        filtered.hypergraph(),
+        &all_nodes,
+        &SetCoverOptions::default(),
+    );
     let dominator: Vec<AttrId> = result.dominator.iter().map(|&n| attr_of(n)).collect();
     if dominator.is_empty() {
         section.flag("dominator_found", false);
@@ -600,7 +618,10 @@ fn record_dominator(section: &mut SummarySection, built: &BuiltConfig) {
     section.float("percent_covered", result.percent_covered(), 4);
     section.list(
         "dominator",
-        dominator.iter().map(|&a| model.attr_name(a).to_string()).collect(),
+        dominator
+            .iter()
+            .map(|&a| model.attr_name(a).to_string())
+            .collect(),
     );
     let targets: Vec<AttrId> = model.attrs().filter(|a| !dominator.contains(a)).collect();
     let clf = AssociationClassifier::new(&filtered, &dominator);
@@ -681,8 +702,8 @@ fn run_sliding(
         let final_db = w.to_database();
         assert_eq!(final_db.num_obs(), live);
         let batch = AssociationModel::build(&final_db, &cfg).expect("gammas are >= 1");
-        let identical = canonical_edges(&model) == canonical_edges(&batch)
-            && model.stats() == batch.stats();
+        let identical =
+            canonical_edges(&model) == canonical_edges(&batch) && model.stats() == batch.stats();
         assert!(
             identical,
             "{}/{}: incremental model diverged from batch rebuild",
@@ -836,8 +857,11 @@ fn record_model_dominator(section: &mut SummarySection, model: &AssociationModel
     };
     let filtered = model.filter_by_acv(threshold);
     let all_nodes: Vec<_> = model.attrs().map(node_of).collect();
-    let result =
-        set_cover_adaptation(filtered.hypergraph(), &all_nodes, &SetCoverOptions::default());
+    let result = set_cover_adaptation(
+        filtered.hypergraph(),
+        &all_nodes,
+        &SetCoverOptions::default(),
+    );
     let dominator: Vec<AttrId> = result.dominator.iter().map(|&n| attr_of(n)).collect();
     if dominator.is_empty() {
         section.flag("dominator_found", false);
@@ -848,14 +872,20 @@ fn record_model_dominator(section: &mut SummarySection, model: &AssociationModel
     section.float("percent_covered", result.percent_covered(), 4);
     section.list(
         "dominator",
-        dominator.iter().map(|&a| model.attr_name(a).to_string()).collect(),
+        dominator
+            .iter()
+            .map(|&a| model.attr_name(a).to_string())
+            .collect(),
     );
 }
 
 /// The `(label, k)` pairs of a spec's runs — a convenience for binaries
 /// enumerating registry sections.
 pub fn run_labels(spec: &ScenarioSpec) -> Vec<(&'static str, Value)> {
-    spec.runs.iter().map(|r: &GammaRun| (r.label, r.k)).collect()
+    spec.runs
+        .iter()
+        .map(|r: &GammaRun| (r.label, r.k))
+        .collect()
 }
 
 #[cfg(test)]
@@ -876,7 +906,10 @@ mod tests {
                 .expect("inline scenarios record rules");
             assert!(rules.items.iter().any(|(k, _)| k == "confidence"));
             // Inline summaries are scale-invariant.
-            assert_eq!(summary.sections, run_scenario(spec, RunScale::Full).sections);
+            assert_eq!(
+                summary.sections,
+                run_scenario(spec, RunScale::Full).sections
+            );
         }
     }
 
@@ -917,11 +950,18 @@ mod tests {
         };
         assert!(matches!(get("gap_days"), SummaryValue::UInt(g) if g > 0));
         assert_eq!(get("identical_to_batch_rebuild"), SummaryValue::Bool(true));
-        let (final_w, min_w, window) = match (get("final_window"), get("min_window"), spec.dims(RunScale::Tiny).unwrap().window) {
+        let (final_w, min_w, window) = match (
+            get("final_window"),
+            get("min_window"),
+            spec.dims(RunScale::Tiny).unwrap().window,
+        ) {
             (SummaryValue::UInt(f), SummaryValue::UInt(m), w) => (f as usize, m as usize, w),
             _ => panic!("window facts are counts"),
         };
-        assert!(min_w <= final_w && final_w < window, "gaps contracted the window");
+        assert!(
+            min_w <= final_w && final_w < window,
+            "gaps contracted the window"
+        );
     }
 
     #[test]

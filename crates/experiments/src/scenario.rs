@@ -3,7 +3,9 @@
 
 use hypermine_core::{AssociationModel, ModelConfig};
 use hypermine_data::{Database, Value};
-use hypermine_market::{calendar, discretize_market, DiscretizedMarket, Market, SimConfig, Universe};
+use hypermine_market::{
+    calendar, discretize_market, DiscretizedMarket, Market, SimConfig, Universe,
+};
 use std::ops::Range;
 
 /// Experiment scale: how much of the paper's full setup to instantiate.
@@ -98,7 +100,10 @@ impl Scenario {
     /// held out (the paper trains on Jan 1996 – Dec 2008 and tests on
     /// 2009).
     pub fn new(scale: Scale, seed: u64) -> Scenario {
-        assert!(scale.years >= 2, "need at least one train and one test year");
+        assert!(
+            scale.years >= 2,
+            "need at least one train and one test year"
+        );
         let n_days = calendar::days_in_years(scale.years);
         let market = Market::simulate(
             Universe::sp500(scale.tickers),
@@ -121,8 +126,8 @@ impl Scenario {
     pub fn build(&self, cfg: &Configuration) -> BuiltConfig {
         let disc = discretize_market(&self.market, cfg.k, Some(self.in_days.clone()));
         let test_db = disc.discretize_more(&self.market, self.out_days.clone());
-        let model = AssociationModel::build(&disc.database, &cfg.model)
-            .expect("paper gammas are >= 1");
+        let model =
+            AssociationModel::build(&disc.database, &cfg.model).expect("paper gammas are >= 1");
         BuiltConfig {
             config: cfg.clone(),
             train_db: disc.database.clone(),
@@ -179,9 +184,15 @@ mod tests {
     #[test]
     fn configurations_match_paper() {
         let c1 = Configuration::c1();
-        assert_eq!((c1.k, c1.model.gamma_edge, c1.model.gamma_hyper), (3, 1.15, 1.05));
+        assert_eq!(
+            (c1.k, c1.model.gamma_edge, c1.model.gamma_hyper),
+            (3, 1.15, 1.05)
+        );
         let c2 = Configuration::c2();
-        assert_eq!((c2.k, c2.model.gamma_edge, c2.model.gamma_hyper), (5, 1.20, 1.12));
+        assert_eq!(
+            (c2.k, c2.model.gamma_edge, c2.model.gamma_hyper),
+            (5, 1.20, 1.12)
+        );
     }
 
     #[test]

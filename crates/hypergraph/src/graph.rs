@@ -323,10 +323,7 @@ impl DirectedHypergraph {
                 break;
             }
             // Copy the surviving run up to the next splice point.
-            let next_rm = removes
-                .get(i_rm)
-                .map(|r| r.index())
-                .unwrap_or(old_len);
+            let next_rm = removes.get(i_rm).map(|r| r.index()).unwrap_or(old_len);
             let next_in = inserts
                 .get(i_in)
                 .map(|q| o + (q.new_id.index() - packed.len()))
@@ -432,7 +429,10 @@ impl DirectedHypergraph {
             EdgeRef::new(&rec[..tlen], std::slice::from_ref(&rec[2]), w)
         } else {
             let off = rec[1].raw() as usize;
-            let (tlen, hlen) = ((rec[2].raw() >> 16) as usize, (rec[2].raw() & 0xffff) as usize);
+            let (tlen, hlen) = (
+                (rec[2].raw() >> 16) as usize,
+                (rec[2].raw() & 0xffff) as usize,
+            );
             EdgeRef::new(
                 &self.arena[off..off + tlen],
                 &self.arena[off + tlen..off + tlen + hlen],
@@ -765,8 +765,14 @@ mod tests {
     #[test]
     fn rejects_invalid_edges() {
         let mut g = DirectedHypergraph::new(3);
-        assert_eq!(g.add_edge(&[], &[n(0)], 1.0), Err(HypergraphError::EmptySet));
-        assert_eq!(g.add_edge(&[n(0)], &[], 1.0), Err(HypergraphError::EmptySet));
+        assert_eq!(
+            g.add_edge(&[], &[n(0)], 1.0),
+            Err(HypergraphError::EmptySet)
+        );
+        assert_eq!(
+            g.add_edge(&[n(0)], &[], 1.0),
+            Err(HypergraphError::EmptySet)
+        );
         assert_eq!(
             g.add_edge(&[n(0), n(1)], &[n(1)], 1.0),
             Err(HypergraphError::Overlap(n(1)))
@@ -835,7 +841,10 @@ mod tests {
         assert!(f.contains_edge(&[n(2)], &[n(0)]));
 
         assert_eq!(g.weight_percentile_threshold(0.0), None);
-        assert_eq!(DirectedHypergraph::new(2).weight_percentile_threshold(0.5), None);
+        assert_eq!(
+            DirectedHypergraph::new(2).weight_percentile_threshold(0.5),
+            None
+        );
         // fraction > 1 keeps everything.
         assert_eq!(g.weight_percentile_threshold(2.0), Some(0.2));
     }
@@ -1191,7 +1200,11 @@ mod tests {
             rebuilt.add_edge_unchecked(e.tail(), e.head(), e.weight());
         }
         for v in g.nodes() {
-            assert_eq!(g.out_edges(v), rebuilt.out_edges(v), "{what}: out star of {v}");
+            assert_eq!(
+                g.out_edges(v),
+                rebuilt.out_edges(v),
+                "{what}: out star of {v}"
+            );
             assert_eq!(g.in_edges(v), rebuilt.in_edges(v), "{what}: in star of {v}");
         }
         let (mem, want) = (g.memory(), rebuilt.memory());
@@ -1246,7 +1259,10 @@ mod tests {
                 // Removes the spilled edge too.
                 "splice removals and inserts",
                 Box::new(|g| {
-                    g.splice_edges(&[EdgeId::new(1), EdgeId::new(2)], &[ins(1, &[4], &[3], 0.5)])
+                    g.splice_edges(
+                        &[EdgeId::new(1), EdgeId::new(2)],
+                        &[ins(1, &[4], &[3], 0.5)],
+                    )
                 }),
             ),
             ("reset_edges", Box::new(|g| g.reset_edges())),
@@ -1267,8 +1283,15 @@ mod tests {
         assert_eq!(g.memory(), built, "set_weight keeps the CSR");
         assert_stars_match_a_rebuild(&g, "set_weight");
         let copy = g.clone();
-        assert_eq!(copy.memory().incidence_entries, 5, "clone copies a built CSR");
+        assert_eq!(
+            copy.memory().incidence_entries,
+            5,
+            "clone copies a built CSR"
+        );
         assert_stars_match_a_rebuild(&copy, "clone");
-        assert_eq!(DirectedHypergraph::new(2).clone().memory().incidence_bytes, 0);
+        assert_eq!(
+            DirectedHypergraph::new(2).clone().memory().incidence_bytes,
+            0
+        );
     }
 }

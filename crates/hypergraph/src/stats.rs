@@ -207,9 +207,7 @@ mod tests {
         assert_eq!(h.total(), 3);
         // Purely non-finite input has no histogram.
         assert!(Histogram::from_values(&[f64::NAN], 3).is_none());
-        assert!(
-            Histogram::from_values(&[f64::INFINITY, f64::NEG_INFINITY], 3).is_none()
-        );
+        assert!(Histogram::from_values(&[f64::INFINITY, f64::NEG_INFINITY], 3).is_none());
     }
 
     #[test]

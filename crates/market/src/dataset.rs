@@ -58,13 +58,9 @@ pub fn discretize_market(
     let range = days.unwrap_or(0..len);
     let range = range.start.min(len)..range.end.min(len);
     let cols: Vec<Vec<f64>> = deltas.iter().map(|d| d[range.clone()].to_vec()).collect();
-    let (database, thresholds) = discretize_columns(
-        market.universe().symbols(),
-        k,
-        &cols,
-        &EquiDepth::new(k),
-    )
-    .expect("discretizer output is always in 1..=k");
+    let (database, thresholds) =
+        discretize_columns(market.universe().symbols(), k, &cols, &EquiDepth::new(k))
+            .expect("discretizer output is always in 1..=k");
     DiscretizedMarket {
         database,
         thresholds,
@@ -190,12 +186,7 @@ mod tests {
         let m = market();
         // The loader path on valid prices matches the market path exactly.
         let via_market = discretize_market(&m, 3, None);
-        let via_prices = discretize_prices(
-            m.universe().symbols(),
-            3,
-            m.prices(),
-        )
-        .unwrap();
+        let via_prices = discretize_prices(m.universe().symbols(), 3, m.prices()).unwrap();
         assert_eq!(via_prices.database, via_market.database);
         // Zero and negative prices are rejected with their location
         // instead of producing inf/NaN deltas.
@@ -217,8 +208,8 @@ mod tests {
     #[test]
     fn price_loader_reports_shape_errors_instead_of_panicking() {
         // Symbol/series count mismatch.
-        let err = discretize_prices(vec!["A".into()], 3, &[vec![1.0, 2.0], vec![3.0, 4.0]])
-            .unwrap_err();
+        let err =
+            discretize_prices(vec!["A".into()], 3, &[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap_err();
         assert!(matches!(
             err,
             PriceError::Shape(hypermine_data::DatabaseError::NameCountMismatch { .. })

@@ -269,9 +269,7 @@ impl Market {
                     consumer_rank += 1;
                     Some((
                         stream,
-                        rng.gen_range(
-                            cfg.consumer_demand_loading.0..cfg.consumer_demand_loading.1,
-                        ),
+                        rng.gen_range(cfg.consumer_demand_loading.0..cfg.consumer_demand_loading.1),
                     ))
                 } else {
                     None
@@ -334,7 +332,11 @@ impl Market {
             // state. Drawing the uniform only when a schedule is configured
             // keeps the regime-free RNG stream byte-identical to before.
             if let Some(rc) = &cfg.regimes {
-                let expected_len = if in_crisis { rc.crisis_len } else { rc.calm_len };
+                let expected_len = if in_crisis {
+                    rc.crisis_len
+                } else {
+                    rc.calm_len
+                };
                 let flip: f64 = rng.gen();
                 if flip < 1.0 / expected_len.max(1) as f64 {
                     in_crisis = !in_crisis;
@@ -436,10 +438,7 @@ pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
     if a.is_empty() {
         return 0.0;
     }
-    let (ma, mb) = (
-        a.iter().sum::<f64>() / n,
-        b.iter().sum::<f64>() / n,
-    );
+    let (ma, mb) = (a.iter().sum::<f64>() / n, b.iter().sum::<f64>() / n);
     let mut cov = 0.0;
     let mut va = 0.0;
     let mut vb = 0.0;
@@ -633,8 +632,7 @@ mod tests {
         // cross-sectional mean return jumps relative to calm days.
         let deltas = m.deltas();
         let n = deltas.len() as f64;
-        let day_mean =
-            |d: usize| deltas.iter().map(|s| s[d]).sum::<f64>() / n;
+        let day_mean = |d: usize| deltas.iter().map(|s| s[d]).sum::<f64>() / n;
         let rms = |days: &[usize]| {
             (days.iter().map(|&d| day_mean(d).powi(2)).sum::<f64>() / days.len().max(1) as f64)
                 .sqrt()

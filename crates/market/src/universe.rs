@@ -18,20 +18,68 @@ pub struct Ticker {
 /// experiment tables can print the same symbols the paper does.
 pub const PAPER_TICKERS: &[(&str, &str)] = &[
     // Row subjects of Tables 5.1/5.2.
-    ("EMN", "BM"), ("HON", "CG"), ("GT", "CC"), ("PG", "CN"), ("XOM", "E"),
-    ("AIG", "F"), ("JNJ", "H"), ("JCP", "SV"), ("INTC", "T"), ("FDX", "TP"),
+    ("EMN", "BM"),
+    ("HON", "CG"),
+    ("GT", "CC"),
+    ("PG", "CN"),
+    ("XOM", "E"),
+    ("AIG", "F"),
+    ("JNJ", "H"),
+    ("JCP", "SV"),
+    ("INTC", "T"),
+    ("FDX", "TP"),
     ("TE", "U"),
     // Their predictors.
-    ("PPG", "BM"), ("AVY", "BM"), ("BLL", "BM"), ("IFF", "BM"), ("DOW", "BM"),
-    ("FMC", "BM"), ("TXT", "C"), ("UTX", "CG"), ("CAT", "CG"), ("BA", "CG"),
-    ("F", "CC"), ("CL", "CN"), ("CLX", "CN"), ("K", "CN"), ("CPB", "CN"),
-    ("PEP", "CN"), ("CVX", "E"), ("HES", "E"), ("SLB", "E"), ("COG", "E"),
-    ("C", "F"), ("BEN", "F"), ("PGR", "F"), ("AON", "F"), ("CI", "F"),
-    ("AXP", "F"), ("BAC", "F"), ("MRK", "H"), ("ABT", "H"), ("M", "SV"),
-    ("FDO", "SV"), ("GPS", "SV"), ("COST", "SV"), ("HD", "SV"), ("SYY", "SV"),
-    ("KIM", "SV"), ("YHOO", "SV"), ("LLTC", "T"), ("XLNX", "T"), ("EMC", "T"),
-    ("QCOM", "T"), ("CTXS", "T"), ("ITT", "T"), ("ETN", "T"), ("ROK", "T"),
-    ("EXPD", "TP"), ("PGN", "U"), ("AEP", "U"), ("SO", "U"), ("TEG", "U"),
+    ("PPG", "BM"),
+    ("AVY", "BM"),
+    ("BLL", "BM"),
+    ("IFF", "BM"),
+    ("DOW", "BM"),
+    ("FMC", "BM"),
+    ("TXT", "C"),
+    ("UTX", "CG"),
+    ("CAT", "CG"),
+    ("BA", "CG"),
+    ("F", "CC"),
+    ("CL", "CN"),
+    ("CLX", "CN"),
+    ("K", "CN"),
+    ("CPB", "CN"),
+    ("PEP", "CN"),
+    ("CVX", "E"),
+    ("HES", "E"),
+    ("SLB", "E"),
+    ("COG", "E"),
+    ("C", "F"),
+    ("BEN", "F"),
+    ("PGR", "F"),
+    ("AON", "F"),
+    ("CI", "F"),
+    ("AXP", "F"),
+    ("BAC", "F"),
+    ("MRK", "H"),
+    ("ABT", "H"),
+    ("M", "SV"),
+    ("FDO", "SV"),
+    ("GPS", "SV"),
+    ("COST", "SV"),
+    ("HD", "SV"),
+    ("SYY", "SV"),
+    ("KIM", "SV"),
+    ("YHOO", "SV"),
+    ("LLTC", "T"),
+    ("XLNX", "T"),
+    ("EMC", "T"),
+    ("QCOM", "T"),
+    ("CTXS", "T"),
+    ("ITT", "T"),
+    ("ETN", "T"),
+    ("ROK", "T"),
+    ("EXPD", "TP"),
+    ("PGN", "U"),
+    ("AEP", "U"),
+    ("SO", "U"),
+    ("TEG", "U"),
     ("PEG", "U"),
 ];
 

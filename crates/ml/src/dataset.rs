@@ -150,11 +150,8 @@ mod tests {
             &[[1, 3, 2], [2, 1, 1]],
         )
         .unwrap();
-        let ds = TabularDataset::one_hot_from_db(
-            &db,
-            &[AttrId::new(0), AttrId::new(1)],
-            AttrId::new(2),
-        );
+        let ds =
+            TabularDataset::one_hot_from_db(&db, &[AttrId::new(0), AttrId::new(1)], AttrId::new(2));
         assert_eq!(ds.n_features(), 6);
         assert_eq!(ds.n_classes(), 3);
         assert_eq!(ds.row(0), &[1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);

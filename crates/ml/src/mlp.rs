@@ -53,9 +53,8 @@ impl Mlp {
         let (d, h, c) = (data.n_features(), cfg.hidden, data.n_classes());
         // Small symmetric-breaking init.
         let scale = 1.0 / (d.max(1) as f64).sqrt();
-        let mut init = |n: usize| -> Vec<f64> {
-            (0..n).map(|_| rng.gen_range(-scale..scale)).collect()
-        };
+        let mut init =
+            |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-scale..scale)).collect() };
         let mut net = Mlp {
             d,
             h,
@@ -180,11 +179,7 @@ mod tests {
         ds.push(&[0.0], 0);
         ds.push(&[1.0], 1);
         ds.push(&[2.0], 2);
-        let net = Mlp::train(
-            &ds,
-            &MlpConfig::default(),
-            &mut StdRng::seed_from_u64(12),
-        );
+        let net = Mlp::train(&ds, &MlpConfig::default(), &mut StdRng::seed_from_u64(12));
         let p = net.probabilities(&[1.0]);
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);

@@ -62,7 +62,10 @@ impl LinearSvm {
                 b += eta * y;
             }
         }
-        LinearSvm { weights: w, bias: b }
+        LinearSvm {
+            weights: w,
+            bias: b,
+        }
     }
 
     /// The decision value `w·x + b`.

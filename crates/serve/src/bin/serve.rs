@@ -190,14 +190,16 @@ fn run_durable(feed: MarketFeed, dir: &PathBuf, recover: bool) {
     } else {
         let model = hypermine_core::AssociationModel::build(feed.initial(), &model_config())
             .expect("valid gammas");
-        let host =
-            match ServeHost::spawn_with(ModelServer::new(model, SnapshotSpec::default()), options) {
-                Ok(host) => host,
-                Err(e) => {
-                    eprintln!("creating the WAL store under {} failed: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            };
+        let host = match ServeHost::spawn_with(
+            ModelServer::new(model, SnapshotSpec::default()),
+            options,
+        ) {
+            Ok(host) => host,
+            Err(e) => {
+                eprintln!("creating the WAL store under {} failed: {e}", dir.display());
+                std::process::exit(1);
+            }
+        };
         println!("durable host: checkpoint + WAL under {}", dir.display());
         drain_feed(feed, host);
     }

@@ -105,7 +105,9 @@ impl<T> ArcCell<T> {
         assert!(slots > 0, "a cell without reader slots cannot be read");
         ArcCell {
             current: AtomicPtr::new(Arc::into_raw(initial) as *mut T),
-            hazards: (0..slots).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
+            hazards: (0..slots)
+                .map(|_| AtomicPtr::new(ptr::null_mut()))
+                .collect(),
             claimed: (0..slots).map(|_| AtomicBool::new(false)).collect(),
             retired: Mutex::new(Vec::new()),
         }
@@ -146,10 +148,7 @@ impl<T> ArcCell<T> {
         let mut retired = self.retired.lock().expect("retire list never poisoned");
         retired.push(old);
         retired.retain(|&p| {
-            let protected = self
-                .hazards
-                .iter()
-                .any(|h| h.load(Ordering::SeqCst) == p);
+            let protected = self.hazards.iter().any(|h| h.load(Ordering::SeqCst) == p);
             if !protected {
                 // No hazard slot holds `p` at a point after it left
                 // `current`, so no guard exists or can be created for it.

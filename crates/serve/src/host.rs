@@ -360,10 +360,8 @@ impl ServeHost {
                                         // out of order, so durability
                                         // freezes at the last durable
                                         // record; serving continues.
-                                        stats.last_error =
-                                            Some(format!("wal append failed: {e}"));
-                                        writer_health
-                                            .fetch_max(HEALTH_DEGRADED, Ordering::SeqCst);
+                                        stats.last_error = Some(format!("wal append failed: {e}"));
+                                        writer_health.fetch_max(HEALTH_DEGRADED, Ordering::SeqCst);
                                         store = None;
                                     }
                                 }
@@ -551,7 +549,8 @@ impl ServeHost {
             // retry, not a blocking send: a writer that never drains
             // (dead, or deliberately stalled by a fault plan) must not
             // hang shutdown forever.
-            let parked = std::mem::take(&mut *self.pending.lock().expect("pending buffer poisoned"));
+            let parked =
+                std::mem::take(&mut *self.pending.lock().expect("pending buffer poisoned"));
             if !parked.is_empty() {
                 let mut cmd = StreamCmd::AdvanceBatch(parked);
                 let deadline = Instant::now() + Duration::from_secs(5);

@@ -899,10 +899,7 @@ mod tests {
             "a fresh snapshot's graph builds no incidence"
         );
         assert!(mem.index_bytes > 0, "CSR rankings are counted");
-        let tables: usize = d
-            .attrs()
-            .map(|a| s.relevant_tables(a).len())
-            .sum();
+        let tables: usize = d.attrs().map(|a| s.relevant_tables(a).len()).sum();
         assert_eq!(tables > 0, mem.table_bytes > 0);
         assert_eq!(
             mem.total_bytes(),

@@ -166,7 +166,11 @@ impl WalStore {
     ///
     /// `segment_bytes` is the rotation budget; `0` means
     /// [`DEFAULT_SEGMENT_BYTES`].
-    pub fn create(dir: &Path, segment_bytes: u64, model: &AssociationModel) -> io::Result<WalStore> {
+    pub fn create(
+        dir: &Path,
+        segment_bytes: u64,
+        model: &AssociationModel,
+    ) -> io::Result<WalStore> {
         fs::create_dir_all(dir)?;
         if max_checkpoint_seq(dir)?.is_some() {
             return Err(io::Error::new(
@@ -317,7 +321,8 @@ impl Drop for WalStore {
 /// of consecutive advances as one batch. See the module docs for the
 /// exact tolerance/corruption contract.
 pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverError> {
-    let seq = max_checkpoint_seq(dir)?.ok_or_else(|| RecoverError::NoCheckpoint(dir.to_path_buf()))?;
+    let seq =
+        max_checkpoint_seq(dir)?.ok_or_else(|| RecoverError::NoCheckpoint(dir.to_path_buf()))?;
     let ckpt_path = checkpoint_path(dir, seq);
     let bytes = fs::read(&ckpt_path)?;
     let (db, cfg, checkpoint_epoch) = decode_checkpoint(&bytes, &ckpt_path)?;
@@ -336,7 +341,10 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
             return Err(corrupt(
                 &seg_path,
                 8,
-                format!("segment header seq {} does not match filename seq {seq}", tail.seq),
+                format!(
+                    "segment header seq {} does not match filename seq {seq}",
+                    tail.seq
+                ),
             ));
         }
         // Observations of consecutive advance records, replayed as one
@@ -452,11 +460,18 @@ impl<'a> TailReader<'a> {
             return Err(corrupt(
                 self.path,
                 self.pos as u64,
-                format!("record checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"),
+                format!(
+                    "record checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+                ),
             ));
         }
-        let record = decode_payload(payload)
-            .ok_or_else(|| corrupt(self.path, self.pos as u64, "malformed record payload".into()))?;
+        let record = decode_payload(payload).ok_or_else(|| {
+            corrupt(
+                self.path,
+                self.pos as u64,
+                "malformed record payload".into(),
+            )
+        })?;
         self.pos += total;
         Ok(Some(record))
     }
@@ -530,7 +545,11 @@ fn decode_checkpoint(
     path: &Path,
 ) -> Result<(Database, ModelConfig, u64), RecoverError> {
     if bytes.len() < CKPT_MAGIC.len() + 8 {
-        return Err(corrupt(path, 0, "checkpoint shorter than its header".into()));
+        return Err(corrupt(
+            path,
+            0,
+            "checkpoint shorter than its header".into(),
+        ));
     }
     if &bytes[..8] != CKPT_MAGIC {
         return Err(corrupt(path, 0, "bad checkpoint magic".into()));
@@ -542,23 +561,33 @@ fn decode_checkpoint(
         return Err(corrupt(
             path,
             (bytes.len() - 8) as u64,
-            format!("checkpoint checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"),
+            format!(
+                "checkpoint checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+            ),
         ));
     }
-    let mut c = Cursor { bytes: body, pos: 8 };
+    let mut c = Cursor {
+        bytes: body,
+        pos: 8,
+    };
     let fail = |c: &Cursor<'_>, what: &str| corrupt(path, c.pos as u64, what.into());
 
     let epoch = c.u64().ok_or_else(|| fail(&c, "truncated epoch"))?;
     let gamma_edge = f64::from_bits(c.u64().ok_or_else(|| fail(&c, "truncated gamma_edge"))?);
     let gamma_hyper = f64::from_bits(c.u64().ok_or_else(|| fail(&c, "truncated gamma_hyper"))?);
-    let with_hyperedges = c.u8().ok_or_else(|| fail(&c, "truncated with_hyperedges"))? != 0;
+    let with_hyperedges = c
+        .u8()
+        .ok_or_else(|| fail(&c, "truncated with_hyperedges"))?
+        != 0;
     let threads = c.u64().ok_or_else(|| fail(&c, "truncated threads"))? as usize;
     let simd = match c.u8().ok_or_else(|| fail(&c, "truncated simd"))? {
         0 => SimdPolicy::Auto,
         1 => SimdPolicy::ForceScalar,
         _ => return Err(fail(&c, "unknown simd tag")),
     };
-    let tensor_tag = c.u8().ok_or_else(|| fail(&c, "truncated tensor budget tag"))?;
+    let tensor_tag = c
+        .u8()
+        .ok_or_else(|| fail(&c, "truncated tensor budget tag"))?;
     let tensor_bytes = c.u64().ok_or_else(|| fail(&c, "truncated tensor budget"))?;
     let triple_tensor_max_bytes = match tensor_tag {
         0 => None,
@@ -581,7 +610,9 @@ fn decode_checkpoint(
     }
     let mut columns = Vec::with_capacity(num_attrs);
     for _ in 0..num_attrs {
-        let col = c.take(num_obs).ok_or_else(|| fail(&c, "truncated column"))?;
+        let col = c
+            .take(num_obs)
+            .ok_or_else(|| fail(&c, "truncated column"))?;
         columns.push(col.to_vec());
     }
     if c.pos != body.len() {
@@ -636,7 +667,10 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut c = Cursor { bytes: payload, pos: 0 };
+    let mut c = Cursor {
+        bytes: payload,
+        pos: 0,
+    };
     let record = match c.u8()? {
         TAG_ADVANCE => {
             let n = c.u32()? as usize;
@@ -767,12 +801,8 @@ mod tests {
         let x: Vec<Value> = (0..300).map(|i| (i % 3 + 1) as Value).collect();
         let y: Vec<Value> = (0..300).map(|i| ((i / 5) % 3 + 1) as Value).collect();
         let z: Vec<Value> = (0..300).map(|i| ((i / 7) % 3 + 1) as Value).collect();
-        let d = Database::from_columns(
-            vec!["x".into(), "y".into(), "z".into()],
-            3,
-            vec![x, y, z],
-        )
-        .unwrap();
+        let d = Database::from_columns(vec!["x".into(), "y".into(), "z".into()], 3, vec![x, y, z])
+            .unwrap();
         let model =
             AssociationModel::build(&d.slice_obs(0..window), &ModelConfig::default()).unwrap();
         (d, model)
@@ -783,7 +813,8 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hypermine-store-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("hypermine-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -872,7 +903,10 @@ mod tests {
             .advance_batch(&[row_at(&d, 110), row_at(&d, 111)])
             .unwrap();
         store
-            .append(&WalRecord::AdvanceBatch(vec![row_at(&d, 110), row_at(&d, 111)]))
+            .append(&WalRecord::AdvanceBatch(vec![
+                row_at(&d, 110),
+                row_at(&d, 111),
+            ]))
             .unwrap();
         model.retire_oldest().unwrap();
         store.append(&WalRecord::Retire).unwrap();
@@ -885,7 +919,10 @@ mod tests {
             .advance_batch(&[row_at(&d, 116), row_at(&d, 117)])
             .unwrap();
         store
-            .append(&WalRecord::AdvanceBatch(vec![row_at(&d, 116), row_at(&d, 117)]))
+            .append(&WalRecord::AdvanceBatch(vec![
+                row_at(&d, 116),
+                row_at(&d, 117),
+            ]))
             .unwrap();
         drop(store);
 

@@ -49,8 +49,8 @@ pub fn measure_qps(
     duration: Duration,
 ) -> QpsRun {
     assert!(readers >= 1, "at least one reader");
-    let model = AssociationModel::build(feed.initial(), model_cfg)
-        .expect("feed configs use valid gammas");
+    let model =
+        AssociationModel::build(feed.initial(), model_cfg).expect("feed configs use valid gammas");
     let n = feed.initial().num_attrs();
     let host = ServeHost::spawn(ModelServer::new(model, spec.clone()), 4);
     let stop = AtomicBool::new(false);

@@ -132,7 +132,10 @@ mod tests {
         let snap = reader.load();
         assert_eq!(snap.epoch(), 2);
         assert_eq!(snap.database().num_obs(), 99);
-        assert_eq!(snap.graph().num_edges(), server.model().hypergraph().num_edges());
+        assert_eq!(
+            snap.graph().num_edges(),
+            server.model().hypergraph().num_edges()
+        );
     }
 
     #[test]

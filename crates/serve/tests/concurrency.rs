@@ -190,8 +190,7 @@ fn concurrent_readers_see_monotone_untorn_bit_identical_epochs() {
 fn host_keeps_epochs_monotone_across_mixed_commands() {
     const WINDOW: usize = 60;
     let d = stream_db(WINDOW + 30);
-    let model =
-        AssociationModel::build(&d.slice_obs(0..WINDOW), &ModelConfig::default()).unwrap();
+    let model = AssociationModel::build(&d.slice_obs(0..WINDOW), &ModelConfig::default()).unwrap();
     let host = ServeHost::spawn(ModelServer::new(model, SnapshotSpec::default()), 4);
 
     let done = AtomicBool::new(false);
@@ -270,8 +269,8 @@ fn readers_on_a_recovered_host_resume_monotone_digest_valid_epochs() {
     let stats = host.shutdown();
     assert_eq!(stats.wal_records, BEFORE_CRASH as u64);
 
-    let (host, info) = ServeHost::recover(&dir, SnapshotSpec::default(), HostOptions::queue(4))
-        .expect("recover");
+    let (host, info) =
+        ServeHost::recover(&dir, SnapshotSpec::default(), HostOptions::queue(4)).expect("recover");
     assert_eq!(info.epoch, BEFORE_CRASH as u64);
     assert_eq!(host.health(), HostHealth::Healthy);
 

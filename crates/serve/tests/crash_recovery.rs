@@ -35,8 +35,12 @@ const SEGMENT_BYTES: u64 = 256;
 
 fn stream_db() -> Database {
     let x: Vec<Value> = (0..SOURCE_ROWS).map(|i| (i % 3 + 1) as Value).collect();
-    let y: Vec<Value> = (0..SOURCE_ROWS).map(|i| ((i / 5) % 3 + 1) as Value).collect();
-    let z: Vec<Value> = (0..SOURCE_ROWS).map(|i| ((i / 7) % 3 + 1) as Value).collect();
+    let y: Vec<Value> = (0..SOURCE_ROWS)
+        .map(|i| ((i / 5) % 3 + 1) as Value)
+        .collect();
+    let z: Vec<Value> = (0..SOURCE_ROWS)
+        .map(|i| ((i / 7) % 3 + 1) as Value)
+        .collect();
     let w: Vec<Value> = (0..SOURCE_ROWS)
         .map(|i| ((i * 2 + i / 11) % 3 + 1) as Value)
         .collect();
@@ -179,11 +183,7 @@ fn recovery_is_bit_identical_at_every_kill_point() {
         let ckpt = format!("checkpoint-{seq:08}.bin");
         fs::copy(live_dir.join(&ckpt), crash_dir.join(&ckpt)).unwrap();
         let segment = segment_bytes_of(seq);
-        fs::write(
-            crash_dir.join(format!("wal-{seq:08}.log")),
-            &segment[..cut],
-        )
-        .unwrap();
+        fs::write(crash_dir.join(format!("wal-{seq:08}.log")), &segment[..cut]).unwrap();
 
         let (recovered, info) = store::recover(&crash_dir).expect("recovery");
         assert_eq!(

@@ -65,12 +65,7 @@ fn db() -> Database {
         .map(|(i, &v)| if i % 10 == 0 { (v % 3) + 1 } else { v })
         .collect();
     let z: Vec<Value> = (0..120).map(|i| ((i / 7) % 3 + 1) as Value).collect();
-    Database::from_columns(
-        vec!["x".into(), "y".into(), "z".into()],
-        3,
-        vec![x, y, z],
-    )
-    .unwrap()
+    Database::from_columns(vec!["x".into(), "y".into(), "z".into()], 3, vec![x, y, z]).unwrap()
 }
 
 /// The reader query mix, `rounds` times over every attribute in turn:

@@ -79,17 +79,17 @@ fn main() {
             .iter()
             .map(|&a| model.attr_name(a))
             .collect();
-        println!("  cluster around {}: {:?}", model.attr_name(*center), members);
+        println!(
+            "  cluster around {}: {:?}",
+            model.attr_name(*center),
+            members
+        );
     }
 
     // Chapter 6 problem (2): knowing a leading subset of genes, predict the
     // expression values of the rest.
     let nodes: Vec<NodeId> = model.attrs().map(node_of).collect();
-    let dom = set_cover_adaptation(
-        model.hypergraph(),
-        &nodes,
-        &SetCoverOptions::default(),
-    );
+    let dom = set_cover_adaptation(model.hypergraph(), &nodes, &SetCoverOptions::default());
     let measured: Vec<AttrId> = dom.dominator.iter().map(|&n| attr_of(n)).collect();
     if measured.is_empty() {
         println!("\nno leading genes found at this toy scale");

@@ -9,8 +9,8 @@
 //! associations, leading indicators, and value prediction.
 
 use hypermine::core::{
-    attr_of, dominating_adaptation, node_of, AssociationClassifier, AssociationModel,
-    ModelConfig, StopRule,
+    attr_of, dominating_adaptation, node_of, AssociationClassifier, AssociationModel, ModelConfig,
+    StopRule,
 };
 use hypermine::data::AttrId;
 use hypermine::market::{discretize_market, Market, SimConfig, Universe};

@@ -101,11 +101,7 @@ fn main() {
         let entered = new_dom.iter().filter(|v| !dom.contains(v)).count();
         let left = dom.iter().filter(|v| !new_dom.contains(v)).count();
         if (day - WINDOW + 1) % 21 == 0 {
-            let names: Vec<&str> = new_dom
-                .iter()
-                .take(6)
-                .map(|&a| snap.attr_name(a))
-                .collect();
+            let names: Vec<&str> = new_dom.iter().take(6).map(|&a| snap.attr_name(a)).collect();
             println!(
                 "day {day:>4}: epoch {:>3}, {} edges, |Dom| {} (+{entered}/-{left} today, \
                  {:.0}% covered), covering {}…",
@@ -136,10 +132,11 @@ fn main() {
         assert_eq!(e.head(), o.head());
         assert_eq!(e.weight().to_bits(), o.weight().to_bits());
     }
-    assert!(snap.verify_digest(), "published snapshot is internally consistent");
-    println!(
-        "\nserved snapshot verified bit-identical to a batch rebuild of the final window"
+    assert!(
+        snap.verify_digest(),
+        "published snapshot is internally consistent"
     );
+    println!("\nserved snapshot verified bit-identical to a batch rebuild of the final window");
     let total: f64 = slide_ms.iter().sum();
     let mean = total / slide_ms.len() as f64;
     let mut sorted = slide_ms.clone();

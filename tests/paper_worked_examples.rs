@@ -142,7 +142,10 @@ fn chapter_6_gene_clusters() {
     assert_eq!(
         rendered,
         vec![
-            ("G1".to_string(), vec!["G1".into(), "G3".into(), "G4".into()]),
+            (
+                "G1".to_string(),
+                vec!["G1".into(), "G3".into(), "G4".into()]
+            ),
             ("G2".to_string(), vec!["G2".into()]),
         ]
     );
@@ -165,7 +168,12 @@ fn chapter_6_gene_expression_prediction() {
     let mut predicted = Vec::new();
     for t in model.attrs().filter(|t| !measured.contains(t)) {
         if let Some(p) = clf.predict(&values, t) {
-            assert_eq!(p.value, db.value(t, 0), "prediction for {}", model.attr_name(t));
+            assert_eq!(
+                p.value,
+                db.value(t, 0),
+                "prediction for {}",
+                model.attr_name(t)
+            );
             assert!((p.confidence - 1.0).abs() < 1e-12);
             predicted.push((model.attr_name(t).to_string(), p.value));
         }

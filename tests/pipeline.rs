@@ -37,7 +37,11 @@ fn full_pipeline_beats_chance_out_of_sample() {
     let nodes: Vec<NodeId> = model.attrs().map(node_of).collect();
     let dom = dominating_adaptation(filtered.hypergraph(), &nodes, StopRule::NoCrossGain);
     assert!(!dom.dominator.is_empty());
-    assert!(dom.percent_covered() > 0.5, "coverage {}", dom.percent_covered());
+    assert!(
+        dom.percent_covered() > 0.5,
+        "coverage {}",
+        dom.percent_covered()
+    );
 
     let dominator: Vec<AttrId> = dom.dominator.iter().map(|&n| attr_of(n)).collect();
     let targets: Vec<AttrId> = model.attrs().filter(|a| !dominator.contains(a)).collect();
@@ -58,8 +62,7 @@ fn both_dominator_algorithms_agree_on_validity() {
 
     for dominator in [
         dominating_adaptation(filtered.hypergraph(), &nodes, StopRule::NoCrossGain).dominator,
-        set_cover_adaptation(filtered.hypergraph(), &nodes, &SetCoverOptions::default())
-            .dominator,
+        set_cover_adaptation(filtered.hypergraph(), &nodes, &SetCoverOptions::default()).dominator,
     ] {
         assert!(!dominator.is_empty());
         // Whatever each algorithm marked covered really is dominated.

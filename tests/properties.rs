@@ -22,18 +22,12 @@ use proptest::prelude::*;
 /// Strategy: a small random database (2..=5 attrs, 5..=60 obs, k in 2..=4).
 fn small_db() -> impl Strategy<Value = Database> {
     (2usize..=5, 5usize..=60, 2u8..=4).prop_flat_map(|(n_attrs, n_obs, k)| {
-        proptest::collection::vec(
-            proptest::collection::vec(1..=k, n_obs),
-            n_attrs,
+        proptest::collection::vec(proptest::collection::vec(1..=k, n_obs), n_attrs).prop_map(
+            move |cols| {
+                Database::from_columns((0..cols.len()).map(|i| format!("A{i}")).collect(), k, cols)
+                    .expect("generated values are in range")
+            },
         )
-        .prop_map(move |cols| {
-            Database::from_columns(
-                (0..cols.len()).map(|i| format!("A{i}")).collect(),
-                k,
-                cols,
-            )
-            .expect("generated values are in range")
-        })
     })
 }
 

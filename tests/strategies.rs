@@ -19,10 +19,7 @@ fn db_with_k() -> impl Strategy<Value = Database> {
     (2usize..=5, 5usize..=60, 0usize..4).prop_flat_map(|(n_attrs, n_obs, k_idx)| {
         let k = [2u8, 3, 5, 8][k_idx];
         (
-            proptest::collection::vec(
-                proptest::collection::vec(1..=k, n_obs),
-                n_attrs,
-            ),
+            proptest::collection::vec(proptest::collection::vec(1..=k, n_obs), n_attrs),
             proptest::collection::vec(0u8..4, n_attrs),
         )
             .prop_map(move |(mut cols, const_mask)| {
@@ -32,12 +29,8 @@ fn db_with_k() -> impl Strategy<Value = Database> {
                         col.fill(v);
                     }
                 }
-                Database::from_columns(
-                    (0..cols.len()).map(|i| format!("A{i}")).collect(),
-                    k,
-                    cols,
-                )
-                .expect("generated values are in range")
+                Database::from_columns((0..cols.len()).map(|i| format!("A{i}")).collect(), k, cols)
+                    .expect("generated values are in range")
             })
     })
 }
@@ -205,12 +198,8 @@ fn all_constant_columns_are_bit_identical_across_strategies() {
         let cols: Vec<Vec<u8>> = (0..n_attrs)
             .map(|a| vec![(a % k as usize + 1) as u8; 30])
             .collect();
-        let db = Database::from_columns(
-            (0..n_attrs).map(|i| format!("A{i}")).collect(),
-            k,
-            cols,
-        )
-        .unwrap();
+        let db = Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), k, cols)
+            .unwrap();
         // Cross-check the sweeps against the naive recount directly (the
         // model keeps no edges here — constant heads have baseline 1).
         let engine = CountingEngine::new(&db);
@@ -270,12 +259,8 @@ fn wide_attribute_fixture_is_bit_identical_across_strategies() {
                 .collect()
         })
         .collect();
-    let db = Database::from_columns(
-        (0..n_attrs).map(|i| format!("A{i}")).collect(),
-        k,
-        cols,
-    )
-    .unwrap();
+    let db =
+        Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), k, cols).unwrap();
     let cfg = ModelConfig {
         gamma_edge: 1.3,
         gamma_hyper: 1.25,
@@ -389,12 +374,7 @@ fn wide_fixture_db_k(n_attrs: usize, n_obs: usize, k: u8) -> Database {
                 .collect()
         })
         .collect();
-    Database::from_columns(
-        (0..n_attrs).map(|i| format!("A{i}")).collect(),
-        k,
-        cols,
-    )
-    .unwrap()
+    Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), k, cols).unwrap()
 }
 
 /// SIMD bit-identity matrix: models built under `SimdPolicy::Auto`
@@ -467,7 +447,10 @@ fn simd_policies_agree_at_the_wide_fixture_width() {
                     .collect::<Vec<u64>>(),
             );
         }
-        assert_eq!(per_policy[1], per_policy[0], "pass 1 tail {t:?}, Auto vs ForceScalar");
+        assert_eq!(
+            per_policy[1], per_policy[0],
+            "pass 1 tail {t:?}, Auto vs ForceScalar"
+        );
         for (&h, &bits) in probe.iter().zip(&per_policy[0]) {
             let naive = engines[0].naive_table(&[t], h).acv();
             assert_eq!(bits, naive.to_bits(), "pass 1 {t:?} -> {h:?} vs naive");
@@ -513,18 +496,10 @@ fn pass_1_edge_ids_are_deterministic_across_thread_counts() {
     let n_attrs = 9;
     let n_obs = 120;
     let cols: Vec<Vec<u8>> = (0..n_attrs)
-        .map(|a| {
-            (0..n_obs)
-                .map(|o| ((o + a / 3) % 3 + 1) as u8)
-                .collect()
-        })
+        .map(|a| (0..n_obs).map(|o| ((o + a / 3) % 3 + 1) as u8).collect())
         .collect();
-    let db = Database::from_columns(
-        (0..n_attrs).map(|i| format!("A{i}")).collect(),
-        3,
-        cols,
-    )
-    .unwrap();
+    let db =
+        Database::from_columns((0..n_attrs).map(|i| format!("A{i}")).collect(), 3, cols).unwrap();
     let cfg = ModelConfig {
         with_hyperedges: false, // isolate pass 1
         ..ModelConfig::default()
@@ -782,7 +757,11 @@ fn fallback_recounts_are_bit_identical_on_rows_past_255() {
             for a in 0..n {
                 let v = if a % 3 == 2 {
                     let agree = row[a - 2] == row[a - 1];
-                    if agree != draw(2) { 1 } else { 2 }
+                    if agree != draw(2) {
+                        1
+                    } else {
+                        2
+                    }
                 } else if draw(90) {
                     1
                 } else {
@@ -797,7 +776,10 @@ fn fallback_recounts_are_bit_identical_on_rows_past_255() {
         .iter()
         .filter(|r| r[0] == 1 && r[1] == 1)
         .count();
-    assert!(big_row > 255, "pair (0, 1) row (1, 1) holds {big_row} observations");
+    assert!(
+        big_row > 255,
+        "pair (0, 1) row (1, 1) holds {big_row} observations"
+    );
     let base = ModelConfig::default();
     check_fallback_stream(&rows, k, window, &base, "n=33 k=2 rows past 255");
 }

@@ -264,9 +264,8 @@ fn long_structured_stream_stays_identical() {
         model.advance(&rows[window + step]).unwrap();
         // Check a batch rebuild every few slides (and always at the end).
         if step % 5 == 4 || step == len - window - 1 {
-            let batch =
-                AssociationModel::build(&full.slice_obs(step + 1..step + 1 + window), &cfg)
-                    .unwrap();
+            let batch = AssociationModel::build(&full.slice_obs(step + 1..step + 1 + window), &cfg)
+                .unwrap();
             assert_identical(&model, &batch, &format!("C2 step {step}"));
         }
     }
@@ -384,7 +383,11 @@ fn tensor_budget_override_switches_paths_identically() {
         let stats = model.incremental_stats().expect("state built");
         // n = 4, k = 4: the tensor costs 6·16·4·4·2 = 3 KB — within the
         // default budget, excluded by Some(0).
-        assert_eq!(stats.uses_triple_tensor, budget != Some(0), "budget {budget:?}");
+        assert_eq!(
+            stats.uses_triple_tensor,
+            budget != Some(0),
+            "budget {budget:?}"
+        );
         assert_eq!(stats.triple_tensor_bytes > 0, budget != Some(0));
         models.push(model);
     }
