@@ -32,7 +32,9 @@
 //! writer slides the window — the `hypermine-serve` concurrency
 //! story), plus a **durability section** (mean publish latency through
 //! the serve host with the observation WAL on vs off — the measured
-//! cost of crash safety, informational rather than gated) and an
+//! cost of crash safety, informational — and a `recovery` entry:
+//! `store::recover` of the WAL-on run's store next to a `restore` of
+//! the window it recovers, with the recovery's `phases_ms`) and an
 //! **ablations section** (the paper's design choices against their
 //! alternatives on the `perf_construction` k = 3 window: bitset vs
 //! naive association tables, Algorithm 6 with Enhancements 1/2 off,
@@ -53,8 +55,10 @@
 //! batch speedup
 //! drops below 1.3× (the single slides it is compared against sped up
 //! post-SIMD), if a default-spec publish costs more than 3.09× a slide
-//! at k = 3, 7.40× at k = 5 or 15.0× at k = 8, if the stages of a
-//! reported publish or slide sum to less
+//! at k = 3, 7.40× at k = 5 or 15.0× at k = 8, if the durability
+//! section's recovery costs more than `RECOVER_RATIO_LIMIT` times the
+//! same run's restore of the recovered window, if the stages of a
+//! reported publish, slide or recovery sum to less
 //! than 95% of its wall time, if any slide entry (`inc-slide`,
 //! `inc-slide-fallback`, `batch-slide`, `wide500-slide`) is slower than
 //! the same run's rebuild of its window, if reader throughput fails to
@@ -75,9 +79,10 @@
 //! under a deliberately oversubscribed reader count is far too
 //! machine-shaped to gate on absolute numbers; only the same-machine
 //! 1 → 8 scaling ratio is gated. Publish entries carry `"publish_ms"`,
-//! fallback slides `"slide_ms"` and ablations `"ablation_ms"` for the
-//! same reason: their numbers are same-run ratios, and leaving them out
-//! keeps the committed baseline valid.
+//! fallback slides `"slide_ms"`, the recovery `"recover_ms"` and
+//! ablations `"ablation_ms"` for the same reason: their numbers are
+//! same-run ratios, and leaving them out keeps the committed baseline
+//! valid.
 //!
 //! Every fixture's universe dimensions, seed, k sweep, and γ settings
 //! come from the scenario registry
@@ -129,8 +134,8 @@ use hypermine_core::{
 use hypermine_experiments::registry::{find, RunScale, ScenarioSpec};
 use hypermine_market::discretize_market;
 use hypermine_serve::{
-    measure_qps, DurabilityOptions, FeedConfig, HostOptions, MarketFeed, ModelServer,
-    ModelSnapshot, PublishLaps, QpsRun, ServeHost, SnapshotSpec,
+    measure_qps, store, DurabilityOptions, FeedConfig, HostOptions, MarketFeed, ModelServer,
+    ModelSnapshot, PublishLaps, QpsRun, RecoverLaps, ServeHost, SnapshotSpec,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -200,6 +205,25 @@ const SERVE_MS: u64 = 500;
 /// out of the calibrated timing gate — the number is informational (the
 /// cost of crash safety), not a gated floor.
 const DURABILITY_SLIDES: usize = 64;
+
+/// Recovery ceiling: `store::recover` of the durability section's
+/// WAL-on store (a checkpoint plus `DURABILITY_SLIDES` records) may cost
+/// at most this multiple of the same run's `AssociationModel::restore`
+/// of the window it recovers. Recovery folds the log into the
+/// checkpoint's window and restores once, so the ratio is one build
+/// plus reading and folding the store. Over ten `--only
+/// construction,incremental,durability` runs on a 2-vCPU AVX2 host it
+/// measured 0.82–1.42× (the two builds are ~0.4 ms each, so the spread
+/// is mostly thread scheduling); the ceiling is 1.5× the largest.
+/// Replaying each record through the incremental engine instead, as
+/// recovery once did, measured 4.2–8.6× on the same fixture (fifteen
+/// runs).
+const RECOVER_RATIO_LIMIT: f64 = 2.13;
+
+/// Best-of runs per recovery entry timing. A recovery of the serve
+/// fixture's store takes about a millisecond, so more runs than
+/// [`RUNS`] cost nothing and steady the ratio.
+const RECOVERY_RUNS: usize = 15;
 
 /// Worker-thread counts for the construction and wide240 sections. The
 /// single-thread entry keeps the bare label (so old baselines keep
@@ -390,6 +414,48 @@ fn best_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
     }
     (best, out)
+}
+
+/// Times `store::recover` of the store under `dir` and, beside it, an
+/// `AssociationModel::restore` of the window it recovers, best of
+/// [`RECOVERY_RUNS`] each. Returns the JSON entry, the recover/restore
+/// ratio and the share of the recovery's wall time its phases cover.
+fn recovery_entry(dir: &std::path::Path, k: u8) -> (String, f64, f64) {
+    // `best_ms` keeps the fastest wall time; keep the smallest phase
+    // total beside it. Both are minima over the calls, so their quotient
+    // cannot exceed 1, and it falls when work escapes the phases.
+    let mut fastest: Option<RecoverLaps> = None;
+    let (recover_ms, (model, info)) = best_ms(RECOVERY_RUNS, || {
+        let out = store::recover(dir).expect("the run's own store recovers");
+        let laps = out.1.phases;
+        if fastest.is_none_or(|f| laps.total_nanos() < f.total_nanos()) {
+            fastest = Some(laps);
+        }
+        out
+    });
+    let (restore_ms, _) = best_ms(RECOVERY_RUNS, || {
+        AssociationModel::restore(model.database(), model.config(), info.epoch)
+            .expect("the recovered config is valid")
+    });
+    let laps = fastest.expect("best_ms calls its closure");
+    let ratio = recover_ms / restore_ms;
+    let cover = laps.total_nanos() as f64 / 1e6 / recover_ms;
+    let phases_ms = phases_json(&laps, 1);
+    eprintln!(
+        "durability recover: {recover_ms:.3} ms for {} records vs restore {restore_ms:.3} ms \
+         ({ratio:.2}x; phases {phases_ms}, {:.1}% of the wall time)",
+        info.replayed,
+        cover * 100.0
+    );
+    let entry = format!(
+        "{{\"k\": {k}, \"recover_ms\": {recover_ms:.3}, \"restore_ms\": {restore_ms:.3}, \
+         \"ratio\": {ratio:.3}, \"replayed\": {}, \"epoch\": {}, \"phases_ms\": {{{phases_ms}}}, \
+         \"phases_cover\": {cover:.4}, \"simd\": \"{}\"}}",
+        info.replayed,
+        info.epoch,
+        model.simd_level()
+    );
+    (entry, ratio, cover)
 }
 
 /// Times one steady-state advance per row (or one `advance_batch` per
@@ -1067,8 +1133,10 @@ fn main() {
     // safety. A queue of 1 makes `advance` effectively synchronous, so
     // the wall clock over the run is the writer's per-publish work
     // (apply + snapshot build, plus append on the durable run).
+    let mut recover_ratio: Option<f64> = None;
     if let (true, Some(serve_feed)) = (args.runs(Section::Durability), &serve_feed) {
         let mut durability_entries = String::new();
+        let mut recovery = String::new();
         for wal_on in [false, true] {
             let model = AssociationModel::build(serve_feed.initial(), &serve_model_cfg)
                 .expect("valid gammas");
@@ -1096,6 +1164,11 @@ fn main() {
             let stats = host.shutdown();
             let micros = start.elapsed().as_secs_f64() * 1e6 / DURABILITY_SLIDES as f64;
             if let Some(dir) = &wal_dir {
+                // Recovery only reads the store the run just wrote.
+                let (entry, ratio, cover) = recovery_entry(dir, serve_feed_cfg.k);
+                recovery = entry;
+                recover_ratio = Some(ratio);
+                phase_covers.push(("recover".to_string(), serve_feed_cfg.k, cover));
                 let _ = std::fs::remove_dir_all(dir);
             }
             eprintln!(
@@ -1117,7 +1190,7 @@ fn main() {
         }
         sections.push(format!(
             "  \"durability\": {{\"slides\": {DURABILITY_SLIDES}, \
-             \"entries\": [\n{durability_entries}\n  ]}}"
+             \"entries\": [\n{durability_entries}\n  ],\n  \"recovery\": {recovery}}}"
         ));
     }
 
@@ -1293,13 +1366,13 @@ fn main() {
     }
     if phase_covers.is_empty() {
         eprintln!(
-            "phase-cover and slide <= rebuild gates skipped: sections incremental and \
-             wide500 not selected"
+            "phase-cover and slide <= rebuild gates skipped: sections incremental, \
+             wide500 and durability not selected"
         );
     } else {
-        // Phase-coverage gate: the phases of every reported publish and
-        // slide must account for its wall time, so untimed work cannot
-        // hide between them.
+        // Phase-coverage gate: the phases of every reported publish,
+        // slide and recovery must account for its wall time, so untimed
+        // work cannot hide between them.
         for (label, k, cover) in &phase_covers {
             if *cover < PHASE_COVER_FLOOR {
                 eprintln!(
@@ -1311,7 +1384,8 @@ fn main() {
             }
         }
         eprintln!(
-            "phase gate: phases cover >= {:.0}% of every reported publish and slide",
+            "phase gate: phases cover >= {:.0}% of every reported publish, slide and \
+             recovery",
             PHASE_COVER_FLOOR * 100.0
         );
         // Slide gate: a slide (or a batch of slides) slower than a
@@ -1327,6 +1401,21 @@ fn main() {
             }
             eprintln!("slide gate: {label} k={k} {slide_ms:.3} ms <= rebuild {rebuild_ms:.3} ms");
         }
+    }
+    // Recovery gate: a same-run ratio like the publish gates. Replaying
+    // the log through the incremental engine instead of folding it
+    // costs a state build plus the slides on top of the restore.
+    if let Some(ratio) = recover_ratio {
+        if ratio > RECOVER_RATIO_LIMIT {
+            eprintln!(
+                "recovery costs {ratio:.2}x a restore of the recovered window, above the \
+                 {RECOVER_RATIO_LIMIT}x ceiling"
+            );
+            std::process::exit(1);
+        }
+        eprintln!("recovery gate: recover {ratio:.2}x a restore <= {RECOVER_RATIO_LIMIT}x");
+    } else {
+        skipped("recovery", Section::Durability);
     }
     // Serve scaling gate: aggregate reader throughput must grow
     // with reader threads during live slides. A same-machine ratio

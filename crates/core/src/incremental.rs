@@ -101,6 +101,79 @@ impl fmt::Display for AdvanceError {
 
 impl std::error::Error for AdvanceError {}
 
+/// The shape of an observation window — attributes, observations and
+/// the value domain `1..=k` — and the rules a slide must obey on it.
+/// [`AssociationModel::advance`], [`AssociationModel::advance_batch`]
+/// and [`AssociationModel::retire_oldest`] check their input against
+/// the window's shape before touching anything; a replay that folds
+/// logged slides into a window without running them (`hypermine-serve`'s
+/// recovery) checks each record against the shape folded so far, so
+/// both reject exactly the same records.
+///
+/// [`AssociationModel::advance`]: crate::AssociationModel::advance
+/// [`AssociationModel::advance_batch`]: crate::AssociationModel::advance_batch
+/// [`AssociationModel::retire_oldest`]: crate::AssociationModel::retire_oldest
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowShape {
+    /// Values per observation (`n`).
+    pub attrs: usize,
+    /// Observations in the window (`m`).
+    pub obs: usize,
+    /// The value-domain size `k`.
+    pub k: Value,
+}
+
+impl WindowShape {
+    /// The shape of `db`'s window.
+    pub fn of(db: &Database) -> Self {
+        WindowShape {
+            attrs: db.num_attrs(),
+            obs: db.num_obs(),
+            k: db.k(),
+        }
+    }
+
+    /// Checks `rows` (oldest first) for sliding into the window, which
+    /// keeps its shape. An empty batch is a no-op and always passes.
+    /// Otherwise the window must hold an attribute and an observation
+    /// ([`AdvanceError::EmptyModel`]), and every row one value per
+    /// attribute, each in `1..=k`; the first offending row is reported.
+    pub fn check_advance<R: AsRef<[Value]>>(&self, rows: &[R]) -> Result<(), AdvanceError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        if self.attrs == 0 || self.obs == 0 {
+            return Err(AdvanceError::EmptyModel);
+        }
+        for row in rows {
+            let row = row.as_ref();
+            if row.len() != self.attrs {
+                return Err(AdvanceError::ArityMismatch {
+                    expected: self.attrs,
+                    got: row.len(),
+                });
+            }
+            if let Some((attr, &value)) =
+                row.iter().enumerate().find(|&(_, &v)| v == 0 || v > self.k)
+            {
+                return Err(AdvanceError::ValueOutOfRange { attr, value });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks one retirement of the oldest observation, which shrinks the
+    /// window by one: a model cannot cover an empty window, so at least
+    /// two observations (and an attribute) must be there
+    /// ([`AdvanceError::EmptyModel`]).
+    pub fn check_retire(&self) -> Result<(), AdvanceError> {
+        if self.attrs == 0 || self.obs <= 1 {
+            return Err(AdvanceError::EmptyModel);
+        }
+        Ok(())
+    }
+}
+
 /// Default memory budget for the optional triple-count tensor
 /// (`n·(n−1)/2 · k³ · n` u16 counters), overridable per model via
 /// `ModelConfig::triple_tensor_max_bytes`. 32 MB covers the paper's
@@ -122,9 +195,9 @@ const TRIPLE_TENSOR_MAX_BYTES: usize = 32 << 20;
 /// [`AssociationModel::advance_phases`]: crate::AssociationModel::advance_phases
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePhase {
-    /// Input validation and per-observation window maintenance: the
-    /// slot-indexed index and code-matrix mirrors, the value counts and
-    /// the model's training database.
+    /// Per-observation window maintenance: the slot-indexed index and
+    /// code-matrix mirrors, the value counts and the model's training
+    /// database.
     Window,
     /// The pass-1 joint counts and the pass-2 numerators `S₂`: the
     /// triple-tensor cell updates, or the fallback's pair row recounts.
@@ -287,13 +360,14 @@ impl IncrementalState {
     /// Builds the counting state over `db`, treating it as a full window
     /// (capacity = `db.num_obs()`); one batch-grade counting pass, paid
     /// once per model.
-    pub(crate) fn new(db: &Database, cfg: &ModelConfig) -> Result<Self, AdvanceError> {
+    pub(crate) fn new(db: &Database, cfg: &ModelConfig) -> Self {
         let n = db.num_attrs();
         let m = db.num_obs();
         let k = db.k() as usize;
-        if n == 0 || m == 0 {
-            return Err(AdvanceError::EmptyModel);
-        }
+        debug_assert!(
+            n > 0 && m > 0,
+            "WindowShape::check_advance rejects empty windows"
+        );
         // Initially logical order == slot order, so the batch-built
         // indexes are exactly the slot-indexed ones.
         let idx = ValueIndex::build(db);
@@ -421,7 +495,7 @@ impl IncrementalState {
             s2.extend_from_slice(&c.s2);
         }
 
-        Ok(IncrementalState {
+        IncrementalState {
             n,
             k,
             m,
@@ -445,7 +519,7 @@ impl IncrementalState {
             old_row: vec![0; n],
             laps: AdvanceLaps::default(),
             simd: cfg.simd.resolve(),
-        })
+        }
     }
 
     /// Per-stage wall time of the last successful advance call.
@@ -475,32 +549,13 @@ impl IncrementalState {
     /// over the accumulated dirty bits, and the single `splice_edges`
     /// diff — runs **once for the whole batch**, which is what makes a
     /// `d`-day advance markedly cheaper than `d` single slides while
-    /// staying bit-identical to them. All rows are validated up front —
-    /// a returned error means nothing changed. A successful call keeps
-    /// its per-stage wall time ([`IncrementalState::laps`]).
-    pub(crate) fn advance_many(
-        &mut self,
-        model: &mut AssociationModel,
-        rows: &[&[Value]],
-    ) -> Result<(), AdvanceError> {
+    /// staying bit-identical to them. The caller has checked the rows
+    /// ([`WindowShape::check_advance`]) and passes at least one. The
+    /// call keeps its per-stage wall time ([`IncrementalState::laps`]).
+    pub(crate) fn advance_many(&mut self, model: &mut AssociationModel, rows: &[&[Value]]) {
+        debug_assert!(!rows.is_empty());
         let mut timer = PhaseTimer::start();
-        let (n, k) = (self.n, self.k);
-        for new_obs in rows {
-            if new_obs.len() != n {
-                return Err(AdvanceError::ArityMismatch {
-                    expected: n,
-                    got: new_obs.len(),
-                });
-            }
-            for (attr, &v) in new_obs.iter().enumerate() {
-                if v == 0 || v as usize > k {
-                    return Err(AdvanceError::ValueOutOfRange { attr, value: v });
-                }
-            }
-        }
-        if rows.is_empty() {
-            return Ok(());
-        }
+        let n = self.n;
         // The S₂ dirty bits accumulate across the whole batch; one clear.
         if !self.s2.is_empty() {
             self.s2_dirty.clear();
@@ -545,7 +600,6 @@ impl IncrementalState {
         // splice for the whole batch's flipped candidates).
         self.refresh_graph(model, m, &mut timer);
         self.laps = timer.finish();
-        Ok(())
     }
 
     /// One observation's window maintenance — slides the slot-indexed

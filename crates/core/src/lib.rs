@@ -54,7 +54,7 @@ pub use classifier::{classify_targets, AssociationClassifier, ClassifierEval, Pr
 pub use config::{CountStrategy, GammaPreset, ModelConfig, WIDE_PRESET_ATTRS};
 pub use counting::{CountingEngine, HeadCounter, KernelPath, PairRows};
 pub use euclid::euclidean_similarity;
-pub use incremental::{AdvanceError, AdvanceLaps, AdvancePhase, IncrementalStats};
+pub use incremental::{AdvanceError, AdvanceLaps, AdvancePhase, IncrementalStats, WindowShape};
 pub use leading::{
     dominating_adaptation, is_dominator, set_cover_adaptation, set_cover_adaptation_filtered,
     DominatorResult, SetCoverOptions, StopRule,

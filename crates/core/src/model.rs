@@ -3,7 +3,7 @@
 use crate::builder;
 use crate::config::ModelConfig;
 use crate::counting::{acv_level, CountingEngine, KernelPath, PairRows};
-use crate::incremental::AdvanceError;
+use crate::incremental::{AdvanceError, WindowShape};
 use crate::simd::SimdLevel;
 use crate::table::AssociationTable;
 use hypermine_data::{AttrId, Database, Value};
@@ -235,12 +235,15 @@ impl AssociationModel {
     ///
     /// This is the recovery constructor for a durable serving layer
     /// (`hypermine-serve`'s checkpoint + WAL store): a checkpoint captures
-    /// the windowed database, the config, and the epoch; because `advance`
+    /// the windowed database, the config, and the epoch. Because `advance`
     /// / `advance_batch` / `retire_oldest` are bit-identical to batch
-    /// rebuilds of the slid window, `restore` + WAL replay reconstructs
-    /// the pre-crash model exactly — same edges, ids, ACVs, *and* epoch
-    /// numbering, so recovered snapshots keep the epoch clock monotone
-    /// across the crash.
+    /// rebuilds of the slid window, recovery folds the logged slides into
+    /// the checkpoint's window and restores once over the result, at the
+    /// folded epoch. That reconstructs the pre-crash model exactly — same
+    /// edges, ids, ACVs, *and* epoch numbering, so recovered snapshots
+    /// keep the epoch clock monotone across the crash. Like any build,
+    /// the restored model builds its incremental state on its first
+    /// [`AssociationModel::advance`].
     pub fn restore(db: &Database, cfg: &ModelConfig, epoch: u64) -> Result<Self, BuildError> {
         let mut model = Self::build(db, cfg)?;
         model.epoch = epoch;
@@ -293,9 +296,11 @@ impl AssociationModel {
         self.advance_rows(&rows)
     }
 
-    /// Shared advance machinery: lazily builds the incremental state and
-    /// applies one batch of slides through it.
+    /// Shared advance machinery: checks the rows against the window
+    /// ([`WindowShape::check_advance`]), lazily builds the incremental
+    /// state and applies one batch of slides through it.
     fn advance_rows(&mut self, rows: &[&[Value]]) -> Result<(), AdvanceError> {
+        WindowShape::of(&self.db).check_advance(rows)?;
         if rows.is_empty() {
             // A no-op either way; don't pay the state build for it.
             return Ok(());
@@ -304,14 +309,10 @@ impl AssociationModel {
             Some(state) => state,
             None => Box::new(crate::incremental::IncrementalState::new(
                 &self.db, &self.cfg,
-            )?),
+            )),
         };
-        // The state validates before mutating anything, so on a rejected
-        // row it is unchanged — keep it either way (rebuilding it costs
-        // a few batch builds).
-        let result = state.advance_many(self, rows);
+        state.advance_many(self, rows);
         self.incremental = Some(state);
-        result?;
         self.epoch += rows.len() as u64;
         Ok(())
     }
@@ -337,9 +338,7 @@ impl AssociationModel {
     /// remain — a model cannot cover an empty window. On an error nothing
     /// changes.
     pub fn retire_oldest(&mut self) -> Result<(), AdvanceError> {
-        if self.db.num_attrs() == 0 || self.db.num_obs() <= 1 {
-            return Err(AdvanceError::EmptyModel);
-        }
+        WindowShape::of(&self.db).check_retire()?;
         let shrunk = self.db.slice_obs(1..self.db.num_obs());
         let mut rebuilt = builder::build(&shrunk, &self.cfg);
         rebuilt.epoch = self.epoch + 1;

@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use hypermine_core::ModelConfig;
+use hypermine_core::{ModelConfig, Phase};
 use hypermine_serve::{
     measure_qps, DurabilityOptions, FeedConfig, HostOptions, MarketFeed, ModelServer, ServeHost,
     SnapshotSpec,
@@ -172,13 +172,19 @@ fn run_durable(feed: MarketFeed, dir: &PathBuf, recover: bool) {
                 std::process::exit(1);
             }
         };
+        let phases: Vec<String> = info
+            .phases
+            .iter()
+            .map(|(phase, ns)| format!("{} {:.1} ms", phase.name(), ns as f64 / 1e6))
+            .collect();
         println!(
-            "recovered from {}: checkpoint seq {} (epoch {}), {} records replayed{}, \
+            "recovered from {}: checkpoint seq {} (epoch {}), {} records replayed ({}){}, \
              resuming at epoch {}",
             dir.display(),
             info.seq,
             info.checkpoint_epoch,
             info.replayed,
+            phases.join(", "),
             if info.torn_tail {
                 ", torn final record discarded"
             } else {

@@ -247,9 +247,10 @@ impl ServeHost {
         Ok(Self::spawn_inner(server, options, store))
     }
 
-    /// Rebuilds a crashed durable host from `dir`: newest checkpoint +
-    /// WAL tail replay (see [`store::recover`] for the tolerance
-    /// contract), then continues durably in the same directory — a fresh
+    /// Rebuilds a crashed durable host from `dir`: the newest
+    /// checkpoint's window with the WAL tail folded in, built once (see
+    /// [`store::recover`] for the fold and the tolerance contract), then
+    /// continues durably in the same directory — a fresh
     /// checkpoint at the next segment sequence, pre-crash files
     /// untouched. The recovered model is bit-identical to the pre-crash
     /// writer at its last durable record; readers created from the

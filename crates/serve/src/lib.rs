@@ -32,8 +32,9 @@
 //! - **Crash safety + fault containment.** A durable host persists a
 //!   checksummed checkpoint of the windowed database + config and an
 //!   append-only observation WAL ([`store`]); [`ServeHost::recover`]
-//!   replays checkpoint + log tail into a model bit-identical to the
-//!   pre-crash writer at its last durable record. Writer panics are
+//!   folds the log tail into the checkpoint's window and builds once,
+//!   yielding a model bit-identical to the pre-crash writer at its last
+//!   durable record. Writer panics are
 //!   contained per command ([`HostHealth`], [`WriterStats`]), a full
 //!   queue's behavior is a policy ([`OverflowPolicy`]), and a
 //!   deterministic fault-injection harness (`faults`, behind the
@@ -80,6 +81,6 @@ pub use sim::{FeedConfig, MarketFeed};
 pub use snapshot::{
     ModelSnapshot, PublishLaps, PublishPhase, QueryScratch, SnapshotMemory, SnapshotSpec,
 };
-pub use store::{RecoverError, RecoveryInfo, WalRecord, WalStore};
+pub use store::{RecoverError, RecoverLaps, RecoverPhase, RecoveryInfo, WalRecord, WalStore};
 pub use throughput::{measure_qps, scaling_runs, QpsRun};
 pub use writer::ModelServer;

@@ -22,18 +22,25 @@
 //!   checkpoint first (via a temp file + atomic rename), so recovery only
 //!   ever replays the newest segment.
 //!
-//! [`recover`] loads the newest checkpoint, rebuilds the model via
-//! [`AssociationModel::restore`], and replays the paired segment tail.
-//! Each run of consecutive `Advance` / `AdvanceBatch` records replays
-//! as one `advance_batch` call (a `Retire` ends the run): the engine
-//! proves a batch bit-identical to its single advances, and a batch
-//! pays the γ re-test and the graph splice once instead of once per
-//! record. A **truncated final record** — the torn write of a crash
-//! mid-append — is tolerated and discarded; recovery then reflects the
-//! last fully durable record. Any other malformed byte (a checksum
-//! mismatch, a corrupt header, garbage mid-log) is a hard
-//! [`RecoverError`]: silently skipping it would serve a model that
-//! disagrees with what was acknowledged before the crash.
+//! [`recover`] loads the newest checkpoint and **folds** the paired
+//! segment's records into its window instead of running them through
+//! the model: each advanced row retires the oldest observation and
+//! appends itself, each `Retire` retires the oldest. The folded window
+//! is therefore the suffix of (checkpoint rows ++ logged rows) that
+//! follows every retirement, at the checkpoint's epoch plus one per
+//! row and per `Retire`. One [`AssociationModel::restore`] over it
+//! yields the writer's model, because the engine's slides are
+//! bit-identical to batch rebuilds of the slid window; recovery costs
+//! one build however long the tail. Each record is checked against the
+//! window folded so far with the live model's own rules
+//! ([`WindowShape`]), so a record the model would have rejected fails
+//! recovery as [`RecoverError::Replay`]. A **truncated final record** —
+//! the torn write of a crash mid-append — is tolerated and discarded;
+//! recovery then reflects the last fully durable record. Any other
+//! malformed byte (a checksum mismatch, a corrupt header, garbage
+//! mid-log) is a hard [`RecoverError`]: silently skipping it would
+//! serve a model that disagrees with what was acknowledged before the
+//! crash. Every recovery times its three phases ([`RecoverPhase`]).
 //!
 //! Durability granularity: each append is `write_all`'d to the segment
 //! file immediately (no userspace buffering), so state survives *process*
@@ -45,7 +52,10 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use hypermine_core::{AssociationModel, CountStrategy, ModelConfig, SimdPolicy};
+use hypermine_core::{
+    AdvanceError, AssociationModel, CountStrategy, ModelConfig, Phase, PhaseLaps, PhaseTimer,
+    SimdPolicy, WindowShape,
+};
 use hypermine_data::{Database, Value};
 
 #[cfg(feature = "fault-injection")]
@@ -128,6 +138,43 @@ impl From<io::Error> for RecoverError {
     }
 }
 
+/// The stages of [`recover`], in the order they run. Every recovery
+/// times each one ([`RecoveryInfo::phases`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoverPhase {
+    /// Finding the newest checkpoint, reading it, verifying its checksum
+    /// and decoding it, then reading the paired segment.
+    Read,
+    /// Decoding the segment's records and folding them into the
+    /// checkpoint's window.
+    Replay,
+    /// The one [`AssociationModel::restore`] over the folded window.
+    Build,
+}
+
+impl Phase for RecoverPhase {
+    const ALL: &'static [Self] = &[
+        RecoverPhase::Read,
+        RecoverPhase::Replay,
+        RecoverPhase::Build,
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            RecoverPhase::Read => "read",
+            RecoverPhase::Replay => "replay",
+            RecoverPhase::Build => "build",
+        }
+    }
+}
+
+/// Per-stage wall time of one [`recover`].
+pub type RecoverLaps = PhaseLaps<RecoverPhase, 3>;
+
 /// What [`recover`] did, alongside the rebuilt model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryInfo {
@@ -141,6 +188,9 @@ pub struct RecoveryInfo {
     pub epoch: u64,
     /// Whether a truncated final record (torn write) was discarded.
     pub torn_tail: bool,
+    /// How long each stage of the recovery took. Machine-dependent, so
+    /// it takes no part in any model comparison.
+    pub phases: RecoverLaps,
 }
 
 /// The writer-side handle: appends records to the live segment and
@@ -316,27 +366,32 @@ impl Drop for WalStore {
     }
 }
 
-/// Rebuilds the model a crashed writer would have held: newest
-/// checkpoint, then the paired WAL segment's records in order, each run
-/// of consecutive advances as one batch. See the module docs for the
-/// exact tolerance/corruption contract.
+/// Rebuilds the model a crashed writer would have held: the newest
+/// checkpoint's window with the paired WAL segment's records folded in,
+/// restored once. See the module docs for the fold and the exact
+/// tolerance/corruption contract.
 pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverError> {
+    let mut timer = PhaseTimer::start();
     let seq =
         max_checkpoint_seq(dir)?.ok_or_else(|| RecoverError::NoCheckpoint(dir.to_path_buf()))?;
     let ckpt_path = checkpoint_path(dir, seq);
     let bytes = fs::read(&ckpt_path)?;
     let (db, cfg, checkpoint_epoch) = decode_checkpoint(&bytes, &ckpt_path)?;
-    let mut model = AssociationModel::restore(&db, &cfg, checkpoint_epoch)
-        .map_err(|e| RecoverError::Replay(format!("checkpoint rebuild failed: {e}")))?;
-
     let seg_path = segment_path(dir, seq);
-    let mut replayed = 0u64;
-    let mut torn_tail = false;
     // A missing segment is the crash window between the checkpoint rename
     // and the segment create during rotation: zero records were lost.
-    if seg_path.exists() {
-        let bytes = fs::read(&seg_path)?;
-        let mut tail = TailReader::new(&bytes, &seg_path)?;
+    let segment = if seg_path.exists() {
+        Some(fs::read(&seg_path)?)
+    } else {
+        None
+    };
+    timer.lap(RecoverPhase::Read);
+
+    let mut fold = WindowFold::new(db);
+    let mut replayed = 0u64;
+    let mut torn_tail = false;
+    if let Some(bytes) = &segment {
+        let mut tail = TailReader::new(bytes, &seg_path)?;
         if tail.seq != seq {
             return Err(corrupt(
                 &seg_path,
@@ -347,27 +402,20 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
                 ),
             ));
         }
-        // Observations of consecutive advance records, replayed as one
-        // batch when a `Retire` or the end of the log closes the run.
-        let mut run: Vec<Vec<Value>> = Vec::new();
         while let Some(record) = tail.next_record()? {
-            match record {
-                WalRecord::Advance(row) => run.push(row),
-                WalRecord::AdvanceBatch(rows) => run.extend(rows),
-                WalRecord::Retire => {
-                    replay_run(&mut model, &mut run)?;
-                    model
-                        .retire_oldest()
-                        .map_err(|e| RecoverError::Replay(e.to_string()))?;
-                }
-            }
+            fold.apply(&record)
+                .map_err(|e| RecoverError::Replay(format!("record {replayed}: {e}")))?;
             replayed += 1;
         }
-        replay_run(&mut model, &mut run)?;
         torn_tail = tail.torn_tail;
     }
+    let epoch = checkpoint_epoch + fold.retired as u64;
+    let window = fold.into_window();
+    timer.lap(RecoverPhase::Replay);
 
-    let epoch = model.epoch();
+    let model = AssociationModel::restore(&window, &cfg, epoch)
+        .map_err(|e| RecoverError::Replay(format!("restoring the folded window failed: {e}")))?;
+    timer.lap(RecoverPhase::Build);
     Ok((
         model,
         RecoveryInfo {
@@ -376,15 +424,83 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
             replayed,
             epoch,
             torn_tail,
+            phases: timer.finish(),
         },
     ))
 }
 
-/// Applies a run of replayed observations as one batch and empties it.
-fn replay_run(model: &mut AssociationModel, run: &mut Vec<Vec<Value>>) -> Result<(), RecoverError> {
-    let outcome = model.advance_batch(run);
-    run.clear();
-    outcome.map_err(|e| RecoverError::Replay(e.to_string()))
+/// A checkpoint's window with logged records folded in, without running
+/// them through a model: every advanced row retires the oldest
+/// observation and appends itself, every `Retire` retires the oldest.
+/// Since the window is first-in first-out, the result is the suffix of
+/// (checkpoint rows ++ logged rows) that follows the `retired` oldest,
+/// so the fold only appends rows and counts retirements.
+struct WindowFold {
+    /// The checkpoint's window, which the fold starts from.
+    checkpoint: Database,
+    /// The window's shape after the records folded so far.
+    shape: WindowShape,
+    /// Every logged row in log order, row-major.
+    rows: Vec<Value>,
+    /// Observations retired so far: one per advanced row and one per
+    /// `Retire`, which is also the epochs the records advanced.
+    retired: usize,
+}
+
+impl WindowFold {
+    fn new(checkpoint: Database) -> Self {
+        WindowFold {
+            shape: WindowShape::of(&checkpoint),
+            checkpoint,
+            rows: Vec::new(),
+            retired: 0,
+        }
+    }
+
+    /// Folds in one record, or rejects it as the live model would have.
+    fn apply(&mut self, record: &WalRecord) -> Result<(), AdvanceError> {
+        let rows = match record {
+            WalRecord::Advance(row) => std::slice::from_ref(row),
+            WalRecord::AdvanceBatch(rows) => rows.as_slice(),
+            WalRecord::Retire => {
+                self.shape.check_retire()?;
+                self.shape.obs -= 1;
+                self.retired += 1;
+                return Ok(());
+            }
+        };
+        self.shape.check_advance(rows)?;
+        for row in rows {
+            self.rows.extend_from_slice(row);
+        }
+        self.retired += rows.len();
+        Ok(())
+    }
+
+    /// The folded window.
+    fn into_window(self) -> Database {
+        let checkpoint = self.checkpoint;
+        if self.retired == 0 {
+            // Nothing moved the window (no records, or empty batches).
+            return checkpoint;
+        }
+        let n = self.shape.attrs;
+        let held = checkpoint.num_obs();
+        let first_logged = self.retired.saturating_sub(held) * n;
+        let columns = checkpoint
+            .attrs()
+            .map(|a| {
+                let kept = &checkpoint.column(a)[self.retired.min(held)..];
+                let logged = self.rows.get(first_logged + a.index()..).unwrap_or(&[]);
+                kept.iter()
+                    .chain(logged.iter().step_by(n))
+                    .copied()
+                    .collect()
+            })
+            .collect();
+        Database::from_columns(checkpoint.attr_names().to_vec(), checkpoint.k(), columns)
+            .expect("the fold checked every row against the window's shape")
+    }
 }
 
 /// Sequential record reader over one segment's bytes, with the torn-tail
@@ -812,6 +928,21 @@ mod tests {
         d.attrs().map(|a| d.value(a, o)).collect()
     }
 
+    fn digest(model: &AssociationModel) -> u64 {
+        crate::ModelSnapshot::build(model, &crate::SnapshotSpec::default()).digest()
+    }
+
+    /// Applies `record` to the live `model` as the host's writer does,
+    /// then logs it.
+    fn apply_and_log(model: &mut AssociationModel, store: &mut WalStore, record: WalRecord) {
+        match &record {
+            WalRecord::Advance(row) => model.advance(row).unwrap(),
+            WalRecord::AdvanceBatch(rows) => model.advance_batch(rows).unwrap(),
+            WalRecord::Retire => model.retire_oldest().unwrap(),
+        }
+        store.append(&record).unwrap();
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("hypermine-store-{tag}-{}", std::process::id()));
@@ -945,7 +1076,7 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         let _ = fs::remove_dir_all(&dir);
 
-        // A wrong-arity row in the middle of a run fails the whole run.
+        // A wrong-arity row in the middle of the log fails recovery.
         let (_, fresh) = fixture(100);
         let dir = tmp_dir("replay-bad-run");
         let mut store = WalStore::create(&dir, 0, &fresh).unwrap();
@@ -955,6 +1086,166 @@ mod tests {
         drop(store);
         let err = recover(&dir).unwrap_err();
         assert!(matches!(err, RecoverError::Replay(_)), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_the_live_model_rejects_fail_recovery_as_replay() {
+        let (d, _) = fixture(100);
+        let advance = || WalRecord::Advance(row_at(&d, 100));
+        // (tag, checkpoint window, a valid record logged first, the
+        // forged record): each forged record is checked against the
+        // window the valid one folded to.
+        let cases = [
+            (
+                "zero-value",
+                100,
+                Some(advance()),
+                WalRecord::Advance(vec![1, 0, 2]),
+            ),
+            (
+                "above-k",
+                100,
+                Some(advance()),
+                WalRecord::Advance(vec![1, 4, 2]),
+            ),
+            (
+                "narrow-batch",
+                100,
+                Some(advance()),
+                WalRecord::AdvanceBatch(vec![vec![1, 2], vec![2, 1]]),
+            ),
+            (
+                "bad-batch-row",
+                100,
+                Some(advance()),
+                WalRecord::AdvanceBatch(vec![row_at(&d, 101), vec![3, 1, 5]]),
+            ),
+            ("retire-last", 1, None, WalRecord::Retire),
+            (
+                "retire-folded-last",
+                2,
+                Some(WalRecord::Retire),
+                WalRecord::Retire,
+            ),
+            ("advance-empty", 0, None, advance()),
+        ];
+        for (tag, window, valid, forged) in cases {
+            let (_, mut model) = fixture(window);
+            let dir = tmp_dir(&format!("forged-{tag}"));
+            let mut store = WalStore::create(&dir, 0, &model).unwrap();
+            if let Some(valid) = valid {
+                apply_and_log(&mut model, &mut store, valid);
+            }
+            store.append(&forged).unwrap();
+            drop(store);
+            let live = match &forged {
+                WalRecord::Advance(row) => model.advance(row),
+                WalRecord::AdvanceBatch(rows) => model.advance_batch(rows),
+                WalRecord::Retire => model.retire_oldest(),
+            }
+            .expect_err(tag)
+            .to_string();
+            match recover(&dir) {
+                Err(RecoverError::Replay(what)) => {
+                    assert!(what.ends_with(&live), "{tag}: {what} vs {live}")
+                }
+                other => panic!("{tag}: expected a replay error, got {other:?}"),
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_folds_to_the_live_epoch_and_digest() {
+        for window in [100, 0] {
+            let (d, mut model) = fixture(window);
+            let dir = tmp_dir(&format!("empty-batch-{window}"));
+            let mut store = WalStore::create(&dir, 0, &model).unwrap();
+            apply_and_log(&mut model, &mut store, WalRecord::AdvanceBatch(Vec::new()));
+            if window > 0 {
+                apply_and_log(&mut model, &mut store, WalRecord::Advance(row_at(&d, 100)));
+                apply_and_log(&mut model, &mut store, WalRecord::AdvanceBatch(Vec::new()));
+            }
+            drop(store);
+            let (recovered, info) = recover(&dir).expect("recover");
+            assert_eq!(info.replayed, if window > 0 { 3 } else { 1 });
+            assert_eq!(recovered.epoch(), model.epoch(), "window {window}");
+            assert_eq!(info.epoch, model.epoch());
+            assert_eq!(digest(&recovered), digest(&model), "window {window}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_recovered_model_builds_its_state_on_the_first_advance() {
+        let (d, mut model) = fixture(100);
+        let dir = tmp_dir("first-advance");
+        let mut store = WalStore::create(&dir, 0, &model).unwrap();
+        for o in 100..104 {
+            apply_and_log(&mut model, &mut store, WalRecord::Advance(row_at(&d, o)));
+        }
+        apply_and_log(&mut model, &mut store, WalRecord::Retire);
+        drop(store);
+        let (mut recovered, info) = recover(&dir).expect("recover");
+        assert!(recovered.incremental_stats().is_none());
+        assert_eq!(info.phases.iter().count(), 3);
+        assert_eq!(digest(&recovered), digest(&model));
+        // Both models go on from here: singles, then a batch.
+        for o in 104..107 {
+            model.advance(&row_at(&d, o)).unwrap();
+            recovered.advance(&row_at(&d, o)).unwrap();
+            assert_eq!(digest(&recovered), digest(&model), "after obs {o}");
+        }
+        assert!(recovered.incremental_stats().is_some());
+        let batch: Vec<Vec<Value>> = (107..112).map(|o| row_at(&d, o)).collect();
+        model.advance_batch(&batch).unwrap();
+        recovered.advance_batch(&batch).unwrap();
+        assert_eq!(recovered.epoch(), model.epoch());
+        assert_eq!(digest(&recovered), digest(&model));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_long_mixed_tail_across_a_rotation_recovers_to_the_writer() {
+        let (d, mut model) = fixture(100);
+        let dir = tmp_dir("long-tail");
+        // A one-byte budget: the one `maybe_rotate` call below rotates.
+        let mut store = WalStore::create(&dir, 1, &model).unwrap();
+        let mut next = 100usize;
+        let mut row = || {
+            next += 1;
+            row_at(&d, next % d.num_obs())
+        };
+        let mut records = 0usize;
+        let mut log = |model: &mut AssociationModel, store: &mut WalStore, i: usize| {
+            let record = match i % 10 {
+                3 => WalRecord::AdvanceBatch((0..1 + i % 4).map(|_| row()).collect()),
+                // One retire per 40 records: the window shrinks from 100
+                // to 67 observations over the stream.
+                7 if i % 40 == 7 => WalRecord::Retire,
+                _ => WalRecord::Advance(row()),
+            };
+            apply_and_log(model, store, record);
+        };
+        for i in 0..300 {
+            log(&mut model, &mut store, i);
+            records += 1;
+        }
+        assert!(store.maybe_rotate(&model).unwrap());
+        for i in 300..1_320 {
+            log(&mut model, &mut store, i);
+            records += 1;
+        }
+        drop(store);
+        let (recovered, info) = recover(&dir).expect("recover");
+        assert_eq!(info.seq, 1);
+        assert_eq!(info.replayed, 1_020);
+        assert_eq!(records, 1_320);
+        assert_eq!(recovered.database().num_obs(), 67);
+        assert_eq!(info.epoch, model.epoch());
+        assert_eq!(recovered.epoch(), model.epoch());
+        assert_eq!(digest(&recovered), digest(&model));
         let _ = fs::remove_dir_all(&dir);
     }
 
