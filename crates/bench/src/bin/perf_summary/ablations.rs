@@ -21,7 +21,8 @@
 //! timing gate: like the publish and durability entries, they are
 //! informational.
 
-use super::{best_ms, spec, RUNS};
+use super::{best_ms, config, fixture, Summary, RUNS};
+use crate::json::{Entries, Obj};
 use hypermine_core::{
     attr_of, node_of, set_cover_adaptation, AssociationModel, ModelConfig, SetCoverOptions,
 };
@@ -34,31 +35,23 @@ const K: u8 = 3;
 /// The share of edges, strongest by ACV, that set cover runs on.
 const TOP_FRACTION: f64 = 0.4;
 
-/// One entry as the section writes it: `ms` and its ratio to the same
-/// ablation's first variant (`base_ms`), then the `extra` members.
-pub(crate) fn entry(ablation: &str, variant: &str, ms: f64, base_ms: f64, extra: &str) -> String {
-    format!(
-        "    {{\"k\": {K}, \"ablation\": \"{ablation}\", \"variant\": \"{variant}\", \
-         \"ablation_ms\": {ms:.3}, \"ratio\": {:.2}, {extra}}}",
-        ms / base_ms
-    )
+/// One entry: `ms` and its ratio to the same ablation's first variant
+/// (`base_ms`); the caller adds the variant's own members.
+pub(crate) fn entry(ablation: &str, variant: &str, ms: f64, base_ms: f64) -> Obj {
+    Obj::default()
+        .val("k", K)
+        .str("ablation", ablation)
+        .str("variant", variant)
+        .ms("ablation_ms", ms)
+        .ratio("ratio", ms / base_ms)
 }
 
-/// Runs the three ablations and returns the section's JSON member.
-pub(crate) fn section(scale: RunScale) -> String {
-    let con_spec = spec("perf_construction");
-    let dims = con_spec.dims(scale).expect("market-backed");
-    let run = con_spec
-        .runs
-        .iter()
-        .find(|run| run.k == K)
-        .expect("perf_construction has a k = 3 run");
-    let market = con_spec.simulate(scale).expect("market-backed");
+/// Runs the three ablations and writes the section's JSON member.
+pub(crate) fn run(scale: RunScale, out: &mut Summary) {
+    let (spec, dims, market) = fixture("perf_construction", scale);
+    let run = spec.runs.iter().find(|run| run.k == K);
     let disc = discretize_market(&market, K, None);
-    let cfg = ModelConfig {
-        threads: 1,
-        ..run.model_config(dims.tickers)
-    };
+    let cfg = config(run.expect("a k = 3 run"), dims.tickers, 1);
     let directed_cfg = ModelConfig {
         with_hyperedges: false,
         ..cfg.clone()
@@ -67,7 +60,7 @@ pub(crate) fn section(scale: RunScale) -> String {
     let (full_ms, model) = best_ms(RUNS, || build(&cfg));
     let (directed_ms, directed) = best_ms(RUNS, || build(&directed_cfg));
     let graph = model.hypergraph();
-    let mut entries = Vec::new();
+    let mut entries = Entries::new("ablations");
 
     let hyperedges: Vec<_> = graph
         .edges()
@@ -87,9 +80,9 @@ pub(crate) fn section(scale: RunScale) -> String {
             .collect::<Vec<_>>()
     });
     assert!(bitset == naive, "the bitset and naive tables differ");
-    let count = format!("\"tables\": {}", hyperedges.len());
-    entries.push(entry("tables", "bitset", bitset_ms, bitset_ms, &count));
-    entries.push(entry("tables", "naive", naive_ms, bitset_ms, &count));
+    for (variant, ms) in [("bitset", bitset_ms), ("naive", naive_ms)] {
+        entries.push(entry("tables", variant, ms, bitset_ms).val("tables", hyperedges.len()));
+    }
 
     let threshold = model
         .acv_percentile_threshold(TOP_FRACTION)
@@ -111,31 +104,32 @@ pub(crate) fn section(scale: RunScale) -> String {
         let (ms, result) = best_ms(RUNS, || {
             set_cover_adaptation(strongest.hypergraph(), &s, &opts)
         });
-        let extra = format!(
-            "\"dominator\": {}, \"covered\": {:.4}, \"iterations\": {}",
-            result.size(),
-            result.percent_covered(),
-            result.iterations
-        );
         let reference = *reference_ms.get_or_insert(ms);
-        entries.push(entry("set_cover", variant, ms, reference, &extra));
+        entries.push(
+            entry("set_cover", variant, ms, reference)
+                .val("dominator", result.size())
+                .share("covered", result.percent_covered())
+                .val("iterations", result.iterations),
+        );
     }
 
     for (variant, ms, m) in [
         ("obsmajor", full_ms, &model),
         ("directed_only", directed_ms, &directed),
     ] {
-        let edges = format!("\"edges\": {}", m.hypergraph().num_edges());
-        entries.push(entry("hyperedges", variant, ms, full_ms, &edges));
+        let edges = m.hypergraph().num_edges();
+        entries.push(entry("hyperedges", variant, ms, full_ms).val("edges", edges));
     }
 
-    format!(
-        "  \"ablations\": {{\"tickers\": {}, \"days\": {}, \"seed\": {}, \"k\": {K}, \
-         \"gammas\": \"c1\", \"threads\": 1, \"runs\": {RUNS}, \
-         \"top_fraction\": {TOP_FRACTION}, \"entries\": [\n{}\n  ]}}",
-        dims.tickers,
-        dims.days,
-        con_spec.seed,
-        entries.join(",\n")
-    )
+    let section = Obj::default()
+        .val("tickers", dims.tickers)
+        .val("days", dims.days)
+        .val("seed", spec.seed)
+        .val("k", K)
+        .str("gammas", "c1")
+        .val("threads", 1)
+        .val("runs", RUNS)
+        .val("top_fraction", TOP_FRACTION)
+        .val("entries", entries);
+    out.member("ablations", section);
 }

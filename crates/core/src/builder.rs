@@ -5,17 +5,18 @@
 //! the observation-major sweeps of `crate::counting` (every head of one
 //! tail counted in one pass over the tail's rows) through the
 //! scoped-thread harness in `crate::parallel`. Pass 1 (uniform per-tail
-//! cost, short work list) uses contiguous chunks; pass 2 uses
-//! work-stealing fixed-size blocks claimed off an atomic cursor. Either
-//! way results are merged in work-list order, so edge ids are
-//! deterministic at every thread count. Pass 2 never builds `PairRows`:
-//! each worker re-buckets the pair's observations into a thread-local
-//! `PairBuckets` scratch and sweeps those buckets directly.
+//! cost, short work list) cuts its list into one block per worker; pass 2
+//! cuts its list into many smaller blocks, so workers that drew cheap
+//! blocks keep claiming more. Either way results are merged in work-list
+//! order, so edge ids are deterministic at every thread count. Pass 2
+//! never builds `PairRows`: each worker re-buckets the pair's
+//! observations into a thread-local `PairBuckets` scratch and sweeps
+//! those buckets directly.
 
 use crate::config::ModelConfig;
 use crate::counting::{CountingEngine, HeadCounter};
 use crate::model::{node_of, AssociationModel};
-use crate::parallel::{parallel_blocks, parallel_chunks, steal_block_size};
+use crate::parallel::{parallel_blocks, steal_block_size};
 use hypermine_data::{AttrId, Database, PairBuckets};
 use hypermine_hypergraph::DirectedHypergraph;
 
@@ -33,20 +34,25 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
         .collect();
 
     // Pass 1: every ordered pair's directed-edge ACV, parallel over tail
-    // attributes (k rows per tail). The raw ACV matrix is retained in full —
-    // the γ tests for 2-to-1 edges need it.
-    let acv_chunks: Vec<Vec<f64>> = parallel_chunks(&attrs, threads, |slice| {
+    // attributes (k rows per tail) in one block per worker: per-tail cost
+    // is uniform, so there is nothing to rebalance. The raw ACV matrix is
+    // retained in full — the γ tests for 2-to-1 edges need it.
+    let (engine, attrs) = (&engine, &attrs);
+    let per_worker = attrs.len().div_ceil(threads);
+    let acv_chunks: Vec<Vec<f64>> = parallel_blocks(attrs, threads, per_worker, || {
         let mut counter = HeadCounter::new(n, db.k());
-        let mut out = Vec::with_capacity(slice.len() * n);
-        for &t in slice {
-            engine.edge_acv_all_heads(t, &mut counter);
-            out.extend(
-                attrs
-                    .iter()
-                    .map(|&h| if h == t { 0.0 } else { counter.acv(h) }),
-            );
+        move |slice: &[AttrId]| {
+            let mut out = Vec::with_capacity(slice.len() * n);
+            for &t in slice {
+                engine.edge_acv_all_heads(t, &mut counter);
+                out.extend(
+                    attrs
+                        .iter()
+                        .map(|&h| if h == t { 0.0 } else { counter.acv(h) }),
+                );
+            }
+            out
         }
-        out
     });
     let mut raw_edge_acv = Vec::with_capacity(n * n);
     for chunk in acv_chunks {
@@ -72,7 +78,6 @@ pub(crate) fn build(db: &Database, cfg: &ModelConfig) -> AssociationModel {
         // all its blocks.
         let block = steal_block_size(pairs.len(), threads);
         let raw = &raw_edge_acv;
-        let (engine, attrs) = (&engine, &attrs);
         // Blocks are fixed contiguous pair ranges returned in block order
         // no matter which worker claimed them, so iterating the blocks in
         // order keeps edge ids deterministic regardless of thread count.

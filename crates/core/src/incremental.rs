@@ -561,29 +561,13 @@ impl IncrementalState {
             self.s2_dirty.clear();
             self.s2_dirty.resize((n * (n - 1) / 2) * n.div_ceil(64), 0);
         }
-        if self.triple.is_empty() {
-            // Row-recount fallback: the per-slide recounts read the
-            // evolving post-slide index state, so pair updates must run
-            // slide by slide.
-            for &new_obs in rows {
-                let slot = self.slide_window_state(model, new_obs);
-                timer.lap(AdvancePhase::Window);
-                self.update_pairs(new_obs, slot);
-                timer.lap(AdvancePhase::Pairs);
-            }
-        } else {
-            // Tensor path: a pair's update depends only on the
-            // (retired, appended) row values, so the batch runs
-            // **pair-outer** — every slide's cell pokes for one pair land
-            // while its tensor region is cache-hot, instead of walking
-            // the whole multi-megabyte tensor once per slide.
-            let mut steps: Vec<(Vec<Value>, &[Value])> = Vec::with_capacity(rows.len());
-            for &new_obs in rows {
-                self.slide_window_state(model, new_obs);
-                steps.push((self.old_row.clone(), new_obs));
-            }
+        // Slide by slide: the fallback's recounts read the index state
+        // each slide leaves, and the tensor path's cell pokes need only
+        // the slide's (retired, appended) rows.
+        for &new_obs in rows {
+            let slot = self.slide_window_state(model, new_obs);
             timer.lap(AdvancePhase::Window);
-            self.update_pairs_batch(&steps);
+            self.update_pairs(new_obs, slot);
             timer.lap(AdvancePhase::Pairs);
         }
         let m = self.m;
@@ -606,8 +590,7 @@ impl IncrementalState {
     /// index/matrix mirrors, the per-attribute value counts, and the
     /// model's training database — and leaves the retired row in
     /// `self.old_row`. Returns the ring slot the appended observation
-    /// took over. Pair-tensor maintenance is separate (`update_pairs` /
-    /// `update_pairs_batch`).
+    /// took over. Pair-tensor maintenance is separate (`update_pairs`).
     fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) -> usize {
         // The window keeps its length from the state build on, so every
         // slide retires the oldest observation (the training database's
@@ -645,14 +628,16 @@ impl IncrementalState {
         self.m
     }
 
-    /// Updates `pair_counts` and `s2` for one slide on the **row-recount
-    /// fallback** path (no tensor; see module docs), accumulating into
-    /// the batch's `s2_dirty` bits. `slot` is the appended observation's
+    /// Updates `pair_counts` and `s2` for one slide, pair by pair:
+    /// through the triple-count tensor when there is one, else by the
+    /// row-recount fallback (see module docs). Accumulates into the
+    /// batch's `s2_dirty` bits. `slot` is the appended observation's
     /// ring slot; the retired row is in `self.old_row`.
     fn update_pairs(&mut self, new_obs: &[Value], slot: usize) {
         let (n, k) = (self.n, self.k);
-        let hyper = !self.s2.is_empty();
-        if hyper {
+        let tensor = !self.triple.is_empty();
+        let recount = !tensor && !self.s2.is_empty();
+        if recount {
             let spare = self.spare_row();
             self.obs.set_row(spare, &self.old_row);
         }
@@ -664,7 +649,9 @@ impl IncrementalState {
                 let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
                 self.pair_counts[base + r_old] -= 1;
                 self.pair_counts[base + r_new] += 1;
-                if hyper {
+                if tensor {
+                    self.fold_tensor(p, i, j, r_old, r_new, new_obs);
+                } else if recount {
                     self.recount_pair(p, i, j, new_obs, slot);
                 }
                 p += 1;
@@ -740,41 +727,12 @@ impl IncrementalState {
         }
     }
 
-    /// Updates `pair_counts` and `s2` through the triple-count tensor for
-    /// a whole batch of slides, **pair-outer**: for each pair, every
-    /// slide's `(retired, appended)` cell pokes are applied in order
-    /// while that pair's tensor rows are cache-hot. One slide touches two
-    /// of a pair's rows; a d-slide batch therefore streams the tensor
-    /// once instead of d times, which is where the batched advance's
-    /// per-observation saving comes from (the tensor is the only
-    /// multi-megabyte structure a slide walks). Cell updates are exact
-    /// integer increments/decrements, so reordering across pairs cannot
-    /// change any count.
-    fn update_pairs_batch(&mut self, steps: &[(Vec<Value>, &[Value])]) {
-        let (n, k) = (self.n, self.k);
-        let mut p = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let base = p * k * k;
-                for (old, new_obs) in steps {
-                    let r_old = (old[i] as usize - 1) * k + (old[j] as usize - 1);
-                    let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
-                    self.pair_counts[base + r_old] -= 1;
-                    self.pair_counts[base + r_new] += 1;
-                    self.fold_tensor(p, i, j, r_old, r_new, old, new_obs);
-                }
-                p += 1;
-            }
-        }
-    }
-
     /// Tensor-path slide update for one pair when the window is full:
-    /// moves the retired observation's cell out of row `r_old` and the
-    /// appended one's into `r_new` (one cell each per head), folding the
-    /// exact row-max changes into `S₂`. Tail heads (`i`, `j`) get their
-    /// cells updated but no delta (their `row_max` may go stale; it is
-    /// never read).
-    #[allow(clippy::too_many_arguments)]
+    /// moves the retired observation's cell (`self.old_row`) out of row
+    /// `r_old` and the appended one's into `r_new` (one cell each per
+    /// head), folding the exact row-max changes into `S₂`. Tail heads
+    /// (`i`, `j`) get their cells updated but no delta (their `row_max`
+    /// may go stale; it is never read).
     fn fold_tensor(
         &mut self,
         p: usize,
@@ -782,26 +740,24 @@ impl IncrementalState {
         j: usize,
         r_old: usize,
         r_new: usize,
-        old_row: &[Value],
         new_obs: &[Value],
     ) {
         // Monomorphize the per-head loop on the common domain sizes so
         // the k-cell max rescans fully unroll (KC = 0 keeps a runtime-k
         // body for everything else).
         match self.k {
-            2 => self.fold_tensor_impl::<2>(p, i, j, r_old, r_new, old_row, new_obs),
-            3 => self.fold_tensor_impl::<3>(p, i, j, r_old, r_new, old_row, new_obs),
-            4 => self.fold_tensor_impl::<4>(p, i, j, r_old, r_new, old_row, new_obs),
-            5 => self.fold_tensor_impl::<5>(p, i, j, r_old, r_new, old_row, new_obs),
-            6 => self.fold_tensor_impl::<6>(p, i, j, r_old, r_new, old_row, new_obs),
-            8 => self.fold_tensor_impl::<8>(p, i, j, r_old, r_new, old_row, new_obs),
-            _ => self.fold_tensor_impl::<0>(p, i, j, r_old, r_new, old_row, new_obs),
+            2 => self.fold_tensor_impl::<2>(p, i, j, r_old, r_new, new_obs),
+            3 => self.fold_tensor_impl::<3>(p, i, j, r_old, r_new, new_obs),
+            4 => self.fold_tensor_impl::<4>(p, i, j, r_old, r_new, new_obs),
+            5 => self.fold_tensor_impl::<5>(p, i, j, r_old, r_new, new_obs),
+            6 => self.fold_tensor_impl::<6>(p, i, j, r_old, r_new, new_obs),
+            8 => self.fold_tensor_impl::<8>(p, i, j, r_old, r_new, new_obs),
+            _ => self.fold_tensor_impl::<0>(p, i, j, r_old, r_new, new_obs),
         }
     }
 
     /// `fold_tensor` body for compile-time `KC == k` (`KC == 0` means
     /// runtime `k`).
-    #[allow(clippy::too_many_arguments)]
     fn fold_tensor_impl<const KC: usize>(
         &mut self,
         p: usize,
@@ -809,7 +765,6 @@ impl IncrementalState {
         j: usize,
         r_old: usize,
         r_new: usize,
-        old_row: &[Value],
         new_obs: &[Value],
     ) {
         let n = self.n;
@@ -821,12 +776,20 @@ impl IncrementalState {
         // pairs), so the row regions, max caches, and numerator rows are
         // hoisted to plain slices iterated in per-head chunks instead of
         // re-indexing `self` fields per head.
-        let s2_row = &mut self.s2[p * n..(p + 1) * n];
-        let dirty_row = &mut self.s2_dirty[p * wpb..(p + 1) * wpb];
+        let Self {
+            s2,
+            s2_dirty,
+            triple,
+            row_max,
+            old_row,
+            ..
+        } = self;
+        let s2_row = &mut s2[p * n..(p + 1) * n];
+        let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
         if r_old == r_new {
             let base = (p * k2 + r_old) * n * k;
-            let cells = &mut self.triple[base..base + n * k];
-            let maxes = &mut self.row_max[(p * k2 + r_old) * n..(p * k2 + r_old) * n + n];
+            let cells = &mut triple[base..base + n * k];
+            let maxes = &mut row_max[(p * k2 + r_old) * n..(p * k2 + r_old) * n + n];
             let heads = cells
                 .chunks_exact_mut(k)
                 .zip(maxes.iter_mut())
@@ -862,10 +825,10 @@ impl IncrementalState {
             let (lo_r, hi_r) = (r_old.min(r_new), r_old.max(r_new));
             let lo_base = (p * k2 + lo_r) * n * k;
             let hi_base = (p * k2 + hi_r) * n * k;
-            let (head_t, tail_t) = self.triple.split_at_mut(hi_base);
+            let (head_t, tail_t) = triple.split_at_mut(hi_base);
             let lo_cells = &mut head_t[lo_base..lo_base + n * k];
             let hi_cells = &mut tail_t[..n * k];
-            let (head_m, tail_m) = self.row_max.split_at_mut((p * k2 + hi_r) * n);
+            let (head_m, tail_m) = row_max.split_at_mut((p * k2 + hi_r) * n);
             let lo_maxes = &mut head_m[(p * k2 + lo_r) * n..(p * k2 + lo_r) * n + n];
             let hi_maxes = &mut tail_m[..n];
             let (old_cells, old_maxes, new_cells, new_maxes) = if r_old == lo_r {

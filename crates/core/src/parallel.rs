@@ -3,17 +3,14 @@
 //! The construction sweeps are embarrassingly parallel over a work list
 //! (tail attributes in pass 1, unordered pairs in pass 2) with results that
 //! must be merged **in work-list order** so edge ids stay deterministic at
-//! every thread count. Two splitting policies share that contract:
-//!
-//! - [`parallel_chunks`] — at most `threads` contiguous chunks, one per
-//!   worker. Zero scheduling overhead; right for uniform workloads like
-//!   pass 1's per-tail sweeps.
-//! - [`parallel_blocks`] — work stealing: the list is cut into fixed-size
-//!   blocks and workers claim the next block off an atomic cursor, so a
-//!   thread that drew cheap blocks keeps pulling instead of idling.
-//!   Results are reassembled in block order, which concatenates back to
-//!   the sequential output exactly — determinism holds at every thread
-//!   count and block size.
+//! every thread count. [`parallel_blocks`] cuts the list into fixed-size
+//! blocks and workers claim the next block off an atomic cursor, so a
+//! thread that drew cheap blocks keeps pulling instead of idling. Results
+//! are reassembled in block order, which concatenates back to the
+//! sequential output exactly — determinism holds at every thread count
+//! and block size. A uniform workload (pass 1's per-tail sweeps) passes
+//! one block per worker; an uneven one (pass 2's pairs) passes
+//! [`steal_block_size`]'s finer blocks.
 
 /// Work-stealing granularity: block-based passes cut their work list
 /// into `threads * BLOCKS_PER_THREAD` blocks.
@@ -38,40 +35,6 @@ pub(crate) const BLOCKS_PER_THREAD: usize = 16;
 /// never zero.
 pub(crate) fn steal_block_size(len: usize, threads: usize) -> usize {
     len.div_ceil(threads * BLOCKS_PER_THREAD).max(1)
-}
-
-/// Runs `worker` over contiguous chunks of `items` on up to `threads`
-/// scoped threads, returning the per-chunk results in chunk order
-/// (chunk `i` covers `items[i*ceil(len/threads)..]`, so concatenating the
-/// results in order reproduces the sequential output exactly).
-///
-/// With `threads <= 1` or a single-chunk work list the worker runs inline
-/// on the caller's thread — no spawn overhead, identical results.
-pub(crate) fn parallel_chunks<T, R, F>(items: &[T], threads: usize, worker: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, items.len());
-    let chunk = items.len().div_ceil(threads);
-    if threads == 1 {
-        return vec![worker(items)];
-    }
-    std::thread::scope(|scope| {
-        let worker = &worker;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || worker(slice)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("construction worker panicked"))
-            .collect()
-    })
 }
 
 /// Runs workers over fixed-size blocks of `items` (`block` items each,
@@ -145,36 +108,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_arrive_in_chunk_order() {
-        let items: Vec<usize> = (0..17).collect();
-        for threads in [1, 2, 3, 5, 17, 40] {
-            let chunks = parallel_chunks(&items, threads, |slice| slice.to_vec());
-            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, items, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn empty_work_list() {
-        let chunks = parallel_chunks(&[] as &[usize], 4, |slice| slice.len());
-        assert!(chunks.is_empty());
-    }
-
-    #[test]
-    fn single_item_runs_inline() {
-        let chunks = parallel_chunks(&[42usize], 8, |slice| slice[0] * 2);
-        assert_eq!(chunks, vec![84]);
-    }
-
-    #[test]
     fn stolen_blocks_arrive_in_block_order() {
-        let items: Vec<usize> = (0..103).collect();
-        for threads in [1, 2, 3, 8, 200] {
-            for block in [1, 2, 7, 16, 103, 500] {
-                let blocks =
-                    parallel_blocks(&items, threads, block, || |slice: &[usize]| slice.to_vec());
-                let flat: Vec<usize> = blocks.into_iter().flatten().collect();
-                assert_eq!(flat, items, "threads = {threads}, block = {block}");
+        // Empty and one-item lists included: an empty list yields no
+        // blocks, and a single block runs inline however many threads
+        // are offered.
+        for len in [0, 1, 103] {
+            let items: Vec<usize> = (0..len).collect();
+            for threads in [1, 2, 3, 8, 200] {
+                for block in [1, 2, 7, 16, 103, 500] {
+                    let blocks = parallel_blocks(&items, threads, block, || {
+                        |slice: &[usize]| slice.to_vec()
+                    });
+                    let what = format!("len = {len}, threads = {threads}, block = {block}");
+                    assert_eq!(blocks.len(), len.div_ceil(block), "{what}");
+                    let flat: Vec<usize> = blocks.into_iter().flatten().collect();
+                    assert_eq!(flat, items, "{what}");
+                }
             }
         }
     }

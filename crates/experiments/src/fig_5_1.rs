@@ -164,8 +164,10 @@ mod tests {
         // ~30% of the universe, so anything well above 0.30 reproduces the
         // in-degree finding. The out-degree side reproduces only weakly on
         // Gaussian-factor synthetic data (γ₂-hyperedge participation counts
-        // wash out the consumer signal — see EXPERIMENTS.md), so it is
-        // asserted above chance/2 only. Needs the 15-year horizon: shorter
+        // wash out the consumer signal; the `paper_market` summaries under
+        // `replication/` pin the models, and `report --only f51` prints
+        // both shares beside the paper's), so it is asserted above
+        // chance/2 only. Needs the 15-year horizon: shorter
         // samples drown the γ filter in pair-count noise.
         let s = Scenario::new(
             Scale {

@@ -15,8 +15,10 @@
 //! | [`fig_5_4`] | Figure 5.4 — expanding-window classification confidence |
 //!
 //! [`paper`] holds the paper's reported numbers for side-by-side output;
-//! `EXPERIMENTS.md` in the repository root records paper-vs-measured for a
-//! pinned seed. The `report` binary runs everything:
+//! the summaries committed under `replication/` (written by [`replicate`],
+//! diffed by the `replication` binary) record what the models find for
+//! every registered scenario at its pinned seed. The `report` binary runs
+//! everything:
 //!
 //! ```bash
 //! cargo run --release -p hypermine-experiments --bin report -- --scale default
