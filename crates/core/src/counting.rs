@@ -124,11 +124,12 @@
 //! vertical kernel halved the batch side). Its triple-tensor path has no
 //! dense sweeps to vectorize; its row-recount fallback, past the tensor
 //! budget, counts the one or two pair rows a slide touches through the
-//! same per-row folds as a pair sweep — the vertical kernel, or the
-//! scalar histogram and dense fold where the kernel declines
-//! (`HeadCounter::add_row`). Batch wins for one-shot builds and for
-//! bulk window jumps; incremental wins as soon as the same model is slid
-//! more than a couple of observations at a time.
+//! pair sweep's own dense-row fold (`HeadCounter::add_row`): the
+//! vertical kernel, else the blocked flat kernel over slot stripes the
+//! window keeps row by row (`Slots::set_row`), at the lane width
+//! [`KernelPath::select`] picks for the window. Batch wins for one-shot
+//! builds and for bulk window jumps; incremental wins as soon as the
+//! same model is slid more than a couple of observations at a time.
 //!
 //! [`edge_acv_all_heads`]: CountingEngine::edge_acv_all_heads
 //! [`hyper_acv_all_heads`]: CountingEngine::hyper_acv_all_heads
@@ -300,12 +301,34 @@ struct FlatLanes {
     u32: Vec<u32>,
 }
 
-/// The engine's counter-slot stripes, at the lane width
-/// [`KernelPath::select`] picks for its database.
-#[derive(Debug)]
-enum Slots {
+/// Counter-slot stripes feeding the blocked flat kernel, at the lane
+/// width [`KernelPath::select`] picks for a database: a
+/// [`CountingEngine`]'s, and the sliding window's, which the incremental
+/// state keeps row by row beside its code matrix.
+#[derive(Debug, Clone)]
+pub(crate) enum Slots {
     U16(SlotMatrix<u16>),
     U32(SlotMatrix<u32>),
+}
+
+impl Slots {
+    /// `db`'s slot stripes in `num_obs ≥ db.num_obs()` rows (the rows
+    /// past the database wait for [`Slots::set_row`]), at the lane width
+    /// [`KernelPath::select`] picks for `db`.
+    pub(crate) fn build(db: &Database, num_obs: usize) -> Slots {
+        match KernelPath::select(db.num_attrs(), db.k() as usize, db.num_obs()) {
+            KernelPath::FlatU16 => Slots::U16(SlotMatrix::build_with_capacity(db, num_obs)),
+            KernelPath::FlatU32 => Slots::U32(SlotMatrix::build_with_capacity(db, num_obs)),
+        }
+    }
+
+    /// Overwrites observation `o`'s slot row from its values.
+    pub(crate) fn set_row(&mut self, o: usize, row: &[Value]) {
+        match self {
+            Slots::U16(slots) => slots.set_row(o, row),
+            Slots::U32(slots) => slots.set_row(o, row),
+        }
+    }
 }
 
 /// Reusable scratch for the observation-major multi-head sweep: per-head
@@ -326,24 +349,19 @@ enum Slots {
 ///   rows are compared directly — the best multiplicity of 2–4 values
 ///   falls out of their pairwise equalities — `O(n)` with no counter
 ///   traffic at all;
-/// - dense rows: the SIMD vertical kernel where it accepts the row, else
-///   **flat blocked bumps** off the database's precomputed
-///   [`SlotMatrix`]: per head tile of at most `TILE_BYTES` (16 KB) of
-///   counter lanes, the row's observations' contiguous slot stripes are
-///   streamed and `counts[slot]` incremented directly — no per-head
-///   multiply, no byte widening, no segment branches — with four
-///   observations in lockstep to overlap the read-modify-write chains,
-///   then a `k`-monomorphized unrolled max-and-zero scan over each
-///   head's padded lanes.
+/// - dense rows, and every row a sliding window's recount adds: the SIMD
+///   vertical kernel where it accepts the row, else **flat blocked
+///   bumps** off the database's precomputed [`SlotMatrix`]: per head tile
+///   of at most `TILE_BYTES` (16 KB) of counter lanes, the row's
+///   observations' contiguous slot stripes are streamed and
+///   `counts[slot]` incremented directly — no per-head multiply, no byte
+///   widening, no segment branches — with four observations in lockstep
+///   to overlap the read-modify-write chains, then a `k`-monomorphized
+///   unrolled max-and-zero scan over each head's padded lanes.
 #[derive(Debug, Clone)]
 pub struct HeadCounter {
     k: usize,
     num_obs: usize,
-    /// Head-major counter matrix of [`HeadCounter::add_row`]'s scalar
-    /// histogram: `counts[head * k + (value − 1)]` — matches the bump
-    /// loop's per-observation head walk (`h·k` is strength-reduced to an
-    /// addition). Zeroed between rows by [`HeadCounter::fold_row_dense`].
-    counts: Vec<u32>,
     /// Counter lanes of the blocked flat kernel, at the width of the
     /// engine's [`SlotMatrix`]: halving the lane width where a database
     /// admits u16 halves both the bump pass's L1 store traffic and the
@@ -364,14 +382,8 @@ pub struct HeadCounter {
     /// Per head: `Σ_rows max_v counts[head][v]` — the ACV numerator.
     totals: Vec<u64>,
     /// The attribute indices of the swept tail (`usize::MAX` padding);
-    /// their totals are never accumulated.
+    /// their totals are pinned to zero by `finish`.
     tail: [usize; 2],
-    /// The tail indices sorted ascending — the bump loops iterate the
-    /// head range in up to three segments around them, so tail columns
-    /// are never counted at all (their best counts are never read; at
-    /// `n = 40` the pair pass saves the 2/n ≈ 5% of bump traffic the old
-    /// bump-everything loops spent on them).
-    seg: (usize, usize),
     /// The vector tier the flat bumps and folds engage (see
     /// [`crate::simd`]); defaults to the detected level and is
     /// re-stamped from the engine's resolved policy at the start of
@@ -387,14 +399,12 @@ impl HeadCounter {
         HeadCounter {
             k: k as usize,
             num_obs: 0,
-            counts: vec![0u32; num_attrs * k as usize],
             flat: FlatLanes::default(),
             stride: counter_stride(k as usize),
             ids: Vec::new(),
             single_rows: 0,
             totals: vec![0u64; num_attrs],
             tail: [usize::MAX; 2],
-            seg: (usize::MAX, usize::MAX),
             simd: simd::detect(),
         }
     }
@@ -405,7 +415,6 @@ impl HeadCounter {
     fn begin(&mut self, num_obs: usize, tail: [usize; 2]) {
         self.num_obs = num_obs;
         self.tail = tail;
-        self.seg = (tail[0].min(tail[1]), tail[0].max(tail[1]));
         self.single_rows = 0;
         self.totals.fill(0);
     }
@@ -472,80 +481,19 @@ impl HeadCounter {
         }
     }
 
-    /// The up-to-three contiguous head ranges around the swept tail — the
-    /// bump loops iterate these instead of `0..n`, skipping the tail
-    /// columns without a per-head branch.
-    #[inline]
-    fn head_segments(&self, n: usize) -> [(usize, usize); 3] {
-        let (lo, hi) = self.seg;
-        [
-            (0, lo.min(n)),
-            (lo.saturating_add(1).min(n), hi.min(n)),
-            (hi.saturating_add(1).min(n), n),
-        ]
-    }
-
-    /// Bumps `counts[head][value]` for every non-tail attribute of one
-    /// observation row.
-    #[inline]
-    fn bump_obs(&mut self, row: &[Value]) {
-        let k = self.k;
-        for (from, to) in self.head_segments(row.len()) {
-            for (off, &v) in row[from..to].iter().enumerate() {
-                self.counts[(from + off) * k + (v as usize - 1)] += 1;
-            }
-        }
-    }
-
-    /// Bumps two observation rows in one head walk. The interleaved
-    /// increments form two independent read-modify-write chains per head,
-    /// hiding the store-to-load latency the one-row loop is bound by
-    /// (when both observations share a value the two increments simply
-    /// land on the same slot back to back).
-    #[inline]
-    fn bump_obs2(&mut self, row_a: &[Value], row_b: &[Value]) {
-        let k = self.k;
-        for (from, to) in self.head_segments(row_a.len()) {
-            for (off, (&va, &vb)) in row_a[from..to].iter().zip(&row_b[from..to]).enumerate() {
-                let base = (from + off) * k;
-                self.counts[base + (va as usize - 1)] += 1;
-                self.counts[base + (vb as usize - 1)] += 1;
-            }
-        }
-    }
-
-    /// Bumps the rows of the observations `ids` of `obs`, two at a time
-    /// ([`HeadCounter::bump_obs2`]), for the dense fold.
-    fn bump_ids(&mut self, obs: &ObsMatrix, ids: &[u32]) {
-        let mut it = ids.chunks_exact(2);
-        for two in &mut it {
-            self.bump_obs2(obs.row(two[0] as usize), obs.row(two[1] as usize));
-        }
-        if let [o] = *it.remainder() {
-            self.bump_obs(obs.row(o as usize));
-        }
-    }
-
-    /// Attempts the fused vertical dense-row kernel
-    /// ([`simd::dense_row_vertical`]): counts a register-resident block
-    /// of heads per pass straight off the byte code matrix and folds
-    /// the per-head best counts into the totals — no counter histogram,
-    /// no fold scan, no memset. Returns `false` (touching nothing) when
-    /// the resolved vector tier has no kernel or the row is outside its
-    /// bounds (`c > 255`, `k ∉ 2..=8`, narrow universes); the caller
-    /// then runs the scalar blocked bump + fold. Tail columns are
-    /// accumulated like any other head and pinned back to zero by
-    /// `finish`, exactly as the flat kernel does.
-    #[inline]
-    fn fold_row_dense_vertical(&mut self, codes: &[Value], n: usize, ids: &[u32]) -> bool {
-        simd::dense_row_vertical(self.simd, codes, n, ids, self.k, &mut self.totals)
-    }
-
     /// Folds a dense row — the observations `ids` of `obs` — into the
-    /// totals: the vertical kernel where it accepts the row, else the
-    /// blocked flat kernel at the lane width of the engine's `slots`.
+    /// totals: the fused vertical kernel ([`simd::dense_row_vertical`])
+    /// where the resolved vector tier has one and the row is inside its
+    /// bounds (`c ≤ 255`, `k ∈ 2..=8`, at least one vector block of
+    /// heads), else the blocked flat kernel at the lane width of `slots`.
+    /// The vertical kernel counts a register-resident block of heads per
+    /// pass straight off the byte code matrix and folds the per-head best
+    /// counts into the totals — no counter histogram, no fold scan, no
+    /// memset. Either way tail columns are accumulated like any other
+    /// head and pinned back to zero by `finish`.
     fn fold_dense_row(&mut self, obs: &ObsMatrix, slots: &Slots, ids: &[u32]) {
-        if self.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
+        let (codes, n) = (obs.codes(), obs.num_attrs());
+        if simd::dense_row_vertical(self.simd, codes, n, ids, self.k, &mut self.totals) {
             return;
         }
         match slots {
@@ -585,54 +533,6 @@ impl HeadCounter {
         counts.fill(L::default());
     }
 
-    /// Ends a dense tail row: per-head max over the head's `k` counter
-    /// slots, then one bulk re-zero of the counter matrix. The max pass
-    /// carries no stores and no per-head tail branch (tail totals are
-    /// accumulated like any other and pinned back to zero by `finish`), so
-    /// the compiler unrolls and vectorizes the `k`-monomorphized reduction
-    /// cleanly; the zeroing collapses to a single `memset` instead of `n`
-    /// interleaved `k`-slot writebacks.
-    fn fold_row_dense(&mut self) {
-        match self.k {
-            2 => self.fold_row_dense_k::<2>(),
-            3 => self.fold_row_dense_k::<3>(),
-            4 => self.fold_row_dense_k::<4>(),
-            5 => self.fold_row_dense_k::<5>(),
-            6 => self.fold_row_dense_k::<6>(),
-            8 => self.fold_row_dense_k::<8>(),
-            10 => self.fold_row_dense_k::<10>(),
-            12 => self.fold_row_dense_k::<12>(),
-            16 => self.fold_row_dense_k::<16>(),
-            _ => self.fold_row_dense_any(),
-        }
-        self.counts.fill(0);
-    }
-
-    /// `fold_row_dense` max pass for a compile-time `K == self.k`.
-    fn fold_row_dense_k<const K: usize>(&mut self) {
-        for (chunk, t) in self.counts.chunks_exact(K).zip(self.totals.iter_mut()) {
-            let chunk: &[u32; K] = chunk.try_into().expect("chunk length is K");
-            let mut best = 0u32;
-            for &c in chunk {
-                best = best.max(c);
-            }
-            *t += best as u64;
-        }
-    }
-
-    /// `fold_row_dense` max pass for arbitrary runtime `k`.
-    fn fold_row_dense_any(&mut self) {
-        for (chunk, t) in self.counts.chunks_exact(self.k).zip(self.totals.iter_mut()) {
-            let mut best = 0u32;
-            for &c in chunk {
-                if c > best {
-                    best = c;
-                }
-            }
-            *t += best as u64;
-        }
-    }
-
     /// Ends a sweep: folds the deferred single-observation rows into every
     /// non-tail total and pins the tail totals back to zero (the branch-free
     /// dense folds accumulate them like any other head; they are never
@@ -667,16 +567,13 @@ impl HeadCounter {
     }
 
     /// Adds every head's best value count over one row — the
-    /// observations `ids` of `obs`, in any order — to the totals: the
-    /// vertical kernel when it accepts the row, else the scalar per-head
-    /// histogram and dense fold. Both count exact integers.
-    pub(crate) fn add_row(&mut self, obs: &ObsMatrix, ids: &[u32]) {
-        if ids.is_empty() {
-            return;
-        }
-        if !self.fold_row_dense_vertical(obs.codes(), obs.num_attrs(), ids) {
-            self.bump_ids(obs, ids);
-            self.fold_row_dense();
+    /// observations `ids` of `obs`, in any order, whose slot stripes are
+    /// the same rows of `slots` — to the totals, through the batch
+    /// sweeps' dense-row fold: the vertical kernel when it accepts the
+    /// row, else the blocked flat kernel. Both count exact integers.
+    pub(crate) fn add_row(&mut self, obs: &ObsMatrix, slots: &Slots, ids: &[u32]) {
+        if !ids.is_empty() {
+            self.fold_dense_row(obs, slots, ids);
         }
     }
 
@@ -902,10 +799,8 @@ impl<'a> CountingEngine<'a> {
     /// The counter-slot stripes feeding the blocked flat kernel, at the
     /// engine's lane width, built on first use.
     fn slots(&self) -> &Slots {
-        self.slots.get_or_init(|| match self.kernel_path() {
-            KernelPath::FlatU16 => Slots::U16(SlotMatrix::build(self.db)),
-            KernelPath::FlatU32 => Slots::U32(SlotMatrix::build(self.db)),
-        })
+        self.slots
+            .get_or_init(|| Slots::build(self.db, self.db.num_obs()))
     }
 
     /// The underlying database.

@@ -7,11 +7,12 @@
 //! from scratch. [`IncrementalState`] is the persistent machinery behind
 //! it:
 //!
-//! - slot-indexed [`ValueIndex`] / [`ObsMatrix`] mirrors of the window,
-//!   kept as a ring (each slide's observation takes the retired one's
-//!   slot) and maintained in `O(n)` per slide (one observation's bits
-//!   cleared, one set — ACVs are counts of value combinations and do
-//!   not depend on observation order, so ring slots count exactly like
+//! - slot-indexed [`ValueIndex`] / [`ObsMatrix`] / counter-slot
+//!   mirrors of the window, kept as a ring (each slide's observation
+//!   takes the retired one's slot) and maintained in `O(n)` per slide
+//!   (one observation's bits cleared, one set, one code row and one slot
+//!   row written — ACVs are counts of value combinations and do not
+//!   depend on observation order, so ring slots count exactly like
 //!   chronological ids);
 //! - the **pass-1 joint-count tensor**: for every unordered attribute
 //!   pair, the `k × k` table of value-combination counts
@@ -30,11 +31,12 @@
 //!   pair: `ΔS₂[p][h] = Σ best(post-slide rows) − Σ best(pre-slide
 //!   rows)` over the touched rows, where `best` is a head's largest
 //!   value count in a row, counted for all heads at once by the batch
-//!   build's SIMD vertical kernel (the scalar per-head histogram where
-//!   the kernel declines). A row's post-slide observations come off one
-//!   bitset intersection; its pre-slide list drops the appended slot
-//!   and reads the retired observation back from a spare code-matrix
-//!   row. That is at most four rows of `~m/k²` observations per pair.
+//!   build's dense-row fold: the SIMD vertical kernel, else the blocked
+//!   flat kernel over the window's slot rows. A row's post-slide
+//!   observations come off one bitset intersection; its pre-slide list
+//!   drops the appended slot and reads the retired observation back
+//!   from a spare code-matrix and slot row. That is at most four rows of
+//!   `~m/k²` observations per pair.
 //!   Both paths produce identical integers, and every nonzero net
 //!   change sets a **dirty bit**;
 //! - the **kept-candidate mask** from the previous slide, word-aligned
@@ -59,7 +61,7 @@
 
 use crate::builder;
 use crate::config::ModelConfig;
-use crate::counting::{acv_of, for_each_bit, CountingEngine, HeadCounter, KernelPath};
+use crate::counting::{acv_of, for_each_bit, CountingEngine, HeadCounter, KernelPath, Slots};
 use crate::model::AssociationModel;
 use crate::parallel::{parallel_blocks, steal_block_size};
 use crate::phase::{Phase, PhaseLaps, PhaseTimer};
@@ -257,20 +259,20 @@ pub struct IncrementalStats {
     /// Bytes held by the pass-2 numerators `S₂`.
     pub s2_bytes: usize,
     /// The counter-lane width ([`KernelPath`]) the window's database
-    /// selects for the blocked flat kernel in the batch-grade count of
-    /// the initial state build (the fallback's `S₂` sweep). Per-slide
-    /// recounts use no flat kernel: they count a few listed rows with the
-    /// vertical kernel or the scalar histogram. Surfaced so a stream
-    /// outgrowing the u16 lanes degrades *visibly* — the u32 lanes are
-    /// bit-identical but slower, and "slower" without a reported cause
-    /// is exactly the silent degradation this field exists to prevent.
+    /// selects for the blocked flat kernel, which counts every row the
+    /// vertical kernel declines: in the initial state build's `S₂` sweep
+    /// and in the row-recount fallback's per-slide recounts alike.
+    /// Surfaced so a stream outgrowing the u16 lanes degrades *visibly* —
+    /// the u32 lanes are bit-identical but slower, and "slower" without a
+    /// reported cause is exactly the silent degradation this field exists
+    /// to prevent.
     pub kernel_path: KernelPath,
     /// The SIMD tier ([`SimdLevel`]) the model's `simd` policy resolves
     /// to: the initial state build's sweep and the row-recount
     /// fallback's per-slide recounts run the vertical kernel at this
-    /// tier on every row it accepts, and the scalar histogram on the
-    /// rest and throughout under `scalar` (a stream running on the
-    /// scalar fallback should say so, not just run slower).
+    /// tier on every row it accepts, and the flat kernel on the rest and
+    /// throughout under `scalar` (a stream running on the scalar
+    /// fallback should say so, not just run slower).
     pub simd: SimdLevel,
 }
 
@@ -290,6 +292,10 @@ pub(crate) struct IncrementalState {
     /// plus one spare row past the ring's slots (`spare_row`) that holds
     /// the retired observation during a fallback recount.
     obs: ObsMatrix,
+    /// The flat kernel's counter-slot stripes of the same rows, spare
+    /// included, written wherever `obs` is: the fallback's recounts fold
+    /// the rows the vertical kernel declines through them.
+    slots: Slots,
     /// `value_counts[a·k + (v−1)]` — baseline/majority numerators.
     value_counts: Vec<u32>,
     /// Pass-1 joint counts `C[p·k² + (v_i−1)·k + (v_j−1)]` for the `p`'th
@@ -372,6 +378,7 @@ impl IncrementalState {
         // indexes are exactly the slot-indexed ones.
         let idx = ValueIndex::build(db);
         let obs = ObsMatrix::build_with_capacity(db, m + 1);
+        let slots = Slots::build(db, m + 1);
 
         let mut value_counts = vec![0u32; n * k];
         for a in db.attrs() {
@@ -502,6 +509,7 @@ impl IncrementalState {
             next_slot: 0,
             idx,
             obs,
+            slots,
             value_counts,
             pair_counts,
             s2,
@@ -604,6 +612,7 @@ impl IncrementalState {
         self.idx.clear_obs(slot, &self.old_row);
         self.idx.set_obs(slot, new_obs);
         self.obs.set_row(slot, new_obs);
+        self.slots.set_row(slot, new_obs);
 
         // Per-attribute value counts (baseline/majority numerators).
         for (a, &v) in self.old_row.iter().enumerate() {
@@ -640,6 +649,7 @@ impl IncrementalState {
         if recount {
             let spare = self.spare_row();
             self.obs.set_row(spare, &self.old_row);
+            self.slots.set_row(spare, &self.old_row);
         }
         let mut p = 0usize;
         for i in 0..n {
@@ -676,6 +686,7 @@ impl IncrementalState {
         let Self {
             idx,
             obs,
+            slots,
             row_bits,
             row_ids,
             post,
@@ -695,7 +706,7 @@ impl IncrementalState {
         post.begin_rows([i, j], *simd);
         pre.begin_rows([i, j], *simd);
         list_row(new_obs[i], new_obs[j], row_ids);
-        post.add_row(obs, row_ids);
+        post.add_row(obs, slots, row_ids);
         let at = row_ids
             .binary_search(&(slot as u32))
             .expect("the appended observation is in its own row");
@@ -705,12 +716,12 @@ impl IncrementalState {
         } else {
             row_ids.remove(at);
         }
-        pre.add_row(obs, row_ids);
+        pre.add_row(obs, slots, row_ids);
         if !same_row {
             list_row(old_row[i], old_row[j], row_ids);
-            post.add_row(obs, row_ids);
+            post.add_row(obs, slots, row_ids);
             row_ids.push(spare);
-            pre.add_row(obs, row_ids);
+            pre.add_row(obs, slots, row_ids);
         }
         let s2_row = &mut s2[p * n..(p + 1) * n];
         let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];

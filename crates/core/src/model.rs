@@ -32,10 +32,11 @@ pub fn attr_of(n: NodeId) -> AttrId {
 /// the serving layer calls [`AssociationModel::export`] at publish time and
 /// hands each reader an immutable copy. An export carries everything a
 /// query needs — the kept hypergraph, the exact training window, the
-/// γ baselines, majority fallbacks, and the raw ACV matrix — and nothing
-/// the mining side needs back, so producing one never touches counting
+/// γ baselines and majority fallbacks — and nothing the mining side
+/// needs back (not the raw pass-1 ACV matrix of every ordered pair,
+/// which only γ tests read), so producing one never touches counting
 /// state: it is a handful of `memcpy`-shaped clones
-/// (`O(edges + n² + n·m)`), orders of magnitude cheaper than a rebuild.
+/// (`O(edges + n·m)`), orders of magnitude cheaper than a rebuild.
 #[derive(Debug, Clone)]
 pub struct ModelExport {
     /// The kept association hypergraph (weights are ACVs).
@@ -48,8 +49,6 @@ pub struct ModelExport {
     pub baseline: Vec<f64>,
     /// Training-set majority value per attribute (classifier fallback).
     pub majority: Vec<Option<Value>>,
-    /// Raw directed-edge ACVs for all ordered pairs (`tail · n + head`).
-    pub raw_edge_acv: Vec<f64>,
     /// The model's window epoch at export time (see
     /// [`AssociationModel::epoch`]).
     pub epoch: u64,
@@ -354,8 +353,9 @@ impl AssociationModel {
         self.epoch
     }
 
-    /// Exports the model's queryable state as an owned, immutable
-    /// [`ModelExport`] — the cheap snapshot path for read-mostly serving
+    /// Exports the model's queryable state — the kept graph, the window,
+    /// the baselines and the majorities — as an owned, immutable
+    /// [`ModelExport`], the cheap snapshot path for read-mostly serving
     /// (see the type-level docs for the cost model). The export observes
     /// the model at the current [`AssociationModel::epoch`]; later
     /// `advance`/`retire_oldest` calls never affect it.
@@ -366,7 +366,6 @@ impl AssociationModel {
             k: self.k,
             baseline: self.baseline.clone(),
             majority: self.majority.clone(),
-            raw_edge_acv: self.raw_edge_acv.clone(),
             epoch: self.epoch,
             config: self.cfg.clone(),
         }

@@ -171,11 +171,6 @@ impl AssociationTable {
         (0..self.rows.len()).map(|i| self.view(i))
     }
 
-    /// The raw counts of row `i`.
-    pub fn row_counts(&self, i: usize) -> RowCounts {
-        self.rows[i]
-    }
-
     /// The row for a specific tail value assignment (one value per tail
     /// attribute, each in `1..=k`).
     ///

@@ -18,14 +18,13 @@
 //!
 //! Both of those count over a fixed window. For a
 //! **sliding** window the index is maintained *incrementally* instead:
-//! [`ValueIndex::with_capacity`] starts an all-empty index over physical
-//! ring slots, and [`ValueIndex::set_obs`] / [`ValueIndex::clear_obs`]
-//! flip exactly one observation's bit per attribute in `O(n)` — the
-//! retired observation's slot is reused by the appended one, so no other
-//! bit moves. Support counts are order-invariant, which is why
-//! slot-indexed counting matches a chronological batch build bit for bit
-//! (see `hypermine_data::WindowedDatabase` and
-//! `hypermine_core`'s incremental engine).
+//! `hypermine_core`'s incremental engine builds it once over the window
+//! and treats observation ids as ring slots, and [`ValueIndex::set_obs`]
+//! / [`ValueIndex::clear_obs`] flip exactly one observation's bit per
+//! attribute in `O(n)` — the retired observation's slot is reused by the
+//! appended one, so no other bit moves. Support counts are
+//! order-invariant, which is why slot-indexed counting matches a
+//! chronological batch build bit for bit.
 
 use crate::database::{AttrId, Database, Value};
 

@@ -37,8 +37,8 @@ impl fmt::Display for AttrId {
     }
 }
 
-/// Errors raised while constructing a [`Database`] or mutating a
-/// [`crate::WindowedDatabase`].
+/// Errors raised while constructing a [`Database`] or appending an
+/// observation to one ([`Database::append_obs`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatabaseError {
     /// A value was 0 or exceeded `k`.
@@ -54,10 +54,6 @@ pub enum DatabaseError {
     NameCountMismatch { names: usize, columns: usize },
     /// `k` was zero.
     ZeroK,
-    /// A windowed database was asked to append beyond its capacity.
-    WindowFull { capacity: usize },
-    /// A windowed database was created with zero capacity.
-    ZeroCapacity,
 }
 
 impl fmt::Display for DatabaseError {
@@ -74,15 +70,6 @@ impl fmt::Display for DatabaseError {
                 write!(f, "{names} names given for {columns} columns")
             }
             DatabaseError::ZeroK => write!(f, "k (the value-domain size) must be at least 1"),
-            DatabaseError::WindowFull { capacity } => {
-                write!(
-                    f,
-                    "window already holds its capacity of {capacity} observations"
-                )
-            }
-            DatabaseError::ZeroCapacity => {
-                write!(f, "window capacity must be at least 1")
-            }
         }
     }
 }
@@ -143,27 +130,6 @@ impl Database {
             num_obs,
             columns,
         })
-    }
-
-    /// Builds a database from parts whose invariants are already
-    /// established (equal column lengths, values in `1..=k`, one name per
-    /// column) — the materialization path of [`crate::WindowedDatabase`],
-    /// whose ring already validated every appended observation.
-    pub(crate) fn from_validated_parts(
-        names: Vec<String>,
-        k: Value,
-        num_obs: usize,
-        columns: Vec<Vec<Value>>,
-    ) -> Self {
-        debug_assert_eq!(names.len(), columns.len());
-        debug_assert!(columns.iter().all(|c| c.len() == num_obs));
-        debug_assert!(columns.iter().flatten().all(|&v| v >= 1 && v <= k));
-        Database {
-            names,
-            k,
-            num_obs,
-            columns,
-        }
     }
 
     /// Builds a database from observation rows (each row one value per

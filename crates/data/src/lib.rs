@@ -22,11 +22,6 @@
 //! - [`PairBuckets`]: obs ids grouped by `(v_a, v_b)` row via one
 //!   counting-sort pass — the PairRows-free input of the observation-major
 //!   pair sweep;
-//! - [`WindowedDatabase`]: a fixed-capacity sliding window over
-//!   ring-buffered columns (`append_obs`/`retire_oldest`/`advance`) — the
-//!   data-layer half of the streaming model lifecycle, paired with
-//!   incremental `ValueIndex`/`ObsMatrix` maintenance
-//!   (`set_obs`/`clear_obs`/`set_row`);
 //! - [`discretize`]: equi-depth k-threshold vectors (Section 5.1.1),
 //!   equi-width cuts, fixed cut points, and arbitrary mapping discretizers;
 //! - [`delta_series`] / [`try_delta_series`]: the fractional-change
@@ -59,11 +54,9 @@ mod delta;
 pub mod discretize;
 mod obs_matrix;
 mod support;
-mod windowed;
 
 pub use bitmap::ValueIndex;
 pub use database::{AttrId, Database, DatabaseError, Value};
 pub use delta::{delta_matrix, delta_series, try_delta_matrix, try_delta_series, DeltaError};
 pub use obs_matrix::{counter_stride, ObsMatrix, PairBuckets, SlotLane, SlotMatrix};
 pub use support::{confidence, support, support_count, Pattern};
-pub use windowed::{StreamEvent, WindowedDatabase};

@@ -203,8 +203,18 @@ impl<L: SlotLane> SlotMatrix<L> {
     /// at least 16.7 M attributes even at `k = 255`, a universe no build
     /// over its Θ(n²) attribute pairs could finish.
     pub fn build(db: &Database) -> Self {
+        Self::build_with_capacity(db, db.num_obs())
+    }
+
+    /// [`SlotMatrix::build`] into a matrix of `num_obs ≥ db.num_obs()`
+    /// rows, mirroring [`ObsMatrix::build_with_capacity`]: the rows past
+    /// the database hold slot 0 until [`SlotMatrix::set_row`] fills them.
+    ///
+    /// # Panics
+    /// As [`SlotMatrix::build`], and when `num_obs < db.num_obs()`.
+    pub fn build_with_capacity(db: &Database, num_obs: usize) -> Self {
+        assert!(num_obs >= db.num_obs(), "capacity below the database size");
         let num_attrs = db.num_attrs();
-        let num_obs = db.num_obs();
         let k = db.k() as usize;
         let stride = counter_stride(k);
         assert!(
@@ -226,6 +236,18 @@ impl<L: SlotLane> SlotMatrix<L> {
             num_obs,
             k,
             slots,
+        }
+    }
+
+    /// Overwrites observation `o`'s slot row from its values (`row[h]` is
+    /// head `h`'s value, in `1..=k`), as [`ObsMatrix::set_row`] does for
+    /// the codes. `O(n)`.
+    pub fn set_row(&mut self, o: usize, row: &[Value]) {
+        assert_eq!(row.len(), self.num_attrs, "row has wrong arity");
+        let stride = counter_stride(self.k);
+        let dst = &mut self.slots[o * self.num_attrs..(o + 1) * self.num_attrs];
+        for (h, (s, &v)) in dst.iter_mut().zip(row).enumerate() {
+            *s = L::from_slot(h * stride + (v as usize - 1));
         }
     }
 
@@ -539,6 +561,38 @@ mod tests {
         let stride = counter_stride(3);
         assert_eq!(wide.row(0)[16384], (16384 * stride) as u32);
         assert_eq!(wide.row(1)[0], 1);
+    }
+
+    /// Rows written one by one into a matrix built with spare capacity —
+    /// including the spare row past the database — equal a batch build
+    /// over the same rows, at both lane widths.
+    fn row_writes_match_a_batch_build<L: SlotLane + PartialEq>() {
+        let rows = [[1, 2, 3], [3, 1, 2], [2, 2, 1], [3, 3, 1]];
+        let names = vec!["x".into(), "y".into(), "z".into()];
+        let full = Database::from_rows(names.clone(), 3, &rows).unwrap();
+        let batch = SlotMatrix::<L>::build(&full);
+        let seeded = Database::from_rows(names, 3, &rows[..3]).unwrap();
+        let mut inc = SlotMatrix::<L>::build_with_capacity(&seeded, 4);
+        assert_eq!((inc.num_attrs(), inc.num_obs(), inc.k()), (3, 4, 3));
+        assert!(
+            inc.row(3).iter().all(|s| s.index() == 0),
+            "spare holds slot 0"
+        );
+        inc.set_row(3, &rows[3]);
+        for o in 0..4 {
+            assert_eq!(inc.row(o), batch.row(o), "row {o}");
+        }
+        // Overwriting replaces exactly one row.
+        inc.set_row(1, &rows[0]);
+        assert_eq!(inc.row(1), batch.row(0));
+        assert_eq!(inc.row(0), batch.row(0));
+        assert_eq!(inc.row(2), batch.row(2));
+    }
+
+    #[test]
+    fn slot_row_writes_match_a_batch_build() {
+        row_writes_match_a_batch_build::<u16>();
+        row_writes_match_a_batch_build::<u32>();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::dominator_tables::DominatorAlgorithm;
 use crate::paper;
-use crate::scenario::{Configuration, Scale, Scenario};
+use crate::scenario::{Configuration, Scenario};
 use hypermine_core::{
     attr_of, dominating_adaptation, node_of, set_cover_adaptation, AssociationClassifier,
     AssociationModel, SetCoverOptions, StopRule,
@@ -138,18 +138,10 @@ impl fmt::Display for ExpandingWindowReport {
     }
 }
 
-/// Scale-aware convenience used by the report binary.
-pub fn default_figure_5_4(scale: Scale, seed: u64) -> Vec<ExpandingWindowReport> {
-    let scenario = Scenario::new(scale, seed);
-    vec![
-        expanding_windows(&scenario, DominatorAlgorithm::DominatingSet, 0.4),
-        expanding_windows(&scenario, DominatorAlgorithm::SetCover, 0.4),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scale;
 
     #[test]
     fn windows_cover_all_years() {

@@ -84,7 +84,7 @@ impl MarketDims {
     }
 
     /// Sliding dimensions: `tickers` × `days` with a `window`-observation
-    /// ring.
+    /// sliding window.
     pub const fn sliding(tickers: usize, days: usize, window: usize) -> MarketDims {
         MarketDims {
             tickers,
@@ -182,8 +182,7 @@ impl MarketShape {
 /// Deterministic calendar holes injected into a sliding stream: after
 /// every `every` observed days, `len` consecutive days are missing. Each
 /// missing day retires the oldest observation without a replacement
-/// (`AssociationModel::retire_oldest` /
-/// `hypermine_data::StreamEvent::Gap`), contracting the window.
+/// (`AssociationModel::retire_oldest`), contracting the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapSchedule {
     /// Observed days between gap bursts.

@@ -12,8 +12,8 @@
 //! determinism hazard either.
 
 use crate::registry::{
-    DiscretizerSpec, GammaRun, InlineExtra, InlineTable, MarketShape, RunScale, ScenarioSpec,
-    Source, WindowPolicy,
+    DiscretizerSpec, InlineExtra, InlineTable, MarketShape, RunScale, ScenarioSpec, Source,
+    WindowPolicy,
 };
 use crate::scenario::{BuiltConfig, Configuration, Scenario};
 use hypermine_core::{
@@ -21,7 +21,7 @@ use hypermine_core::{
     AssociationModel, ModelConfig, MvaRule, SetCoverOptions,
 };
 use hypermine_data::discretize::{discretize_by, Discretizer, FixedCuts};
-use hypermine_data::{AttrId, Database, StreamEvent, Value, WindowedDatabase};
+use hypermine_data::{AttrId, Database, Value};
 use hypermine_market::{calendar, discretize_market, Market};
 use hypermine_serve::store::{self, WalRecord, WalStore};
 
@@ -657,10 +657,6 @@ fn run_sliding(
         let cfg = run.model_config(db.num_attrs());
         let seed_db = db.slice_obs(0..window);
         let mut model = AssociationModel::build(&seed_db, &cfg).expect("gammas are >= 1");
-        // The data-layer mirror of the model's window, driven through
-        // the gap-aware StreamEvent protocol.
-        let mut w =
-            WindowedDatabase::from_database(&seed_db, window).expect("window dims are valid");
 
         let mut row = vec![0 as Value; db.num_attrs()];
         let mut live = window;
@@ -674,7 +670,6 @@ fn run_sliding(
                     // A calendar hole: `len` missing days, each retiring
                     // the oldest observation with no replacement.
                     for _ in 0..g.len {
-                        w.apply(StreamEvent::Gap).expect("gap on live window");
                         model.retire_oldest().expect("window stays non-trivial");
                         live -= 1;
                         gap_days += 1;
@@ -687,10 +682,7 @@ fn run_sliding(
                 *v = db.value(AttrId::new(a as u32), day);
             }
             // A fixed-width slide at the current (possibly contracted)
-            // length: the model's advance retires and appends in one
-            // step, so the mirror must too.
-            w.retire_oldest().expect("live window is never empty");
-            w.append_obs(&row).expect("validated by the discretizer");
+            // length: the model's advance retires and appends in one step.
             model.advance(&row).expect("validated rows advance");
             slides += 1;
             observed_since_gap += 1;
@@ -698,9 +690,16 @@ fn run_sliding(
 
         // The replication contract for every streaming scenario: the
         // incrementally maintained model — including retire-only
-        // contractions — is bit-identical to a batch rebuild.
-        let final_db = w.to_database();
-        assert_eq!(final_db.num_obs(), live);
+        // contractions — covers exactly the stream's newest `live` days
+        // and is bit-identical to a batch rebuild over them.
+        let final_db = db.slice_obs(total - live..total);
+        assert_eq!(
+            model.database(),
+            &final_db,
+            "{}/{}: the model's window is not the stream's newest {live} days",
+            spec.name,
+            run.label
+        );
         let batch = AssociationModel::build(&final_db, &cfg).expect("gammas are >= 1");
         let identical =
             canonical_edges(&model) == canonical_edges(&batch) && model.stats() == batch.stats();
@@ -877,15 +876,6 @@ fn record_model_dominator(section: &mut SummarySection, model: &AssociationModel
             .map(|&a| model.attr_name(a).to_string())
             .collect(),
     );
-}
-
-/// The `(label, k)` pairs of a spec's runs — a convenience for binaries
-/// enumerating registry sections.
-pub fn run_labels(spec: &ScenarioSpec) -> Vec<(&'static str, Value)> {
-    spec.runs
-        .iter()
-        .map(|r: &GammaRun| (r.label, r.k))
-        .collect()
 }
 
 #[cfg(test)]

@@ -177,8 +177,7 @@ impl Incidence {
 /// slab/order indirection: [`DirectedHypergraph::splice_edges`]
 /// renumbers survivors by memcpy-ing the record runs between splice
 /// points, and [`DirectedHypergraph::reset_edges`] is a plain
-/// truncation that keeps allocations live for the streaming model's
-/// per-slide reuse.
+/// truncation that keeps allocations live for reassembly in place.
 #[derive(Debug, Default)]
 pub struct DirectedHypergraph {
     num_nodes: usize,
@@ -262,8 +261,10 @@ impl DirectedHypergraph {
     }
 
     /// Removes every edge while keeping the node range and the allocations
-    /// of the edge store — the streaming model reassembles its graph in
-    /// place once per slide. Both derived indexes are dropped.
+    /// of the edge store, for reassembling a graph in place: the streaming
+    /// model does so on its first slide (and after its graph was filtered
+    /// or replaced), then splices ([`DirectedHypergraph::splice_edges`]).
+    /// Both derived indexes are dropped.
     pub fn reset_edges(&mut self) {
         self.packed.clear();
         self.weights.clear();

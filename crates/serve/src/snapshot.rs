@@ -233,7 +233,6 @@ impl ModelSnapshot {
             k,
             baseline,
             majority,
-            raw_edge_acv: _,
             epoch,
             config,
         } = export;

@@ -36,7 +36,10 @@
 //! ([`WindowShape`]), so a record the model would have rejected fails
 //! recovery as [`RecoverError::Replay`]. A **truncated final record** —
 //! the torn write of a crash mid-append — is tolerated and discarded;
-//! recovery then reflects the last fully durable record. Any other
+//! recovery then reflects the last fully durable record. So is a segment
+//! shorter than its 16-byte header, the crash between creating a segment
+//! and writing its header: it holds no records, and recovery restores
+//! the checkpoint. Any other
 //! malformed byte (a checksum mismatch, a corrupt header, garbage
 //! mid-log) is a hard [`RecoverError`]: silently skipping it would
 //! serve a model that disagrees with what was acknowledged before the
@@ -186,7 +189,8 @@ pub struct RecoveryInfo {
     pub replayed: u64,
     /// Epoch of the recovered model (checkpoint + replay).
     pub epoch: u64,
-    /// Whether a truncated final record (torn write) was discarded.
+    /// Whether a torn write was tolerated: a truncated final record
+    /// discarded, or a segment shorter than its header read as empty.
     pub torn_tail: bool,
     /// How long each stage of the recovery took. Machine-dependent, so
     /// it takes no part in any model comparison.
@@ -392,14 +396,11 @@ pub fn recover(dir: &Path) -> Result<(AssociationModel, RecoveryInfo), RecoverEr
     let mut torn_tail = false;
     if let Some(bytes) = &segment {
         let mut tail = TailReader::new(bytes, &seg_path)?;
-        if tail.seq != seq {
+        if let Some(header_seq) = tail.seq.filter(|&s| s != seq) {
             return Err(corrupt(
                 &seg_path,
                 8,
-                format!(
-                    "segment header seq {} does not match filename seq {seq}",
-                    tail.seq
-                ),
+                format!("segment header seq {header_seq} does not match filename seq {seq}"),
             ));
         }
         while let Some(record) = tail.next_record()? {
@@ -509,7 +510,9 @@ struct TailReader<'a> {
     bytes: &'a [u8],
     pos: usize,
     path: &'a Path,
-    seq: u64,
+    /// The header's sequence number; `None` when the header itself is
+    /// torn.
+    seq: Option<u64>,
     torn_tail: bool,
 }
 
@@ -517,24 +520,24 @@ impl<'a> TailReader<'a> {
     fn new(bytes: &'a [u8], path: &'a Path) -> Result<Self, RecoverError> {
         if bytes.len() < 16 {
             // Even the header is incomplete: the crash hit segment
-            // creation itself; no records can have been acknowledged.
+            // creation itself; no records can have been acknowledged, so
+            // the reader holds none.
             return Ok(TailReader {
                 bytes: &[],
                 pos: 0,
                 path,
-                seq: u64::MAX,
+                seq: None,
                 torn_tail: true,
             });
         }
         if &bytes[..8] != WAL_MAGIC {
             return Err(corrupt(path, 0, "bad WAL magic".into()));
         }
-        let seq = read_u64(bytes, 8);
         Ok(TailReader {
             bytes,
             pos: 16,
             path,
-            seq,
+            seq: Some(read_u64(bytes, 8)),
             torn_tail: false,
         })
     }
@@ -542,10 +545,6 @@ impl<'a> TailReader<'a> {
     /// `Ok(None)` on a clean end *or* a tolerated torn tail (flagged);
     /// `Err` on anything malformed before the end.
     fn next_record(&mut self) -> Result<Option<WalRecord>, RecoverError> {
-        // Empty-header sentinel (see `new`).
-        if self.seq == u64::MAX {
-            return Ok(None);
-        }
         let remaining = self.bytes.len() - self.pos;
         if remaining == 0 {
             return Ok(None);
@@ -1276,6 +1275,60 @@ mod tests {
         let err = recover(&dir).unwrap_err();
         assert!(matches!(err, RecoverError::Corrupt { .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_segment_header_recovers_the_checkpoint_and_serving_continues() {
+        let (d, model) = fixture(100);
+        for rotated in [false, true] {
+            for cut in [0usize, 7, 15] {
+                let tag = format!("torn-header-{rotated}-{cut}");
+                let dir = tmp_dir(&tag);
+                let mut live = model.clone();
+                // A one-byte budget: `maybe_rotate` rotates after a record.
+                let mut store = WalStore::create(&dir, 1, &live).unwrap();
+                if rotated {
+                    apply_and_log(&mut live, &mut store, WalRecord::Advance(row_at(&d, 100)));
+                    assert!(store.maybe_rotate(&live).unwrap());
+                }
+                let seq = store.seq();
+                drop(store);
+                // The crash between creating the live segment and writing
+                // its header.
+                let seg = segment_path(&dir, seq);
+                let header = fs::read(&seg).unwrap();
+                assert_eq!(header.len(), 16, "{tag}: a fresh segment is its header");
+                fs::write(&seg, &header[..cut]).unwrap();
+                let (recovered, info) = recover(&dir).expect("a torn header is tolerated");
+                assert_eq!(info.seq, seq, "{tag}");
+                assert_eq!(info.checkpoint_epoch, live.epoch(), "{tag}");
+                assert_eq!(info.epoch, live.epoch(), "{tag}");
+                assert_eq!(info.replayed, 0, "{tag}");
+                assert!(info.torn_tail, "{tag}");
+                assert_eq!(recovered.epoch(), live.epoch(), "{tag}");
+                assert_eq!(digest(&recovered), digest(&live), "{tag}");
+
+                // A host recovered from that state serves the checkpoint
+                // and goes on logging.
+                let (host, info) = crate::ServeHost::recover(
+                    &dir,
+                    crate::SnapshotSpec::default(),
+                    crate::HostOptions::queue(4),
+                )
+                .expect("the host recovers");
+                assert!(info.torn_tail && info.replayed == 0, "{tag}");
+                assert_eq!(host.reader().load().digest(), digest(&live), "{tag}");
+                assert!(host.advance(row_at(&d, 101)));
+                let stats = host.shutdown();
+                assert_eq!((stats.published, stats.wal_records), (1, 1), "{tag}");
+                live.advance(&row_at(&d, 101)).unwrap();
+                let (again, info) = recover(&dir).expect("recover the continued store");
+                assert_eq!((info.seq, info.replayed), (seq + 1, 1), "{tag}");
+                assert!(!info.torn_tail, "{tag}");
+                assert_eq!(digest(&again), digest(&live), "{tag}");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -701,8 +701,8 @@ fn check_fallback_stream(
 /// Row-recount fallback bit-identity at the vertical kernel's
 /// boundaries, around one AVX2 block of 32 heads (n = 31 declines, 33
 /// ends on an overlapped tail block) and across k ∈ {2, 5, 8, 9}, the
-/// kernel's value range and one past it (k = 9 declines to the scalar
-/// histogram).
+/// kernel's value range and one past it (k = 9 declines to the blocked
+/// flat kernel on every host).
 #[test]
 fn fallback_recounts_are_bit_identical_around_one_block() {
     for n in [31usize, 32, 33] {
@@ -736,7 +736,7 @@ fn fallback_recounts_are_bit_identical_past_two_blocks_at_large_k() {
 }
 
 /// A window whose pair rows hold more than 255 observations, which the
-/// vertical kernel declines row by row.
+/// vertical kernel declines row by row, so the flat kernel counts them.
 #[test]
 fn fallback_recounts_are_bit_identical_on_rows_past_255() {
     // Attribute triples (a, b, c): a and b are 1 in ~90% of the

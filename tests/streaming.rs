@@ -6,7 +6,7 @@
 //! the stream.
 
 use hypermine::core::{AdvanceError, AssociationModel, ModelConfig};
-use hypermine::data::{Database, StreamEvent, Value, WindowedDatabase};
+use hypermine::data::{Database, Value};
 use proptest::prelude::*;
 
 /// Asserts full model equivalence: hypergraph (ids, sets, weights bit
@@ -138,68 +138,54 @@ proptest! {
     }
 
     /// Retire-only contraction: every `retire_oldest` — interleaved with
-    /// fixed-width slides, after the ring has wrapped — leaves the model
-    /// bit-identical to a batch rebuild of the contracted window, with
-    /// the `WindowedDatabase` ring (driven through `StreamEvent`)
-    /// materializing exactly the same window. Draining the model to one
-    /// observation is rejected with `EmptyModel`.
+    /// fixed-width slides, after the incremental state's ring has
+    /// wrapped — leaves the model bit-identical to a batch rebuild of the
+    /// contracted `slice_obs` window, its own window included. Draining
+    /// the model to one observation is rejected with `EmptyModel`.
     #[test]
     fn retire_only_contraction_matches_batch_rebuild((stream, window, k) in stream_with_k()) {
         let full = db_from(&stream, k);
         let cfg = ModelConfig { threads: 1, ..ModelConfig::default() };
         let mut model = AssociationModel::build(&full.slice_obs(0..window), &cfg).unwrap();
-        let mut ring =
-            WindowedDatabase::from_database(&full.slice_obs(0..window), window).unwrap();
         let epoch0 = model.epoch();
 
-        // Phase A: slide through all but two tail rows so the ring's
-        // start pointer wraps before any contraction happens.
+        // Phase A: slide through all but two tail rows so the state's
+        // ring slots wrap before any contraction happens.
         let tail = stream.len() - window;
         let reserve = 2usize.min(tail);
         let mut s = 0usize; // fixed-width slides so far
         let mut r = 0usize; // retires so far
         for _ in 0..tail - reserve {
-            let row = &stream[window + s];
-            prop_assert!(ring.apply(StreamEvent::Obs(row)).unwrap().is_some());
-            model.advance(row).unwrap();
+            model.advance(&stream[window + s]).unwrap();
             s += 1;
         }
 
-        // Phase B: contract halfway down via Gap events, checking the
-        // ring and a batch rebuild at every step.
+        // Phase B: contract halfway down, checking against a batch
+        // rebuild at every step.
         let half = (window - 2) / 2;
         for _ in 0..half {
-            prop_assert!(ring.apply(StreamEvent::Gap).unwrap().is_some());
             model.retire_oldest().unwrap();
             r += 1;
             let expect = full.slice_obs(s + r..s + window);
-            prop_assert_eq!(ring.to_database(), expect.clone());
             let batch = AssociationModel::build(&expect, &cfg).unwrap();
             assert_identical(&model, &batch, &format!("retire {r} after {s} slides"));
         }
 
         // Phase C: the reserved rows slide at the contracted width (the
-        // model's `advance` is a fixed-width slide, so the ring mirrors
-        // it with an explicit retire + append).
+        // model's `advance` is a fixed-width slide).
         for _ in 0..reserve {
-            let row = &stream[window + s];
-            prop_assert!(ring.retire_oldest().is_some());
-            ring.append_obs(row).unwrap();
-            model.advance(row).unwrap();
+            model.advance(&stream[window + s]).unwrap();
             s += 1;
             let expect = full.slice_obs(s + r..s + window);
-            prop_assert_eq!(ring.to_database(), expect.clone());
             let batch = AssociationModel::build(&expect, &cfg).unwrap();
             assert_identical(&model, &batch, &format!("contracted slide {s}"));
         }
 
         // Phase D: drain to two observations, still bit-identical.
         while window - r > 2 {
-            prop_assert!(ring.apply(StreamEvent::Gap).unwrap().is_some());
             model.retire_oldest().unwrap();
             r += 1;
             let expect = full.slice_obs(s + r..s + window);
-            prop_assert_eq!(ring.to_database(), expect.clone());
             let batch = AssociationModel::build(&expect, &cfg).unwrap();
             assert_identical(&model, &batch, &format!("drain to {}", window - r));
         }
@@ -211,20 +197,6 @@ proptest! {
         model.retire_oldest().unwrap();
         prop_assert_eq!(model.database().num_obs(), 1);
         prop_assert_eq!(model.retire_oldest(), Err(AdvanceError::EmptyModel));
-    }
-
-    /// The `WindowedDatabase` ring materializes exactly the `slice_obs`
-    /// window at every slide, including after wrap-around.
-    #[test]
-    fn windowed_database_tracks_slice_obs((stream, window, k) in stream_with_k()) {
-        let full = db_from(&stream, k);
-        let mut ring = WindowedDatabase::from_database(&full.slice_obs(0..window), window).unwrap();
-        for step in 0..stream.len() - window {
-            ring.advance(&stream[window + step]).unwrap();
-            prop_assert_eq!(ring.num_obs(), window);
-            let expect = full.slice_obs(step + 1..step + 1 + window);
-            prop_assert_eq!(ring.to_database(), expect);
-        }
     }
 }
 
