@@ -10,8 +10,9 @@
 //! gate limits. The sections, one module each, run in this order:
 //!
 //! - `construction`: builds at every k and at 1, 4 and 8 worker threads;
-//! - `incremental`: steady slides on the triple-tensor path and on the
-//!   forced row-recount fallback, against a rebuild of the same window;
+//! - `incremental`: first advances (the state build) and steady slides
+//!   on the triple-tensor path and on the forced row-recount fallback,
+//!   against a rebuild of the same window;
 //!   a default-spec publish of the slid model; batched advances at k = 3;
 //! - `wide`: the n = 240 fixture at 1, 4 and 8 threads, and once under
 //!   `SimdPolicy::ForceScalar` at k = 8;
@@ -28,7 +29,9 @@
 //! which also logs every entry to stderr as it lands. Every timing entry
 //! names the SIMD level it ran at (`avx2`/`neon`/`scalar`), and slide,
 //! publish and recovery entries carry their stage split (`phases_ms`) and
-//! the share of the wall time it covers (`phases_cover`).
+//! the share of the wall time it covers (`phases_cover`), the slide
+//! entries also their first advance's (`first_phases_ms`,
+//! `first_phases_cover`).
 //!
 //! **The check table.** Every gate is one row: a label, the measured
 //! value, a limit, a direction (at least or at most) and, where the gate
@@ -45,15 +48,17 @@
 //! - incremental: the k = 5 slide is ≥ 3× faster than a rebuild; one
 //!   `advance_batch(5)` is ≥ 1.3× faster than five single slides at
 //!   k = 3; a publish costs ≤ 3.09×, 7.40× and 15.0× a slide at k = 3, 5
-//!   and 8; every slide is no slower than the same run's rebuild;
+//!   and 8; every slide is no slower than the same run's rebuild; the
+//!   k = 3 tensor-path first advance (the state build) costs ≤ 2.77× the
+//!   rebuild;
 //! - wide: the k = 8 build is ≥ 2.5× faster at 4 threads than at 1, and
 //!   ≥ 1.2× faster than the forced-scalar build;
 //! - wide500: its slide is no slower than its build;
 //! - serve: 8 readers reach ≥ 3× the queries/s of 1 on 8+ cores, ≥ 2× on
 //!   4–7;
 //! - durability: recovery costs ≤ `RECOVER_RATIO_LIMIT` times a restore;
-//! - every slide, publish and recovery: its phases cover ≥ 95% of its
-//!   wall time;
+//! - every slide, first advance, publish and recovery: its phases cover
+//!   ≥ 95% of its wall time;
 //! - wide and wide500 together: the n = 500 bytes per kept edge, exact
 //!   graph accounting and section-local peak RSS alike, stay under twice
 //!   the n = 240 figure.
@@ -106,9 +111,9 @@ const RUNS: usize = 3;
 /// matching; the others get a `-t4`/`-t8` suffix.
 const THREADS: [usize; 3] = [1, 4, 8];
 
-/// Phase-coverage floor: the phases of each reported publish, slide and
-/// recovery must sum to at least this share of its wall time, so untimed
-/// work cannot hide between them.
+/// Phase-coverage floor: the phases of each reported publish, slide,
+/// first advance and recovery must sum to at least this share of its
+/// wall time, so untimed work cannot hide between them.
 const PHASE_COVER_FLOOR: f64 = 0.95;
 
 /// Memory ceiling: the n = 500 fixture's bytes per kept edge, exact graph
@@ -333,7 +338,8 @@ impl Summary {
         self.members.push((key, value.to_string()));
     }
 
-    /// The phase-cover row of a slide, publish or recovery entry.
+    /// The phase-cover row of a slide, first advance, publish or
+    /// recovery entry.
     fn cover(&mut self, label: &str, k: u8, cover: f64) {
         let label = format!("{label} k={k} phase cover");
         self.checks

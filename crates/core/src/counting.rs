@@ -121,15 +121,21 @@
 //! retired/appended observation can change — `O(n²)`–`O(n³)` per slide
 //! versus the batch passes' `O(n²·m)`-and-up, a 3.6–7.6× per-slide win
 //! on the bench fixture at k ∈ {3, 5, 8} (≥ 13× before the SIMD
-//! vertical kernel halved the batch side). Its triple-tensor path has no
-//! dense sweeps to vectorize; its row-recount fallback, past the tensor
-//! budget, counts the one or two pair rows a slide touches through the
-//! pair sweep's own dense-row fold (`HeadCounter::add_row`): the
-//! vertical kernel, else the blocked flat kernel over slot stripes the
-//! window keeps row by row (`Slots::set_row`), at the lane width
-//! [`KernelPath::select`] picks for the window. Batch wins for one-shot
-//! builds and for bulk window jumps; incremental wins as soon as the
-//! same model is slid more than a couple of observations at a time.
+//! vertical kernel halved the batch side). Its triple-tensor path
+//! slides without dense sweeps, and builds its per-row head histograms
+//! once with the **row-histogram kernel** ([`row_histograms`]): the
+//! vertical kernel's byte-compare scheme in plain Rust, keeping every
+//! value's count in u8 lanes spilled into the tensor's u16 cells every
+//! 255 observations. Its row-recount fallback, past the tensor budget,
+//! builds its numerators with the batch pair sweep ([`pair_sweep`])
+//! over the window mirrors it keeps, and counts the one or two pair rows
+//! a slide touches through the same dense-row fold
+//! (`HeadCounter::add_row`): the vertical kernel, else the blocked flat
+//! kernel over slot stripes the window keeps row by row
+//! (`Slots::set_row`), at the lane width [`KernelPath::select`] picks
+//! for the window. Batch wins for one-shot builds and for bulk window
+//! jumps; incremental wins as soon as the same model is slid more than a
+//! couple of observations at a time.
 //!
 //! [`edge_acv_all_heads`]: CountingEngine::edge_acv_all_heads
 //! [`hyper_acv_all_heads`]: CountingEngine::hyper_acv_all_heads
@@ -707,6 +713,191 @@ fn fold_flat_any<L: FlatLane>(counts: &[L], stride: usize, totals: &mut [u64]) {
     }
 }
 
+/// The pass-2 pair sweep behind [`CountingEngine::hyper_acv_all_heads`]:
+/// every head's `Σ_rows max_v count` over the `k²` rows of `buckets`,
+/// left in `out`, counted off the window's code matrix `obs` and slot
+/// stripes `slots` (each with at least the bucketed observations' rows)
+/// at vector tier `simd`, with the adaptive per-row fold of
+/// [`HeadCounter`]. The incremental row-recount fallback's state build
+/// runs it over the window mirrors it keeps anyway, so the window is
+/// indexed once.
+pub(crate) fn pair_sweep(
+    obs: &ObsMatrix,
+    slots: &Slots,
+    simd: SimdLevel,
+    buckets: &PairBuckets,
+    out: &mut HeadCounter,
+) {
+    let (a, b) = buckets.pair();
+    out.simd = simd;
+    out.begin(buckets.num_obs(), [a.index(), b.index()]);
+    for r in 0..buckets.num_rows() {
+        let ids = buckets.row(r);
+        match *ids {
+            [] => continue,
+            [_] => out.fold_single(),
+            [o1, o2] => out.fold_two(obs.row(o1 as usize), obs.row(o2 as usize)),
+            [o1, o2, o3] => out.fold_three(
+                obs.row(o1 as usize),
+                obs.row(o2 as usize),
+                obs.row(o3 as usize),
+            ),
+            [o1, o2, o3, o4] => out.fold_four([
+                obs.row(o1 as usize),
+                obs.row(o2 as usize),
+                obs.row(o3 as usize),
+                obs.row(o4 as usize),
+            ]),
+            _ => out.fold_dense_row(obs, slots, ids),
+        }
+    }
+    out.finish();
+}
+
+/// Per-head value histograms of one dense row, the triple-count
+/// tensor's cells: for the observations `ids` of the row-major code
+/// matrix `codes` (row width `n`, values `1..=k`), writes into
+/// `cells[h·k + (v−1)]` how many hold value `v` at head `h`, and into
+/// `maxes[h]` the largest of head `h`'s `k` counts, for every head.
+///
+/// The vertical kernel's scheme ([`simd::dense_row_vertical`]) in plain
+/// Rust, which the compiler vectorizes at the target's baseline: per
+/// block of heads and per observation, one load of the block's codes
+/// and `k` compare-accumulates into u8 lanes, one lane per head. Unlike
+/// the vertical kernel it keeps every value's count, so it spills the u8
+/// lanes into `cells` every 255 observations (a u8 lane cannot count a
+/// 256th) and after the last one, and takes the maxima as a vector max
+/// over the lanes when the row fits one spill. Blocks are 32 heads wide
+/// up to `k = 4` and 16 above, so the `k` accumulators stay within eight
+/// 16-byte registers (over the pair rows of a 40 × 756 window, one
+/// thread: 16 lanes 1.2–1.3× faster than 32 at `k ∈ {5, 8}`, 32 lanes
+/// about 3× faster than 16 at `k = 3`). A universe
+/// wider than one block but not a multiple of it ends with a block
+/// ending exactly at the last head, whose lanes already counted are not
+/// spilled; a narrower one counts one zero-padded block (no code is 0,
+/// so the padding never matches). Any `k` is accepted; `k ∈ 2..=8` run
+/// monomorphized.
+pub(crate) fn row_histograms(
+    codes: &[Value],
+    n: usize,
+    ids: &[u32],
+    k: usize,
+    cells: &mut [u16],
+    maxes: &mut [u16],
+) {
+    assert_eq!(cells.len(), n * k, "one u16 cell per (head, value)");
+    assert_eq!(maxes.len(), n, "one maximum per head");
+    if ids.is_empty() {
+        cells.fill(0);
+        maxes.fill(0);
+        return;
+    }
+    let row = (codes, n, ids);
+    match k {
+        2 => row_histograms_w::<32>(row, cells, maxes, &mut [[0; 32]; 2]),
+        3 => row_histograms_w::<32>(row, cells, maxes, &mut [[0; 32]; 3]),
+        4 => row_histograms_w::<32>(row, cells, maxes, &mut [[0; 32]; 4]),
+        5 => row_histograms_w::<16>(row, cells, maxes, &mut [[0; 16]; 5]),
+        6 => row_histograms_w::<16>(row, cells, maxes, &mut [[0; 16]; 6]),
+        7 => row_histograms_w::<16>(row, cells, maxes, &mut [[0; 16]; 7]),
+        8 => row_histograms_w::<16>(row, cells, maxes, &mut [[0; 16]; 8]),
+        _ => row_histograms_w::<16>(row, cells, maxes, &mut vec![[0; 16]; k]),
+    }
+}
+
+/// [`row_histograms`] in blocks of `W` heads over the zeroed per-value
+/// u8 lanes `acc` (one array per value, `acc.len() == k`).
+#[inline(always)]
+fn row_histograms_w<const W: usize>(
+    (codes, n, ids): (&[Value], usize, &[u32]),
+    cells: &mut [u16],
+    maxes: &mut [u16],
+    acc: &mut [[u8; W]],
+) {
+    if n < W {
+        let load = |o: usize| {
+            let mut block = [0; W];
+            block[..n].copy_from_slice(&codes[o * n..(o + 1) * n]);
+            block
+        };
+        histogram_block(ids, load, 0, 0..n, cells, maxes, acc);
+        return;
+    }
+    let mut h0 = 0;
+    while h0 < n {
+        // The last block of a width that is not a multiple of W ends at
+        // the last head; its first lanes were counted already.
+        let base = h0.min(n - W);
+        let load = |o: usize| -> [Value; W] {
+            let start = o * n + base;
+            codes[start..start + W]
+                .try_into()
+                .expect("a block is W codes")
+        };
+        histogram_block(ids, load, base, h0 - base..W, cells, maxes, acc);
+        h0 = base + W;
+    }
+}
+
+/// Counts one block of heads `base..base + W` of a row: `load(o)`
+/// yields observation `o`'s codes at those heads. Lanes `keep` are
+/// spilled into `cells` every 255 observations and at the end (the first
+/// spill stores, later ones add), and their maxima written to `maxes`;
+/// `acc` is left zeroed.
+#[inline(always)]
+fn histogram_block<const W: usize>(
+    ids: &[u32],
+    load: impl Fn(usize) -> [Value; W],
+    base: usize,
+    keep: std::ops::Range<usize>,
+    cells: &mut [u16],
+    maxes: &mut [u16],
+    acc: &mut [[u8; W]],
+) {
+    let k = acc.len();
+    let one_spill = ids.len() <= u8::MAX as usize;
+    for (spill, run) in ids.chunks(u8::MAX as usize).enumerate() {
+        for &o in run {
+            let codes = load(o as usize);
+            for (v, lanes) in acc.iter_mut().enumerate() {
+                let value = (v + 1) as Value;
+                for (lane, &code) in lanes.iter_mut().zip(&codes) {
+                    *lane += u8::from(code == value);
+                }
+            }
+        }
+        for lane in keep.clone() {
+            let head = &mut cells[(base + lane) * k..(base + lane + 1) * k];
+            let counts = head.iter_mut().zip(acc.iter());
+            if spill == 0 {
+                counts.for_each(|(cell, lanes)| *cell = u16::from(lanes[lane]));
+            } else {
+                counts.for_each(|(cell, lanes)| *cell += u16::from(lanes[lane]));
+            }
+        }
+        if one_spill {
+            let mut best = [0u8; W];
+            for lanes in acc.iter() {
+                for (best, &count) in best.iter_mut().zip(lanes) {
+                    *best = (*best).max(count);
+                }
+            }
+            for lane in keep.clone() {
+                maxes[base + lane] = u16::from(best[lane]);
+            }
+        }
+        for lanes in acc.iter_mut() {
+            *lanes = [0; W];
+        }
+    }
+    if !one_spill {
+        for lane in keep {
+            let head = &cells[(base + lane) * k..(base + lane + 1) * k];
+            maxes[base + lane] = head.iter().copied().max().unwrap_or(0);
+        }
+    }
+}
+
 /// Calls `f` with the index of every set bit of `bits`, ascending.
 #[inline]
 pub(crate) fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
@@ -941,31 +1132,7 @@ impl<'a> CountingEngine<'a> {
             self.db.num_obs(),
             "PairBuckets built for a different database"
         );
-        let obs = self.obs();
-        let slots = self.slots();
-        out.simd = self.simd;
-        out.begin(self.db.num_obs(), [a.index(), b.index()]);
-        for r in 0..buckets.num_rows() {
-            let ids = buckets.row(r);
-            match *ids {
-                [] => continue,
-                [_] => out.fold_single(),
-                [o1, o2] => out.fold_two(obs.row(o1 as usize), obs.row(o2 as usize)),
-                [o1, o2, o3] => out.fold_three(
-                    obs.row(o1 as usize),
-                    obs.row(o2 as usize),
-                    obs.row(o3 as usize),
-                ),
-                [o1, o2, o3, o4] => out.fold_four([
-                    obs.row(o1 as usize),
-                    obs.row(o2 as usize),
-                    obs.row(o3 as usize),
-                    obs.row(o4 as usize),
-                ]),
-                _ => out.fold_dense_row(obs, slots, ids),
-            }
-        }
-        out.finish();
+        pair_sweep(self.obs(), self.slots(), self.simd, buckets, out);
     }
 
     /// ACV of the directed edge `({a}, {h})` without materializing its
@@ -1183,6 +1350,47 @@ mod tests {
                 e.hyper_acv(&pair, a(h)).to_bits(),
                 "pair ({x},{y}) -> {h}"
             );
+        }
+    }
+
+    #[test]
+    fn row_histograms_match_naive_counts() {
+        // Rows of 0, 1, 255, 256 and 600 observations (the u8 lanes
+        // spill every 255), universes narrower than a block and not a
+        // multiple of either block width, and every block width and k
+        // path; the outputs start as garbage, which the kernel overwrites.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let m = 700;
+        for n in [3usize, 20, 33, 45] {
+            for k in [2usize, 3, 5, 8, 9] {
+                let codes: Vec<Value> = (0..m * n)
+                    .map(|_| (next() % k as u64) as Value + 1)
+                    .collect();
+                for len in [0usize, 1, 255, 256, 600] {
+                    let ids: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % m as u32).collect();
+                    let mut want = vec![0u16; n * k];
+                    for &o in &ids {
+                        for h in 0..n {
+                            want[h * k + codes[o as usize * n + h] as usize - 1] += 1;
+                        }
+                    }
+                    let want_max: Vec<u16> = want
+                        .chunks_exact(k)
+                        .map(|c| *c.iter().max().unwrap())
+                        .collect();
+                    let mut cells = vec![0xbeef; n * k];
+                    let mut maxes = vec![0xbeef; n];
+                    row_histograms(&codes, n, &ids, k, &mut cells, &mut maxes);
+                    assert_eq!(cells, want, "n = {n}, k = {k}, {len} observations");
+                    assert_eq!(maxes, want_max, "n = {n}, k = {k}, {len} observations");
+                }
+            }
         }
     }
 

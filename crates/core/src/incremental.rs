@@ -7,13 +7,14 @@
 //! from scratch. [`IncrementalState`] is the persistent machinery behind
 //! it:
 //!
-//! - slot-indexed [`ValueIndex`] / [`ObsMatrix`] / counter-slot
-//!   mirrors of the window, kept as a ring (each slide's observation
-//!   takes the retired one's slot) and maintained in `O(n)` per slide
-//!   (one observation's bits cleared, one set, one code row and one slot
-//!   row written — ACVs are counts of value combinations and do not
-//!   depend on observation order, so ring slots count exactly like
-//!   chronological ids);
+//! - on the row-recount fallback only, slot-indexed [`ValueIndex`] /
+//!   [`ObsMatrix`] / counter-slot mirrors of the window, kept as a ring
+//!   (each slide's observation takes the retired one's slot) and
+//!   maintained in `O(n)` per slide (one observation's bits cleared, one
+//!   set, one code row and one slot row written — ACVs are counts of
+//!   value combinations and do not depend on observation order, so ring
+//!   slots count exactly like chronological ids); the tensor path reads
+//!   no observation after the state build and keeps none;
 //! - the **pass-1 joint-count tensor**: for every unordered attribute
 //!   pair, the `k × k` table of value-combination counts
 //!   (`n·(n−1)/2 · k²` counters, updated in `O(n²)` per slide — one
@@ -52,6 +53,23 @@
 //!   instead of reinserting them (the graph keeps no incidence to
 //!   shift; batch analyses derive it on their first star query).
 //!
+//! **The state build** ([`AdvancePhase::State`], paid by the first
+//! advance) fans out over blocks of pairs, and each block writes its
+//! joint counts, `S₂` and, on the tensor path, its tensor cells and row
+//! maxima straight into the state's one allocation of each, so its
+//! output is the same at every thread count. Per pair, one
+//! counting-sort pass buckets the observations by pair row (the joint
+//! counts are the bucket lengths). The tensor path then counts each
+//! row's per-head histograms with the portable byte-compare kernel
+//! (`counting::row_histograms`: per observation, one load of a 32-head
+//! block of codes and `k` compare-accumulates into u8 lanes, spilled
+//! into the u16 cells every 255 observations), and a head's row maxima
+//! sum to its `S₂`. The fallback runs the batch build's pair sweep
+//! (`counting::pair_sweep`) over the window mirrors it keeps anyway.
+//! At 40 × 756, k = 3 on one AVX2 thread the tensor build costs about
+//! 1.4 batch builds of the window; the per-observation scatter it
+//! replaced cost about six.
+//!
 //! The result on the 40-ticker fixture (k = 5, three-year window):
 //! 4.2–7.0× faster per slide than a batch rebuild (≥ 10× before the
 //! SIMD vertical kernel halved the rebuild side), bit-identical output.
@@ -61,7 +79,9 @@
 
 use crate::builder;
 use crate::config::ModelConfig;
-use crate::counting::{acv_of, for_each_bit, CountingEngine, HeadCounter, KernelPath, Slots};
+use crate::counting::{
+    acv_of, for_each_bit, pair_sweep, row_histograms, HeadCounter, KernelPath, Slots,
+};
 use crate::model::AssociationModel;
 use crate::parallel::{parallel_blocks, steal_block_size};
 use crate::phase::{Phase, PhaseLaps, PhaseTimer};
@@ -69,6 +89,7 @@ use crate::simd::SimdLevel;
 use hypermine_data::{AttrId, Database, ObsMatrix, PairBuckets, Value, ValueIndex};
 use hypermine_hypergraph::{EdgeId, EdgeInsert};
 use std::fmt;
+use std::sync::Mutex;
 
 /// Errors raised by [`AssociationModel::advance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,22 +205,31 @@ impl WindowShape {
 /// 63 MB) fall back to the row-recount path. Both cost `O(n³)` per
 /// slide; the fallback's rows hold `~m/k²` observations, so it is the
 /// slower path at small `k` and long windows (n = 40, k = 3, m = 756)
-/// and on par with the tensor at n = 80, k = 5, m = 252.
+/// and on par with the tensor at n = 80, k = 5, m = 252. The tensor's
+/// state build writes every cell once, so it grows with the tensor: at
+/// 40 × 756 on one AVX2 thread it read medians of 5.3, 9.8 and 21.7 ms
+/// at k = 3, 5 and 8 (1.7, 7.8 and 31.9 MB of cells), against 3.1, 4.1
+/// and 6.2 ms for the fallback's.
 const TRIPLE_TENSOR_MAX_BYTES: usize = 32 << 20;
 
 /// The stages of one [`AssociationModel::advance`] /
 /// [`AssociationModel::advance_batch`] call, in the order they run.
-/// Every call times each one ([`AssociationModel::advance_phases`]);
-/// the first call's lazy state build is not part of any stage.
+/// Every call times each one ([`AssociationModel::advance_phases`]), so
+/// together they cover the call's wall time, the first call's lazy
+/// state build included.
 ///
 /// [`AssociationModel::advance`]: crate::AssociationModel::advance
 /// [`AssociationModel::advance_batch`]: crate::AssociationModel::advance_batch
 /// [`AssociationModel::advance_phases`]: crate::AssociationModel::advance_phases
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePhase {
-    /// Per-observation window maintenance: the slot-indexed index and
-    /// code-matrix mirrors, the value counts and the model's training
-    /// database.
+    /// The incremental state build of a model's first advance: the
+    /// value and joint counts, `S₂`, and the triple-count tensor or the
+    /// fallback's window mirrors. Every later advance charges 0 here.
+    State,
+    /// Per-observation window maintenance: the value counts, the
+    /// model's training database and, on the row-recount fallback, the
+    /// slot-indexed index and code-matrix mirrors.
     Window,
     /// The pass-1 joint counts and the pass-2 numerators `S₂`: the
     /// triple-tensor cell updates, or the fallback's pair row recounts.
@@ -217,6 +247,7 @@ pub enum AdvancePhase {
 
 impl Phase for AdvancePhase {
     const ALL: &'static [Self] = &[
+        AdvancePhase::State,
         AdvancePhase::Window,
         AdvancePhase::Pairs,
         AdvancePhase::Pass1,
@@ -230,6 +261,7 @@ impl Phase for AdvancePhase {
 
     fn name(self) -> &'static str {
         match self {
+            AdvancePhase::State => "state",
             AdvancePhase::Window => "window",
             AdvancePhase::Pairs => "pairs",
             AdvancePhase::Pass1 => "pass1",
@@ -240,7 +272,10 @@ impl Phase for AdvancePhase {
 }
 
 /// Per-stage wall time of one advance call.
-pub type AdvanceLaps = PhaseLaps<AdvancePhase, 5>;
+pub type AdvanceLaps = PhaseLaps<AdvancePhase, 6>;
+
+/// The running timer of one advance call.
+pub(crate) type AdvanceTimer = PhaseTimer<AdvancePhase, 6>;
 
 /// Size and layout of a model's live incremental counting state — see
 /// `AssociationModel::incremental_stats`.
@@ -260,19 +295,22 @@ pub struct IncrementalStats {
     pub s2_bytes: usize,
     /// The counter-lane width ([`KernelPath`]) the window's database
     /// selects for the blocked flat kernel, which counts every row the
-    /// vertical kernel declines: in the initial state build's `S₂` sweep
-    /// and in the row-recount fallback's per-slide recounts alike.
-    /// Surfaced so a stream outgrowing the u16 lanes degrades *visibly* —
-    /// the u32 lanes are bit-identical but slower, and "slower" without a
-    /// reported cause is exactly the silent degradation this field exists
-    /// to prevent.
+    /// vertical kernel declines on the row-recount fallback: in its
+    /// state build's `S₂` sweep and in its per-slide recounts alike. The
+    /// tensor path counts with neither (its state build runs the
+    /// portable byte-compare kernel into u16 cells), so there the field
+    /// only reports the window's dimensions. Surfaced so a stream
+    /// outgrowing the u16 lanes degrades *visibly* — the u32 lanes are
+    /// bit-identical but slower, and "slower" without a reported cause
+    /// is exactly the silent degradation this field exists to prevent.
     pub kernel_path: KernelPath,
     /// The SIMD tier ([`SimdLevel`]) the model's `simd` policy resolves
-    /// to: the initial state build's sweep and the row-recount
-    /// fallback's per-slide recounts run the vertical kernel at this
-    /// tier on every row it accepts, and the flat kernel on the rest and
-    /// throughout under `scalar` (a stream running on the scalar
-    /// fallback should say so, not just run slower).
+    /// to: the row-recount fallback's state-build sweep and per-slide
+    /// recounts run the vertical kernel at this tier on every row it
+    /// accepts, and the flat kernel on the rest and throughout under
+    /// `scalar` (a stream running on the scalar fallback should say so,
+    /// not just run slower). The tensor path's build and slides run the
+    /// same portable code at every tier.
     pub simd: SimdLevel,
 }
 
@@ -283,19 +321,6 @@ pub(crate) struct IncrementalState {
     n: usize,
     k: usize,
     m: usize,
-    /// The ring slot the next appended observation takes: the slot of
-    /// the observation it retires.
-    next_slot: usize,
-    /// Slot-indexed observation bitsets, maintained incrementally.
-    idx: ValueIndex,
-    /// Slot-indexed row-major code matrix, maintained incrementally,
-    /// plus one spare row past the ring's slots (`spare_row`) that holds
-    /// the retired observation during a fallback recount.
-    obs: ObsMatrix,
-    /// The flat kernel's counter-slot stripes of the same rows, spare
-    /// included, written wherever `obs` is: the fallback's recounts fold
-    /// the rows the vertical kernel declines through them.
-    slots: Slots,
     /// `value_counts[a·k + (v−1)]` — baseline/majority numerators.
     value_counts: Vec<u32>,
     /// Pass-1 joint counts `C[p·k² + (v_i−1)·k + (v_j−1)]` for the `p`'th
@@ -304,26 +329,9 @@ pub(crate) struct IncrementalState {
     /// Pass-2 ACV numerators `S₂[p·n + h]` (0 at the two tail slots);
     /// empty when hyperedges are disabled or `n < 3`.
     s2: Vec<u32>,
-    /// Optional triple-count tensor
-    /// `count₃[((p·k² + r)·n + h)·k + (v−1)]` — for every pair `p`, pair
-    /// row `r = (v_i−1)·k + (v_j−1)`, and head `h`, the histogram of
-    /// `h`'s values within that row. When present (small `k·n`, see
-    /// [`TRIPLE_TENSOR_MAX_BYTES`]), a slide updates exactly one cell per
-    /// `(pair, head)` for each affected row and reads `k` contiguous
-    /// cells for the row-max delta — no observation enumeration at all.
-    /// Empty = fall back to re-counting the two affected rows per pair
-    /// off the bitset index. Both paths produce identical integers.
-    /// `u16` cells (counts are bounded by the window capacity, which the
-    /// tensor gate caps at `u16::MAX`) halve the memory traffic of the
-    /// per-slide update, which is bandwidth-bound.
-    triple: Vec<u16>,
-    /// Companion to `triple`: the current max over each `(pair, row,
-    /// head)` histogram (`row_max[(p·k² + r)·n + h]`). An increment can
-    /// only raise the max by becoming it, and a decrement can only lower
-    /// it when it hit the unique argmax — so almost every slide update is
-    /// a compare against this cache instead of a `k`-cell scan. Entries
-    /// for a pair's own tail heads are never read and may go stale.
-    row_max: Vec<u16>,
+    /// What keeps `s2` exact across slides; `None` exactly when `s2` is
+    /// empty.
+    numerators: Option<Numerators>,
     /// Kept-candidate bitset of the previous slide, word-aligned: one
     /// `⌈n/64⌉`-word block of head bits per pass-1 tail (blocks `0..n`)
     /// and per pass-2 pair (blocks `n..n+npairs`). Empty until the first
@@ -344,22 +352,94 @@ pub(crate) struct IncrementalState {
     baseline_dirty: Vec<u64>,
     /// Scratch: this slide's kept-candidate bitset.
     kept_scratch: Vec<u64>,
-    /// Scratch: bitset intersection of a recounted pair row.
-    row_bits: Vec<u64>,
-    /// Scratch: the observation slots of a recounted pair row.
-    row_ids: Vec<u32>,
-    /// Fallback recount counters: per-head best counts summed over a
-    /// pair's post-slide rows and over its pre-slide rows.
-    post: HeadCounter,
-    pre: HeadCounter,
     /// Scratch: the retired observation's values.
     old_row: Vec<Value>,
     /// Per-stage wall time of the last successful advance call.
     laps: AdvanceLaps,
     /// The model's resolved SIMD tier, kept so `stats()` can report it
-    /// without re-threading the config (and applied to every batch-grade
-    /// recount engine this state builds).
+    /// without re-threading the config (and applied to the row-recount
+    /// fallback's sweeps).
     simd: SimdLevel,
+}
+
+/// The two maintainers of the pass-2 numerators `S₂` (see the module
+/// docs), each holding only what its slides read.
+#[derive(Debug, Clone)]
+enum Numerators {
+    /// The triple-count tensor, in budget.
+    Tensor(TripleTensor),
+    /// The row-recount fallback and the window mirrors it recounts off.
+    Recount(Box<RowRecount>),
+}
+
+/// The triple-count tensor path: per-row head histograms, updated one
+/// cell per `(pair, head)` a slide touches.
+#[derive(Debug, Clone)]
+struct TripleTensor {
+    n: usize,
+    k: usize,
+    /// `count₃[((p·k² + r)·n + h)·k + (v−1)]` — for every pair `p`, pair
+    /// row `r = (v_i−1)·k + (v_j−1)`, and head `h`, the histogram of
+    /// `h`'s values within that row. A slide updates exactly one cell
+    /// per `(pair, head)` for each affected row and reads `k` contiguous
+    /// cells for the row-max delta — no observation enumeration at all.
+    /// `u16` cells (counts are bounded by the window capacity, which the
+    /// tensor gate caps at `u16::MAX`) halve the memory traffic of the
+    /// per-slide update, which is bandwidth-bound.
+    triple: Vec<u16>,
+    /// Companion to `triple`: the current max over each `(pair, row,
+    /// head)` histogram (`row_max[(p·k² + r)·n + h]`). An increment can
+    /// only raise the max by becoming it, and a decrement can only lower
+    /// it when it hit the unique argmax — so almost every slide update is
+    /// a compare against this cache instead of a `k`-cell scan. Entries
+    /// for a pair's own tail heads are never read and may go stale.
+    row_max: Vec<u16>,
+}
+
+/// The row-recount fallback: slot-indexed mirrors of the window, its
+/// observations kept as a ring, and the recount scratch.
+#[derive(Debug, Clone)]
+struct RowRecount {
+    /// The ring slot the next appended observation takes: the slot of
+    /// the observation it retires.
+    next_slot: usize,
+    /// The ring slot the last appended observation took.
+    slot: usize,
+    /// Slot-indexed observation bitsets.
+    idx: ValueIndex,
+    /// Slot-indexed row-major code matrix, plus one spare row past the
+    /// ring's slots (`spare_row`) that holds the retired observation
+    /// during a recount.
+    obs: ObsMatrix,
+    /// The flat kernel's counter-slot stripes of the same rows, spare
+    /// included, written wherever `obs` is: the recounts fold the rows
+    /// the vertical kernel declines through them.
+    slots: Slots,
+    /// Scratch: bitset intersection of a recounted pair row.
+    row_bits: Vec<u64>,
+    /// Scratch: the observation slots of a recounted pair row.
+    row_ids: Vec<u32>,
+    /// Per-head best counts summed over a pair's post-slide rows and
+    /// over its pre-slide rows.
+    post: HeadCounter,
+    pre: HeadCounter,
+}
+
+/// One block of pairs of the state build and its regions of the
+/// state's outputs, each a whole number of per-pair strides.
+struct PairBlock<'a> {
+    pairs: &'a [(u32, u32)],
+    pair_counts: &'a mut [u32],
+    s2: &'a mut [u32],
+    triple: &'a mut [u16],
+    row_max: &'a mut [u16],
+}
+
+/// Splits the first `len` elements off `rest`.
+fn split_off<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
 }
 
 impl IncrementalState {
@@ -374,12 +454,6 @@ impl IncrementalState {
             n > 0 && m > 0,
             "WindowShape::check_advance rejects empty windows"
         );
-        // Initially logical order == slot order, so the batch-built
-        // indexes are exactly the slot-indexed ones.
-        let idx = ValueIndex::build(db);
-        let obs = ObsMatrix::build_with_capacity(db, m + 1);
-        let slots = Slots::build(db, m + 1);
-
         let mut value_counts = vec![0u32; n * k];
         for a in db.attrs() {
             for (v, &c) in db.value_counts(a).iter().enumerate() {
@@ -387,17 +461,6 @@ impl IncrementalState {
             }
         }
 
-        // Pass-1 joint counts, pass-2 numerators, and (in budget) the
-        // triple-count tensor are all built **per pair**, so the whole
-        // state build fans out over pair blocks claimed off the
-        // work-stealing harness: each worker counting-sorts its pairs'
-        // observations into a thread-local `PairBuckets` once, reads the
-        // joint counts straight off the bucket lengths, and fills
-        // chunk-local tensors that concatenate (in block order —
-        // deterministic at every thread count) into the persistent state.
-        // Chunk-local tensor allocation also bounds the build's working
-        // set: the full tensor is reserved once and filled by copy, never
-        // allocated alongside a second zeroed copy.
         let npairs = n * (n - 1) / 2;
         let k2 = k * k;
         let want_hyper = cfg.with_hyperedges && n >= 3;
@@ -410,22 +473,37 @@ impl IncrementalState {
             .saturating_mul(k)
             .saturating_mul(2);
         let use_tensor = want_hyper && tensor_bytes <= budget && m <= u16::MAX as usize;
+        let simd = cfg.simd.resolve();
 
-        // The batch counting engine only backs the row-recount fallback's
-        // numerator build; the tensor path derives everything from the
-        // buckets and the code matrix.
-        let engine = (want_hyper && !use_tensor).then(|| {
-            let mut engine = CountingEngine::new(db);
-            engine.set_simd_policy(cfg.simd);
-            engine
-        });
-
-        struct PairChunk {
-            pair_counts: Vec<u32>,
-            triple: Vec<u16>,
-            row_max: Vec<u16>,
-            s2: Vec<u32>,
-        }
+        // Joint counts, S₂ and (in budget) the tensor cells and row
+        // maxima are all counted per pair, so the build fans out over
+        // pair blocks claimed off the work-stealing harness. Each output
+        // is allocated once, and each block writes its own contiguous
+        // region of it in place: the result is the same at every thread
+        // count, and the tensor is never copied. Per pair, a
+        // thread-local `PairBuckets` counting-sorts the observations by
+        // pair row once, and the joint counts are its row lengths. The
+        // tensor path counts each row's per-head histograms off a code
+        // matrix it drops afterwards (no slide reads an observation);
+        // the fallback sweeps the pair with the batch build's pair sweep
+        // over the window mirrors its recounts keep.
+        // Each output's length per pair (0 where the path keeps none).
+        let s2_len = if want_hyper { n } else { 0 };
+        let (cells_len, maxes_len) = if use_tensor {
+            (k2 * n * k, k2 * n)
+        } else {
+            (0, 0)
+        };
+        let mut pair_counts = vec![0u32; npairs * k2];
+        let mut s2 = vec![0u32; npairs * s2_len];
+        let mut tensor = TripleTensor {
+            n,
+            k,
+            triple: vec![0u16; npairs * cells_len],
+            row_max: vec![0u16; npairs * maxes_len],
+        };
+        let recount = (want_hyper && !use_tensor).then(|| Box::new(RowRecount::new(db)));
+        let codes = use_tensor.then(|| ObsMatrix::build(db));
 
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(npairs);
         for i in 0..n as u32 {
@@ -435,98 +513,89 @@ impl IncrementalState {
         }
         let threads = cfg.effective_threads();
         let block = steal_block_size(pairs.len(), threads);
-        let (engine, obs_ref) = (engine.as_ref(), &obs);
-        let chunks: Vec<PairChunk> = parallel_blocks(&pairs, threads, block, || {
+        let mut rest = (
+            &mut pair_counts[..],
+            &mut s2[..],
+            &mut tensor.triple[..],
+            &mut tensor.row_max[..],
+        );
+        // Workers claim whole blocks; a block's lock is only ever taken
+        // by the one worker that claimed it.
+        let blocks: Vec<Mutex<PairBlock>> = pairs
+            .chunks(block)
+            .map(|pairs| {
+                let len = pairs.len();
+                Mutex::new(PairBlock {
+                    pairs,
+                    pair_counts: split_off(&mut rest.0, len * k2),
+                    s2: split_off(&mut rest.1, len * s2_len),
+                    triple: split_off(&mut rest.2, len * cells_len),
+                    row_max: split_off(&mut rest.3, len * maxes_len),
+                })
+            })
+            .collect();
+        let (codes, recount_ref) = (codes.as_ref(), recount.as_deref());
+        parallel_blocks(&blocks, threads, 1, || {
             let mut buckets = PairBuckets::new();
             let mut counter = HeadCounter::new(n, db.k());
-            move |slice: &[(u32, u32)]| {
-                let mut out = PairChunk {
-                    pair_counts: vec![0u32; slice.len() * k2],
-                    triple: vec![
-                        0u16;
-                        if use_tensor {
-                            slice.len() * k2 * n * k
-                        } else {
-                            0
-                        }
-                    ],
-                    row_max: vec![0u16; if use_tensor { slice.len() * k2 * n } else { 0 }],
-                    s2: vec![0u32; if want_hyper { slice.len() * n } else { 0 }],
-                };
-                for (p, &(i, j)) in slice.iter().enumerate() {
-                    let (a, b) = (AttrId::new(i), AttrId::new(j));
+            move |claimed: &[Mutex<PairBlock>]| {
+                let mut guard = claimed[0].lock().expect("a block has one worker");
+                let out = &mut *guard;
+                for (q, &(i, j)) in out.pairs.iter().enumerate() {
+                    buckets.rebuild(db, AttrId::new(i), AttrId::new(j));
                     let (i, j) = (i as usize, j as usize);
-                    buckets.rebuild(db, a, b);
+                    let s2 = &mut out.s2[q * s2_len..(q + 1) * s2_len];
                     for r in 0..k2 {
-                        out.pair_counts[p * k2 + r] = buckets.row(r).len() as u32;
-                    }
-                    if use_tensor {
-                        for r in 0..k2 {
-                            let row_base = (p * k2 + r) * n * k;
-                            for &o in buckets.row(r) {
-                                for (h, &v) in obs_ref.row(o as usize).iter().enumerate() {
-                                    out.triple[row_base + h * k + (v as usize - 1)] += 1;
-                                }
-                            }
-                            for h in 0..n {
-                                let cells = &out.triple[row_base + h * k..row_base + (h + 1) * k];
-                                let best = cells.iter().copied().max().unwrap_or(0);
-                                out.row_max[(p * k2 + r) * n + h] = best;
-                                if h != i && h != j {
-                                    out.s2[p * n + h] += best as u32;
-                                }
+                        let ids = buckets.row(r);
+                        out.pair_counts[q * k2 + r] = ids.len() as u32;
+                        let Some(codes) = codes else { continue };
+                        let row = q * k2 + r;
+                        let cells = &mut out.triple[row * n * k..(row + 1) * n * k];
+                        let maxes = &mut out.row_max[row * n..(row + 1) * n];
+                        // Tail heads' cells and maxima are written too; no
+                        // slide reads their maxima.
+                        row_histograms(codes.codes(), n, ids, k, cells, maxes);
+                        for (h, (s, &best)) in s2.iter_mut().zip(maxes.iter()).enumerate() {
+                            if h != i && h != j {
+                                *s += u32::from(best);
                             }
                         }
-                    } else if let Some(engine) = engine {
-                        engine.hyper_acv_all_heads(&buckets, &mut counter);
-                        for h in 0..n {
-                            out.s2[p * n + h] = if h == i || h == j {
-                                0
-                            } else {
-                                counter.total(AttrId::new(h as u32)) as u32
-                            };
+                    }
+                    if let Some(rc) = recount_ref {
+                        pair_sweep(&rc.obs, &rc.slots, simd, &buckets, &mut counter);
+                        for (h, s) in s2.iter_mut().enumerate() {
+                            if h != i && h != j {
+                                *s = counter.total(AttrId::new(h as u32)) as u32;
+                            }
                         }
                     }
                 }
-                out
             }
         });
-        let mut pair_counts = Vec::with_capacity(npairs * k2);
-        let mut triple = Vec::with_capacity(if use_tensor { npairs * k2 * n * k } else { 0 });
-        let mut row_max = Vec::with_capacity(if use_tensor { npairs * k2 * n } else { 0 });
-        let mut s2 = Vec::with_capacity(if want_hyper { npairs * n } else { 0 });
-        for c in chunks {
-            pair_counts.extend_from_slice(&c.pair_counts);
-            triple.extend_from_slice(&c.triple);
-            row_max.extend_from_slice(&c.row_max);
-            s2.extend_from_slice(&c.s2);
-        }
+        // The blocks borrow the outputs until they are dropped.
+        drop(blocks);
 
+        let numerators = if use_tensor {
+            Some(Numerators::Tensor(tensor))
+        } else {
+            recount.map(Numerators::Recount)
+        };
         IncrementalState {
             n,
             k,
             m,
-            next_slot: 0,
-            idx,
-            obs,
-            slots,
             value_counts,
             pair_counts,
             s2,
-            triple,
-            row_max,
+            numerators,
             kept: Vec::new(),
             s2_dirty: Vec::new(),
             raw_dirty: Vec::new(),
             baseline_dirty: Vec::new(),
             kept_scratch: Vec::new(),
-            row_bits: Vec::new(),
-            row_ids: Vec::new(),
-            post: HeadCounter::new(n, db.k()),
-            pre: HeadCounter::new(n, db.k()),
             old_row: vec![0; n],
             laps: AdvanceLaps::default(),
-            simd: cfg.simd.resolve(),
+            simd,
         }
     }
 
@@ -538,10 +607,14 @@ impl IncrementalState {
     /// Size and layout of this state (see
     /// `AssociationModel::incremental_stats`).
     pub(crate) fn stats(&self) -> IncrementalStats {
+        let (triple, row_max) = match &self.numerators {
+            Some(Numerators::Tensor(t)) => (t.triple.len(), t.row_max.len()),
+            _ => (0, 0),
+        };
         IncrementalStats {
-            uses_triple_tensor: !self.triple.is_empty(),
-            triple_tensor_bytes: self.triple.len() * 2,
-            row_max_bytes: self.row_max.len() * 2,
+            uses_triple_tensor: matches!(self.numerators, Some(Numerators::Tensor(_))),
+            triple_tensor_bytes: triple * 2,
+            row_max_bytes: row_max * 2,
             pair_counts_bytes: self.pair_counts.len() * 4,
             s2_bytes: self.s2.len() * 4,
             kernel_path: KernelPath::select(self.n, self.k, self.m),
@@ -558,11 +631,16 @@ impl IncrementalState {
     /// diff — runs **once for the whole batch**, which is what makes a
     /// `d`-day advance markedly cheaper than `d` single slides while
     /// staying bit-identical to them. The caller has checked the rows
-    /// ([`WindowShape::check_advance`]) and passes at least one. The
-    /// call keeps its per-stage wall time ([`IncrementalState::laps`]).
-    pub(crate) fn advance_many(&mut self, model: &mut AssociationModel, rows: &[&[Value]]) {
+    /// ([`WindowShape::check_advance`]) and passes at least one, and
+    /// `timer`, started with the call, which this state's stages lap
+    /// into its per-stage wall time ([`IncrementalState::laps`]).
+    pub(crate) fn advance_many(
+        &mut self,
+        model: &mut AssociationModel,
+        rows: &[&[Value]],
+        mut timer: AdvanceTimer,
+    ) {
         debug_assert!(!rows.is_empty());
-        let mut timer = PhaseTimer::start();
         let n = self.n;
         // The S₂ dirty bits accumulate across the whole batch; one clear.
         if !self.s2.is_empty() {
@@ -573,9 +651,9 @@ impl IncrementalState {
         // each slide leaves, and the tensor path's cell pokes need only
         // the slide's (retired, appended) rows.
         for &new_obs in rows {
-            let slot = self.slide_window_state(model, new_obs);
+            self.slide_window_state(model, new_obs);
             timer.lap(AdvancePhase::Window);
-            self.update_pairs(new_obs, slot);
+            self.update_pairs(new_obs);
             timer.lap(AdvancePhase::Pairs);
         }
         let m = self.m;
@@ -594,25 +672,22 @@ impl IncrementalState {
         self.laps = timer.finish();
     }
 
-    /// One observation's window maintenance — slides the slot-indexed
-    /// index/matrix mirrors, the per-attribute value counts, and the
-    /// model's training database — and leaves the retired row in
-    /// `self.old_row`. Returns the ring slot the appended observation
-    /// took over. Pair-tensor maintenance is separate (`update_pairs`).
-    fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) -> usize {
+    /// One observation's window maintenance — the per-attribute value
+    /// counts, the model's training database and, on the fallback, its
+    /// slot-indexed mirrors — and leaves the retired row in
+    /// `self.old_row`. Pair-tensor maintenance is separate
+    /// (`update_pairs`).
+    fn slide_window_state(&mut self, model: &mut AssociationModel, new_obs: &[Value]) {
         // The window keeps its length from the state build on, so every
         // slide retires the oldest observation (the training database's
-        // first) from the slot the new one takes.
+        // first).
         let k = self.k;
         for (a, v) in self.old_row.iter_mut().enumerate() {
             *v = model.db.value(AttrId::new(a as u32), 0);
         }
-        let slot = self.next_slot;
-        self.next_slot = (slot + 1) % self.m;
-        self.idx.clear_obs(slot, &self.old_row);
-        self.idx.set_obs(slot, new_obs);
-        self.obs.set_row(slot, new_obs);
-        self.slots.set_row(slot, new_obs);
+        if let Some(Numerators::Recount(recount)) = &mut self.numerators {
+            recount.slide_window(&self.old_row, new_obs);
+        }
 
         // Per-attribute value counts (baseline/majority numerators).
         for (a, &v) in self.old_row.iter().enumerate() {
@@ -628,258 +703,35 @@ impl IncrementalState {
             .db
             .append_obs(new_obs)
             .expect("row was validated by the caller");
-        slot
     }
 
-    /// The code-matrix row past the ring's slots that holds the retired
-    /// observation while the fallback recounts the rows it left.
-    fn spare_row(&self) -> usize {
-        self.m
-    }
-
-    /// Updates `pair_counts` and `s2` for one slide, pair by pair:
-    /// through the triple-count tensor when there is one, else by the
-    /// row-recount fallback (see module docs). Accumulates into the
-    /// batch's `s2_dirty` bits. `slot` is the appended observation's
-    /// ring slot; the retired row is in `self.old_row`.
-    fn update_pairs(&mut self, new_obs: &[Value], slot: usize) {
+    /// Updates `pair_counts` and `s2` for one slide: the joint counts
+    /// pair by pair, then `S₂` through the triple-count tensor or the
+    /// row-recount fallback (see module docs), accumulating into the
+    /// batch's `s2_dirty` bits. The retired row is in `self.old_row`.
+    fn update_pairs(&mut self, new_obs: &[Value]) {
         let (n, k) = (self.n, self.k);
-        let tensor = !self.triple.is_empty();
-        let recount = !tensor && !self.s2.is_empty();
-        if recount {
-            let spare = self.spare_row();
-            self.obs.set_row(spare, &self.old_row);
-            self.slots.set_row(spare, &self.old_row);
-        }
+        let old_row = &self.old_row;
         let mut p = 0usize;
         for i in 0..n {
             for j in (i + 1)..n {
                 let base = p * k * k;
-                let r_old = (self.old_row[i] as usize - 1) * k + (self.old_row[j] as usize - 1);
+                let r_old = (old_row[i] as usize - 1) * k + (old_row[j] as usize - 1);
                 let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
                 self.pair_counts[base + r_old] -= 1;
                 self.pair_counts[base + r_new] += 1;
-                if tensor {
-                    self.fold_tensor(p, i, j, r_old, r_new, new_obs);
-                } else if recount {
-                    self.recount_pair(p, i, j, new_obs, slot);
-                }
                 p += 1;
             }
         }
-    }
-
-    /// Applies one slide's exact `S₂` change to the pair `p = {i, j}`:
-    /// `ΔS₂[p][h] = Σ best(post-slide rows) − Σ best(pre-slide rows)`
-    /// over the (one or two) pair rows the slide touched, `best` being
-    /// head `h`'s largest value count in a row. Post-slide rows come off
-    /// the index. The appended row's pre-slide list is its post-slide
-    /// list without `slot`; the retired row's adds the retired
-    /// observation back as the spare code row, because the slide
-    /// overwrote its slot. When both observations share a row, the spare
-    /// row takes `slot`'s place in that one list.
-    fn recount_pair(&mut self, p: usize, i: usize, j: usize, new_obs: &[Value], slot: usize) {
-        let n = self.n;
-        let wpb = n.div_ceil(64);
-        let spare = self.spare_row() as u32;
-        let (a, b) = (AttrId::new(i as u32), AttrId::new(j as u32));
-        let Self {
-            idx,
-            obs,
-            slots,
-            row_bits,
-            row_ids,
-            post,
-            pre,
-            old_row,
-            s2,
-            s2_dirty,
-            simd,
-            ..
-        } = self;
-        let mut list_row = |va: Value, vb: Value, ids: &mut Vec<u32>| {
-            row_bits.resize(idx.words(), 0);
-            idx.intersect_into(a, va, b, vb, row_bits);
-            ids.clear();
-            for_each_bit(row_bits, |o| ids.push(o as u32));
-        };
-        post.begin_rows([i, j], *simd);
-        pre.begin_rows([i, j], *simd);
-        list_row(new_obs[i], new_obs[j], row_ids);
-        post.add_row(obs, slots, row_ids);
-        let at = row_ids
-            .binary_search(&(slot as u32))
-            .expect("the appended observation is in its own row");
-        let same_row = old_row[i] == new_obs[i] && old_row[j] == new_obs[j];
-        if same_row {
-            row_ids[at] = spare;
-        } else {
-            row_ids.remove(at);
-        }
-        pre.add_row(obs, slots, row_ids);
-        if !same_row {
-            list_row(old_row[i], old_row[j], row_ids);
-            post.add_row(obs, slots, row_ids);
-            row_ids.push(spare);
-            pre.add_row(obs, slots, row_ids);
-        }
-        let s2_row = &mut s2[p * n..(p + 1) * n];
-        let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
-        let heads = s2_row
-            .iter_mut()
-            .zip(post.finish_rows())
-            .zip(pre.finish_rows())
-            .enumerate();
-        for (h, ((s, &after), &before)) in heads {
-            if after != before {
-                *s = (*s as i64 + after as i64 - before as i64) as u32;
-                dirty_row[h / 64] |= 1u64 << (h % 64);
+        let (s2, dirty) = (&mut self.s2, &mut self.s2_dirty);
+        match &mut self.numerators {
+            Some(Numerators::Tensor(tensor)) => tensor.slide(old_row, new_obs, s2, dirty),
+            Some(Numerators::Recount(recount)) => {
+                recount.slide_pairs(old_row, new_obs, self.simd, s2, dirty)
             }
+            None => {}
         }
     }
-
-    /// Tensor-path slide update for one pair when the window is full:
-    /// moves the retired observation's cell (`self.old_row`) out of row
-    /// `r_old` and the appended one's into `r_new` (one cell each per
-    /// head), folding the exact row-max changes into `S₂`. Tail heads
-    /// (`i`, `j`) get their cells updated but no delta (their `row_max`
-    /// may go stale; it is never read).
-    fn fold_tensor(
-        &mut self,
-        p: usize,
-        i: usize,
-        j: usize,
-        r_old: usize,
-        r_new: usize,
-        new_obs: &[Value],
-    ) {
-        // Monomorphize the per-head loop on the common domain sizes so
-        // the k-cell max rescans fully unroll (KC = 0 keeps a runtime-k
-        // body for everything else).
-        match self.k {
-            2 => self.fold_tensor_impl::<2>(p, i, j, r_old, r_new, new_obs),
-            3 => self.fold_tensor_impl::<3>(p, i, j, r_old, r_new, new_obs),
-            4 => self.fold_tensor_impl::<4>(p, i, j, r_old, r_new, new_obs),
-            5 => self.fold_tensor_impl::<5>(p, i, j, r_old, r_new, new_obs),
-            6 => self.fold_tensor_impl::<6>(p, i, j, r_old, r_new, new_obs),
-            8 => self.fold_tensor_impl::<8>(p, i, j, r_old, r_new, new_obs),
-            _ => self.fold_tensor_impl::<0>(p, i, j, r_old, r_new, new_obs),
-        }
-    }
-
-    /// `fold_tensor` body for compile-time `KC == k` (`KC == 0` means
-    /// runtime `k`).
-    fn fold_tensor_impl<const KC: usize>(
-        &mut self,
-        p: usize,
-        i: usize,
-        j: usize,
-        r_old: usize,
-        r_new: usize,
-        new_obs: &[Value],
-    ) {
-        let n = self.n;
-        let k = if KC > 0 { KC } else { self.k };
-        let k2 = k * k;
-        let wpb = n.div_ceil(64);
-        // Split borrows once: the per-head loop below is the hottest
-        // scalar loop of a slide (O(n³) cell pokes per slide across all
-        // pairs), so the row regions, max caches, and numerator rows are
-        // hoisted to plain slices iterated in per-head chunks instead of
-        // re-indexing `self` fields per head.
-        let Self {
-            s2,
-            s2_dirty,
-            triple,
-            row_max,
-            old_row,
-            ..
-        } = self;
-        let s2_row = &mut s2[p * n..(p + 1) * n];
-        let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
-        if r_old == r_new {
-            let base = (p * k2 + r_old) * n * k;
-            let cells = &mut triple[base..base + n * k];
-            let maxes = &mut row_max[(p * k2 + r_old) * n..(p * k2 + r_old) * n + n];
-            let heads = cells
-                .chunks_exact_mut(k)
-                .zip(maxes.iter_mut())
-                .zip(old_row.iter().zip(new_obs))
-                .enumerate();
-            for (h, ((hc, max), (&v_old, &v_new))) in heads {
-                let cell_old = v_old as usize - 1;
-                let cell_new = v_new as usize - 1;
-                if cell_old == cell_new {
-                    continue;
-                }
-                hc[cell_old] -= 1;
-                hc[cell_new] += 1;
-                if h == i || h == j {
-                    continue;
-                }
-                // Both pokes hit one row: re-derive its max with a
-                // branch-free k-cell scan (the tensor only exists at
-                // small k, where the unrolled scan is cheaper than the
-                // mispredicted was-it-the-argmax branches it replaces).
-                let mut new_max = 0u16;
-                for &c in hc.iter() {
-                    new_max = new_max.max(c);
-                }
-                let delta = new_max as i64 - *max as i64;
-                *max = new_max;
-                s2_row[h] = (s2_row[h] as i64 + delta) as u32;
-                dirty_row[h / 64] |= u64::from(delta != 0) << (h % 64);
-            }
-        } else {
-            // Distinct rows: split the tensor and max cache so both
-            // regions borrow mutably at once.
-            let (lo_r, hi_r) = (r_old.min(r_new), r_old.max(r_new));
-            let lo_base = (p * k2 + lo_r) * n * k;
-            let hi_base = (p * k2 + hi_r) * n * k;
-            let (head_t, tail_t) = triple.split_at_mut(hi_base);
-            let lo_cells = &mut head_t[lo_base..lo_base + n * k];
-            let hi_cells = &mut tail_t[..n * k];
-            let (head_m, tail_m) = row_max.split_at_mut((p * k2 + hi_r) * n);
-            let lo_maxes = &mut head_m[(p * k2 + lo_r) * n..(p * k2 + lo_r) * n + n];
-            let hi_maxes = &mut tail_m[..n];
-            let (old_cells, old_maxes, new_cells, new_maxes) = if r_old == lo_r {
-                (lo_cells, lo_maxes, hi_cells, hi_maxes)
-            } else {
-                (hi_cells, hi_maxes, lo_cells, lo_maxes)
-            };
-            let heads = old_cells
-                .chunks_exact_mut(k)
-                .zip(new_cells.chunks_exact_mut(k))
-                .zip(old_maxes.iter_mut().zip(new_maxes.iter_mut()))
-                .zip(old_row.iter().zip(new_obs))
-                .enumerate();
-            for (h, (((old_hc, new_hc), (old_max, new_max)), (&v_old, &v_new))) in heads {
-                let cell_old = v_old as usize - 1;
-                let cell_new = v_new as usize - 1;
-                old_hc[cell_old] -= 1;
-                new_hc[cell_new] += 1;
-                if h == i || h == j {
-                    continue;
-                }
-                // Decremented row: branch-free k-cell max rescan (see the
-                // same-row arm). Incremented row: the max can only grow
-                // by becoming the bumped cell — no scan needed.
-                let mut old_new_max = 0u16;
-                for &c in old_hc.iter() {
-                    old_new_max = old_new_max.max(c);
-                }
-                let delta_old = old_new_max as i64 - *old_max as i64;
-                *old_max = old_new_max;
-                let c = new_hc[cell_new];
-                let delta_new = i64::from(c > *new_max);
-                *new_max = (*new_max).max(c);
-                let delta = delta_old + delta_new;
-                s2_row[h] = (s2_row[h] as i64 + delta) as u32;
-                dirty_row[h / 64] |= u64::from(delta != 0) << (h % 64);
-            }
-        }
-    }
-
     /// Recomputes baselines, majority values, and the raw pass-1 ACV
     /// matrix into `model` from the maintained integer counts — the same
     /// integers the batch counting paths produce, so the divisions yield
@@ -967,12 +819,7 @@ impl IncrementalState {
     ///
     /// [`DirectedHypergraph::splice_edges`]:
     /// hypermine_hypergraph::DirectedHypergraph::splice_edges
-    fn refresh_graph(
-        &mut self,
-        model: &mut AssociationModel,
-        m: usize,
-        timer: &mut PhaseTimer<AdvancePhase, 5>,
-    ) {
+    fn refresh_graph(&mut self, model: &mut AssociationModel, m: usize, timer: &mut AdvanceTimer) {
         let n = self.n;
         let hyper = !self.s2.is_empty();
         let npairs = n * (n - 1) / 2;
@@ -1175,6 +1022,265 @@ impl IncrementalState {
     }
 }
 
+impl RowRecount {
+    /// The window mirrors of `db` (slot = observation id, plus the spare
+    /// row) and empty recount scratch.
+    fn new(db: &Database) -> Self {
+        let (n, m) = (db.num_attrs(), db.num_obs());
+        RowRecount {
+            next_slot: 0,
+            slot: 0,
+            idx: ValueIndex::build(db),
+            obs: ObsMatrix::build_with_capacity(db, m + 1),
+            slots: Slots::build(db, m + 1),
+            row_bits: Vec::new(),
+            row_ids: Vec::new(),
+            post: HeadCounter::new(n, db.k()),
+            pre: HeadCounter::new(n, db.k()),
+        }
+    }
+
+    /// The code-matrix row past the ring's slots that holds the retired
+    /// observation while the fallback recounts the rows it left.
+    fn spare_row(&self) -> usize {
+        self.obs.num_obs() - 1
+    }
+
+    /// Moves the mirrors one slide on: the appended observation
+    /// `new_obs` takes the ring slot of the retired `old_row`.
+    fn slide_window(&mut self, old_row: &[Value], new_obs: &[Value]) {
+        let slot = self.next_slot;
+        self.next_slot = (slot + 1) % self.spare_row();
+        self.slot = slot;
+        self.idx.clear_obs(slot, old_row);
+        self.idx.set_obs(slot, new_obs);
+        self.obs.set_row(slot, new_obs);
+        self.slots.set_row(slot, new_obs);
+    }
+
+    /// Applies one slide's exact `S₂` change to every pair `p = {i, j}`:
+    /// `ΔS₂[p][h] = Σ best(post-slide rows) − Σ best(pre-slide rows)`
+    /// over the (one or two) pair rows the slide touched, `best` being
+    /// head `h`'s largest value count in a row, counted at vector tier
+    /// `simd`. Post-slide rows come off the index. The appended row's
+    /// pre-slide list is its post-slide list without the appended slot;
+    /// the retired row's adds the retired observation back as the spare
+    /// code row, because the slide overwrote its slot. When both
+    /// observations share a row, the spare row takes the appended slot's
+    /// place in that one list.
+    fn slide_pairs(
+        &mut self,
+        old_row: &[Value],
+        new_obs: &[Value],
+        simd: SimdLevel,
+        s2: &mut [u32],
+        s2_dirty: &mut [u64],
+    ) {
+        let n = old_row.len();
+        let wpb = n.div_ceil(64);
+        let spare = self.spare_row();
+        let slot = self.slot as u32;
+        let Self {
+            idx,
+            obs,
+            slots,
+            row_bits,
+            row_ids,
+            post,
+            pre,
+            ..
+        } = self;
+        obs.set_row(spare, old_row);
+        slots.set_row(spare, old_row);
+        let spare = spare as u32;
+        let mut list_row = |a: usize, va: Value, b: usize, vb: Value, ids: &mut Vec<u32>| {
+            let (a, b) = (AttrId::new(a as u32), AttrId::new(b as u32));
+            row_bits.resize(idx.words(), 0);
+            idx.intersect_into(a, va, b, vb, row_bits);
+            ids.clear();
+            for_each_bit(row_bits, |o| ids.push(o as u32));
+        };
+        let mut p = 0usize;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                post.begin_rows([i, j], simd);
+                pre.begin_rows([i, j], simd);
+                list_row(i, new_obs[i], j, new_obs[j], row_ids);
+                post.add_row(obs, slots, row_ids);
+                let at = row_ids
+                    .binary_search(&slot)
+                    .expect("the appended observation is in its own row");
+                let same_row = old_row[i] == new_obs[i] && old_row[j] == new_obs[j];
+                if same_row {
+                    row_ids[at] = spare;
+                } else {
+                    row_ids.remove(at);
+                }
+                pre.add_row(obs, slots, row_ids);
+                if !same_row {
+                    list_row(i, old_row[i], j, old_row[j], row_ids);
+                    post.add_row(obs, slots, row_ids);
+                    row_ids.push(spare);
+                    pre.add_row(obs, slots, row_ids);
+                }
+                let s2_row = &mut s2[p * n..(p + 1) * n];
+                let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
+                let heads = s2_row
+                    .iter_mut()
+                    .zip(post.finish_rows())
+                    .zip(pre.finish_rows())
+                    .enumerate();
+                for (h, ((s, &after), &before)) in heads {
+                    if after != before {
+                        *s = (*s as i64 + after as i64 - before as i64) as u32;
+                        dirty_row[h / 64] |= 1u64 << (h % 64);
+                    }
+                }
+                p += 1;
+            }
+        }
+    }
+}
+
+impl TripleTensor {
+    /// Applies one slide to every pair when the window is full: moves
+    /// the retired observation's cell (`old_row`) out of its pair row
+    /// and the appended one's (`new_obs`) into its own (one cell each per
+    /// head), folding the exact row-max changes into `s2` and its dirty
+    /// bits. Tail heads get their cells updated but no delta (their
+    /// `row_max` may go stale; it is never read).
+    fn slide(&mut self, old_row: &[Value], new_obs: &[Value], s2: &mut [u32], dirty: &mut [u64]) {
+        // Monomorphize the per-head loop on the common domain sizes so
+        // the k-cell max rescans fully unroll (KC = 0 keeps a runtime-k
+        // body for everything else).
+        match self.k {
+            2 => self.slide_k::<2>(old_row, new_obs, s2, dirty),
+            3 => self.slide_k::<3>(old_row, new_obs, s2, dirty),
+            4 => self.slide_k::<4>(old_row, new_obs, s2, dirty),
+            5 => self.slide_k::<5>(old_row, new_obs, s2, dirty),
+            6 => self.slide_k::<6>(old_row, new_obs, s2, dirty),
+            8 => self.slide_k::<8>(old_row, new_obs, s2, dirty),
+            _ => self.slide_k::<0>(old_row, new_obs, s2, dirty),
+        }
+    }
+
+    /// `slide` body for compile-time `KC == k` (`KC == 0` means runtime
+    /// `k`).
+    fn slide_k<const KC: usize>(
+        &mut self,
+        old_row: &[Value],
+        new_obs: &[Value],
+        s2: &mut [u32],
+        s2_dirty: &mut [u64],
+    ) {
+        let n = self.n;
+        let k = if KC > 0 { KC } else { self.k };
+        let k2 = k * k;
+        let wpb = n.div_ceil(64);
+        // Split borrows once: the per-head loop below is the hottest
+        // scalar loop of a slide (O(n³) cell pokes per slide across all
+        // pairs), so the row regions, max caches, and numerator rows are
+        // hoisted to plain slices iterated in per-head chunks instead of
+        // re-indexing fields per head.
+        let Self {
+            triple, row_max, ..
+        } = self;
+        let mut p = 0usize;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let r_old = (old_row[i] as usize - 1) * k + (old_row[j] as usize - 1);
+                let r_new = (new_obs[i] as usize - 1) * k + (new_obs[j] as usize - 1);
+                let s2_row = &mut s2[p * n..(p + 1) * n];
+                let dirty_row = &mut s2_dirty[p * wpb..(p + 1) * wpb];
+                if r_old == r_new {
+                    let base = (p * k2 + r_old) * n * k;
+                    let cells = &mut triple[base..base + n * k];
+                    let maxes = &mut row_max[(p * k2 + r_old) * n..(p * k2 + r_old) * n + n];
+                    let heads = cells
+                        .chunks_exact_mut(k)
+                        .zip(maxes.iter_mut())
+                        .zip(old_row.iter().zip(new_obs))
+                        .enumerate();
+                    for (h, ((hc, max), (&v_old, &v_new))) in heads {
+                        let cell_old = v_old as usize - 1;
+                        let cell_new = v_new as usize - 1;
+                        if cell_old == cell_new {
+                            continue;
+                        }
+                        hc[cell_old] -= 1;
+                        hc[cell_new] += 1;
+                        if h == i || h == j {
+                            continue;
+                        }
+                        // Both pokes hit one row: re-derive its max with
+                        // a branch-free k-cell scan (the tensor only
+                        // exists at small k, where the unrolled scan is
+                        // cheaper than the mispredicted was-it-the-argmax
+                        // branches it replaces).
+                        let mut new_max = 0u16;
+                        for &c in hc.iter() {
+                            new_max = new_max.max(c);
+                        }
+                        let delta = new_max as i64 - *max as i64;
+                        *max = new_max;
+                        s2_row[h] = (s2_row[h] as i64 + delta) as u32;
+                        dirty_row[h / 64] |= u64::from(delta != 0) << (h % 64);
+                    }
+                } else {
+                    // Distinct rows: split the tensor and max cache so
+                    // both regions borrow mutably at once.
+                    let (lo_r, hi_r) = (r_old.min(r_new), r_old.max(r_new));
+                    let lo_base = (p * k2 + lo_r) * n * k;
+                    let hi_base = (p * k2 + hi_r) * n * k;
+                    let (head_t, tail_t) = triple.split_at_mut(hi_base);
+                    let lo_cells = &mut head_t[lo_base..lo_base + n * k];
+                    let hi_cells = &mut tail_t[..n * k];
+                    let (head_m, tail_m) = row_max.split_at_mut((p * k2 + hi_r) * n);
+                    let lo_maxes = &mut head_m[(p * k2 + lo_r) * n..(p * k2 + lo_r) * n + n];
+                    let hi_maxes = &mut tail_m[..n];
+                    let (old_cells, old_maxes, new_cells, new_maxes) = if r_old == lo_r {
+                        (lo_cells, lo_maxes, hi_cells, hi_maxes)
+                    } else {
+                        (hi_cells, hi_maxes, lo_cells, lo_maxes)
+                    };
+                    let heads = old_cells
+                        .chunks_exact_mut(k)
+                        .zip(new_cells.chunks_exact_mut(k))
+                        .zip(old_maxes.iter_mut().zip(new_maxes.iter_mut()))
+                        .zip(old_row.iter().zip(new_obs))
+                        .enumerate();
+                    for (h, (((old_hc, new_hc), (old_max, new_max)), (&v_old, &v_new))) in heads {
+                        let cell_old = v_old as usize - 1;
+                        let cell_new = v_new as usize - 1;
+                        old_hc[cell_old] -= 1;
+                        new_hc[cell_new] += 1;
+                        if h == i || h == j {
+                            continue;
+                        }
+                        // Decremented row: branch-free k-cell max rescan
+                        // (see the same-row arm). Incremented row: the
+                        // max can only grow by becoming the bumped cell —
+                        // no scan needed.
+                        let mut old_new_max = 0u16;
+                        for &c in old_hc.iter() {
+                            old_new_max = old_new_max.max(c);
+                        }
+                        let delta_old = old_new_max as i64 - *old_max as i64;
+                        *old_max = old_new_max;
+                        let c = new_hc[cell_new];
+                        let delta_new = i64::from(c > *new_max);
+                        *new_max = (*new_max).max(c);
+                        let delta = delta_old + delta_new;
+                        s2_row[h] = (s2_row[h] as i64 + delta) as u32;
+                        dirty_row[h / 64] |= u64::from(delta != 0) << (h % 64);
+                    }
+                }
+                p += 1;
+            }
+        }
+    }
+}
+
 /// `(1 << b) - 1` tolerating `b == 64`.
 #[inline]
 fn bits_below(b: u32) -> u64 {
@@ -1267,6 +1373,108 @@ mod tests {
             }
         }
         assert_eq!(adv.database(), batch.database(), "{what}: window database");
+    }
+
+    /// A window of `m` rows over `n` attributes in `1..=k` whose first
+    /// two attributes take value 1 with probability `skew` (so their
+    /// pair's `(1, 1)` row can hold more than 255 observations).
+    fn skewed_db(n: usize, k: u8, m: usize, skew: f64, seed: u64) -> Database {
+        let mut stream = rows(n, k, m, seed);
+        let mut state = seed ^ 0x5eed;
+        for row in stream.iter_mut() {
+            for v in row.iter_mut().take(2) {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if ((state >> 11) as f64 / (1u64 << 53) as f64) < skew {
+                    *v = 1;
+                }
+            }
+        }
+        db_from(&stream, k)
+    }
+
+    /// The per-observation scatter the state build replaced, as the
+    /// reference of its outputs: the joint counts, the triple-count
+    /// tensor, its row maxima and `S₂`, in the state's layouts.
+    fn scatter_reference(db: &Database) -> (Vec<u32>, Vec<u16>, Vec<u16>, Vec<u32>) {
+        let (n, k, m) = (db.num_attrs(), db.k() as usize, db.num_obs());
+        let (npairs, k2) = (n * (n - 1) / 2, k * k);
+        let mut pair_counts = vec![0u32; npairs * k2];
+        let mut triple = vec![0u16; npairs * k2 * n * k];
+        let mut row_max = vec![0u16; npairs * k2 * n];
+        let mut s2 = vec![0u32; npairs * n];
+        let value = |a: usize, o: usize| db.value(AttrId::new(a as u32), o) as usize - 1;
+        let mut p = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                for o in 0..m {
+                    let r = value(i, o) * k + value(j, o);
+                    pair_counts[p * k2 + r] += 1;
+                    for h in 0..n {
+                        triple[((p * k2 + r) * n + h) * k + value(h, o)] += 1;
+                    }
+                }
+                for r in 0..k2 {
+                    for h in 0..n {
+                        let at = ((p * k2 + r) * n + h) * k;
+                        let best = *triple[at..at + k].iter().max().unwrap();
+                        row_max[(p * k2 + r) * n + h] = best;
+                        if h != i && h != j {
+                            s2[p * n + h] += u32::from(best);
+                        }
+                    }
+                }
+                p += 1;
+            }
+        }
+        (pair_counts, triple, row_max, s2)
+    }
+
+    #[test]
+    fn the_state_build_matches_a_per_observation_scatter() {
+        // Every k on its own (2..=4 in 32-head blocks, 5..=8 in 16-head
+        // blocks, 9 and 12 at a runtime k), universes narrower than a
+        // block, one past a block and not a multiple of it, and pair rows
+        // past 255 observations (the u8 lanes' spill).
+        let cases = [
+            (3, 2, 700, 0.9),
+            (40, 2, 320, 0.95),
+            (31, 3, 120, 0.0),
+            (32, 5, 300, 0.95),
+            (33, 8, 40, 0.0),
+            (31, 9, 30, 0.0),
+            (3, 12, 400, 0.9),
+        ];
+        for (n, k, m, skew) in cases {
+            let db = skewed_db(n, k, m, skew, (n * 131 + k as usize) as u64);
+            let (pair_counts, triple, row_max, s2) = scatter_reference(&db);
+            if skew > 0.0 {
+                assert!(pair_counts[0] > 255, "n = {n}, k = {k}: a row past 255");
+            }
+            for threads in [1, 3] {
+                for budget in [usize::MAX, 0] {
+                    let cfg = ModelConfig {
+                        threads,
+                        triple_tensor_max_bytes: Some(budget),
+                        ..ModelConfig::default()
+                    };
+                    let what = format!("n = {n}, k = {k}, threads = {threads}, budget {budget}");
+                    let state = IncrementalState::new(&db, &cfg);
+                    assert_eq!(state.pair_counts, pair_counts, "{what}: joint counts");
+                    assert_eq!(state.s2, s2, "{what}: S₂");
+                    match &state.numerators {
+                        Some(Numerators::Tensor(t)) => {
+                            assert_eq!(budget, usize::MAX, "{what}");
+                            assert!(t.triple == triple, "{what}: tensor cells");
+                            assert_eq!(t.row_max, row_max, "{what}: row maxima");
+                        }
+                        Some(Numerators::Recount(_)) => assert_eq!(budget, 0, "{what}"),
+                        None => panic!("{what}: hyperedges need S₂"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::builder;
 use crate::config::ModelConfig;
 use crate::counting::{acv_level, CountingEngine, KernelPath, PairRows};
-use crate::incremental::{AdvanceError, WindowShape};
+use crate::incremental::{AdvanceError, AdvancePhase, AdvanceTimer, IncrementalState, WindowShape};
 use crate::simd::SimdLevel;
 use crate::table::AssociationTable;
 use hypermine_data::{AttrId, Database, Value};
@@ -121,7 +121,7 @@ pub struct AssociationModel {
     /// Sliding-window counting state, created lazily by the first
     /// `advance` call. Boxed: most models are batch-built and never pay
     /// for it.
-    pub(crate) incremental: Option<Box<crate::incremental::IncrementalState>>,
+    pub(crate) incremental: Option<Box<IncrementalState>>,
 }
 
 /// On-demand access to association tables: holds a [`CountingEngine`] over
@@ -258,7 +258,8 @@ impl AssociationModel {
     ///
     /// The first call lazily builds the incremental counting state
     /// (treating the current training database as the full window, so the
-    /// window capacity is `num_obs` at that moment); subsequent slides
+    /// window capacity is `num_obs` at that moment; its time is the call's
+    /// [`crate::AdvancePhase::State`] stage); subsequent slides
     /// update the pass-1 joint-count tensor in `O(n²)`, recount only the
     /// two pair rows each slide actually touches for pass 2, and
     /// reassemble (or weight-patch) the hypergraph in place. See
@@ -304,13 +305,16 @@ impl AssociationModel {
             // A no-op either way; don't pay the state build for it.
             return Ok(());
         }
+        let mut timer = AdvanceTimer::start();
         let mut state = match self.incremental.take() {
             Some(state) => state,
-            None => Box::new(crate::incremental::IncrementalState::new(
-                &self.db, &self.cfg,
-            )),
+            None => {
+                let state = Box::new(IncrementalState::new(&self.db, &self.cfg));
+                timer.lap(AdvancePhase::State);
+                state
+            }
         };
-        state.advance_many(self, rows);
+        state.advance_many(self, rows, timer);
         self.incremental = Some(state);
         self.epoch += rows.len() as u64;
         Ok(())
@@ -384,7 +388,8 @@ impl AssociationModel {
     /// How long each stage of the last successful
     /// [`AssociationModel::advance`] / [`AssociationModel::advance_batch`]
     /// call took ([`crate::AdvancePhase`]): `None` until the first
-    /// advance built the incremental state. Timing is machine-dependent,
+    /// advance built the incremental state, whose build is that call's
+    /// `state` stage (0 on every later call). Timing is machine-dependent,
     /// so it takes no part in any model comparison or digest.
     pub fn advance_phases(&self) -> Option<crate::incremental::AdvanceLaps> {
         self.incremental.as_ref().map(|s| s.laps())

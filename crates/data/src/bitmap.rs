@@ -18,11 +18,12 @@
 //!
 //! Both of those count over a fixed window. For a
 //! **sliding** window the index is maintained *incrementally* instead:
-//! `hypermine_core`'s incremental engine builds it once over the window
-//! and treats observation ids as ring slots, and [`ValueIndex::set_obs`]
-//! / [`ValueIndex::clear_obs`] flip exactly one observation's bit per
-//! attribute in `O(n)` — the retired observation's slot is reused by the
-//! appended one, so no other bit moves. Support counts are
+//! `hypermine_core`'s incremental row-recount fallback builds it once
+//! over the window and treats observation ids as ring slots, and
+//! [`ValueIndex::set_obs`] / [`ValueIndex::clear_obs`] flip exactly one
+//! observation's bit per attribute in `O(n)` — the retired
+//! observation's slot is reused by the appended one, so no other bit
+//! moves. Support counts are
 //! order-invariant, which is why slot-indexed counting matches a
 //! chronological batch build bit for bit.
 
@@ -59,22 +60,6 @@ impl ValueIndex {
             num_obs,
             words,
             bits,
-        }
-    }
-
-    /// An all-empty index sized for `num_attrs` attributes over values
-    /// `1..=k` and observation ids `0..num_obs` — the starting point for
-    /// **incremental** maintenance: a sliding window sets and clears one
-    /// observation's bits per slide ([`ValueIndex::set_obs`] /
-    /// [`ValueIndex::clear_obs`]) instead of rebuilding the index.
-    pub fn with_capacity(num_attrs: usize, k: Value, num_obs: usize) -> Self {
-        let k = k as usize;
-        let words = num_obs.div_ceil(64);
-        ValueIndex {
-            k,
-            num_obs,
-            words,
-            bits: vec![0u64; num_attrs * k * words],
         }
     }
 
@@ -272,13 +257,20 @@ mod tests {
     fn incremental_set_and_clear_match_a_batch_build() {
         let d = db();
         let batch = ValueIndex::build(&d);
-        let mut inc = ValueIndex::with_capacity(d.num_attrs(), d.k(), d.num_obs());
-        let mut row = vec![0; d.num_attrs()];
+        let mut inc = ValueIndex::build(&d);
+        let row_of = |o: usize| -> Vec<Value> { d.attrs().map(|at| d.value(at, o)).collect() };
+        // Clearing every observation empties the index; setting them
+        // back restores the batch build.
         for o in 0..d.num_obs() {
-            for at in d.attrs() {
-                row[at.index()] = d.value(at, o);
+            inc.clear_obs(o, &row_of(o));
+        }
+        for at in d.attrs() {
+            for v in 1..=d.k() {
+                assert_eq!(inc.count1(at, v), 0, "{at:?} = {v} after clearing");
             }
-            inc.set_obs(o, &row);
+        }
+        for o in 0..d.num_obs() {
+            inc.set_obs(o, &row_of(o));
         }
         for at in d.attrs() {
             for v in 1..=d.k() {
@@ -286,9 +278,7 @@ mod tests {
             }
         }
         // Clearing an observation removes exactly its bits.
-        for at in d.attrs() {
-            row[at.index()] = d.value(at, 3);
-        }
+        let row = row_of(3);
         inc.clear_obs(3, &row);
         for at in d.attrs() {
             for v in 1..=d.k() {

@@ -67,19 +67,6 @@ impl ObsMatrix {
         }
     }
 
-    /// An all-zero matrix for `num_obs` observation slots of `num_attrs`
-    /// attributes — the starting point for **incremental** maintenance: a
-    /// sliding window overwrites one observation's row per slide
-    /// ([`ObsMatrix::set_row`]) instead of re-transposing the database.
-    /// Rows read before they were set hold the invalid value 0.
-    pub fn with_capacity(num_attrs: usize, num_obs: usize) -> Self {
-        ObsMatrix {
-            num_attrs,
-            num_obs,
-            codes: vec![0 as Value; num_attrs * num_obs],
-        }
-    }
-
     /// Overwrites observation `o`'s row (`row[a]` is attribute `a`'s
     /// value). `O(n)` — one contiguous byte copy.
     pub fn set_row(&mut self, o: usize, row: &[Value]) {
@@ -456,9 +443,12 @@ mod tests {
         )
         .unwrap();
         let batch = ObsMatrix::build(&db);
-        let mut inc = ObsMatrix::with_capacity(3, 3);
-        assert_eq!(inc.row(1), &[0, 0, 0], "unset rows hold the invalid 0");
-        for o in 0..3 {
+        let mut inc = ObsMatrix::build(&db);
+        // Rows written in another order land where they belong.
+        for o in [2, 0, 1] {
+            inc.set_row(o, &[1, 1, 1]);
+        }
+        for o in [1, 2, 0] {
             let row: Vec<Value> = db.attrs().map(|a| db.value(a, o)).collect();
             inc.set_row(o, &row);
         }
