@@ -55,9 +55,8 @@ pub(crate) fn run(scale: RunScale, out: &mut Summary) {
         let host = ServeHost::spawn_with(
             ModelServer::new(model, SnapshotSpec::default()),
             HostOptions {
-                queue: 1,
                 durability: wal_dir.as_ref().map(DurabilityOptions::new),
-                ..HostOptions::default()
+                ..HostOptions::queue(1)
             },
         )
         .expect("temp-dir WAL store");

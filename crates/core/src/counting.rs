@@ -69,11 +69,11 @@
 //! (the 255-row bound is what keeps them exact), a `k−1`-deep vector
 //! max, and a single widening add into the u64 totals. Measured on the
 //! 240-attribute wide fixture (single thread, AVX2): 2.2–3.3× over
-//! the scalar flat kernel at `k ∈ {5, 8}`. Rows the vertical kernel
-//! declines (c > 255, k outside 2..=8, n below a block) take the
-//! scalar blocked bump unchanged, with the **vectorized max-reduce
-//! fold** (`simd::fold_max_u16` / `fold_max_u32`) over the counter
-//! lanes. Detection is cached per process, overridable per model via
+//! the scalar flat kernel at `k ∈ {5, 8}`. The vertical kernel is the
+//! tier's one kernel: rows it declines (c > 255, k outside 2..=8, n
+//! below a block) take the portable blocked bump and its
+//! `k`-monomorphized max fold at every level. Detection is cached per
+//! process, overridable per model via
 //! `ModelConfig::simd` (`SimdPolicy::ForceScalar`) and globally via
 //! `HYPERMINE_FORCE_SCALAR` for CI's portable-fallback leg; hosts with
 //! neither instruction set run the scalar kernels verbatim. Every
@@ -265,33 +265,21 @@ const TILE_BYTES: usize = 16 << 10;
 
 /// A counter-lane width of the blocked flat kernel: the [`SlotLane`] its
 /// slot stripes are stored in, which is also the width of the counters
-/// those slots address, with the vector max-fold over them.
+/// those slots address.
 trait FlatLane: SlotLane + Default + Ord + AddAssign + From<u8> + Into<u64> {
     /// This width's counter lanes in `flat`.
     fn lanes(flat: &mut FlatLanes) -> &mut Vec<Self>;
-
-    /// The vector max-fold at this width ([`simd::fold_max_u16`] /
-    /// [`simd::fold_max_u32`]); `false` when `level` has none.
-    fn fold_max(level: SimdLevel, flat: &[Self], stride: usize, totals: &mut [u64]) -> bool;
 }
 
 impl FlatLane for u16 {
     fn lanes(flat: &mut FlatLanes) -> &mut Vec<u16> {
         &mut flat.u16
     }
-
-    fn fold_max(level: SimdLevel, flat: &[u16], stride: usize, totals: &mut [u64]) -> bool {
-        simd::fold_max_u16(level, flat, stride, totals)
-    }
 }
 
 impl FlatLane for u32 {
     fn lanes(flat: &mut FlatLanes) -> &mut Vec<u32> {
         &mut flat.u32
-    }
-
-    fn fold_max(level: SimdLevel, flat: &[u32], stride: usize, totals: &mut [u64]) -> bool {
-        simd::fold_max_u32(level, flat, stride, totals)
     }
 }
 
@@ -390,7 +378,7 @@ pub struct HeadCounter {
     /// The attribute indices of the swept tail (`usize::MAX` padding);
     /// their totals are pinned to zero by `finish`.
     tail: [usize; 2],
-    /// The vector tier the flat bumps and folds engage (see
+    /// The vector tier the dense-row fold engages (see
     /// [`crate::simd`]); defaults to the detected level and is
     /// re-stamped from the engine's resolved policy at the start of
     /// every sweep, so a counter built by any worker follows the
@@ -513,12 +501,9 @@ impl HeadCounter {
     /// head's padded [`counter_stride`] chunk — always a multiple of
     /// four lanes, so the monomorphized max reductions vectorize evenly
     /// at every `k` (the padding lanes hold zero and never win the max)
-    /// — into its total, and re-zeroes the lanes with one memset.
-    ///
-    /// When the engine resolved a vector tier, the max pass runs the
-    /// explicit [`FlatLane::fold_max`] reduction (`_mm256_max_epu16` /
-    /// `vmaxq_u16` and their u32 forms over the padded, aligned chunks
-    /// with a horizontal reduce per head) instead of the scalar scan.
+    /// — into its total, and re-zeroes the lanes with one memset. The
+    /// max pass is portable at every vector tier: the vertical kernel
+    /// takes the dense rows a vector tier can count.
     fn fold_row_flat<L: FlatLane>(&mut self, slots: &SlotMatrix<L>, ids: &[u32]) {
         let stride = self.stride;
         let counts = L::lanes(&mut self.flat);
@@ -527,14 +512,12 @@ impl HeadCounter {
         }
         let tile_heads = (TILE_BYTES / std::mem::size_of::<L>() / stride).max(1);
         bump_row_flat(counts, slots, ids, tile_heads);
-        if !L::fold_max(self.simd, counts, stride, &mut self.totals) {
-            match stride {
-                4 => fold_flat_k::<L, 4>(counts, &mut self.totals),
-                8 => fold_flat_k::<L, 8>(counts, &mut self.totals),
-                12 => fold_flat_k::<L, 12>(counts, &mut self.totals),
-                16 => fold_flat_k::<L, 16>(counts, &mut self.totals),
-                _ => fold_flat_any(counts, stride, &mut self.totals),
-            }
+        match stride {
+            4 => fold_flat_k::<L, 4>(counts, &mut self.totals),
+            8 => fold_flat_k::<L, 8>(counts, &mut self.totals),
+            12 => fold_flat_k::<L, 12>(counts, &mut self.totals),
+            16 => fold_flat_k::<L, 16>(counts, &mut self.totals),
+            _ => fold_flat_any(counts, stride, &mut self.totals),
         }
         counts.fill(L::default());
     }
@@ -943,7 +926,7 @@ pub struct CountingEngine<'a> {
     /// at the lane width [`KernelPath::select`] picks; built on first
     /// use.
     slots: std::sync::OnceLock<Slots>,
-    /// The vector tier the flat kernels engage
+    /// The vector tier the dense-row fold engages
     /// ([`CountingEngine::set_simd_policy`]); defaults to the runtime-
     /// detected level.
     simd: SimdLevel,
@@ -963,14 +946,14 @@ impl<'a> CountingEngine<'a> {
         }
     }
 
-    /// Resolves `policy` against the host CPU and pins the flat
-    /// kernel's vector tier. Counts are bit-identical under every
+    /// Resolves `policy` against the host CPU and pins the dense-row
+    /// fold's vector tier. Counts are bit-identical under every
     /// policy.
     pub fn set_simd_policy(&mut self, policy: crate::SimdPolicy) {
         self.simd = policy.resolve();
     }
 
-    /// The vector tier this engine's flat kernels engage (scalar when
+    /// The vector tier this engine's dense-row fold engages (scalar when
     /// forced, or when the host has no supported vector extension).
     pub fn simd_level(&self) -> SimdLevel {
         self.simd
@@ -1424,7 +1407,8 @@ mod tests {
         e.edge_acv_all_heads(a(0), &mut counter);
         let first = counter.acv(a(2));
         // A different sweep in between must not contaminate the next one.
-        let buckets = PairBuckets::build(e.database(), a(0), a(1));
+        let mut buckets = PairBuckets::new();
+        buckets.rebuild(e.database(), a(0), a(1));
         e.hyper_acv_all_heads(&buckets, &mut counter);
         e.edge_acv_all_heads(a(0), &mut counter);
         assert_eq!(counter.acv(a(2)).to_bits(), first.to_bits());
@@ -1438,7 +1422,8 @@ mod tests {
         let d = db();
         let e = CountingEngine::new(&d);
         let mut counter = HeadCounter::new(d.num_attrs(), d.k());
-        let buckets = PairBuckets::build(&d, a(0), a(1));
+        let mut buckets = PairBuckets::new();
+        buckets.rebuild(&d, a(0), a(1));
         e.hyper_acv_all_heads(&buckets, &mut counter);
         // a(1) is in the swept tail: its total was never accumulated.
         let _ = counter.acv(a(1));
@@ -1515,7 +1500,8 @@ mod tests {
             e.edge_acv(a(0), a(1)).to_bits()
         );
         assert_eq!(counter.total(a(2)), 10);
-        let buckets = PairBuckets::build(&d, a(0), a(2));
+        let mut buckets = PairBuckets::new();
+        buckets.rebuild(&d, a(0), a(2));
         e.hyper_acv_all_heads(&buckets, &mut counter);
         let pair = e.pair_rows(a(0), a(2));
         assert_eq!(

@@ -1,57 +1,43 @@
-//! Runtime-detected SIMD variants of the dense counting kernels.
+//! Runtime-detected SIMD form of the dense counting kernel.
 //!
 //! Dense-row counting in [`crate::counting`] is the hot loop of pass-2
-//! ACV construction. This module holds its explicitly vectorized forms
-//! behind **runtime feature detection** — AVX2 on `x86_64` (via
+//! ACV construction. This module holds its one explicitly vectorized
+//! form behind **runtime feature detection** — AVX2 on `x86_64` (via
 //! `is_x86_feature_detected!`), NEON on `aarch64` (baseline for the
 //! architecture) — so one portable binary engages the widest kernel the
-//! host actually has, with the scalar blocked kernels in `counting.rs`
-//! kept verbatim as the fallback for every other CPU. Two kernels:
+//! host actually has, with the portable blocked flat kernel in
+//! `counting.rs` as the fallback for every row it declines and every
+//! other CPU.
 //!
-//! - **The vertical dense-row kernel** ([`dense_row_vertical`]): the
-//!   main win. Instead of scattering `counts[slot] += 1` per
-//!   `(observation, head)` and max-folding the counter histogram
-//!   afterwards, it counts a block of 32 heads (16 on NEON) *in
-//!   registers*, straight off the row-major byte code matrix: per
-//!   observation one 32-byte row load plus `k` compare/accumulate pairs
-//!   (`cmpeq` yields `0xff` on match; subtracting it increments the u8
-//!   counter lane), then `k − 1` byte-max ops and one widening add into
-//!   the totals. The histogram store traffic, the fold scan, and the
-//!   per-row memset all disappear. The kernel bounds itself to rows of
-//!   at most 255 observations (u8 counter lanes cannot overflow), `k`
-//!   in `2..=8` (counters for every value stay in registers), and
-//!   universes at least one block wide; outside those bounds it
-//!   declines and the caller runs the scalar blocked bump + fold —
-//!   which is also why a *gather-style* vectorization of the flat bump
-//!   is deliberately absent: vector stripe loads feeding scalar
-//!   conflict-safe increments were measured at 0.79× the plain scalar
-//!   bump on the wide240 fixture (the store/reload round-trip loses
-//!   more than the wide loads save), and were dropped for this kernel.
-//! - **The max-reduce folds** ([`fold_max_u16`] / [`fold_max_u32`]):
-//!   `_mm256_max_epu16` / `vmaxq_u16` over each head's padded
-//!   8-byte-aligned counter chunk with a horizontal reduce — the fold
-//!   tier for dense rows the vertical kernel declines (rows past 255
-//!   observations, `k > 8`, narrow universes), where the blocked flat
-//!   kernel still runs, at its u16 or u32 counter-lane width.
+//! **The vertical dense-row kernel** ([`dense_row_vertical`]): instead
+//! of scattering `counts[slot] += 1` per `(observation, head)` and
+//! max-folding the counter histogram afterwards, it counts a block of
+//! 32 heads (16 on NEON) *in registers*, straight off the row-major byte
+//! code matrix: per observation one 32-byte row load plus `k`
+//! compare/accumulate pairs (`cmpeq` yields `0xff` on match; subtracting
+//! it increments the u8 counter lane), then `k − 1` byte-max ops and one
+//! widening add into the totals. The histogram store traffic, the fold
+//! scan, and the per-row memset all disappear. The kernel bounds itself
+//! to rows of at most 255 observations (u8 counter lanes cannot
+//! overflow), `k` in `2..=8` (counters for every value stay in
+//! registers), and universes at least one block wide; outside those
+//! bounds it declines and the caller runs the portable blocked bump +
+//! fold. A *gather-style* vectorization of the flat bump is deliberately
+//! absent: vector stripe loads feeding scalar conflict-safe increments
+//! were measured at 0.79× the plain scalar bump on the wide240 fixture
+//! (the store/reload round-trip loses more than the wide loads save).
 //!
-//! Three invariants keep the vector forms trivially bit-identical to
-//! the scalar ones (property-tested in `tests/strategies.rs`):
+//! Two invariants keep the vector form trivially bit-identical to the
+//! scalar kernels (property-tested in `tests/strategies.rs`):
 //!
-//! - **Exact integer counts.** The vertical kernel accumulates the same
-//!   per-head value counts the scalar bump does, in u8 lanes that its
-//!   row bound proves cannot saturate; max-of-counts is associative, so
-//!   blocking by head changes nothing.
-//! - **Padded, aligned strides.** Counter lanes are laid out at
-//!   [`counter_stride`] (`k` rounded up to a multiple of
-//!   four lanes), so every head's chunk starts 8-byte aligned and the
-//!   padding lanes hold zero — a `max` over the full padded chunk
-//!   equals the scalar max over the `k` live lanes.
+//! - **Exact integer counts.** The kernel accumulates the same per-head
+//!   value counts the scalar bump does, in u8 lanes that its row bound
+//!   proves cannot saturate; max-of-counts is associative, so blocking
+//!   by head changes nothing.
 //! - **Overlapped tail blocks stay inside the row.** A width that is
 //!   not a multiple of the block is finished with one block ending
-//!   exactly at the last head (fold: at the chunk's last lane);
-//!   re-maxing the overlap is idempotent, and the vertical kernel
-//!   simply skips the already-accumulated lanes when adding to the
-//!   totals.
+//!   exactly at the last head; the kernel simply skips the
+//!   already-accumulated lanes when adding to the totals.
 //!
 //! [`SimdPolicy`] on [`crate::ModelConfig`] selects the tier: `Auto`
 //! resolves to the detected [`SimdLevel`], `ForceScalar` pins the
@@ -62,8 +48,6 @@
 //! level is surfaced wherever [`crate::KernelPath`] already is:
 //! `AssociationModel::simd_level`, `IncrementalStats::simd`, the
 //! `report` log lines, and every `perf_summary` JSON entry.
-//!
-//! [`counter_stride`]: hypermine_data::counter_stride
 
 use std::sync::OnceLock;
 
@@ -97,10 +81,9 @@ impl SimdPolicy {
 /// counter lanes one instruction touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// 32-head vertical blocks and 256-bit folds (`x86_64`, runtime
-    /// detected).
+    /// 32-head vertical blocks (`x86_64`, runtime detected).
     Avx2,
-    /// 16-head vertical blocks and 128-bit folds (`aarch64` baseline).
+    /// 16-head vertical blocks (`aarch64` baseline).
     Neon,
     /// The portable scalar blocked kernels.
     Scalar,
@@ -198,64 +181,6 @@ pub(crate) fn dense_row_vertical(
     }
 }
 
-/// Vectorized u16 fold: for each padded `stride`-lane chunk of `flat`,
-/// adds the chunk's max into the matching total. Returns `false` when
-/// `level` has no vector kernel on this architecture — the caller then
-/// runs the scalar fold. `stride` must be a multiple of 4 (guaranteed by
-/// `hypermine_data::counter_stride`) and `flat.len()` a multiple of
-/// `stride`.
-pub(crate) fn fold_max_u16(
-    level: SimdLevel,
-    flat: &[u16],
-    stride: usize,
-    totals: &mut [u64],
-) -> bool {
-    debug_assert_eq!(stride % 4, 0);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only ever resolved after a successful runtime
-        // `is_x86_feature_detected!("avx2")` probe.
-        SimdLevel::Avx2 => unsafe {
-            x86::fold_max_u16_avx2(flat, stride, totals);
-            true
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on every aarch64 CPU.
-        SimdLevel::Neon => unsafe {
-            neon::fold_max_u16_neon(flat, stride, totals);
-            true
-        },
-        _ => false,
-    }
-}
-
-/// Vectorized u32 fold: [`fold_max_u16`] over u32 counter lanes at the
-/// same padded stride.
-pub(crate) fn fold_max_u32(
-    level: SimdLevel,
-    flat: &[u32],
-    stride: usize,
-    totals: &mut [u64],
-) -> bool {
-    debug_assert_eq!(stride % 4, 0);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only ever resolved after a successful runtime
-        // `is_x86_feature_detected!("avx2")` probe.
-        SimdLevel::Avx2 => unsafe {
-            x86::fold_max_u32_avx2(flat, stride, totals);
-            true
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on every aarch64 CPU.
-        SimdLevel::Neon => unsafe {
-            neon::fold_max_u32_neon(flat, stride, totals);
-            true
-        },
-        _ => false,
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
@@ -345,122 +270,6 @@ mod x86 {
             totals[base + i] += b as u64;
         }
     }
-
-    /// Horizontal max of 16 u16 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hmax_epu16_256(v: __m256i) -> u16 {
-        hmax_epu16_128(_mm_max_epu16(
-            _mm256_castsi256_si128(v),
-            _mm256_extracti128_si256::<1>(v),
-        ))
-    }
-
-    /// Horizontal max of 8 u16 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hmax_epu16_128(mut v: __m128i) -> u16 {
-        v = _mm_max_epu16(v, _mm_srli_si128::<8>(v));
-        v = _mm_max_epu16(v, _mm_srli_si128::<4>(v));
-        v = _mm_max_epu16(v, _mm_srli_si128::<2>(v));
-        (_mm_cvtsi128_si32(v) & 0xffff) as u16
-    }
-
-    /// Horizontal max of 8 u32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hmax_epu32_256(v: __m256i) -> u32 {
-        hmax_epu32_128(_mm_max_epu32(
-            _mm256_castsi256_si128(v),
-            _mm256_extracti128_si256::<1>(v),
-        ))
-    }
-
-    /// Horizontal max of 4 u32 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hmax_epu32_128(mut v: __m128i) -> u32 {
-        v = _mm_max_epu32(v, _mm_srli_si128::<8>(v));
-        v = _mm_max_epu32(v, _mm_srli_si128::<4>(v));
-        _mm_cvtsi128_si32(v) as u32
-    }
-
-    /// AVX2 u16 fold: 16-lane max accumulation per chunk for strides
-    /// ≥ 16, 8-lane for strides in `{8, 12}`, one 4-lane (64-bit) load
-    /// at the minimum stride 4 — each finished by one unaligned load
-    /// ending at the chunk's last lane, which stays inside the head and
-    /// is idempotent under max.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fold_max_u16_avx2(flat: &[u16], stride: usize, totals: &mut [u64]) {
-        let chunks = flat.chunks_exact(stride).zip(totals.iter_mut());
-        if stride >= 16 {
-            for (chunk, t) in chunks {
-                let p = chunk.as_ptr();
-                let mut acc = _mm256_loadu_si256(p.cast());
-                let mut off = 16;
-                while off + 16 <= stride {
-                    acc = _mm256_max_epu16(acc, _mm256_loadu_si256(p.add(off).cast()));
-                    off += 16;
-                }
-                if off < stride {
-                    acc = _mm256_max_epu16(acc, _mm256_loadu_si256(p.add(stride - 16).cast()));
-                }
-                *t += hmax_epu16_256(acc) as u64;
-            }
-        } else if stride >= 8 {
-            for (chunk, t) in chunks {
-                let p = chunk.as_ptr();
-                let mut acc = _mm_loadu_si128(p.cast());
-                if stride > 8 {
-                    acc = _mm_max_epu16(acc, _mm_loadu_si128(p.add(stride - 8).cast()));
-                }
-                *t += hmax_epu16_128(acc) as u64;
-            }
-        } else {
-            // stride == 4: the four live lanes fill the low half; the
-            // high lanes load as zero and never win the max.
-            for (chunk, t) in chunks {
-                let v = _mm_loadl_epi64(chunk.as_ptr().cast());
-                *t += hmax_epu16_128(v) as u64;
-            }
-        }
-    }
-
-    /// AVX2 u32 fold: 8-lane max accumulation per chunk for strides
-    /// ≥ 8, one exact 4-lane load at the minimum stride 4.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fold_max_u32_avx2(flat: &[u32], stride: usize, totals: &mut [u64]) {
-        let chunks = flat.chunks_exact(stride).zip(totals.iter_mut());
-        if stride >= 8 {
-            for (chunk, t) in chunks {
-                let p = chunk.as_ptr();
-                let mut acc = _mm256_loadu_si256(p.cast());
-                let mut off = 8;
-                while off + 8 <= stride {
-                    acc = _mm256_max_epu32(acc, _mm256_loadu_si256(p.add(off).cast()));
-                    off += 8;
-                }
-                if off < stride {
-                    acc = _mm256_max_epu32(acc, _mm256_loadu_si256(p.add(stride - 8).cast()));
-                }
-                *t += hmax_epu32_256(acc) as u64;
-            }
-        } else {
-            // stride == 4: exactly one 128-bit vector per head.
-            for (chunk, t) in chunks {
-                let v = _mm_loadu_si128(chunk.as_ptr().cast());
-                *t += hmax_epu32_128(v) as u64;
-            }
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -547,58 +356,6 @@ mod neon {
             totals[base + i] += b as u64;
         }
     }
-
-    /// NEON u16 fold: 8-lane max accumulation per chunk for strides
-    /// ≥ 8 (overlapped tail load inside the head), one exact 4-lane
-    /// load at the minimum stride 4.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available (baseline on every aarch64 CPU).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn fold_max_u16_neon(flat: &[u16], stride: usize, totals: &mut [u64]) {
-        let chunks = flat.chunks_exact(stride).zip(totals.iter_mut());
-        if stride >= 8 {
-            for (chunk, t) in chunks {
-                let p = chunk.as_ptr();
-                let mut acc = vld1q_u16(p);
-                let mut off = 8;
-                while off + 8 <= stride {
-                    acc = vmaxq_u16(acc, vld1q_u16(p.add(off)));
-                    off += 8;
-                }
-                if off < stride {
-                    acc = vmaxq_u16(acc, vld1q_u16(p.add(stride - 8)));
-                }
-                *t += vmaxvq_u16(acc) as u64;
-            }
-        } else {
-            // stride == 4: exactly one 64-bit vector per head.
-            for (chunk, t) in chunks {
-                *t += vmaxv_u16(vld1_u16(chunk.as_ptr())) as u64;
-            }
-        }
-    }
-
-    /// NEON u32 fold: 4-lane max accumulation per chunk — the stride is
-    /// always a multiple of four lanes, so the steps tile exactly.
-    ///
-    /// # Safety
-    ///
-    /// NEON must be available (baseline on every aarch64 CPU).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn fold_max_u32_neon(flat: &[u32], stride: usize, totals: &mut [u64]) {
-        for (chunk, t) in flat.chunks_exact(stride).zip(totals.iter_mut()) {
-            let p = chunk.as_ptr();
-            let mut acc = vld1q_u32(p);
-            let mut off = 4;
-            while off < stride {
-                acc = vmaxq_u32(acc, vld1q_u32(p.add(off)));
-                off += 4;
-            }
-            *t += vmaxvq_u32(acc) as u64;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -631,39 +388,6 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             state
-        }
-    }
-
-    #[test]
-    fn vector_folds_match_scalar_at_every_stride() {
-        let level = detect();
-        if level == SimdLevel::Scalar {
-            return; // nothing to cross-check on this host
-        }
-        let mut next = rng(0x9e3779b97f4a7c15);
-        for stride in [4usize, 8, 12, 16, 20, 32] {
-            for heads in [1usize, 2, 7, 33] {
-                let flat16: Vec<u16> = (0..heads * stride)
-                    .map(|_| (next() & 0x7fff) as u16)
-                    .collect();
-                let flat32: Vec<u32> = (0..heads * stride)
-                    .map(|_| (next() & 0x000f_ffff) as u32)
-                    .collect();
-                let mut want = vec![7u64; heads];
-                for (chunk, t) in flat16.chunks_exact(stride).zip(want.iter_mut()) {
-                    *t += chunk.iter().copied().max().unwrap_or(0) as u64;
-                }
-                let mut got = vec![7u64; heads];
-                assert!(fold_max_u16(level, &flat16, stride, &mut got));
-                assert_eq!(got, want, "u16 stride {stride} heads {heads}");
-                let mut want32 = vec![3u64; heads];
-                for (chunk, t) in flat32.chunks_exact(stride).zip(want32.iter_mut()) {
-                    *t += chunk.iter().copied().max().unwrap_or(0) as u64;
-                }
-                let mut got32 = vec![3u64; heads];
-                assert!(fold_max_u32(level, &flat32, stride, &mut got32));
-                assert_eq!(got32, want32, "u32 stride {stride} heads {heads}");
-            }
         }
     }
 

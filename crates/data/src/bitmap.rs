@@ -111,29 +111,6 @@ impl ValueIndex {
         popcount(self.bitset(a, v))
     }
 
-    /// `|{o : a(o) = va ∧ b(o) = vb}|`.
-    pub fn count2(&self, a: AttrId, va: Value, b: AttrId, vb: Value) -> usize {
-        and_popcount(self.bitset(a, va), self.bitset(b, vb))
-    }
-
-    /// `|{o : a=va ∧ b=vb ∧ c=vc}|`.
-    pub fn count3(
-        &self,
-        a: AttrId,
-        va: Value,
-        b: AttrId,
-        vb: Value,
-        c: AttrId,
-        vc: Value,
-    ) -> usize {
-        let (x, y, z) = (self.bitset(a, va), self.bitset(b, vb), self.bitset(c, vc));
-        x.iter()
-            .zip(y)
-            .zip(z)
-            .map(|((&x, &y), &z)| (x & y & z).count_ones() as usize)
-            .sum()
-    }
-
     /// Writes `bitset(a,va) & bitset(b,vb)` into `dst` (length `words()`).
     pub fn intersect_into(&self, a: AttrId, va: Value, b: AttrId, vb: Value, dst: &mut [u64]) {
         debug_assert_eq!(dst.len(), self.words);
@@ -202,15 +179,14 @@ mod tests {
                 assert_eq!(idx.count1(at, v), support_count(&d, &[(at, v)]));
             }
         }
+        let mut row = vec![0u64; idx.words()];
         for v1 in 1..=d.k() {
             for v2 in 1..=d.k() {
-                assert_eq!(
-                    idx.count2(a(0), v1, a(1), v2),
-                    support_count(&d, &[(a(0), v1), (a(1), v2)])
-                );
+                idx.intersect_into(a(0), v1, a(1), v2, &mut row);
+                assert_eq!(popcount(&row), support_count(&d, &[(a(0), v1), (a(1), v2)]));
                 for v3 in 1..=d.k() {
                     assert_eq!(
-                        idx.count3(a(0), v1, a(1), v2, a(2), v3),
+                        idx.count_with(&row, a(2), v3),
                         support_count(&d, &[(a(0), v1), (a(1), v2), (a(2), v3)])
                     );
                 }

@@ -182,23 +182,17 @@ impl<L: SlotLane> SlotMatrix<L> {
             .is_some_and(|s| s as u64 <= L::SLOTS)
     }
 
-    /// Builds the slot matrix in one pass over the database's columns.
+    /// Builds the slot matrix in one pass over the database's columns,
+    /// into `num_obs ≥ db.num_obs()` rows, mirroring
+    /// [`ObsMatrix::build_with_capacity`]: the rows past the database
+    /// hold slot 0 until [`SlotMatrix::set_row`] fills them.
     ///
     /// # Panics
-    /// Panics when the slots do not fit a lane of `L`
-    /// ([`SlotMatrix::fits`]). For `u32` that takes `n · stride > 2^32`:
-    /// at least 16.7 M attributes even at `k = 255`, a universe no build
-    /// over its Θ(n²) attribute pairs could finish.
-    pub fn build(db: &Database) -> Self {
-        Self::build_with_capacity(db, db.num_obs())
-    }
-
-    /// [`SlotMatrix::build`] into a matrix of `num_obs ≥ db.num_obs()`
-    /// rows, mirroring [`ObsMatrix::build_with_capacity`]: the rows past
-    /// the database hold slot 0 until [`SlotMatrix::set_row`] fills them.
-    ///
-    /// # Panics
-    /// As [`SlotMatrix::build`], and when `num_obs < db.num_obs()`.
+    /// Panics when `num_obs < db.num_obs()`, and when the slots do not
+    /// fit a lane of `L` ([`SlotMatrix::fits`]). For `u32` that takes
+    /// `n · stride > 2^32`: at least 16.7 M attributes even at
+    /// `k = 255`, a universe no build over its Θ(n²) attribute pairs
+    /// could finish.
     pub fn build_with_capacity(db: &Database, num_obs: usize) -> Self {
         assert!(num_obs >= db.num_obs(), "capacity below the database size");
         let num_attrs = db.num_attrs();
@@ -273,8 +267,8 @@ impl<L: SlotLane> SlotMatrix<L> {
 /// Observation ids of a tail pair `{a, b}` grouped by `(v_a, v_b)` row —
 /// the PairRows-free input of the observation-major pair sweep.
 ///
-/// Rows are stored in one CSR-style layout: `row_obs(va, vb)` is the
-/// ascending slice of obs ids with `a = va ∧ b = vb`. The struct is a
+/// Rows are stored in one CSR-style layout: `row((va−1)·k + (vb−1))` is
+/// the ascending slice of obs ids with `a = va ∧ b = vb`. The struct is a
 /// reusable scratch: allocate once per worker thread with
 /// [`PairBuckets::new`] and refill per pair with [`PairBuckets::rebuild`]
 /// (one counting-sort pass over the two value columns, no allocation once
@@ -310,13 +304,6 @@ impl PairBuckets {
             obs: Vec::new(),
             cursor: Vec::new(),
         }
-    }
-
-    /// Buckets built for one pair in a fresh scratch.
-    pub fn build(db: &Database, a: AttrId, b: AttrId) -> Self {
-        let mut buckets = Self::new();
-        buckets.rebuild(db, a, b);
-        buckets
     }
 
     /// Regroups the scratch for the pair `{a, b}` of `db` (`a ≠ b`):
@@ -380,12 +367,6 @@ impl PairBuckets {
     #[inline]
     pub fn row(&self, r: usize) -> &[u32] {
         &self.obs[self.starts[r] as usize..self.starts[r + 1] as usize]
-    }
-
-    /// The ascending obs ids with `a = va ∧ b = vb` (1-based values).
-    #[inline]
-    pub fn row_obs(&self, va: Value, vb: Value) -> &[u32] {
-        self.row((va as usize - 1) * self.k + (vb as usize - 1))
     }
 }
 
@@ -466,6 +447,11 @@ mod tests {
         AttrId::new(i)
     }
 
+    /// The ascending obs ids with `a = va ∧ b = vb` (1-based values).
+    fn row_of(buckets: &PairBuckets, va: usize, vb: usize) -> &[u32] {
+        buckets.row((va - 1) * buckets.k() + (vb - 1))
+    }
+
     #[test]
     fn slot_matrix_points_at_padded_counter_slots() {
         let db = Database::from_rows(
@@ -474,7 +460,7 @@ mod tests {
             &[[1, 2, 3], [3, 1, 2], [2, 2, 1]],
         )
         .unwrap();
-        let m = SlotMatrix::<u16>::build(&db);
+        let m = SlotMatrix::<u16>::build_with_capacity(&db, db.num_obs());
         assert_eq!((m.num_attrs(), m.num_obs(), m.k()), (3, 3, 3));
         let stride = counter_stride(3);
         assert_eq!(stride, 4);
@@ -510,7 +496,8 @@ mod tests {
             vec![vec![1, 2]; 16385],
         )
         .unwrap();
-        let built = std::panic::catch_unwind(|| SlotMatrix::<u16>::build(&db));
+        let built =
+            std::panic::catch_unwind(|| SlotMatrix::<u16>::build_with_capacity(&db, db.num_obs()));
         assert!(built.is_err(), "a u16 build past the slot range panics");
         assert_eq!(counter_stride(255), 256);
         assert_eq!(counter_stride(8), 8);
@@ -525,8 +512,8 @@ mod tests {
             &[[1, 2, 3], [3, 1, 2], [2, 2, 1]],
         )
         .unwrap();
-        let narrow = SlotMatrix::<u16>::build(&db);
-        let wide = SlotMatrix::<u32>::build(&db);
+        let narrow = SlotMatrix::<u16>::build_with_capacity(&db, db.num_obs());
+        let wide = SlotMatrix::<u32>::build_with_capacity(&db, db.num_obs());
         assert_eq!(
             (wide.num_attrs(), wide.num_obs(), wide.k()),
             (narrow.num_attrs(), narrow.num_obs(), narrow.k())
@@ -547,7 +534,7 @@ mod tests {
             vec![vec![1, 2]; 16385],
         )
         .unwrap();
-        let wide = SlotMatrix::<u32>::build(&db);
+        let wide = SlotMatrix::<u32>::build_with_capacity(&db, db.num_obs());
         let stride = counter_stride(3);
         assert_eq!(wide.row(0)[16384], (16384 * stride) as u32);
         assert_eq!(wide.row(1)[0], 1);
@@ -560,7 +547,7 @@ mod tests {
         let rows = [[1, 2, 3], [3, 1, 2], [2, 2, 1], [3, 3, 1]];
         let names = vec!["x".into(), "y".into(), "z".into()];
         let full = Database::from_rows(names.clone(), 3, &rows).unwrap();
-        let batch = SlotMatrix::<L>::build(&full);
+        let batch = SlotMatrix::<L>::build_with_capacity(&full, full.num_obs());
         let seeded = Database::from_rows(names, 3, &rows[..3]).unwrap();
         let mut inc = SlotMatrix::<L>::build_with_capacity(&seeded, 4);
         assert_eq!((inc.num_attrs(), inc.num_obs(), inc.k()), (3, 4, 3));
@@ -602,16 +589,17 @@ mod tests {
             ],
         )
         .unwrap();
-        let buckets = PairBuckets::build(&db, a(0), a(1));
+        let mut buckets = PairBuckets::new();
+        buckets.rebuild(&db, a(0), a(1));
         assert_eq!(buckets.pair(), (a(0), a(1)));
         assert_eq!(buckets.k(), 3);
         assert_eq!(buckets.num_rows(), 9);
         assert_eq!(buckets.num_obs(), db.num_obs());
         // Rows against the fixture: x=1∧y=1 → obs {0, 6}; x=2∧y=2 → {2, 7}.
-        assert_eq!(buckets.row_obs(1, 1), &[0, 6]);
-        assert_eq!(buckets.row_obs(1, 2), &[1, 4]);
-        assert_eq!(buckets.row_obs(2, 2), &[2, 7]);
-        assert_eq!(buckets.row_obs(3, 3), &[] as &[u32]);
+        assert_eq!(row_of(&buckets, 1, 1), &[0, 6]);
+        assert_eq!(row_of(&buckets, 1, 2), &[1, 4]);
+        assert_eq!(row_of(&buckets, 2, 2), &[2, 7]);
+        assert_eq!(row_of(&buckets, 3, 3), &[] as &[u32]);
         // Every observation lands in exactly the row its values name, rows
         // partition 0..m, and ids ascend within each row.
         let mut seen = vec![false; db.num_obs()];
@@ -646,16 +634,16 @@ mod tests {
         .unwrap();
         let mut buckets = PairBuckets::new();
         buckets.rebuild(&db1, a(0), a(1));
-        assert_eq!(buckets.row_obs(1, 2), &[0]);
-        assert_eq!(buckets.row_obs(2, 1), &[3]);
+        assert_eq!(row_of(&buckets, 1, 2), &[0]);
+        assert_eq!(row_of(&buckets, 2, 1), &[3]);
         // Refill with a larger k: previous contents must not leak through.
         buckets.rebuild(&db2, a(1), a(0));
         assert_eq!(buckets.pair(), (a(1), a(0)));
         assert_eq!(buckets.k(), 4);
         assert_eq!(buckets.num_rows(), 16);
-        assert_eq!(buckets.row_obs(1, 4), &[0]);
-        assert_eq!(buckets.row_obs(4, 1), &[1]);
-        assert_eq!(buckets.row_obs(2, 3), &[2]);
+        assert_eq!(row_of(&buckets, 1, 4), &[0]);
+        assert_eq!(row_of(&buckets, 4, 1), &[1]);
+        assert_eq!(row_of(&buckets, 2, 3), &[2]);
         let total: usize = (0..16).map(|r| buckets.row(r).len()).sum();
         assert_eq!(total, 3);
     }
@@ -664,7 +652,8 @@ mod tests {
     fn pair_buckets_on_empty_database() {
         let db =
             Database::from_columns(vec!["x".into(), "y".into()], 2, vec![vec![], vec![]]).unwrap();
-        let buckets = PairBuckets::build(&db, a(0), a(1));
+        let mut buckets = PairBuckets::new();
+        buckets.rebuild(&db, a(0), a(1));
         assert_eq!(buckets.num_obs(), 0);
         for r in 0..buckets.num_rows() {
             assert!(buckets.row(r).is_empty());
@@ -675,6 +664,6 @@ mod tests {
     #[should_panic(expected = "must differ")]
     fn pair_buckets_reject_self_pair() {
         let db = Database::from_columns(vec!["x".into()], 2, vec![vec![1, 2]]).unwrap();
-        PairBuckets::build(&db, a(0), a(0));
+        PairBuckets::new().rebuild(&db, a(0), a(0));
     }
 }

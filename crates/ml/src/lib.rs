@@ -5,8 +5,6 @@
 //! of discretized attribute values. This crate provides from-scratch
 //! equivalents, plus the preliminaries the paper reviews:
 //!
-//! - [`Perceptron`] / [`MultiClassPerceptron`] — the perceptron learning
-//!   rule, Algorithm 3;
 //! - [`LinearRegression`] — least squares with optional ridge;
 //! - [`LogisticRegression`] — multinomial softmax regression;
 //! - [`MultiClassSvm`] — one-vs-rest linear SVM (Pegasos);
@@ -21,7 +19,6 @@ mod linalg;
 mod linreg;
 mod logistic;
 mod mlp;
-mod perceptron;
 mod svm;
 
 pub use dataset::TabularDataset;
@@ -30,5 +27,4 @@ pub use linalg::{argmax, axpy, dot, gaussian_solve, softmax};
 pub use linreg::LinearRegression;
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpConfig};
-pub use perceptron::{MultiClassPerceptron, Perceptron};
 pub use svm::{LinearSvm, MultiClassSvm, SvmConfig};

@@ -160,9 +160,8 @@ fn drain_feed(mut feed: MarketFeed, host: ServeHost) {
 
 fn run_durable(feed: MarketFeed, dir: &PathBuf, recover: bool) {
     let options = HostOptions {
-        queue: 64,
         durability: Some(DurabilityOptions::new(dir)),
-        ..HostOptions::default()
+        ..HostOptions::queue(64)
     };
     if recover {
         let (host, info) = match ServeHost::recover(dir, SnapshotSpec::default(), options) {

@@ -19,15 +19,15 @@
 //!   strict prefix of the record and then fails — the on-disk state a
 //!   crash mid-`write_all` leaves behind.
 //! - **Writer panics** ([`FaultPlan::panic_at`], [`FaultPlan::lethal_panic_at`])
-//!   are indexed by *command* (the n-th non-shutdown command the writer
-//!   drains). A plain panic fires inside the writer's `catch_unwind`
-//!   containment (the host degrades and keeps serving); a *lethal* panic
+//!   are indexed by *command* (the n-th record the writer drains). A
+//!   plain panic fires inside the writer's `catch_unwind` containment
+//!   (the host degrades and keeps serving); a *lethal* panic
 //!   fires outside it, killing the writer thread — the scenario the
 //!   non-aborting `Drop`/[`crate::HostHealth::Failed`] path exists for.
 //! - **The stall gate** ([`FaultPlan::stall`] / [`FaultPlan::release`])
-//!   parks the writer *between* commands, so a test can fill the bounded
-//!   queue deterministically and observe overflow-policy behavior
-//!   (drops, coalescing, `send_timeout`) without racing the drain.
+//!   parks the writer *between* records, so a test can fill the bounded
+//!   queue deterministically and check that [`crate::ServeHost::send`]
+//!   blocks on it, without racing the drain.
 //!
 //! [`FaultPlan::seeded`] derives a reproducible schedule from a seed for
 //! soak-style sweeps; every index is also settable explicitly.
@@ -101,7 +101,7 @@ impl FaultPlan {
     }
 
     /// Panics while *processing* the given command index (0-based over
-    /// the writer's non-shutdown commands) — inside the containment, so
+    /// the records the writer drains) — inside the containment, so
     /// the host degrades but keeps serving.
     pub fn panic_at(mut self, command: u64) -> FaultPlan {
         self.panics.insert(command);
@@ -115,8 +115,9 @@ impl FaultPlan {
         self
     }
 
-    /// Closes the gate: the writer parks before draining its next
-    /// command until [`FaultPlan::release`] is called.
+    /// Closes the gate: the writer parks holding the next record it
+    /// receives, before applying it, until [`FaultPlan::release`] is
+    /// called.
     pub fn stall(&self) {
         *self.shared.stalled.lock().unwrap() = true;
     }

@@ -1,40 +1,37 @@
 //! The host side of the serve split: a dedicated writer thread draining
-//! a bounded command queue while readers query published snapshots.
+//! a bounded record queue while readers query published snapshots.
 //!
 //! [`ServeHost::spawn`] moves a [`ModelServer`] onto its own thread and
-//! returns a handle that (a) enqueues stream commands with backpressure
-//! — a bounded [`std::sync::mpsc::sync_channel`], so a slow writer
-//! throttles the feed instead of buffering unboundedly — and (b) hands
-//! out lock-free [`ReaderHandle`]s that keep working for as long as any
-//! handle to the snapshot cell lives, even after shutdown.
+//! returns a handle that (a) enqueues [`WalRecord`]s with backpressure
+//! — a bounded [`std::sync::mpsc::sync_channel`] whose one send path
+//! blocks while the queue is full, so a slow writer throttles the feed
+//! instead of buffering unboundedly — and (b) hands out lock-free
+//! [`ReaderHandle`]s that keep working for as long as any handle to the
+//! snapshot cell lives, even after shutdown. Shutdown drops the sender:
+//! the writer drains what is queued and exits.
 //!
-//! Three robustness layers ride on that split:
+//! Two robustness layers ride on that split:
 //!
-//! - **Fault containment.** Command processing runs under
-//!   [`std::panic::catch_unwind`]: a poison command is quarantined into
+//! - **Fault containment.** Record processing runs under
+//!   [`std::panic::catch_unwind`]: a poison record is quarantined into
 //!   [`WriterStats`] (`panics` + `last_error`) while the last good
 //!   snapshot keeps serving, and [`ServeHost::health`] — readable from
 //!   any thread — reports [`HostHealth::Degraded`]. A panic that escapes
 //!   containment kills the writer thread; the non-panicking join in
 //!   `shutdown`/`Drop` surfaces that as [`HostHealth::Failed`] instead
 //!   of re-panicking (which, during unwinding, would abort the process).
-//! - **Backpressure policy.** [`OverflowPolicy`] picks what a full queue
-//!   does to the feed: block (default), drop the newest command, or
-//!   coalesce advances into one batch; [`ServeHost::send_timeout`] bounds
-//!   the wait explicitly.
-//! - **Durability.** With [`DurabilityOptions`], every accepted mutation
+//! - **Durability.** With [`DurabilityOptions`], every accepted record
 //!   is appended to a [`crate::store`] WAL after it applies (a commit
-//!   log: rejected commands never replay), segments rotate through fresh
+//!   log: rejected records never replay), segments rotate through fresh
 //!   checkpoints, and [`ServeHost::recover`] rebuilds a bit-identical
 //!   host from the newest checkpoint + log tail after a crash.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use hypermine_data::Value;
 
@@ -46,39 +43,12 @@ use crate::writer::ModelServer;
 #[cfg(feature = "fault-injection")]
 use crate::faults::FaultPlan;
 
-/// One unit of stream input for the writer thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamCmd {
-    /// Slide the window one observation forward.
-    Advance(Vec<Value>),
-    /// Slide the window several steps in one batch (one publish).
-    AdvanceBatch(Vec<Vec<Value>>),
-    /// Contract the window from the old end (calendar gap).
-    Retire,
-    /// Drain nothing further and exit the writer thread.
-    Shutdown,
-}
-
-impl StreamCmd {
-    /// Compact description for `WriterStats::last_error`.
-    fn describe(&self) -> String {
-        match self {
-            StreamCmd::Advance(row) => format!("Advance({} values)", row.len()),
-            StreamCmd::AdvanceBatch(rows) => format!("AdvanceBatch({} rows)", rows.len()),
-            StreamCmd::Retire => "Retire".into(),
-            StreamCmd::Shutdown => "Shutdown".into(),
-        }
-    }
-
-    /// The durable form of an *accepted* command (`Shutdown` is control
-    /// flow, not state).
-    fn into_wal_record(self) -> Option<WalRecord> {
-        match self {
-            StreamCmd::Advance(row) => Some(WalRecord::Advance(row)),
-            StreamCmd::AdvanceBatch(rows) => Some(WalRecord::AdvanceBatch(rows)),
-            StreamCmd::Retire => Some(WalRecord::Retire),
-            StreamCmd::Shutdown => None,
-        }
+/// Compact description of a record for `WriterStats::last_error`.
+fn describe(record: &WalRecord) -> String {
+    match record {
+        WalRecord::Advance(row) => format!("Advance({} values)", row.len()),
+        WalRecord::AdvanceBatch(rows) => format!("AdvanceBatch({} rows)", rows.len()),
+        WalRecord::Retire => "Retire".into(),
     }
 }
 
@@ -88,12 +58,12 @@ impl StreamCmd {
 pub enum HostHealth {
     /// No contained panics, durability (if enabled) intact.
     Healthy,
-    /// Still serving, but something was lost: a command panicked inside
+    /// Still serving, but something was lost: a record panicked inside
     /// the containment, or a WAL append failed and durability froze at
     /// the last durable record.
     Degraded,
     /// The writer thread is gone (a panic escaped containment); the last
-    /// published snapshot keeps serving, but no further commands apply.
+    /// published snapshot keeps serving, but no further records apply.
     Failed,
 }
 
@@ -107,25 +77,6 @@ fn decode_health(raw: u8) -> HostHealth {
         HEALTH_FAILED => HostHealth::Failed,
         _ => HostHealth::Healthy,
     }
-}
-
-/// What a full command queue does to the feed (chosen at spawn).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// [`ServeHost::send`] blocks until the writer drains a slot — the
-    /// queue is the feed's backpressure.
-    #[default]
-    Block,
-    /// [`ServeHost::send`] drops the command it was given (returning
-    /// `false` and counting `WriterStats::dropped`) instead of blocking —
-    /// for feeds where staleness beats latency.
-    DropNewest,
-    /// Overflowing [`StreamCmd::Advance`] rows park in a host-side buffer
-    /// (counting `WriterStats::coalesced`) and enter the queue as one
-    /// [`StreamCmd::AdvanceBatch`] when a slot frees — same observations,
-    /// fewer publishes. Non-advance commands flush the buffer first
-    /// (blocking) so ordering is preserved; shutdown flushes the rest.
-    CoalesceBatch,
 }
 
 /// Where and how a durable host persists its state (see [`crate::store`]).
@@ -153,10 +104,9 @@ impl DurabilityOptions {
 /// stable as options grow.
 #[derive(Debug, Clone, Default)]
 pub struct HostOptions {
-    /// Command-queue depth (0 is clamped to 1).
+    /// Record-queue depth (0 is clamped to 1); [`ServeHost::send`]
+    /// blocks while it is full.
     pub queue: usize,
-    /// Full-queue behavior.
-    pub overflow: OverflowPolicy,
     /// `Some` makes the host durable.
     pub durability: Option<DurabilityOptions>,
     /// Deterministic fault schedule (test harness only).
@@ -180,24 +130,23 @@ impl HostOptions {
 pub struct WriterStats {
     /// Snapshots published (successful mutations).
     pub published: u64,
-    /// Commands rejected by the model (e.g. malformed rows). The
+    /// Records rejected by the model (e.g. malformed rows). The
     /// previous snapshot stays served across a rejection.
     pub rejected: u64,
     /// The last published epoch.
     pub last_epoch: u64,
-    /// Commands whose processing panicked inside the containment; the
-    /// poison command is quarantined (described in `last_error`) and the
+    /// Records whose processing panicked inside the containment; the
+    /// poison record is quarantined (described in `last_error`) and the
     /// previous snapshot stays served.
     pub panics: u64,
     /// WAL records appended durably (0 for a non-durable host).
     pub wal_records: u64,
-    /// Commands dropped by [`OverflowPolicy::DropNewest`].
+    /// Always 0: [`ServeHost::send`] blocks instead of dropping. Kept
+    /// only because the repository benchmark (`perfbench/`) adds it to
+    /// its failed-operation count.
     pub dropped: u64,
-    /// Advance rows deferred into a batch by
-    /// [`OverflowPolicy::CoalesceBatch`].
-    pub coalesced: u64,
     /// The most recent rejection, panic, or WAL failure, with the
-    /// offending command described.
+    /// offending record described.
     pub last_error: Option<String>,
 }
 
@@ -205,13 +154,9 @@ pub struct WriterStats {
 #[derive(Debug)]
 pub struct ServeHost {
     cell: Arc<ArcCell<ModelSnapshot>>,
-    tx: Option<SyncSender<StreamCmd>>,
+    tx: Option<SyncSender<WalRecord>>,
     writer: Option<JoinHandle<WriterStats>>,
     health: Arc<AtomicU8>,
-    overflow: OverflowPolicy,
-    dropped: AtomicU64,
-    coalesced: AtomicU64,
-    pending: Mutex<Vec<Vec<Value>>>,
 }
 
 /// Flips health to `Failed` if the writer thread unwinds past the
@@ -229,7 +174,7 @@ impl Drop for FailGuard {
 }
 
 impl ServeHost {
-    /// Spawns the writer thread around `server` with a command queue of
+    /// Spawns the writer thread around `server` with a record queue of
     /// depth `queue` (senders block when it is full — that is the
     /// feed's backpressure). Non-durable; see [`ServeHost::spawn_with`].
     pub fn spawn(server: ModelServer, queue: usize) -> ServeHost {
@@ -293,7 +238,7 @@ impl ServeHost {
     ) -> ServeHost {
         let cell = Arc::clone(server.cell());
         let health = Arc::new(AtomicU8::new(HEALTH_HEALTHY));
-        let (tx, rx) = sync_channel::<StreamCmd>(options.queue.max(1));
+        let (tx, rx) = sync_channel::<WalRecord>(options.queue.max(1));
         #[cfg(feature = "fault-injection")]
         let faults = options.faults.clone();
         #[cfg(feature = "fault-injection")]
@@ -316,10 +261,7 @@ impl ServeHost {
                 };
                 #[cfg(feature = "fault-injection")]
                 let mut command_idx: u64 = 0;
-                while let Ok(cmd) = rx.recv() {
-                    if matches!(cmd, StreamCmd::Shutdown) {
-                        break;
-                    }
+                while let Ok(record) = rx.recv() {
                     #[cfg(feature = "fault-injection")]
                     if let Some(plan) = &faults {
                         plan.wait_if_stalled();
@@ -332,11 +274,10 @@ impl ServeHost {
                         if let Some(plan) = &faults {
                             plan.check_contained_panic(command_idx);
                         }
-                        match &cmd {
-                            StreamCmd::Advance(row) => server.advance(row),
-                            StreamCmd::AdvanceBatch(rows) => server.advance_batch(rows),
-                            StreamCmd::Retire => server.retire_oldest(),
-                            StreamCmd::Shutdown => unreachable!("handled above"),
+                        match &record {
+                            WalRecord::Advance(row) => server.advance(row),
+                            WalRecord::AdvanceBatch(rows) => server.advance_batch(rows),
+                            WalRecord::Retire => server.retire_oldest(),
                         }
                     }));
                     #[cfg(feature = "fault-injection")]
@@ -348,9 +289,6 @@ impl ServeHost {
                             stats.published += 1;
                             stats.last_epoch = epoch;
                             if let Some(wal) = store.as_mut() {
-                                let record = cmd
-                                    .into_wal_record()
-                                    .expect("only loggable commands reach here");
                                 let appended = wal
                                     .append(&record)
                                     .and_then(|()| wal.maybe_rotate(server.model()).map(|_| ()));
@@ -370,13 +308,13 @@ impl ServeHost {
                         }
                         Ok(Err(e)) => {
                             stats.rejected += 1;
-                            stats.last_error = Some(format!("{} rejected: {e}", cmd.describe()));
+                            stats.last_error = Some(format!("{} rejected: {e}", describe(&record)));
                         }
                         Err(payload) => {
                             stats.panics += 1;
                             stats.last_error = Some(format!(
                                 "{} panicked: {}",
-                                cmd.describe(),
+                                describe(&record),
                                 // `&*`: coerce the *contents* of the box,
                                 // not the `Box` itself, to `dyn Any` — a
                                 // bare `&payload` unsizes the box and the
@@ -398,10 +336,6 @@ impl ServeHost {
             tx: Some(tx),
             writer: Some(writer),
             health,
-            overflow: options.overflow,
-            dropped: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            pending: Mutex::new(Vec::new()),
         }
     }
 
@@ -422,119 +356,16 @@ impl ServeHost {
         decode_health(self.health.load(Ordering::SeqCst))
     }
 
-    /// Enqueues a command under the host's [`OverflowPolicy`]. Returns
-    /// `false` if the writer already exited, or — under
-    /// [`OverflowPolicy::DropNewest`] — if the command was dropped.
-    pub fn send(&self, cmd: StreamCmd) -> bool {
-        match self.overflow {
-            OverflowPolicy::Block => self.send_blocking(cmd),
-            OverflowPolicy::DropNewest => match self.try_send_raw(cmd) {
-                Ok(()) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-                Err(TrySendError::Full(_)) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            },
-            OverflowPolicy::CoalesceBatch => self.send_coalescing(cmd),
-        }
+    /// Enqueues a record for the writer, blocking while the queue is
+    /// full — the feed's backpressure. Returns `false` once the writer
+    /// has exited.
+    pub fn send(&self, record: WalRecord) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send(record).is_ok())
     }
 
-    fn send_blocking(&self, cmd: StreamCmd) -> bool {
-        self.tx
-            .as_ref()
-            .map(|tx| tx.send(cmd).is_ok())
-            .unwrap_or(false)
-    }
-
-    fn try_send_raw(&self, cmd: StreamCmd) -> Result<(), TrySendError<StreamCmd>> {
-        match self.tx.as_ref() {
-            None => Err(TrySendError::Disconnected(cmd)),
-            Some(tx) => tx.try_send(cmd),
-        }
-    }
-
-    fn send_coalescing(&self, cmd: StreamCmd) -> bool {
-        let mut pending = self.pending.lock().expect("pending buffer poisoned");
-        match cmd {
-            StreamCmd::Advance(row) => {
-                if pending.is_empty() {
-                    match self.try_send_raw(StreamCmd::Advance(row)) {
-                        Ok(()) => true,
-                        Err(TrySendError::Disconnected(_)) => false,
-                        Err(TrySendError::Full(StreamCmd::Advance(row))) => {
-                            pending.push(row);
-                            self.coalesced.fetch_add(1, Ordering::Relaxed);
-                            true
-                        }
-                        Err(TrySendError::Full(_)) => unreachable!("commands come back unchanged"),
-                    }
-                } else {
-                    pending.push(row);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    let batch = std::mem::take(&mut *pending);
-                    match self.try_send_raw(StreamCmd::AdvanceBatch(batch)) {
-                        Ok(()) => true,
-                        Err(TrySendError::Full(StreamCmd::AdvanceBatch(batch))) => {
-                            // Still no slot: the rows stay parked for the
-                            // next send (or the shutdown flush).
-                            *pending = batch;
-                            true
-                        }
-                        Err(TrySendError::Disconnected(_)) => false,
-                        Err(TrySendError::Full(_)) => unreachable!("commands come back unchanged"),
-                    }
-                }
-            }
-            other => {
-                // Ordering: buffered advances precede any later command.
-                if !pending.is_empty() {
-                    let batch = std::mem::take(&mut *pending);
-                    drop(pending);
-                    if !self.send_blocking(StreamCmd::AdvanceBatch(batch)) {
-                        return false;
-                    }
-                } else {
-                    drop(pending);
-                }
-                self.send_blocking(other)
-            }
-        }
-    }
-
-    /// Enqueues a command without blocking. Returns the command back
-    /// when the queue is full (`Err`), so feeds can drop or retry.
-    pub fn try_send(&self, cmd: StreamCmd) -> Result<(), StreamCmd> {
-        match self.try_send_raw(cmd) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(c)) | Err(TrySendError::Disconnected(c)) => Err(c),
-        }
-    }
-
-    /// Enqueues with a bounded wait: retries a full queue until
-    /// `timeout` elapses, then hands the command back. Ignores the
-    /// overflow policy — the timeout *is* the caller's policy here.
-    pub fn send_timeout(&self, cmd: StreamCmd, timeout: Duration) -> Result<(), StreamCmd> {
-        let deadline = Instant::now() + timeout;
-        let mut cmd = cmd;
-        loop {
-            match self.try_send_raw(cmd) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(c)) => return Err(c),
-                Err(TrySendError::Full(c)) => {
-                    if Instant::now() >= deadline {
-                        return Err(c);
-                    }
-                    cmd = c;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-    }
-
-    /// Convenience: [`StreamCmd::Advance`] under the overflow policy.
+    /// Convenience: [`ServeHost::send`] of a [`WalRecord::Advance`].
     pub fn advance(&self, row: Vec<Value>) -> bool {
-        self.send(StreamCmd::Advance(row))
+        self.send(WalRecord::Advance(row))
     }
 
     /// Drains the queue, stops the writer, and returns its stats. Never
@@ -545,41 +376,14 @@ impl ServeHost {
     }
 
     fn shutdown_inner(&mut self) -> WriterStats {
-        if let Some(tx) = self.tx.take() {
-            // Flush rows still parked by CoalesceBatch — with a bounded
-            // retry, not a blocking send: a writer that never drains
-            // (dead, or deliberately stalled by a fault plan) must not
-            // hang shutdown forever.
-            let parked =
-                std::mem::take(&mut *self.pending.lock().expect("pending buffer poisoned"));
-            if !parked.is_empty() {
-                let mut cmd = StreamCmd::AdvanceBatch(parked);
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    match tx.try_send(cmd) {
-                        Ok(()) | Err(TrySendError::Disconnected(_)) => break,
-                        Err(TrySendError::Full(c)) => {
-                            if Instant::now() >= deadline {
-                                break;
-                            }
-                            cmd = c;
-                            std::thread::sleep(Duration::from_micros(100));
-                        }
-                    }
-                }
-            }
-            // Dropping the sender disconnects the channel: the writer
-            // drains whatever is buffered, then `recv` errors and the
-            // loop exits. (A blocking Shutdown send here could wedge on
-            // a full queue whose writer died or is parked — the exact
-            // situation shutdown must survive.)
-            drop(tx);
-        }
-        let mut stats = match self.writer.take() {
+        // Dropping the sender disconnects the channel: the writer drains
+        // whatever is queued, then `recv` errors and the loop exits.
+        self.tx = None;
+        match self.writer.take() {
             Some(handle) => match handle.join() {
                 Ok(stats) => stats,
                 Err(payload) => {
-                    // The writer died mid-command; its counters died with
+                    // The writer died mid-record; its counters died with
                     // it. Surface the death, don't re-panic (a Drop-time
                     // re-panic during unwinding aborts the process).
                     self.health.store(HEALTH_FAILED, Ordering::SeqCst);
@@ -594,10 +398,7 @@ impl ServeHost {
                 }
             },
             None => WriterStats::default(),
-        };
-        stats.dropped = self.dropped.load(Ordering::Relaxed);
-        stats.coalesced = self.coalesced.load(Ordering::Relaxed);
-        stats
+        }
     }
 }
 
@@ -653,9 +454,9 @@ mod tests {
         for o in 100..110 {
             assert!(host.advance(d.attrs().map(|a| d.value(a, o)).collect()));
         }
-        assert!(host.send(StreamCmd::Retire));
+        assert!(host.send(WalRecord::Retire));
         // Enqueuing succeeds; the *writer* rejects the malformed row.
-        assert!(host.send(StreamCmd::Advance(vec![1])));
+        assert!(host.send(WalRecord::Advance(vec![1])));
         assert_eq!(host.health(), HostHealth::Healthy);
         let stats = host.shutdown();
         assert_eq!(stats.published, 11);
@@ -669,44 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_a_full_queue_instead_of_blocking() {
-        let (d, server) = server();
-        let host = ServeHost::spawn(server, 1);
-        let row: Vec<Value> = d.attrs().map(|a| d.value(a, 100)).collect();
-        let mut accepted = 0u64;
-        let mut refused = 0u64;
-        for _ in 0..64 {
-            match host.try_send(StreamCmd::Advance(row.clone())) {
-                Ok(()) => accepted += 1,
-                Err(StreamCmd::Advance(_)) => refused += 1,
-                Err(_) => unreachable!("commands come back unchanged"),
-            }
-        }
-        assert!(accepted >= 1);
-        let stats = host.shutdown();
-        assert_eq!(stats.published, accepted);
-        assert!(refused + accepted == 64);
-    }
-
-    #[test]
     fn drop_without_shutdown_joins_the_writer() {
         let (d, server) = server();
         {
             let host = ServeHost::spawn(server, 4);
             host.advance(d.attrs().map(|a| d.value(a, 100)).collect());
         } // Drop joins; no leaked thread, no panic.
-    }
-
-    #[test]
-    fn send_timeout_delivers_when_a_slot_is_free() {
-        let (d, server) = server();
-        let host = ServeHost::spawn(server, 4);
-        let row: Vec<Value> = d.attrs().map(|a| d.value(a, 100)).collect();
-        assert!(host
-            .send_timeout(StreamCmd::Advance(row), Duration::from_secs(5))
-            .is_ok());
-        let stats = host.shutdown();
-        assert_eq!(stats.published, 1);
     }
 
     #[test]
@@ -718,9 +487,8 @@ mod tests {
             let host = ServeHost::spawn_with(
                 server,
                 HostOptions {
-                    queue: 8,
                     durability: Some(DurabilityOptions::new(&dir)),
-                    ..HostOptions::default()
+                    ..HostOptions::queue(8)
                 },
             )
             .expect("store create");
@@ -728,9 +496,9 @@ mod tests {
             for o in 100..110 {
                 assert!(host.advance(d.attrs().map(|a| d.value(a, o)).collect()));
             }
-            assert!(host.send(StreamCmd::Retire));
-            // A rejected command must NOT reach the log.
-            assert!(host.send(StreamCmd::Advance(vec![9])));
+            assert!(host.send(WalRecord::Retire));
+            // A rejected record must NOT reach the log.
+            assert!(host.send(WalRecord::Advance(vec![9])));
             let stats = host.shutdown();
             assert_eq!(stats.published, 11);
             assert_eq!(stats.wal_records, 11);
@@ -767,61 +535,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RecoverError::Io(_)), "{err}");
-    }
-
-    #[test]
-    fn drop_newest_counts_drops_once_the_writer_is_gone() {
-        // A deterministic full-queue without fault injection: kill the
-        // writer via shutdown…-like path is racy, so instead verify the
-        // disconnected path returns false and Block/Drop agree on a live
-        // writer; the stalled-writer drop/coalesce behavior is pinned in
-        // the fault-injected chaos suite.
-        let (d, server) = server();
-        let host = ServeHost::spawn_with(
-            server,
-            HostOptions {
-                queue: 1,
-                overflow: OverflowPolicy::DropNewest,
-                ..HostOptions::default()
-            },
-        )
-        .unwrap();
-        let row: Vec<Value> = d.attrs().map(|a| d.value(a, 100)).collect();
-        let mut sent = 0u64;
-        let mut dropped = 0u64;
-        for _ in 0..64 {
-            if host.send(StreamCmd::Advance(row.clone())) {
-                sent += 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        let stats = host.shutdown();
-        assert_eq!(stats.published, sent);
-        assert_eq!(stats.dropped, dropped);
-        assert_eq!(sent + dropped, 64);
-    }
-
-    #[test]
-    fn coalesce_preserves_every_row_across_a_tiny_queue() {
-        let (d, server) = server();
-        let host = ServeHost::spawn_with(
-            server,
-            HostOptions {
-                queue: 1,
-                overflow: OverflowPolicy::CoalesceBatch,
-                ..HostOptions::default()
-            },
-        )
-        .unwrap();
-        for o in 100..116 {
-            assert!(host.advance(d.attrs().map(|a| d.value(a, o)).collect()));
-        }
-        let stats = host.shutdown();
-        // Every row applied exactly once — the epoch counts rows, not
-        // publishes — whether it went direct or through a batch.
-        assert_eq!(stats.last_epoch, 16);
-        assert_eq!(stats.rejected, 0);
-        assert!(stats.published <= 16);
     }
 }

@@ -25,18 +25,18 @@
 //!   [`AssociationClassifier`] on the same window.
 //! - **Sim / host split.** [`MarketFeed`] (the sim) generates a
 //!   deterministic discretized market stream; [`ServeHost`] (the host)
-//!   runs the writer on its own thread behind a bounded command queue
-//!   with backpressure. [`throughput::measure_qps`] measures aggregate
-//!   reader queries/sec during live slides — the number the `serve` CLI
-//!   prints and `perf_summary` gates in CI.
+//!   runs the writer on its own thread behind a bounded queue of
+//!   [`WalRecord`]s whose one send blocks while it is full.
+//!   [`throughput::measure_qps`] measures aggregate reader queries/sec
+//!   during live slides — the number the `serve` CLI prints and
+//!   `perf_summary` gates in CI.
 //! - **Crash safety + fault containment.** A durable host persists a
 //!   checksummed checkpoint of the windowed database + config and an
 //!   append-only observation WAL ([`store`]); [`ServeHost::recover`]
 //!   folds the log tail into the checkpoint's window and builds once,
 //!   yielding a model bit-identical to the pre-crash writer at its last
 //!   durable record. Writer panics are
-//!   contained per command ([`HostHealth`], [`WriterStats`]), a full
-//!   queue's behavior is a policy ([`OverflowPolicy`]), and a
+//!   contained per record ([`HostHealth`], [`WriterStats`]), and a
 //!   deterministic fault-injection harness (`faults`, behind the
 //!   `fault-injection` feature) drives the chaos suite.
 //!
@@ -74,9 +74,7 @@ pub mod writer;
 pub use cell::{ArcCell, ReaderHandle, SnapshotGuard};
 #[cfg(feature = "fault-injection")]
 pub use faults::FaultPlan;
-pub use host::{
-    DurabilityOptions, HostHealth, HostOptions, OverflowPolicy, ServeHost, StreamCmd, WriterStats,
-};
+pub use host::{DurabilityOptions, HostHealth, HostOptions, ServeHost, WriterStats};
 pub use sim::{FeedConfig, MarketFeed};
 pub use snapshot::{
     ModelSnapshot, PublishLaps, PublishPhase, QueryScratch, SnapshotMemory, SnapshotSpec,

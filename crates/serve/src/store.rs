@@ -15,7 +15,7 @@
 //!   `retire_oldest` are property-tested bit-identical to batch rebuilds,
 //!   so recovery recomputes them instead of trusting bytes on disk.
 //! - A **write-ahead log** (actually a commit log: records are appended
-//!   *after* the model accepts a mutation, so rejected commands never
+//!   *after* the model accepts a mutation, so rejected records never
 //!   replay) holds the observations applied since the checkpoint as
 //!   length-prefixed, per-record-checksummed [`WalRecord`]s. Segments
 //!   rotate at a configurable byte budget; every rotation writes a fresh
@@ -76,8 +76,9 @@ const MAX_RECORD_BYTES: u32 = 1 << 26;
 /// Default segment rotation budget (see [`WalStore::create`]).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
-/// One durable observation-stream record. Mirrors the loggable subset of
-/// [`crate::StreamCmd`] (`Shutdown` is a control message, not state).
+/// One observation-stream record: what a [`crate::ServeHost`]'s queue
+/// carries to its writer, and what a durable host logs once the record
+/// has applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// One observation appended, oldest retired (window slides by one).

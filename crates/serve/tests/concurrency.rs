@@ -20,7 +20,7 @@ use hypermine_core::{AssociationClassifier, AssociationModel, ModelConfig};
 use hypermine_data::{Database, Value};
 use hypermine_serve::{
     DurabilityOptions, HostHealth, HostOptions, ModelServer, ModelSnapshot, ServeHost,
-    SnapshotSpec, StreamCmd,
+    SnapshotSpec, WalRecord,
 };
 
 /// Three correlated attributes + one noise attribute, enough structure
@@ -213,11 +213,11 @@ fn host_keeps_epochs_monotone_across_mixed_commands() {
         let mut obs = WINDOW;
         for i in 0..12 {
             match i % 4 {
-                3 => assert!(host.send(StreamCmd::Retire)),
+                3 => assert!(host.send(WalRecord::Retire)),
                 2 => {
                     let rows = vec![row_at(&d, obs), row_at(&d, obs + 1)];
                     obs += 2;
-                    assert!(host.send(StreamCmd::AdvanceBatch(rows)));
+                    assert!(host.send(WalRecord::AdvanceBatch(rows)));
                 }
                 _ => {
                     assert!(host.advance(row_at(&d, obs)));
@@ -257,9 +257,8 @@ fn readers_on_a_recovered_host_resume_monotone_digest_valid_epochs() {
     let host = ServeHost::spawn_with(
         ModelServer::new(model, SnapshotSpec::default()),
         HostOptions {
-            queue: 4,
             durability: Some(DurabilityOptions::new(&dir)),
-            ..HostOptions::default()
+            ..HostOptions::queue(4)
         },
     )
     .expect("store create");
@@ -294,7 +293,7 @@ fn readers_on_a_recovered_host_resume_monotone_digest_valid_epochs() {
         let mut obs = WINDOW + BEFORE_CRASH;
         for i in 0..AFTER_RECOVER {
             if i == AFTER_RECOVER / 2 {
-                assert!(host.send(StreamCmd::Retire));
+                assert!(host.send(WalRecord::Retire));
             } else {
                 assert!(host.advance(row_at(&d, obs)));
                 obs += 1;

@@ -18,6 +18,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use hypermine_core::{AssociationModel, ModelConfig};
@@ -25,7 +26,7 @@ use hypermine_data::{Database, Value};
 use hypermine_serve::store::{self, WalRecord, WalStore};
 use hypermine_serve::{
     DurabilityOptions, FaultPlan, HostHealth, HostOptions, ModelServer, ModelSnapshot, ServeHost,
-    SnapshotSpec, StreamCmd,
+    SnapshotSpec,
 };
 
 const WINDOW: usize = 40;
@@ -284,7 +285,6 @@ fn injected_io_error_freezes_durability_but_keeps_serving() {
             queue: 4,
             durability: Some(DurabilityOptions::new(&dir)),
             faults: Some(FaultPlan::new().io_error_at(5)),
-            ..HostOptions::default()
         },
     )
     .unwrap();
@@ -317,7 +317,6 @@ fn torn_write_leaves_a_recoverable_tail() {
             queue: 4,
             durability: Some(DurabilityOptions::new(&dir)),
             faults: Some(FaultPlan::new().torn_write_at(7)),
-            ..HostOptions::default()
         },
     )
     .unwrap();
@@ -343,7 +342,6 @@ fn contained_panic_quarantines_the_command_and_keeps_the_stream_alive() {
             queue: 4,
             durability: Some(DurabilityOptions::new(&dir)),
             faults: Some(FaultPlan::new().panic_at(3)),
-            ..HostOptions::default()
         },
     )
     .unwrap();
@@ -442,51 +440,24 @@ fn shutdown_of_a_dead_writer_reports_failed_health_and_partial_stats() {
 }
 
 // ---------------------------------------------------------------------------
-// Overflow policies under a deterministically stalled writer
+// The blocking send under a deterministically stalled writer
 // ---------------------------------------------------------------------------
 
-#[test]
-fn drop_newest_counts_drops_under_a_stalled_writer() {
-    let (d, server) = host_fixture();
-    let plan = FaultPlan::new();
-    plan.stall();
-    let host = ServeHost::spawn_with(
-        server,
-        HostOptions {
-            queue: 1,
-            overflow: hypermine_serve::OverflowPolicy::DropNewest,
-            faults: Some(plan.clone()),
-            ..HostOptions::default()
-        },
-    )
-    .unwrap();
-    // The writer takes the first command and parks at the gate
-    // (`send_timeout` retries until the slot frees, making the handoff
-    // deterministic); the second fills the only queue slot; everything
-    // after that drops.
-    assert!(host.advance(row_at(&d, WINDOW)));
-    assert!(host
-        .send_timeout(
-            StreamCmd::Advance(row_at(&d, WINDOW + 1)),
-            Duration::from_secs(10),
-        )
-        .is_ok());
-    let mut dropped = 0;
-    for o in WINDOW + 2..WINDOW + 8 {
-        if !host.advance(row_at(&d, o)) {
-            dropped += 1;
-        }
+/// Opens a plan's stall gate when dropped, so a failed assertion fails
+/// the test instead of leaving the host's join waiting on a parked
+/// writer.
+struct ReleaseOnDrop(FaultPlan);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
     }
-    assert_eq!(dropped, 6);
-    plan.release();
-    let stats = host.shutdown();
-    assert_eq!(stats.published, 2);
-    assert_eq!(stats.dropped, 6);
-    assert_eq!(stats.last_epoch, 2);
 }
 
+/// A full queue blocks the sender until the writer drains a slot; no row
+/// is dropped and every row applies once.
 #[test]
-fn coalesce_batches_overflow_rows_under_a_stalled_writer() {
+fn send_blocks_on_a_full_queue_until_the_writer_drains_it() {
     let (d, server) = host_fixture();
     let plan = FaultPlan::new();
     plan.stall();
@@ -494,63 +465,36 @@ fn coalesce_batches_overflow_rows_under_a_stalled_writer() {
         server,
         HostOptions {
             queue: 1,
-            overflow: hypermine_serve::OverflowPolicy::CoalesceBatch,
             faults: Some(plan.clone()),
             ..HostOptions::default()
         },
     )
     .unwrap();
-    // Row 0 goes to the writer's hand (it parks at the gate holding
-    // it); row 1 deterministically fills the queue slot; rows 2..8 park
-    // in the coalesce buffer and flush as one batch at shutdown.
+    // Dropped before the host, so every early exit opens the gate first.
+    let gate = ReleaseOnDrop(plan);
+    let start_epoch = host.reader().load().epoch();
+    // Row 0 parks in the writer's hand at the gate; row 1 waits for
+    // that handoff, then fills the only queue slot.
     assert!(host.advance(row_at(&d, WINDOW)));
-    assert!(host
-        .send_timeout(
-            StreamCmd::Advance(row_at(&d, WINDOW + 1)),
-            Duration::from_secs(10),
-        )
-        .is_ok());
-    for o in WINDOW + 2..WINDOW + 8 {
-        assert!(host.advance(row_at(&d, o)));
-    }
-    plan.release();
+    assert!(host.advance(row_at(&d, WINDOW + 1)));
+    let sent = AtomicBool::new(false);
+    let (early, delivered) = std::thread::scope(|s| {
+        let feeder = s.spawn(|| {
+            let delivered = host.advance(row_at(&d, WINDOW + 2));
+            sent.store(true, Ordering::SeqCst);
+            delivered
+        });
+        // The slot stays full while the writer is parked, so row 2
+        // cannot have been handed over yet.
+        std::thread::sleep(Duration::from_millis(100));
+        let early = sent.load(Ordering::SeqCst);
+        gate.0.release();
+        (early, feeder.join().unwrap())
+    });
+    assert!(!early, "send returned while the queue was full");
+    assert!(delivered, "the writer took row 2");
     let stats = host.shutdown();
-    // No row lost, fewer publishes: 2 direct + 1 batch of 6.
-    assert_eq!(stats.coalesced, 6);
-    assert_eq!(stats.last_epoch, 8);
     assert_eq!(stats.published, 3);
     assert_eq!(stats.dropped, 0);
-}
-
-#[test]
-fn send_timeout_gives_up_on_a_stalled_writer_and_returns_the_command() {
-    let (d, server) = host_fixture();
-    let plan = FaultPlan::new();
-    plan.stall();
-    let host = ServeHost::spawn_with(
-        server,
-        HostOptions {
-            queue: 1,
-            faults: Some(plan.clone()),
-            ..HostOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(host.advance(row_at(&d, WINDOW)));
-    assert!(host
-        .send_timeout(
-            StreamCmd::Advance(row_at(&d, WINDOW + 1)),
-            Duration::from_secs(10),
-        )
-        .is_ok());
-    let returned = host
-        .send_timeout(
-            StreamCmd::Advance(row_at(&d, WINDOW + 2)),
-            Duration::from_millis(50),
-        )
-        .unwrap_err();
-    assert_eq!(returned, StreamCmd::Advance(row_at(&d, WINDOW + 2)));
-    plan.release();
-    let stats = host.shutdown();
-    assert_eq!(stats.published, 2);
+    assert_eq!(stats.last_epoch, start_epoch + 3);
 }

@@ -12,7 +12,7 @@
 //! - [`data`] — multi-valued attribute databases `D(A, O, V)` and discretizers.
 //! - [`market`] — synthetic S&P 500-style market simulator.
 //! - [`approx`] — greedy set cover, dominating set, t-clustering, k-means.
-//! - [`ml`] — baseline classifiers (perceptron, logistic regression, SVM, MLP).
+//! - [`ml`] — baseline classifiers (logistic regression, SVM, MLP).
 //! - [`core`] — the paper's contribution: association hypergraphs, similarity,
 //!   leading indicators, and the association-based classifier.
 //! - [`serve`] — concurrent serving: epoch-tagged snapshots published through

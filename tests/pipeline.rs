@@ -8,9 +8,12 @@ use hypermine::core::{
     AssociationClassifier, AssociationModel, ModelConfig, SetCoverOptions, StopRule,
 };
 use hypermine::data::AttrId;
+use hypermine::experiments::baselines::BaselineConfig;
 use hypermine::market::{discretize_market, Market, SimConfig, Universe};
-use hypermine::ml::{accuracy, MultiClassPerceptron, TabularDataset};
+use hypermine::ml::{accuracy, LogisticRegression, TabularDataset};
 use hypermine_hypergraph::NodeId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn market() -> Market {
     Market::simulate(
@@ -106,8 +109,8 @@ fn classifier_beats_majority_baseline_in_sample() {
 #[test]
 fn ml_baselines_runnable_on_market_data() {
     // Cross-crate check: one-hot encodings built from the discretized
-    // market feed the perceptron, which must beat chance on a correlated
-    // target in sample.
+    // market feed logistic regression, which must beat chance on a
+    // correlated target in sample.
     let m = market();
     let disc = discretize_market(&m, 3, None);
     let db = &disc.database;
@@ -116,9 +119,11 @@ fn ml_baselines_runnable_on_market_data() {
     let features: Vec<AttrId> = (2..7).map(AttrId::new).collect();
     let target = AttrId::new(1);
     let ds = TabularDataset::one_hot_from_db(db, &features, target);
-    let p = MultiClassPerceptron::train(&ds, 30);
-    let acc = accuracy(&ds, |x| p.predict(x));
-    assert!(acc > 0.34, "perceptron in-sample accuracy {acc}");
+    let cfg = BaselineConfig::default();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let model = LogisticRegression::train(&ds, &cfg.logistic, &mut rng);
+    let acc = accuracy(&ds, |x| model.predict(x));
+    assert!(acc > 0.34, "logistic in-sample accuracy {acc}");
 }
 
 #[test]
