@@ -200,17 +200,6 @@ impl ClassifierEval {
     }
 }
 
-/// Convenience: evaluate using the edges pointing *into* each target from a
-/// dominator computed on (a filtered version of) the same model.
-pub fn classify_targets(
-    model: &AssociationModel,
-    dominator: &[AttrId],
-    db: &Database,
-    targets: &[AttrId],
-) -> ClassifierEval {
-    AssociationClassifier::new(model, dominator).evaluate(db, targets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +370,7 @@ mod tests {
     fn eval_mean_over_targets() {
         let d = db();
         let m = model(&d);
-        let eval = classify_targets(&m, &[a(0)], &d, &[a(1), a(2)]);
+        let eval = AssociationClassifier::new(&m, &[a(0)]).evaluate(&d, &[a(1), a(2)]);
         assert_eq!(eval.per_target.len(), 2);
         let mean = eval.mean_confidence();
         let manual: f64 = eval.per_target.iter().map(|(_, c)| c).sum::<f64>() / 2.0;

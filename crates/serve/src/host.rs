@@ -5,7 +5,7 @@
 //! returns a handle that (a) enqueues [`WalRecord`]s with backpressure
 //! — a bounded [`std::sync::mpsc::sync_channel`] whose one send path
 //! blocks while the queue is full, so a slow writer throttles the feed
-//! instead of buffering unboundedly — and (b) hands out lock-free
+//! instead of buffering unboundedly — and (b) hands out
 //! [`ReaderHandle`]s that keep working for as long as any handle to the
 //! snapshot cell lives, even after shutdown. Shutdown drops the sender:
 //! the writer drains what is queued and exits.
@@ -157,6 +157,9 @@ pub struct ServeHost {
     tx: Option<SyncSender<WalRecord>>,
     writer: Option<JoinHandle<WriterStats>>,
     health: Arc<AtomicU8>,
+    /// The writer's fault plan, whose stall gate shutdown opens.
+    #[cfg(feature = "fault-injection")]
+    faults: Option<FaultPlan>,
 }
 
 /// Flips health to `Failed` if the writer thread unwinds past the
@@ -336,11 +339,13 @@ impl ServeHost {
             tx: Some(tx),
             writer: Some(writer),
             health,
+            #[cfg(feature = "fault-injection")]
+            faults: options.faults,
         }
     }
 
-    /// A lock-free reader of the published snapshot; independent of the
-    /// host's lifetime (the cell is ref-counted).
+    /// A reader of the published snapshot; independent of the host's
+    /// lifetime (the cell is ref-counted).
     pub fn reader(&self) -> ReaderHandle<ModelSnapshot> {
         self.cell.reader()
     }
@@ -379,6 +384,12 @@ impl ServeHost {
         // Dropping the sender disconnects the channel: the writer drains
         // whatever is queued, then `recv` errors and the loop exits.
         self.tx = None;
+        // A writer parked at a closed stall gate would never reach that
+        // exit, so a test that fails while it is parked would hang here.
+        #[cfg(feature = "fault-injection")]
+        if let Some(plan) = &self.faults {
+            plan.release();
+        }
         match self.writer.take() {
             Some(handle) => match handle.join() {
                 Ok(stats) => stats,

@@ -11,12 +11,12 @@
 //!   [`AssociationModel`], applies `advance` / `advance_batch` /
 //!   `retire_oldest`, and publishes an immutable, epoch-tagged
 //!   [`ModelSnapshot`] after every mutation ([`ModelServer`]).
-//! - **Lock-free, allocation-free reads.** Snapshots are published
-//!   through [`ArcCell`], a hand-rolled atomic `Arc` swap with
-//!   hazard-pointer reclamation (see [`cell`] for the memory-ordering
-//!   contract). A reader pins the current snapshot with two atomic
-//!   loads and one atomic store — no locks, no heap allocation — and
-//!   queries it through precomputed indexes ([`snapshot`]).
+//! - **Cached, allocation-free reads.** Snapshots are published
+//!   through [`ArcCell`], a `Mutex<Arc<T>>` with a version counter
+//!   ([`cell`]). Each reader caches the `Arc` it last loaded: a load is
+//!   one atomic load of the version, and takes the lock only on the
+//!   first load after a publish. No read allocates, and readers query
+//!   the snapshot through precomputed indexes ([`snapshot`]).
 //! - **Publish-time precompute.** Each snapshot carries per-head
 //!   in-edge rankings, the cached dominator set, per-head best edges,
 //!   pre-materialized association tables for the classifier's hot edge
@@ -53,13 +53,15 @@
 //!
 //! let mut server = ModelServer::new(model, SnapshotSpec::default());
 //! let mut reader = server.reader(); // movable to any thread
-//! let snapshot = reader.load();     // lock-free pin
+//! let snapshot = reader.load();     // the reader's cached snapshot
 //! assert_eq!(snapshot.epoch(), 0);
 //! assert!(snapshot.graph().num_edges() > 0);
 //! ```
 //!
 //! [`AssociationModel`]: hypermine_core::AssociationModel
 //! [`AssociationClassifier`]: hypermine_core::AssociationClassifier
+
+#![forbid(unsafe_code)]
 
 pub mod cell;
 #[cfg(feature = "fault-injection")]
@@ -80,5 +82,5 @@ pub use snapshot::{
     ModelSnapshot, PublishLaps, PublishPhase, QueryScratch, SnapshotMemory, SnapshotSpec,
 };
 pub use store::{RecoverError, RecoverLaps, RecoverPhase, RecoveryInfo, WalRecord, WalStore};
-pub use throughput::{measure_qps, scaling_runs, QpsRun};
+pub use throughput::{measure_qps, QpsRun};
 pub use writer::ModelServer;

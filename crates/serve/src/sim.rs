@@ -111,11 +111,6 @@ impl MarketFeed {
         self.pos += 1;
         row
     }
-
-    /// Rewinds the feed to its first stream row.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
 }
 
 #[cfg(test)]
@@ -143,8 +138,6 @@ mod tests {
         }
         assert_eq!(f1.cycle_row(), &first[..], "wraps to the first row");
         assert!(!f1.is_empty());
-        f1.rewind();
-        assert_eq!(f1.next_row().unwrap(), &first[..]);
     }
 
     #[test]

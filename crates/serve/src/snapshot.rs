@@ -15,11 +15,13 @@
 //!   the order [`AssociationClassifier::predict`] uses (bit-identical
 //!   scores);
 //! - the strongest mined rules ([`top_rules`]) above the spec's floors;
-//! - an FNV-1a digest over the graph, dominator and rules (see
-//!   [`ModelSnapshot::digest`] for exactly what it covers), so stress
-//!   tests can prove no torn snapshot is ever observable;
-//! - the wall time of each build stage ([`ModelSnapshot::publish_phases`]),
-//!   kept out of the digest.
+//! - the wall time of each build stage ([`ModelSnapshot::publish_phases`]).
+//!
+//! Its FNV-1a content digest over the graph, dominator and rules (see
+//! [`ModelSnapshot::digest`] for exactly what it covers) is not built
+//! with it: the first `digest()` call computes and caches it, so two
+//! snapshots, say a recovered one and the writer's, can be compared
+//! without the publish paying a pass over every edge.
 //!
 //! The read path allocates nothing: callers keep a [`QueryScratch`]
 //! (sized once per schema, valid across epochs) and tail values ride in
@@ -35,6 +37,7 @@ use hypermine_data::{AttrId, Database, Value};
 use hypermine_hypergraph::{DirectedHypergraph, EdgeId, EdgeRef, HypergraphMemory, NodeId};
 
 use hypermine_core::AssociationTable;
+use std::sync::OnceLock;
 
 /// How to derive the serving indexes from a model at publish time.
 #[derive(Debug, Clone)]
@@ -49,7 +52,7 @@ pub struct SnapshotSpec {
     /// `0` skips rule mining entirely, for streams that only serve
     /// dominators and predictions. Ranking is support-bounded
     /// ([`top_rules`]): on a 40-ticker, 756-day window at k = 3 (~12k
-    /// edges) the default 32 cost ~0.8 ms of a ~2.4 ms publish, where
+    /// edges) the default 32 cost ~0.9 ms of a ~2.1 ms publish, where
     /// sorting every row cost 80 ms of ~100 ms.
     pub rule_limit: usize,
     /// Support floor for the pre-ranked rules.
@@ -88,8 +91,6 @@ pub enum PublishPhase {
     Tables,
     /// Ranking the mined rules ([`top_rules`]).
     Rules,
-    /// The content digest.
-    Digest,
 }
 
 impl Phase for PublishPhase {
@@ -100,7 +101,6 @@ impl Phase for PublishPhase {
         PublishPhase::Rankings,
         PublishPhase::Tables,
         PublishPhase::Rules,
-        PublishPhase::Digest,
     ];
 
     fn index(self) -> usize {
@@ -115,13 +115,12 @@ impl Phase for PublishPhase {
             PublishPhase::Rankings => "rankings",
             PublishPhase::Tables => "tables",
             PublishPhase::Rules => "rules",
-            PublishPhase::Digest => "digest",
         }
     }
 }
 
 /// Per-stage wall time of one [`ModelSnapshot::build`].
-pub type PublishLaps = PhaseLaps<PublishPhase, 7>;
+pub type PublishLaps = PhaseLaps<PublishPhase, 6>;
 
 /// Reusable per-reader scratch for [`ModelSnapshot::predict_into`]. One
 /// allocation per reader thread, valid for every snapshot sharing the
@@ -193,8 +192,8 @@ pub struct ModelSnapshot {
     relevant_tables: Vec<AssociationTable>,
     /// Pre-ranked mined rules.
     rules: Vec<MinedRule>,
-    /// FNV-1a digest of the logical content, for torn-snapshot checks.
-    digest: u64,
+    /// FNV-1a digest of the logical content, computed on first ask.
+    digest: OnceLock<u64>,
     /// How long each stage of the build took (not part of the digest).
     phases: PublishLaps,
 }
@@ -205,21 +204,21 @@ impl ModelSnapshot {
     /// one [`AssociationModel::export`], one pass deriving every edge's
     /// ACV level, one ACV threshold and set-cover dominator, two passes
     /// for the rankings and best edges, one table materialization pass
-    /// over the hot edge set, one rule ranking, and one digest pass.
-    /// Every stage is a full pass — a slide moves two rows of every
-    /// edge's table, so every ACV changes — kept linear instead: an ACV
-    /// is an exact count over the window's `m` observations, so the
-    /// rankings are one counting sort of all edges on (head, level) with
-    /// levels in `0..=m`, fused with the best-edge scan; the threshold
-    /// is a selection rather than a sort; and set cover scans the edges
-    /// at or above it in place ([`set_cover_adaptation_filtered`]). No
-    /// stage queries the graph's stars, so the exported graph never
-    /// builds its incidence CSR. On an 80-attribute, 252-day window at
-    /// k = 5 (~247k kept edges, no rules) a publish takes 15–18 ms on a
-    /// 2-vCPU AVX2 host: 4.0–4.7 ms each for the dominator (threshold
-    /// and set cover) and the digest, 2.8–3.5 ms for the tables,
-    /// 3.1–3.5 ms for the rankings and best edges, and 0.7 ms for the
-    /// export. Each stage's time is kept in
+    /// over the hot edge set, and one rule ranking. The content digest is
+    /// left to its first [`ModelSnapshot::digest`] call. Every stage is a
+    /// full pass — a slide moves two rows of every edge's table, so every
+    /// ACV changes — kept linear instead: an ACV is an exact count over
+    /// the window's `m` observations, so the rankings are one counting
+    /// sort of all edges on (head, level) with levels in `0..=m`, fused
+    /// with the best-edge scan; the threshold is a selection rather than
+    /// a sort; and set cover scans the edges at or above it in place
+    /// ([`set_cover_adaptation_filtered`]). No stage queries the graph's
+    /// stars, so the exported graph never builds its incidence CSR. On an
+    /// 80-attribute, 252-day window at k = 5 (~247k kept edges, no rules)
+    /// a publish takes 8.0–9.2 ms on a 2-vCPU AVX2 host: 2.9–3.6 ms for
+    /// the dominator (threshold and set cover), 2.1–2.5 ms for the
+    /// rankings and best edges, 1.8–2.4 ms for the tables, 0.6–0.7 ms for
+    /// the export and 0.3 ms for the levels. Each stage's time is kept in
     /// [`ModelSnapshot::publish_phases`].
     pub fn build(model: &AssociationModel, spec: &SnapshotSpec) -> ModelSnapshot {
         let mut timer = PhaseTimer::start();
@@ -347,7 +346,7 @@ impl ModelSnapshot {
         );
         timer.lap(PublishPhase::Rules);
 
-        let mut snapshot = ModelSnapshot {
+        ModelSnapshot {
             epoch,
             graph,
             db,
@@ -366,13 +365,9 @@ impl ModelSnapshot {
             relevant_offsets,
             relevant_tables,
             rules,
-            digest: 0,
-            phases: PublishLaps::default(),
-        };
-        snapshot.digest = snapshot.compute_digest();
-        timer.lap(PublishPhase::Digest);
-        snapshot.phases = timer.finish();
-        snapshot
+            digest: OnceLock::new(),
+            phases: timer.finish(),
+        }
     }
 
     /// The model epoch this snapshot was published at. Strictly
@@ -603,36 +598,40 @@ impl ModelSnapshot {
         &self.phases
     }
 
-    /// The content digest stamped at build time: FNV-1a over the
-    /// little-endian bytes of the epoch, the attribute count and `k`,
-    /// every edge's nodes and ACV bits, the dominator, the baselines, the
-    /// hot-table CSR offsets, the rules' heads, values and measure bits,
-    /// and the coverage, each hashed as a `u64`. A word's zero high bytes
-    /// are folded into one multiply by a power of the FNV prime (hashing
-    /// a zero byte only multiplies), so a small node id costs one round
-    /// rather than eight; the value is the byte-at-a-time hash's, and a
-    /// unit test pins it to a recorded constant.
+    /// The content digest, computed by the first call and cached: FNV-1a
+    /// over the little-endian bytes of the epoch, the attribute count and
+    /// `k`, every edge's nodes and ACV bits, the dominator, the baselines,
+    /// the hot-table CSR offsets, the rules' heads, values and measure
+    /// bits, and the coverage, each hashed as a `u64`. A word's zero high
+    /// bytes are folded into one multiply by a power of the FNV prime
+    /// (hashing a zero byte only multiplies), so a small node id costs one
+    /// round rather than eight; the value is the byte-at-a-time hash's,
+    /// and a unit test pins it to a recorded constant. The first call
+    /// costs one pass over every edge (~4 ms at 80 × 252, k = 5); the
+    /// publish does not pay it.
     ///
     /// It does not hash the per-head rankings and best edges, the
     /// majorities, or the tables' contents. Each is a deterministic
     /// function of the window and the hashed graph and dominator, and
     /// hashing them too would add a pass over every ranked edge and table
-    /// row to each publish. That they equal their
-    /// straightforward derivations is pinned by tests instead: rankings
-    /// and best edges by the `publish_indexes_match_the_originals`
-    /// property test, tables by the bit-identity of predictions with the
-    /// batch classifier.
+    /// row. That they equal their straightforward derivations is pinned
+    /// by tests instead: rankings and best edges by the
+    /// `publish_indexes_match_the_originals` property test, tables by the
+    /// bit-identity of predictions with the batch classifier.
     pub fn digest(&self) -> u64 {
-        self.digest
+        *self.digest.get_or_init(|| self.compute_digest())
     }
 
     /// Recomputes the digest from the content it covers (see
-    /// [`ModelSnapshot::digest`]) and compares it to the stamp. A mismatch
-    /// would mean a reader observed a torn snapshot — the concurrency
-    /// tests assert this never fails.
-    /// O(edges); intended for tests and debugging, not the hot path.
+    /// [`ModelSnapshot::digest`]) and compares it with the cached value,
+    /// caching the recomputed one when none is cached yet. So it checks
+    /// that the digest is deterministic: one call costs one pass, and a
+    /// mismatch means the same content hashed to two values. It stays
+    /// because the repository benchmark (`perfbench/`) samples it from
+    /// its reader thread; O(edges), not for the hot path.
     pub fn verify_digest(&self) -> bool {
-        self.compute_digest() == self.digest
+        let fresh = self.compute_digest();
+        fresh == *self.digest.get_or_init(|| fresh)
     }
 
     fn compute_digest(&self) -> u64 {

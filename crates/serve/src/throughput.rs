@@ -16,7 +16,7 @@ use hypermine_core::{AssociationModel, ModelConfig};
 use hypermine_data::AttrId;
 
 use crate::host::ServeHost;
-use crate::sim::{FeedConfig, MarketFeed};
+use crate::sim::MarketFeed;
 use crate::snapshot::SnapshotSpec;
 use crate::writer::ModelServer;
 
@@ -104,7 +104,6 @@ pub fn measure_qps(
                         }
                         count += 3;
                         if probe % 64 == 0 {
-                            drop(snap);
                             row.copy_from_slice(rows.cycle_row());
                         }
                     }
@@ -133,24 +132,10 @@ pub fn measure_qps(
     }
 }
 
-/// [`measure_qps`] at each reader count in `readers`, sharing one feed.
-pub fn scaling_runs(
-    cfg: &FeedConfig,
-    model_cfg: &ModelConfig,
-    spec: &SnapshotSpec,
-    readers: &[usize],
-    duration: Duration,
-) -> Vec<QpsRun> {
-    let feed = MarketFeed::new(cfg);
-    readers
-        .iter()
-        .map(|&r| measure_qps(&feed, model_cfg, spec, r, duration))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::FeedConfig;
 
     #[test]
     fn a_short_run_answers_queries_and_observes_slides() {

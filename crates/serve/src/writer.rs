@@ -39,8 +39,8 @@ impl ModelServer {
         }
     }
 
-    /// A new lock-free reader of the published snapshot. Handles are
-    /// independent and movable across threads.
+    /// A new reader of the published snapshot. Handles are independent
+    /// and movable across threads.
     pub fn reader(&self) -> ReaderHandle<ModelSnapshot> {
         self.cell.reader()
     }
@@ -85,8 +85,8 @@ impl ModelServer {
 
     /// Rebuilds the serving indexes from the current model state and
     /// atomically publishes them. Readers switch over at their next
-    /// load; in-flight guards keep the superseded snapshot alive until
-    /// dropped.
+    /// load; a reader that cached the superseded snapshot keeps it alive
+    /// until it loads again or is dropped.
     pub fn publish(&mut self) -> u64 {
         let snapshot = ModelSnapshot::build(&self.model, &self.spec);
         let epoch = snapshot.epoch();

@@ -418,6 +418,8 @@ fn dead_writer_drop_never_aborts() {
 #[test]
 fn shutdown_of_a_dead_writer_reports_failed_health_and_partial_stats() {
     let (d, server) = host_fixture();
+    // Read before the lethal record, from a snapshot of its own.
+    let epoch_0 = ModelSnapshot::build(server.model(), server.spec()).digest();
     let host = ServeHost::spawn_with(
         server,
         HostOptions {
@@ -436,23 +438,12 @@ fn shutdown_of_a_dead_writer_reports_failed_health_and_partial_stats() {
     assert!(err.contains("writer thread died"), "{err}");
     // The last good snapshot keeps serving.
     assert_eq!(reader.load().epoch(), 0);
-    assert!(reader.load().verify_digest());
+    assert_eq!(reader.load().digest(), epoch_0);
 }
 
 // ---------------------------------------------------------------------------
 // The blocking send under a deterministically stalled writer
 // ---------------------------------------------------------------------------
-
-/// Opens a plan's stall gate when dropped, so a failed assertion fails
-/// the test instead of leaving the host's join waiting on a parked
-/// writer.
-struct ReleaseOnDrop(FaultPlan);
-
-impl Drop for ReleaseOnDrop {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
 
 /// A full queue blocks the sender until the writer drains a slot; no row
 /// is dropped and every row applies once.
@@ -470,8 +461,6 @@ fn send_blocks_on_a_full_queue_until_the_writer_drains_it() {
         },
     )
     .unwrap();
-    // Dropped before the host, so every early exit opens the gate first.
-    let gate = ReleaseOnDrop(plan);
     let start_epoch = host.reader().load().epoch();
     // Row 0 parks in the writer's hand at the gate; row 1 waits for
     // that handoff, then fills the only queue slot.
@@ -488,7 +477,7 @@ fn send_blocks_on_a_full_queue_until_the_writer_drains_it() {
         // cannot have been handed over yet.
         std::thread::sleep(Duration::from_millis(100));
         let early = sent.load(Ordering::SeqCst);
-        gate.0.release();
+        plan.release();
         (early, feeder.join().unwrap())
     });
     assert!(!early, "send returned while the queue was full");
@@ -497,4 +486,26 @@ fn send_blocks_on_a_full_queue_until_the_writer_drains_it() {
     assert_eq!(stats.published, 3);
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.last_epoch, start_epoch + 3);
+}
+
+/// A test that fails while the writer is parked at a closed stall gate
+/// fails instead of hanging: the unwind drops the host, and the host
+/// opens its plan's gate before it joins the writer.
+#[test]
+#[should_panic(expected = "failed while the writer is stalled")]
+fn a_test_that_fails_while_the_writer_is_stalled_finishes() {
+    let (d, server) = host_fixture();
+    let plan = FaultPlan::new();
+    plan.stall();
+    let host = ServeHost::spawn_with(
+        server,
+        HostOptions {
+            queue: 1,
+            faults: Some(plan),
+            ..HostOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(host.advance(row_at(&d, WINDOW)));
+    panic!("failed while the writer is stalled");
 }

@@ -16,7 +16,7 @@
 //! - [`core`] — the paper's contribution: association hypergraphs, similarity,
 //!   leading indicators, and the association-based classifier.
 //! - [`serve`] — concurrent serving: epoch-tagged snapshots published through
-//!   a lock-free cell, queried without locks or allocation while the window
+//!   a cell each reader caches, queried without allocation while the window
 //!   slides.
 //! - [`experiments`] — the harness regenerating every table and figure.
 //!
